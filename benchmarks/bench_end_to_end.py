@@ -30,11 +30,13 @@ informational and never gated.
 
 ``--check-baseline PATH`` compares freshly measured speedups against the
 committed baseline (``benchmarks/baselines/BENCH_e2e_baseline.json``) and
-exits non-zero when any gated workload's speedup fell below
-``(1 - tolerance)`` times its baseline speedup, when a workload's speedup
-fell below its absolute floor, or when any mode disagreement was detected.
-Speedup *ratios* rather than absolute seconds keep the gate stable across
-machines of different speeds.
+exits non-zero when the report's workload definition differs from the
+baseline's (a gate compares like with like, so a change to a workload
+regenerates the baseline in the same change), when any gated workload's
+speedup fell below ``(1 - tolerance)`` times its baseline speedup, when a
+workload's speedup fell below its absolute floor, or when any mode
+disagreement was detected.  Speedup *ratios* rather than absolute seconds
+keep the gate stable across machines of different speeds.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from repro.api import (
     run_sweep,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Absolute speedup floors per gated workload, (full, quick) mode.  The
 #: committed baseline carries the measured values; these floors catch a
@@ -132,12 +134,14 @@ def _measure_workload(
 # -- workloads -------------------------------------------------------------------
 
 
+def figure1_kwargs(quick: bool) -> dict[str, object]:
+    if quick:
+        return dict(n_users=25, rounds=10, sharing_levels=[0.3, 0.7])
+    return dict(n_users=40, rounds=20)
+
+
 def figure1_workload(quick: bool) -> Callable[[], str]:
-    kwargs = (
-        dict(n_users=25, rounds=10, sharing_levels=[0.3, 0.7])
-        if quick
-        else dict(n_users=40, rounds=20)
-    )
+    kwargs = figure1_kwargs(quick)
 
     def run() -> str:
         return json.dumps(run_experiment_structured("figure1", **kwargs), sort_keys=True)
@@ -145,10 +149,24 @@ def figure1_workload(quick: bool) -> Callable[[], str]:
     return run
 
 
+#: The robustness matrix rows: the seven scenarios the catalog held when
+#: these workloads were first measured.  Pinned so catalog growth cannot
+#: silently resize the matrix — eleven rows × five mechanisms is 55 cells,
+#: which cycle through the 48-entry scenario run cache and miss every time.
+MATRIX_SCENARIOS = (
+    "baseline",
+    "collusion-ring",
+    "whitewash-wave",
+    "traitor-oscillation",
+    "slander",
+    "sybil-burst",
+    "collusion-under-churn",
+)
+
+
 def matrix_kwargs(quick: bool) -> dict[str, object]:
-    if quick:
-        return dict(n_users=24, rounds=30, seed=0)
-    return dict(n_users=40, rounds=120, seed=0)
+    sizing = dict(n_users=24, rounds=30) if quick else dict(n_users=40, rounds=120)
+    return dict(scenarios=list(MATRIX_SCENARIOS), seed=0, **sizing)
 
 
 def robustness_matrix_workload(quick: bool) -> Callable[[], str]:
@@ -210,6 +228,40 @@ def reference_sweep_workload(quick: bool, jobs: int) -> Callable[[], str]:
     return run
 
 
+def refresh_layer_config(quick: bool, mechanism: str) -> dict[str, object]:
+    return dict(
+        scenario="collusion-ring",
+        mechanism=mechanism,
+        n_users=30 if quick else 50,
+        rounds=120 if quick else 400,
+        seed=0,
+    )
+
+
+#: Mechanisms whose refresh layer is measured, in report order.
+REFRESH_LAYER_MECHANISMS = ("beta", "eigentrust")
+
+
+def workload_definition() -> dict[str, object]:
+    """Everything that shapes what the benchmark measures, for both modes.
+
+    Recorded in every report; the gate refuses to compare a report against
+    a baseline whose definition differs.
+    """
+    return {
+        mode: {
+            "figure1": figure1_kwargs(quick),
+            "robustness_matrix": matrix_kwargs(quick),
+            "thresholds": list(DETECT_THRESHOLDS),
+            "reference_sweep": sweep_spec(quick).grids,
+            "refresh_layer": [
+                refresh_layer_config(quick, mechanism) for mechanism in REFRESH_LAYER_MECHANISMS
+            ],
+        }
+        for mode, quick in (("full", False), ("quick", True))
+    }
+
+
 def refresh_layer_entry(quick: bool, mechanism: str) -> dict[str, object]:
     """Cold vs incremental refresh on one long simulation's refresh layer.
 
@@ -220,13 +272,7 @@ def refresh_layer_entry(quick: bool, mechanism: str) -> dict[str, object]:
     (identical-by-contract) iteration cost and shed only the matrix and
     overlay rebuild.
     """
-    config = dict(
-        scenario="collusion-ring",
-        mechanism=mechanism,
-        n_users=30 if quick else 50,
-        rounds=120 if quick else 400,
-        seed=0,
-    )
+    config = refresh_layer_config(quick, mechanism)
 
     def run() -> tuple[str, float]:
         with profiled() as timer:
@@ -275,13 +321,14 @@ def run_benchmarks(*, quick: bool, jobs: int) -> dict[str, object]:
     workloads.append(
         _measure_workload("reference_sweep", reference_sweep_workload(quick, jobs))
     )
-    workloads.append(refresh_layer_entry(quick, "beta"))
-    workloads.append(refresh_layer_entry(quick, "eigentrust"))
+    for mechanism in REFRESH_LAYER_MECHANISMS:
+        workloads.append(refresh_layer_entry(quick, mechanism))
 
     floors = {name: (floor[1] if quick else floor[0]) for name, floor in FLOORS.items()}
     return {
         "schema_version": SCHEMA_VERSION,
         "generated_by": "benchmarks/bench_end_to_end.py",
+        "definition": workload_definition(),
         "quick": quick,
         "jobs": jobs,
         "floors": floors,
@@ -294,6 +341,11 @@ def check_against_baseline(
     report: dict[str, object], baseline: dict[str, object], *, tolerance: float
 ) -> list[str]:
     """Regression findings (empty when the gate passes)."""
+    if report.get("definition") != baseline.get("definition"):
+        return [
+            "workload definition differs from the baseline's; regenerate "
+            "the baseline in the same change"
+        ]
     problems: list[str] = []
     if not report["agreement_ok"]:
         for entry in report["workloads"]:

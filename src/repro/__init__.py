@@ -84,7 +84,6 @@ _FACADE_EXPORTS = (
     "ReputationService",
     "ServiceConfig",
     "create_http_server",
-    "create_asgi_app",
     "ReputationSystem",
     "ScoreView",
     "make_reputation_system",

@@ -2,11 +2,14 @@
 
 These utilities are intentionally tiny and dependency-free: value clamping,
 normalization, exponentially-weighted averaging and validation helpers that
-many models (satisfaction, reputation, trust facets) need.
+many models (satisfaction, reputation, trust facets) need, plus the
+directory fsync every atomic-rename writer (checkpoints, WAL compaction)
+ends with.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -120,3 +123,17 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if vx == 0.0 or vy == 0.0:
         return 0.0
     return cov / (vx ** 0.5 * vy ** 0.5)
+
+
+def fsync_directory(path: str) -> None:
+    """Make a rename into ``path``'s directory durable (POSIX).
+
+    ``os.replace`` is atomic but not durable: until the directory entry is
+    fsynced, a power loss can roll the rename back.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -142,7 +142,7 @@ def default_config() -> LintConfig:
         float_eq_helpers=("_quantized",),
         template_dir="templates",
         catalog_module="repro/scenarios/catalog.py",
-        template_schema_versions=(1,),
+        template_schema_versions=(1, 2),
         # ``request_failure_record`` is the serving layer's emitter: broad
         # excepts in ``serving/`` must surface a structured 500 record.
         error_record_calls=(

@@ -1,6 +1,6 @@
 """Core machinery of the ``repro-lint`` static-analysis suite.
 
-The repo's reproducibility story — byte-identical records across backends,
+The repo's reproducibility story — byte-identical records across
 acceleration flags and worker counts — rests on a handful of conventions
 (named RNG streams, sorted iteration, cache epoch discipline, accel-flag
 purity tests).  This framework turns those conventions into machine-checked

@@ -1,16 +1,16 @@
 """R1 — determinism: all randomness flows through named RandomStreams.
 
-Byte-identical records across worker counts and backends (the PR 1/3/5
-contract) hold only if no code path reads ambient entropy.  This rule bans,
-everywhere outside the RNG module itself:
+Byte-identical records across worker counts and acceleration flags hold
+only if no code path reads ambient entropy.  This rule bans, everywhere
+outside the RNG module itself:
 
 * module-level ``random`` functions (``random.random()``, ``choice`` …) and
   names imported from :mod:`random` — they share the process-global
   generator;
 * **unseeded** ``random.Random()`` — it seeds from OS entropy
   (explicitly-seeded ``random.Random(seed)`` is allowed: deterministic);
-* anything under ``numpy.random`` — NumPy draws are not stream-exact with
-  the pure-Python backend;
+* anything under ``numpy.random`` — NumPy draws bypass the named streams,
+  so they are not stream-exact;
 * wall clocks (``time.time``/``monotonic``/``perf_counter``,
   ``datetime.now``/``utcnow``/``today``) outside the profiling module;
 * ``os.urandom`` and ``uuid.uuid1``/``uuid.uuid4``.
@@ -135,8 +135,8 @@ class DeterminismRule(Rule):
                             self.finding(
                                 module.rel,
                                 node,
-                                "numpy.random is not stream-exact with the python "
-                                "backend; derive draws from RandomStreams",
+                                "numpy.random bypasses the named streams; derive "
+                                "draws from RandomStreams",
                             )
                         )
                     elif source == "time" and node.attr in _CLOCK_FUNCS and not clocks_allowed:

@@ -1,9 +1,9 @@
-"""R5 — float equality: ``==``/``!=`` on floats hides backend noise.
+"""R5 — float equality: ``==``/``!=`` on floats hides summation-order noise.
 
-The vectorized backends agree with pure Python only after quantization
-(BLAS re-associates sums), so exact equality on computed floats is a latent
-cross-backend bug.  The rule flags ``==``/``!=`` comparisons where either
-side is statically float-valued:
+The array kernels, the incremental folds and the loop references agree only
+after quantization (BLAS re-associates sums), so exact equality on computed
+floats is a latent summation-order bug.  The rule flags ``==``/``!=``
+comparisons where either side is statically float-valued:
 
 * a float literal (``x == 0.5``);
 * a ``float(...)`` conversion or true division;
@@ -63,7 +63,7 @@ class FloatEqualityRule(Rule):
     rule_id = "R5"
     name = "float-equality"
     description = (
-        "Exact ==/!= on float expressions breaks under backend quantization "
+        "Exact ==/!= on float expressions breaks under summation-order "
         "noise; compare quantized values or suppress with a justification."
     )
 
@@ -98,7 +98,7 @@ class FloatEqualityRule(Rule):
                                     node,
                                     f"float {'==' if isinstance(op, ast.Eq) else '!='} "
                                     f"comparison ({ast.unparse(node)[:60]}); exact "
-                                    "equality is unstable across backends",
+                                    "equality is unstable across summation orders",
                                 )
                             )
                             break

@@ -40,7 +40,6 @@ from repro.core import (
     TrustOptimizer,
     TrustReport,
 )
-from repro.core.backend import HAS_NUMPY, available_backends
 from repro.core.coupling import CouplingDynamics, CouplingState, coupling_matrix
 from repro.core.metric import Aggregator
 from repro.errors import (
@@ -119,7 +118,6 @@ from repro.serving import (
     ServiceConfig,
     TornTailWarning,
     WriteAheadLog,
-    create_asgi_app,
     create_http_server,
     feedback_from_payload,
     verify_wal,
@@ -146,7 +144,6 @@ __all__ = [
     "PeerSummary",
     "ReputationService",
     "ServiceConfig",
-    "create_asgi_app",
     "create_http_server",
     "feedback_from_payload",
     # durability + resilience
@@ -241,8 +238,6 @@ __all__ = [
     "TrustModel",
     "TrustOptimizer",
     "TrustReport",
-    "HAS_NUMPY",
-    "available_backends",
     # -- controls ----------------------------------------------------------
     "accel",
     "faults",

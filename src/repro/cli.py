@@ -9,9 +9,8 @@ One entry point, five subcommands::
     repro serve ...                 live reputation scores over HTTP
 
 All record-writing subcommands share conventions: ``--out`` for the JSON
-record file, ``--csv`` for the CSV twin, ``--seed`` for the campaign seed
-and ``--backend`` for the compute backend (records are byte-identical
-across backends by contract).
+record file, ``--csv`` for the CSV twin and ``--seed`` for the campaign
+seed.
 
 ``python -m repro.experiments`` is the deprecated historical spelling: it
 warns once and forwards here, producing byte-identical artifacts (a CI
@@ -49,7 +48,7 @@ commands:
   serve [options]          serve live reputation scores over HTTP
 
 Run 'repro <command> --help' for command options.  Record-writing commands
-share --out/--csv/--seed/--backend conventions.
+share --out/--csv/--seed conventions.
 """
 
 
@@ -155,15 +154,6 @@ def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="campaign seed")
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "vectorized"),
-        default="auto",
-        help=(
-            "compute backend for every task (default auto: vectorized when "
-            "numpy is available); records are identical either way"
-        ),
-    )
     parser.add_argument(
         "--out",
         metavar="PATH",
@@ -305,7 +295,6 @@ def sweep_main(argv: list[str], *, prog: str = "repro sweep") -> int:
             n_samples=args.n_samples,
             seed=args.seed,
             quick_base=not args.full,
-            backend=args.backend,
         )
     except (ConfigurationError, ValueError) as exc:
         parser.error(str(exc))

@@ -21,12 +21,7 @@
   application constraints.
 """
 
-from repro.core.backend import (
-    HAS_NUMPY,
-    PeerIndex,
-    available_backends,
-    resolve_backend,
-)
+from repro.core.backend import PeerIndex
 from repro.core.config import SystemSettings
 from repro.core.coupling import CouplingDynamics, CouplingState, coupling_matrix
 from repro.core.facets import (
@@ -56,7 +51,6 @@ __all__ = [
     "CouplingState",
     "FacetConstraints",
     "FacetScores",
-    "HAS_NUMPY",
     "OptimizationResult",
     "PeerIndex",
     "SettingsExplorer",
@@ -65,9 +59,7 @@ __all__ = [
     "TrustModel",
     "TrustOptimizer",
     "TrustReport",
-    "available_backends",
     "coupling_matrix",
-    "resolve_backend",
     "privacy_facet",
     "reputation_facet",
     "satisfaction_facet",

@@ -2,30 +2,22 @@
 
 Every hot numeric path of the library — the EigenTrust/PowerTrust power
 iteration, the Beta/average score refresh, the Section-3 coupling dynamics
-and the per-round draws of the interaction simulator — exists in two
-implementations:
-
-* a **pure-Python** one (dicts of dicts, explicit loops), the original
-  reference code, always available; and
-* a **vectorized** one built on NumPy arrays, which maps peer identifiers to
-  dense integer indices through :class:`PeerIndex` and expresses the same
-  arithmetic as matrix-vector products and batched elementwise updates.
-
-This module owns backend *selection* (``resolve_backend``) and the shared
-vectorized kernels.  NumPy is an accelerator, not a hard requirement: when it
-is missing, ``resolve_backend("auto")`` falls back to the pure-Python
-implementation and everything keeps working, only slower.
+and the per-round draws of the interaction simulator — runs on NumPy
+arrays.  :class:`PeerIndex` maps peer identifiers to dense integer indices,
+and the kernels below express the mechanisms' arithmetic as matrix-vector
+products and batched elementwise updates.  The pure-Python loops these
+kernels replaced are kept under ``tests/oracles`` as reference
+implementations that the property tests compare against.
 
 Numerical contract
 ------------------
-The two backends compute the same quantities with the same operation
-*structure* but not always the same floating-point *order* (BLAS matrix
-products re-associate sums), so raw results agree only to ~1e-12.  Consumers
-that must be bit-identical across backends (the sweep determinism contract)
-rely on :meth:`repro.reputation.base.ReputationSystem.refresh` publishing
+The kernels compute the same quantities as the loop references with the
+same operation *structure* but not always the same floating-point *order*
+(BLAS matrix products re-associate sums), so raw results agree only to
+~1e-12.  :meth:`repro.reputation.base.ReputationSystem.refresh` publishes
 scores quantized to a coarse 1e-9 grid, which absorbs that noise.  The
-coupling kernels mirror the pure-Python expressions term by term and *are*
-bitwise identical to the fallback.
+coupling kernels mirror :meth:`repro.core.coupling.CouplingDynamics.step`
+term by term and *are* bitwise identical to it.
 """
 
 from __future__ import annotations
@@ -33,12 +25,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
+import numpy as np
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None  # type: ignore[assignment]
+from repro.errors import ConfigurationError
 
 try:
     import scipy.sparse as sparse
@@ -46,35 +35,23 @@ except ImportError:  # pragma: no cover - scipy is an optional accelerator
     sparse = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:
-    from types import ModuleType
-
     from repro.reputation.gathering import FeedbackColumns
 
-    #: Anything the kernels coerce through ``numpy.asarray``: an existing
+    #: Anything the kernels coerce through ``np.asarray``: an existing
     #: array or a (possibly nested) sequence of numbers.
     ArrayLike = np.ndarray | Sequence[float] | Sequence[Sequence[float]]
     #: A local-trust matrix: dense array, or CSR-sparse when scipy is present.
     TrustMatrix = np.ndarray | sparse.csr_matrix
 
-#: Whether the vectorized backend can be used at all in this interpreter.
-HAS_NUMPY = np is not None
-
 #: Whether sparse kernels are available.  The local-trust matrix is a
 #: percent-dense object at realistic peer counts, so CSR storage turns the
 #: power iteration from O(n^2) memory traffic into O(nnz); without scipy the
-#: vectorized backend silently uses dense arrays (same results, slower).
+#: kernels silently use dense arrays (same results, slower).
 HAS_SCIPY = sparse is not None
-
-PYTHON_BACKEND = "python"
-VECTORIZED_BACKEND = "vectorized"
-AUTO_BACKEND = "auto"
-
-#: Every name ``resolve_backend`` accepts.
-BACKEND_CHOICES = (AUTO_BACKEND, PYTHON_BACKEND, VECTORIZED_BACKEND)
 
 #: Spread below which a min-max rescale treats all values as equal.  Kept
 #: well above float noise (1e-16-ish) so that near-degenerate spreads do not
-#: amplify backend-dependent rounding into visible score differences.
+#: amplify summation-order rounding into visible score differences.
 FLAT_SPREAD = 1e-12
 
 #: Below this peer count the local-trust matrix is built dense even when
@@ -84,39 +61,6 @@ FLAT_SPREAD = 1e-12
 #: iterations per refresh); a dense matvec at n=128 is ~2µs.  The crossover
 #: where sparsity wins back the memory traffic sits well above this.
 DENSE_TRUST_THRESHOLD = 128
-
-
-def available_backends() -> tuple[str, ...]:
-    """The concrete backends that can run in this interpreter."""
-    if HAS_NUMPY:
-        return (PYTHON_BACKEND, VECTORIZED_BACKEND)
-    return (PYTHON_BACKEND,)
-
-
-def resolve_backend(name: str) -> str:
-    """Map a backend request to a concrete backend name.
-
-    ``auto`` picks the vectorized backend when NumPy is importable and the
-    pure-Python one otherwise; asking for ``vectorized`` explicitly without
-    NumPy is a configuration error rather than a silent fallback.
-    """
-    if name not in BACKEND_CHOICES:
-        raise ConfigurationError(f"unknown backend {name!r}; expected one of {BACKEND_CHOICES}")
-    if name == AUTO_BACKEND:
-        return VECTORIZED_BACKEND if HAS_NUMPY else PYTHON_BACKEND
-    if name == VECTORIZED_BACKEND and not HAS_NUMPY:
-        raise ConfigurationError(
-            "the vectorized backend requires numpy, which is not installed; "
-            "install numpy or select backend='python'"
-        )
-    return name
-
-
-def require_numpy() -> ModuleType:
-    """Return the numpy module or raise a helpful error."""
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise ConfigurationError("this code path requires numpy, which is not installed")
-    return np
 
 
 class PeerIndex:
@@ -168,11 +112,10 @@ class PeerIndex:
         column costs one permutation build over the (small) id universe plus
         one vectorized gather, instead of a dict lookup per report.
         """
-        numpy = require_numpy()
         lookup = self._positions
-        return numpy.fromiter(
+        return np.fromiter(
             (lookup.get(peer_id, -1) for peer_id in ids),
-            dtype=numpy.intp,
+            dtype=np.intp,
             count=len(ids),
         )
 
@@ -181,8 +124,7 @@ class PeerIndex:
         return {peer: float(value) for peer, value in zip(self.ids, values, strict=True)}
 
     def dict_to_vector(self, mapping: Mapping[str, float], *, default: float = 0.0) -> np.ndarray:
-        numpy = require_numpy()
-        return numpy.array([mapping.get(peer, default) for peer in self.ids], dtype=float)
+        return np.array([mapping.get(peer, default) for peer in self.ids], dtype=float)
 
 
 # -- reputation kernels -----------------------------------------------------
@@ -208,20 +150,19 @@ def local_trust_matrix(
     a dense array via :func:`dense_local_trust_matrix`, where the fixed CSR
     dispatch overhead would dominate.  Same values either way.
     """
-    numpy = require_numpy()
     if sparse is None or n < DENSE_TRUST_THRESHOLD:
         return dense_local_trust_matrix(n, rater_positions, subject_positions, deltas)
-    rater_positions = numpy.asarray(rater_positions, dtype=numpy.intp)
-    subject_positions = numpy.asarray(subject_positions, dtype=numpy.intp)
-    deltas = numpy.asarray(deltas, dtype=float)
+    rater_positions = np.asarray(rater_positions, dtype=np.intp)
+    subject_positions = np.asarray(subject_positions, dtype=np.intp)
+    deltas = np.asarray(deltas, dtype=float)
     raw = sparse.coo_matrix(
         (deltas, (rater_positions, subject_positions)), shape=(n, n)
     ).tocsr()  # tocsr() sums duplicate (rater, subject) entries
-    numpy.maximum(raw.data, 0.0, out=raw.data)
+    np.maximum(raw.data, 0.0, out=raw.data)
     raw.eliminate_zeros()
-    row_sums = numpy.asarray(raw.sum(axis=1)).ravel()
-    scale = numpy.where(row_sums > 0.0, row_sums, 1.0)
-    raw.data /= numpy.repeat(scale, numpy.diff(raw.indptr))
+    row_sums = np.asarray(raw.sum(axis=1)).ravel()
+    scale = np.where(row_sums > 0.0, row_sums, 1.0)
+    raw.data /= np.repeat(scale, np.diff(raw.indptr))
     return raw
 
 
@@ -236,16 +177,15 @@ def dense_local_trust_matrix(
     The scatter-add goes through ``bincount`` on flattened ``(rater,
     subject)`` positions, which is far faster than ``np.add.at``.
     """
-    numpy = require_numpy()
-    rater_positions = numpy.asarray(rater_positions, dtype=numpy.intp)
+    rater_positions = np.asarray(rater_positions, dtype=np.intp)
     if rater_positions.size:
-        subject_positions = numpy.asarray(subject_positions, dtype=numpy.intp)
+        subject_positions = np.asarray(subject_positions, dtype=np.intp)
         flat = rater_positions * n + subject_positions
-        raw = numpy.bincount(
-            flat, weights=numpy.asarray(deltas, dtype=float), minlength=n * n
+        raw = np.bincount(
+            flat, weights=np.asarray(deltas, dtype=float), minlength=n * n
         ).reshape(n, n)
     else:
-        raw = numpy.zeros((n, n), dtype=float)
+        raw = np.zeros((n, n), dtype=float)
     return normalize_dense_raw(raw, copy=False)
 
 
@@ -257,12 +197,11 @@ def normalize_dense_raw(raw: np.ndarray, *, copy: bool = True) -> np.ndarray:
     all of them produce bitwise-identical ``C``.  ``copy=True`` leaves the
     input untouched (required for cached raw matrices).
     """
-    numpy = require_numpy()
     if copy:
-        clipped = numpy.maximum(raw, 0.0)
+        clipped = np.maximum(raw, 0.0)
     else:
         clipped = raw
-        numpy.maximum(clipped, 0.0, out=clipped)
+        np.maximum(clipped, 0.0, out=clipped)
     row_sums = clipped.sum(axis=1)
     nonzero = row_sums > 0.0
     clipped[nonzero] /= row_sums[nonzero, None]
@@ -276,14 +215,13 @@ def local_trust_matrix_from_columns(columns: FeedbackColumns, index: PeerIndex) 
     anonymous reports (rater code -1) and peers outside ``index`` are
     dropped, exactly as the dict-based builder ignores them.
     """
-    numpy = require_numpy()
     perm = index.permutation(columns.id_for_code)
-    rater_codes = numpy.asarray(columns.rater_codes, dtype=numpy.intp)
+    rater_codes = np.asarray(columns.rater_codes, dtype=np.intp)
     identified = rater_codes >= 0
     rater_positions = perm[rater_codes[identified]]
-    subject_positions = perm[numpy.asarray(columns.subject_codes, dtype=numpy.intp)[identified]]
+    subject_positions = perm[np.asarray(columns.subject_codes, dtype=np.intp)[identified]]
     known = (rater_positions >= 0) & (subject_positions >= 0)
-    deltas = numpy.where(numpy.asarray(columns.positives, dtype=bool)[identified][known], 1.0, -1.0)
+    deltas = np.where(np.asarray(columns.positives, dtype=bool)[identified][known], 1.0, -1.0)
     return local_trust_matrix(len(index), rater_positions[known], subject_positions[known], deltas)
 
 
@@ -302,21 +240,19 @@ def power_iteration(
     distribution ``p``.  Returns ``(stationary vector, iterations used)``.
 
     On the sparse path dangling mass is accumulated once per iteration and
-    redistributed over ``p`` — the same algebra the pure-Python loop
-    performs peer by peer.  On the dense (small-``n``) path the dangling
+    redistributed over ``p`` — the same algebra the loop reference performs
+    peer by peer.  On the dense (small-``n``) path the dangling
     redistribution *and* the damping factor are folded into one iteration
     matrix ``M = (1 − a)·(Cᵀ + p·dᵀ)`` up front, so each of the ~100
     iterations per refresh is a single matmul plus one add instead of eight
     dispatched array ops; the re-association shifts results by float
-    round-off only, which the publication grid absorbs like any other
-    backend noise.
+    round-off only, which the publication grid absorbs.
     """
-    numpy = require_numpy()
-    restart = numpy.asarray(restart, dtype=float)
+    restart = np.asarray(restart, dtype=float)
     trust = restart.copy()
     iterations = 0
     if sparse is not None and sparse.issparse(matrix):
-        dangling = numpy.asarray(matrix.sum(axis=1)).ravel() <= 0.0
+        dangling = np.asarray(matrix.sum(axis=1)).ravel() <= 0.0
         transposed = matrix.T.tocsr()
         any_dangling = bool(dangling.any())
         for _ in range(max_iterations):
@@ -326,19 +262,19 @@ def power_iteration(
                 dangling_mass = float(trust[dangling].sum())
                 updated += dangling_mass * restart
             blended = (1.0 - restart_weight) * updated + restart_weight * restart
-            delta = float(numpy.abs(blended - trust).sum())
+            delta = float(np.abs(blended - trust).sum())
             trust = blended
             if delta < tolerance:
                 break
         return trust, iterations
-    matrix = numpy.asarray(matrix, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
     dangling = matrix.sum(axis=1) <= 0.0
-    iteration_matrix = numpy.ascontiguousarray(
+    iteration_matrix = np.ascontiguousarray(
         (1.0 - restart_weight)
-        * (matrix.T + numpy.outer(restart, dangling.astype(float)))
+        * (matrix.T + np.outer(restart, dangling.astype(float)))
     )
     restart_mass = restart_weight * restart
-    absolute = numpy.abs
+    absolute = np.abs
     for _ in range(max_iterations):
         iterations += 1
         blended = iteration_matrix @ trust
@@ -352,13 +288,12 @@ def power_iteration(
 
 def minmax_rescale(values: ArrayLike) -> np.ndarray:
     """Min-max rescale a vector into ``[0, 1]``; flat vectors map to 0.5."""
-    numpy = require_numpy()
-    values = numpy.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     low = float(values.min())
     high = float(values.max())
     if high - low < FLAT_SPREAD:
-        return numpy.full_like(values, 0.5)
-    return numpy.clip((values - low) / (high - low), 0.0, 1.0)
+        return np.full_like(values, 0.5)
+    return np.clip((values - low) / (high - low), 0.0, 1.0)
 
 
 def subject_positions_from_columns(columns: FeedbackColumns, index: PeerIndex) -> np.ndarray:
@@ -368,36 +303,18 @@ def subject_positions_from_columns(columns: FeedbackColumns, index: PeerIndex) -
     average): one permutation over the columns' id universe plus one gather
     over the code column.
     """
-    numpy = require_numpy()
     return index.permutation(columns.id_for_code)[
-        numpy.asarray(columns.subject_codes, dtype=numpy.intp)
+        np.asarray(columns.subject_codes, dtype=np.intp)
     ]
-
-
-def minmax_rescale_dict(trust: dict[str, float]) -> dict[str, float]:
-    """Pure-Python twin of :func:`minmax_rescale` over an id-keyed mapping.
-
-    The single source of the flat-maps-to-0.5 / clamp((v-low)/spread) rule
-    both power-iteration mechanisms publish through; works without numpy.
-    """
-    if not trust:
-        return {}
-    low = min(trust.values())
-    high = max(trust.values())
-    if high - low < FLAT_SPREAD:
-        return {peer: 0.5 for peer in trust}
-    spread = high - low
-    return {peer: min(1.0, max(0.0, (value - low) / spread)) for peer, value in trust.items()}
 
 
 def mean_scores(subject_positions: ArrayLike, ratings: ArrayLike, n_subjects: int) -> np.ndarray:
     """Per-subject mean rating (the simple-average mechanism's kernel)."""
-    numpy = require_numpy()
-    positions = numpy.asarray(subject_positions, dtype=numpy.intp)
-    ratings = numpy.asarray(ratings, dtype=float)
-    sums = numpy.bincount(positions, weights=ratings, minlength=n_subjects)
-    counts = numpy.bincount(positions, minlength=n_subjects)
-    return sums / numpy.maximum(counts, 1)
+    positions = np.asarray(subject_positions, dtype=np.intp)
+    ratings = np.asarray(ratings, dtype=float)
+    sums = np.bincount(positions, weights=ratings, minlength=n_subjects)
+    counts = np.bincount(positions, minlength=n_subjects)
+    return sums / np.maximum(counts, 1)
 
 
 def beta_scores(
@@ -411,20 +328,19 @@ def beta_scores(
     """Beta-posterior expected values with exponential forgetting.
 
     ``α = 1 + Σ forgetting^(latest_subject − t)`` over positive reports,
-    ``β`` likewise over negative ones — the vector twin of
-    :meth:`BetaReputation.compute_scores`.
+    ``β`` likewise over negative ones — the cold-rescan score of
+    :class:`~repro.reputation.beta.BetaReputation`.
     """
-    numpy = require_numpy()
-    positions = numpy.asarray(subject_positions, dtype=numpy.intp)
-    times = numpy.asarray(times, dtype=float)
-    positives = numpy.asarray(positives, dtype=bool)
-    latest = numpy.full(n_subjects, -numpy.inf)
-    numpy.maximum.at(latest, positions, times)
-    weights = numpy.power(float(forgetting), latest[positions] - times)
-    alpha = numpy.ones(n_subjects, dtype=float)
-    beta = numpy.ones(n_subjects, dtype=float)
-    numpy.add.at(alpha, positions[positives], weights[positives])
-    numpy.add.at(beta, positions[~positives], weights[~positives])
+    positions = np.asarray(subject_positions, dtype=np.intp)
+    times = np.asarray(times, dtype=float)
+    positives = np.asarray(positives, dtype=bool)
+    latest = np.full(n_subjects, -np.inf)
+    np.maximum.at(latest, positions, times)
+    weights = np.power(float(forgetting), latest[positions] - times)
+    alpha = np.ones(n_subjects, dtype=float)
+    beta = np.ones(n_subjects, dtype=float)
+    np.add.at(alpha, positions[positives], weights[positives])
+    np.add.at(beta, positions[~positives], weights[~positives])
     return alpha / (alpha + beta)
 
 
@@ -456,13 +372,12 @@ def coupling_step(
 ) -> np.ndarray:
     """One damped update of the Section-3 couplings on a ``(..., 6)`` array.
 
-    The expressions mirror :class:`CouplingDynamics`' pure-Python targets
-    term by term (same operand order), so a single-state step is bitwise
-    identical to the fallback; the payoff is that the leading axes batch
-    arbitrarily many states through one pass.
+    The expressions mirror :meth:`CouplingDynamics.step` term by term (same
+    operand order), so a single-state step is bitwise identical to it; the
+    payoff is that the leading axes batch arbitrarily many states through
+    one pass.
     """
-    numpy = require_numpy()
-    state = numpy.asarray(state, dtype=float)
+    state = np.asarray(state, dtype=float)
     trust = state[..., 0]
     satisfaction = state[..., 1]
     reputation_efficiency = state[..., 2]
@@ -470,20 +385,20 @@ def coupling_step(
     honest_contribution = state[..., 4]
     privacy_satisfaction = state[..., 5]
 
-    privacy_target = numpy.clip(policy_respect * (1.0 - 0.6 * disclosure), 0.0, 1.0)
-    reputation_target = numpy.clip(
+    privacy_target = np.clip(policy_respect * (1.0 - 0.6 * disclosure), 0.0, 1.0)
+    reputation_target = np.clip(
         mechanism_power * (disclosure * (0.4 + 0.6 * honest_contribution)),
         0.0,
         1.0,
     )
-    satisfaction_target = numpy.clip(
+    satisfaction_target = np.clip(
         0.35 * trust + 0.35 * reputation_efficiency + 0.30 * privacy_satisfaction,
         0.0,
         1.0,
     )
     effective_reputation = reputation_efficiency * trustworthy_fraction
     total = privacy_weight + reputation_weight + satisfaction_weight
-    trust_target = numpy.clip(
+    trust_target = np.clip(
         (
             privacy_weight * privacy_satisfaction
             + reputation_weight * effective_reputation
@@ -493,10 +408,10 @@ def coupling_step(
         0.0,
         1.0,
     )
-    disclosure_target = numpy.clip(sharing_level * (0.2 + 0.8 * trust), 0.0, 1.0)
-    honest_target = numpy.clip(0.3 + 0.7 * trust, 0.0, 1.0)
+    disclosure_target = np.clip(sharing_level * (0.2 + 0.8 * trust), 0.0, 1.0)
+    honest_target = np.clip(0.3 + 0.7 * trust, 0.0, 1.0)
 
-    targets = numpy.stack(
+    targets = np.stack(
         [
             trust_target,
             satisfaction_target,
@@ -507,7 +422,7 @@ def coupling_step(
         ],
         axis=-1,
     )
-    return numpy.clip((1.0 - damping) * state + damping * targets, 0.0, 1.0)
+    return np.clip((1.0 - damping) * state + damping * targets, 0.0, 1.0)
 
 
 def coupling_run(
@@ -518,16 +433,15 @@ def coupling_run(
     **params: float,
 ) -> np.ndarray:
     """Iterate one coupling state to convergence; returns the ``(T, 6)`` path."""
-    numpy = require_numpy()
-    state = numpy.asarray(initial, dtype=float)
+    state = np.asarray(initial, dtype=float)
     trajectory = [state]
     for _ in range(steps):
         next_state = coupling_step(state, **params)
         trajectory.append(next_state)
-        if float(numpy.max(numpy.abs(next_state - state))) < tolerance:
+        if float(np.max(np.abs(next_state - state))) < tolerance:
             break
         state = next_state
-    return numpy.stack(trajectory, axis=0)
+    return np.stack(trajectory, axis=0)
 
 
 def coupling_equilibria(
@@ -547,18 +461,17 @@ def coupling_equilibria(
     its standalone trajectory exactly and a lone straggler does not keep
     paying for the whole batch.
     """
-    numpy = require_numpy()
-    state = numpy.array(initials, dtype=float, copy=True)
+    state = np.array(initials, dtype=float, copy=True)
     if state.ndim != 2 or state.shape[1] != len(COUPLING_LAYOUT):
         raise ConfigurationError(f"initials must have shape (m, {len(COUPLING_LAYOUT)})")
-    active = numpy.arange(state.shape[0])
+    active = np.arange(state.shape[0])
     for _ in range(steps):
         if not active.size:
             break
         subset = state[active]
         stepped = coupling_step(subset, **params)
         state[active] = stepped
-        moved = numpy.max(numpy.abs(stepped - subset), axis=-1)
+        moved = np.max(np.abs(stepped - subset), axis=-1)
         active = active[moved >= tolerance]
     return state
 
@@ -575,34 +488,26 @@ def interaction_counts(
     ``e = activity · interactions_per_peer``; the comparison and floor are
     bitwise identical to the per-peer Python arithmetic.
     """
-    numpy = require_numpy()
-    expected = numpy.asarray(activities, dtype=float) * interactions_per_peer
-    base = numpy.floor(expected)
-    bonus = numpy.asarray(draws, dtype=float) < (expected - base)
-    return (base + bonus).astype(numpy.intp)
+    expected = np.asarray(activities, dtype=float) * interactions_per_peer
+    base = np.floor(expected)
+    bonus = np.asarray(draws, dtype=float) < (expected - base)
+    return (base + bonus).astype(np.intp)
 
 
 def lexicographic_argmax(primary: ArrayLike, tiebreak: ArrayLike) -> int:
     """Index of the maximum by ``(primary, tiebreak)`` — vectorized twin of
     sorting score/jitter pairs descending and taking the head."""
-    numpy = require_numpy()
-    order = numpy.lexsort(
-        (numpy.asarray(tiebreak, dtype=float), numpy.asarray(primary, dtype=float))
+    order = np.lexsort(
+        (np.asarray(tiebreak, dtype=float), np.asarray(primary, dtype=float))
     )
     return int(order[-1])
 
 
 __all__ = [
-    "AUTO_BACKEND",
-    "BACKEND_CHOICES",
     "COUPLING_LAYOUT",
     "DENSE_TRUST_THRESHOLD",
     "FLAT_SPREAD",
-    "HAS_NUMPY",
-    "PYTHON_BACKEND",
     "PeerIndex",
-    "VECTORIZED_BACKEND",
-    "available_backends",
     "beta_scores",
     "HAS_SCIPY",
     "coupling_equilibria",
@@ -616,9 +521,6 @@ __all__ = [
     "mean_scores",
     "minmax_rescale",
     "normalize_dense_raw",
-    "minmax_rescale_dict",
     "power_iteration",
-    "require_numpy",
-    "resolve_backend",
     "subject_positions_from_columns",
 ]

@@ -33,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro._util import clamp, require_unit_interval
 from repro.core import backend as backend_kernels
-from repro.core.backend import VECTORIZED_BACKEND, resolve_backend
 from repro.errors import ConfigurationError
 
 #: Variables a perturbation experiment can target.  The order doubles as the
@@ -50,9 +51,8 @@ STATE_VARIABLES = (
 )
 
 
-def _state_to_vector(state: CouplingState) -> backend_kernels.np.ndarray:
-    numpy = backend_kernels.require_numpy()
-    return numpy.array([getattr(state, name) for name in STATE_VARIABLES], dtype=float)
+def _state_to_vector(state: CouplingState) -> np.ndarray:
+    return np.array([getattr(state, name) for name in STATE_VARIABLES], dtype=float)
 
 
 def _state_from_vector(values: Sequence[float]) -> CouplingState:
@@ -111,10 +111,6 @@ class CouplingDynamics:
     privacy_weight: float = 1.0
     reputation_weight: float = 1.0
     satisfaction_weight: float = 1.0
-    #: Compute backend: "python" (reference loops), "vectorized" (NumPy
-    #: kernels, bitwise identical on single trajectories, batched stepping
-    #: for :meth:`equilibria`) or "auto" (vectorized when NumPy is there).
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         require_unit_interval(self.sharing_level, "sharing_level")
@@ -126,11 +122,6 @@ class CouplingDynamics:
         # assignment, not arithmetic, so the zero check is exact
         if self.damping == 0.0:
             raise ConfigurationError("damping must be positive for the state to move")
-        resolve_backend(self.backend)  # fail fast on unknown backends
-
-    @property
-    def resolved_backend(self) -> str:
-        return resolve_backend(self.backend)
 
     def _kernel_params(self) -> dict[str, float]:
         """The dynamics parameters in the form the array kernels take."""
@@ -223,30 +214,20 @@ class CouplingDynamics:
     ) -> list[CouplingState]:
         """Iterate until convergence (or the step budget) and return the trajectory.
 
-        The vectorized backend runs the same damped update as an array
-        kernel (:func:`repro.core.backend.coupling_run`); its expressions
-        mirror :meth:`step` operand by operand, so both backends produce
-        bitwise-identical trajectories.
+        The damped update runs as an array kernel
+        (:func:`repro.core.backend.coupling_run`) whose expressions mirror
+        :meth:`step` operand by operand, so the trajectory is bitwise
+        identical to repeated :meth:`step` calls.
         """
         if steps < 1:
             raise ConfigurationError("steps must be at least 1")
-        state = initial or CouplingState()
-        if self.resolved_backend == VECTORIZED_BACKEND:
-            path = backend_kernels.coupling_run(
-                _state_to_vector(state),
-                steps=steps,
-                tolerance=tolerance,
-                **self._kernel_params(),
-            )
-            return [_state_from_vector(row) for row in path]
-        trajectory = [state]
-        for _ in range(steps):
-            next_state = self.step(state)
-            trajectory.append(next_state)
-            if next_state.distance(state) < tolerance:
-                break
-            state = next_state
-        return trajectory
+        path = backend_kernels.coupling_run(
+            _state_to_vector(initial or CouplingState()),
+            steps=steps,
+            tolerance=tolerance,
+            **self._kernel_params(),
+        )
+        return [_state_from_vector(row) for row in path]
 
     def equilibrium(
         self, initial: CouplingState | None = None, *, steps: int = 500
@@ -263,23 +244,20 @@ class CouplingDynamics:
     ) -> list[CouplingState]:
         """Fixed points reached from many initial states.
 
-        Equivalent to ``[self.equilibrium(s) for s in initials]`` but the
-        vectorized backend advances every still-unconverged trajectory
-        through one batched kernel step per iteration — the batch form the
-        perturbation experiments and settings sweeps are built on.
+        Equivalent to ``[self.equilibrium(s) for s in initials]`` but every
+        still-unconverged trajectory advances through one batched kernel
+        step per iteration — the batch form the perturbation experiments
+        and settings sweeps are built on.
         """
         if steps < 1:
             raise ConfigurationError("steps must be at least 1")
         if not initials:
             return []
-        if self.resolved_backend == VECTORIZED_BACKEND:
-            numpy = backend_kernels.require_numpy()
-            batch = numpy.stack([_state_to_vector(state) for state in initials])
-            final = backend_kernels.coupling_equilibria(
-                batch, steps=steps, tolerance=tolerance, **self._kernel_params()
-            )
-            return [_state_from_vector(row) for row in final]
-        return [self.run(state, steps=steps, tolerance=tolerance)[-1] for state in initials]
+        batch = np.stack([_state_to_vector(state) for state in initials])
+        final = backend_kernels.coupling_equilibria(
+            batch, steps=steps, tolerance=tolerance, **self._kernel_params()
+        )
+        return [_state_from_vector(row) for row in final]
 
 
 def coupling_matrix(
@@ -306,20 +284,12 @@ def coupling_matrix(
         deltas[source] = perturbed_value - getattr(equilibrium, source)
         perturbed_states.append(replace(equilibrium, **{source: perturbed_value}))
 
-    if dynamics.resolved_backend == VECTORIZED_BACKEND:
-        # One batched kernel step advances all six perturbation responses at
-        # once; element-wise it is the same arithmetic as the scalar loop.
-        numpy = backend_kernels.require_numpy()
-        batch = numpy.stack([_state_to_vector(state) for state in perturbed_states])
-        for _ in range(response_steps):
-            batch = backend_kernels.coupling_step(batch, **dynamics._kernel_params())
-        responses_states = [_state_from_vector(row) for row in batch]
-    else:
-        responses_states = []
-        for state in perturbed_states:
-            for _ in range(response_steps):
-                state = dynamics.step(state)
-            responses_states.append(state)
+    # One batched kernel step advances all six perturbation responses at
+    # once; element-wise it is the same arithmetic as :meth:`step`.
+    batch = np.stack([_state_to_vector(state) for state in perturbed_states])
+    for _ in range(response_steps):
+        batch = backend_kernels.coupling_step(batch, **dynamics._kernel_params())
+    responses_states = [_state_from_vector(row) for row in batch]
 
     matrix: dict[str, dict[str, float]] = {}
     for source, state in zip(STATE_VARIABLES, responses_states, strict=True):

@@ -92,7 +92,7 @@ ANONYMITY_MODES = (
 
 
 def run_anonymity_ablation(
-    *, n_users: int = 40, rounds: int = 20, seed: int = 0, backend: str = "auto"
+    *, n_users: int = 40, rounds: int = 20, seed: int = 0
 ) -> list[AnonymityOutcome]:
     """E-A2: identified versus anonymous feedback on the same scenario."""
     outcomes = []
@@ -105,7 +105,6 @@ def run_anonymity_ablation(
                 seed=seed,
                 malicious_fraction=0.3,
                 settings=settings,
-                backend=backend,
             )
         ).run()
         owners = result.ledger.owners()
@@ -128,13 +127,11 @@ def run_anonymity_ablation(
 
 
 def run(
-    *, n_users: int = 40, rounds: int = 20, seed: int = 0, backend: str = "auto"
+    *, n_users: int = 40, rounds: int = 20, seed: int = 0
 ) -> AblationResult:
     return AblationResult(
         aggregators=run_aggregator_ablation(),
-        anonymity=run_anonymity_ablation(
-            n_users=n_users, rounds=rounds, seed=seed, backend=backend
-        ),
+        anonymity=run_anonymity_ablation(n_users=n_users, rounds=rounds, seed=seed),
     )
 
 

@@ -39,9 +39,9 @@ class ClaimsResult:
         return {outcome.claim_id: outcome for outcome in self.outcomes}
 
 
-def _claim_c1_trust_satisfaction(backend: str = "auto") -> ClaimOutcome:
+def _claim_c1_trust_satisfaction() -> ClaimOutcome:
     """Trust and satisfaction reinforce each other (closed-loop response)."""
-    dynamics = CouplingDynamics(backend=backend)
+    dynamics = CouplingDynamics()
     equilibrium = dynamics.equilibrium()
     boosted = replace(equilibrium, satisfaction=min(1.0, equilibrium.satisfaction + 0.2))
     state = boosted
@@ -68,10 +68,10 @@ def _claim_c1_trust_satisfaction(backend: str = "auto") -> ClaimOutcome:
     )
 
 
-def _claim_c2_reputation_trust_contribution(backend: str = "auto") -> ClaimOutcome:
+def _claim_c2_reputation_trust_contribution() -> ClaimOutcome:
     """Better mechanism -> more trust -> more honest contribution."""
-    weak = CouplingDynamics(mechanism_power=0.3, backend=backend).equilibrium()
-    strong = CouplingDynamics(mechanism_power=0.95, backend=backend).equilibrium()
+    weak = CouplingDynamics(mechanism_power=0.3).equilibrium()
+    strong = CouplingDynamics(mechanism_power=0.95).equilibrium()
     trust_gain = strong.trust - weak.trust
     contribution_gain = strong.honest_contribution - weak.honest_contribution
     return ClaimOutcome(
@@ -88,7 +88,7 @@ def _claim_c2_reputation_trust_contribution(backend: str = "auto") -> ClaimOutco
 
 
 def _claim_c3_reputation_satisfaction(
-    *, n_users: int, rounds: int, seed: int, backend: str = "auto"
+    *, n_users: int, rounds: int, seed: int
 ) -> ClaimOutcome:
     """Reputation efficiency and satisfaction move together (simulation)."""
     satisfactions = []
@@ -102,7 +102,6 @@ def _claim_c3_reputation_satisfaction(
                 seed=seed,
                 malicious_fraction=0.3,
                 settings=settings,
-                backend=backend,
             )
         ).run()
         satisfactions.append(result.facets.satisfaction)
@@ -121,14 +120,10 @@ def _claim_c3_reputation_satisfaction(
     )
 
 
-def _claim_c4_untrustworthy_majority(backend: str = "auto") -> ClaimOutcome:
+def _claim_c4_untrustworthy_majority() -> ClaimOutcome:
     """Accurate mechanism + untrustworthy majority => low trust, continued contribution."""
-    healthy = CouplingDynamics(
-        trustworthy_fraction=0.8, mechanism_power=0.95, backend=backend
-    ).equilibrium()
-    hostile = CouplingDynamics(
-        trustworthy_fraction=0.3, mechanism_power=0.95, backend=backend
-    ).equilibrium()
+    healthy = CouplingDynamics(trustworthy_fraction=0.8, mechanism_power=0.95).equilibrium()
+    hostile = CouplingDynamics(trustworthy_fraction=0.3, mechanism_power=0.95).equilibrium()
     trust_drop = healthy.trust - hostile.trust
     contribution_kept = hostile.honest_contribution
     return ClaimOutcome(
@@ -146,24 +141,20 @@ def _claim_c4_untrustworthy_majority(backend: str = "auto") -> ClaimOutcome:
     )
 
 
-def _claim_c5_information_privacy_loop(backend: str = "auto") -> ClaimOutcome:
+def _claim_c5_information_privacy_loop() -> ClaimOutcome:
     """More gathering -> better reputation; less trust -> less disclosure;
     more privacy respect -> more satisfaction."""
-    low_sharing = CouplingDynamics(sharing_level=0.2, backend=backend).equilibrium()
-    high_sharing = CouplingDynamics(sharing_level=1.0, backend=backend).equilibrium()
+    low_sharing = CouplingDynamics(sharing_level=0.2).equilibrium()
+    high_sharing = CouplingDynamics(sharing_level=1.0).equilibrium()
     reputation_gain = high_sharing.reputation_efficiency - low_sharing.reputation_efficiency
     privacy_loss = low_sharing.privacy_satisfaction - high_sharing.privacy_satisfaction
 
-    respected = CouplingDynamics(policy_respect=1.0, backend=backend).equilibrium()
-    breached = CouplingDynamics(policy_respect=0.4, backend=backend).equilibrium()
+    respected = CouplingDynamics(policy_respect=1.0).equilibrium()
+    breached = CouplingDynamics(policy_respect=0.4).equilibrium()
     satisfaction_gain = respected.satisfaction - breached.satisfaction
 
-    low_trust_disclosure = CouplingDynamics(backend=backend).step(
-        CouplingState(trust=0.1)
-    ).disclosure
-    high_trust_disclosure = CouplingDynamics(backend=backend).step(
-        CouplingState(trust=0.9)
-    ).disclosure
+    low_trust_disclosure = CouplingDynamics().step(CouplingState(trust=0.1)).disclosure
+    high_trust_disclosure = CouplingDynamics().step(CouplingState(trust=0.9)).disclosure
     disclosure_gap = high_trust_disclosure - low_trust_disclosure
 
     holds = (
@@ -189,17 +180,15 @@ def _claim_c5_information_privacy_loop(backend: str = "auto") -> ClaimOutcome:
 
 
 def run(
-    *, n_users: int = 40, rounds: int = 20, seed: int = 0, backend: str = "auto"
+    *, n_users: int = 40, rounds: int = 20, seed: int = 0
 ) -> ClaimsResult:
     """Run every Section-3 claim experiment."""
     outcomes = [
-        _claim_c1_trust_satisfaction(backend),
-        _claim_c2_reputation_trust_contribution(backend),
-        _claim_c3_reputation_satisfaction(
-            n_users=n_users, rounds=rounds, seed=seed, backend=backend
-        ),
-        _claim_c4_untrustworthy_majority(backend),
-        _claim_c5_information_privacy_loop(backend),
+        _claim_c1_trust_satisfaction(),
+        _claim_c2_reputation_trust_contribution(),
+        _claim_c3_reputation_satisfaction(n_users=n_users, rounds=rounds, seed=seed),
+        _claim_c4_untrustworthy_majority(),
+        _claim_c5_information_privacy_loop(),
     ]
     return ClaimsResult(outcomes=outcomes)
 

@@ -83,7 +83,6 @@ def _scenario(
     rounds: int,
     seed: int,
     malicious_fraction: float = 0.2,
-    backend: str = "auto",
 ) -> ScenarioResult:
     return Scenario(
         ScenarioConfig(
@@ -92,13 +91,12 @@ def _scenario(
             seed=seed,
             malicious_fraction=malicious_fraction,
             settings=settings,
-            backend=backend,
         )
     ).run()
 
 
 def _empirical_contrasts(
-    *, n_users: int, rounds: int, seed: int, backend: str = "auto"
+    *, n_users: int, rounds: int, seed: int
 ) -> list[EmpiricalContrast]:
     """Targeted scenario pairs, one per Figure-1 arrow measurable end to end."""
     contrasts: list[EmpiricalContrast] = []
@@ -110,14 +108,12 @@ def _empirical_contrasts(
         n_users=n_users,
         rounds=rounds,
         seed=seed,
-        backend=backend,
     )
     high_sharing = _scenario(
         SystemSettings(sharing_level=1.0, reputation_mechanism="beta"),
         n_users=n_users,
         rounds=rounds,
         seed=seed,
-        backend=backend,
     )
     contrasts.append(
         EmpiricalContrast(
@@ -147,7 +143,6 @@ def _empirical_contrasts(
         rounds=rounds,
         seed=seed,
         malicious_fraction=0.3,
-        backend=backend,
     )
     with_reputation = _scenario(
         SystemSettings(reputation_mechanism="eigentrust"),
@@ -155,7 +150,6 @@ def _empirical_contrasts(
         rounds=rounds,
         seed=seed,
         malicious_fraction=0.3,
-        backend=backend,
     )
     contrasts.append(
         EmpiricalContrast(
@@ -176,7 +170,6 @@ def _empirical_contrasts(
         rounds=rounds,
         seed=seed,
         malicious_fraction=0.6,
-        backend=backend,
     )
     healthy = _scenario(
         SystemSettings(),
@@ -184,7 +177,6 @@ def _empirical_contrasts(
         rounds=rounds,
         seed=seed,
         malicious_fraction=0.05,
-        backend=backend,
     )
     contrasts.append(
         EmpiricalContrast(
@@ -206,17 +198,14 @@ def run(
     n_users: int = 40,
     rounds: int = 20,
     seed: int = 0,
-    backend: str = "auto",
 ) -> Figure1Result:
     """Run E-F1 and return its result.
 
     ``sharing_levels`` is kept for API compatibility with older callers and
     the quick-mode presets; the empirical part now uses targeted contrasts
-    rather than a correlation over that sweep.  ``backend`` selects the
-    compute backend ("python", "vectorized" or "auto") without changing any
-    result.
+    rather than a correlation over that sweep.
     """
-    dynamics = CouplingDynamics(backend=backend)
+    dynamics = CouplingDynamics()
     sensitivities = coupling_matrix(dynamics)
 
     sign_matches = {}
@@ -224,7 +213,7 @@ def run(
         measured = sensitivities[source][target]
         sign_matches[(source, target)] = measured > 0 if expected > 0 else measured < 0
 
-    contrasts = _empirical_contrasts(n_users=n_users, rounds=rounds, seed=seed, backend=backend)
+    contrasts = _empirical_contrasts(n_users=n_users, rounds=rounds, seed=seed)
     return Figure1Result(
         sensitivities=sensitivities,
         sign_matches=sign_matches,

@@ -49,7 +49,7 @@ class Figure2RightResult:
 
 
 def _simulate_point(
-    settings: SystemSettings, *, n_users: int, rounds: int, seed: int, backend: str = "auto"
+    settings: SystemSettings, *, n_users: int, rounds: int, seed: int
 ) -> TradeoffPoint:
     result = Scenario(
         ScenarioConfig(
@@ -57,7 +57,6 @@ def _simulate_point(
             rounds=rounds,
             seed=seed,
             settings=settings,
-            backend=backend,
         )
     ).run()
     return TradeoffPoint(
@@ -75,7 +74,6 @@ def run(
     n_users: int = 40,
     rounds: int = 20,
     seed: int = 0,
-    backend: str = "auto",
 ) -> Figure2RightResult:
     """Run E-F2R; set ``simulate=False`` for the analytic-only fast path."""
     explorer = SettingsExplorer()
@@ -91,7 +89,6 @@ def run(
                     n_users=n_users,
                     rounds=rounds,
                     seed=seed,
-                    backend=backend,
                 )
             )
 

@@ -80,7 +80,14 @@ class SweepJournal:
         unreadable raises :class:`IntegrityError`.
         """
         digest = campaign_digest(campaign)
-        if not os.path.exists(path):
+        raw = b""
+        if os.path.exists(path):
+            with open(path, "rb") as existing:
+                raw = existing.read()
+        if b"\n" not in raw:
+            # Missing, empty, or a crash tore the header write: the header is
+            # fsynced before the first record can be appended, so a file
+            # without one complete line holds no records — start it fresh.
             handle = open(path, "wb")
             header = {
                 "format": JOURNAL_MAGIC,
@@ -93,9 +100,8 @@ class SweepJournal:
                 os.fsync(handle.fileno())
             return cls(handle, fsync=fsync), {}, 0
 
-        with open(path, "rb") as existing:
-            lines = existing.read().split(b"\n")
-        header_payload = _parse_json_line(lines[0] if lines else b"")
+        lines = raw.split(b"\n")
+        header_payload = _parse_json_line(lines[0])
         if (
             header_payload is None
             or header_payload.get("format") != JOURNAL_MAGIC

@@ -84,7 +84,6 @@ def run(
     n_users: int = 50,
     rounds: int = 25,
     seed: int = 0,
-    backend: str = "auto",
 ) -> ReputationEvalResult:
     """Run E-R1 over the mechanism × malicious-fraction grid."""
     outcomes: list[MechanismOutcome] = []
@@ -98,7 +97,6 @@ def run(
                     seed=seed,
                     malicious_fraction=malicious_fraction,
                     settings=settings,
-                    backend=backend,
                 )
             ).run()
             outcomes.append(

@@ -89,7 +89,6 @@ def run(
     n_users: int = 40,
     rounds: int = 30,
     seed: int = 0,
-    backend: str = "auto",
     malicious_fraction: float = 0.25,
     preset: str | None = None,
     detect_threshold: float = 0.1,
@@ -104,7 +103,7 @@ def run(
     exist so sweep grids (which carry JSON scalars only) can sweep the
     catalog by name.  ``template``/``tier`` run one declarative scenario
     template instead and take precedence over ``scenario(s)`` and the sizing
-    parameters (the template document supplies those; ``backend``,
+    parameters (the template document supplies those;
     ``detect_threshold`` and ``recovery_fraction`` still apply), so sweeps
     can cover the template library the same way they cover the catalog.
     """
@@ -117,9 +116,7 @@ def run(
         document = find_template(template)
         outcomes: list[ScenarioOutcome] = []
         for mechanism_name in mechanisms:
-            compiled = compile_template(
-                document, tier, mechanism=mechanism_name, backend=backend
-            )
+            compiled = compile_template(document, tier, mechanism=mechanism_name)
             config = compiled.config
             config.detect_threshold = detect_threshold
             config.recovery_fraction = recovery_fraction
@@ -149,7 +146,6 @@ def run(
                     n_users=n_users,
                     rounds=rounds,
                     seed=seed,
-                    backend=backend,
                     malicious_fraction=malicious_fraction,
                     preset=preset,
                     detect_threshold=detect_threshold,

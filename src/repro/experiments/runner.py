@@ -215,16 +215,13 @@ def run_experiment_structured(
     *,
     quick: bool = False,
     seed: int | None = None,
-    backend: str | None = None,
     **overrides: object,
 ) -> RunResult:
     """Run one experiment and return its flat ``summarize()`` metrics.
 
     ``seed`` is forwarded to ``run()`` only when the experiment accepts a
     seed parameter (the analytic experiments do not), so sweep drivers can
-    pass derived seeds unconditionally.  ``backend`` works the same way: it
-    selects the compute backend on experiments that take one and is ignored
-    (harmlessly — results are backend-independent by contract) elsewhere.
+    pass derived seeds unconditionally.
 
     Returns a :class:`RunResult` — a ``dict`` subclass carrying the metric
     mapping (the historical bare-dict return shape) plus the run's identity
@@ -234,8 +231,6 @@ def run_experiment_structured(
     kwargs = _merged_kwargs(entry, quick=quick, overrides=overrides)
     if seed is not None and entry.accepts("seed"):
         kwargs.setdefault("seed", seed)
-    if backend is not None and entry.accepts("backend"):
-        kwargs.setdefault("backend", backend)
     result = entry.run(**kwargs)
     return RunResult(
         entry.summarize(result),

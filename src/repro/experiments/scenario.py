@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro import _profiling
 from repro._util import clamp
-from repro.core.backend import resolve_backend
 from repro.core.config import SystemSettings
 from repro.core.facets import (
     FacetScores,
@@ -75,16 +74,12 @@ class ScenarioConfig:
     feedback_sensitivity: float = 0.15
     #: Reference exposure used to normalize ledger exposure into [0, 1].
     reference_exposure: float = 20.0
-    #: Compute backend for the reputation mechanism and the simulator
-    #: ("python", "vectorized" or "auto"); results are backend-independent.
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.n_users < 2:
             raise ConfigurationError("n_users must be at least 2")
         if self.rounds < 1:
             raise ConfigurationError("rounds must be at least 1")
-        resolve_backend(self.backend)
 
 
 @dataclass
@@ -139,7 +134,6 @@ class Scenario:
             graph,
             self.config.settings.reputation_mechanism,
             seed=self.config.seed,
-            backend=self.config.backend,
             anonymous=self.config.settings.anonymous_feedback,
         )
 
@@ -233,7 +227,6 @@ class Scenario:
             churn=ChurnModel(leave_probability=config.churn_leave_probability),
             interactions_per_peer=config.interactions_per_peer,
             seed=config.seed,
-            backend=config.backend,
         )
         simulator = InteractionSimulator(
             graph,

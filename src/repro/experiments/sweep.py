@@ -26,9 +26,9 @@ locality), and supports **streaming record writes**: completed records are
 emitted in task order while later tasks are still running.
 
 Determinism contract: the records (and hence the serialized JSON) depend
-only on the spec — never on the worker count, the chunk size, the compute
-backend or the completion order.  The caches are memos of pure functions,
-so a cache hit returns exactly what a fresh execution would.  Timing lives
+only on the spec — never on the worker count, the chunk size or the
+completion order.  The caches are memos of pure functions, so a cache hit
+returns exactly what a fresh execution would.  Timing lives
 on :class:`SweepResult` for benchmarks but is excluded from the serialized
 campaign output.
 """
@@ -45,12 +45,11 @@ import random
 import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
 from repro import _profiling, faults
 from repro.core import accel
-from repro.core.backend import resolve_backend
 from repro.errors import ConfigurationError
 from repro.experiments.journal import SweepJournal
 from repro.experiments.results import (
@@ -88,10 +87,6 @@ class SweepTask:
     #: Whether the experiment's quick_kwargs form the base the params
     #: override (campaigns default to quick bases so grids stay tractable).
     quick_base: bool = True
-    #: Compute backend the task runs on.  Execution detail, not campaign
-    #: identity: records are backend-independent by contract, so the backend
-    #: never appears in params or in the serialized campaign header.
-    backend: str = "auto"
 
 
 @dataclass
@@ -105,13 +100,8 @@ class SweepSpec:
     n_samples: int = 0
     seed: int = 0
     quick_base: bool = True
-    #: Compute backend for every task ("python", "vectorized" or "auto").
-    #: Like ``jobs``, this is execution telemetry: it must not change the
-    #: records and is therefore excluded from the campaign metadata.
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
-        resolve_backend(self.backend)
         if self.sampler not in SAMPLERS:
             raise ConfigurationError(
                 f"unknown sampler {self.sampler!r}; expected one of {SAMPLERS}"
@@ -255,7 +245,6 @@ def expand_tasks(spec: SweepSpec) -> list[SweepTask]:
             params=point,
             seed=derive_task_seed(spec.seed, spec.experiment, index, point),
             quick_base=spec.quick_base,
-            backend=spec.backend,
         )
         for index, point in enumerate(points)
     ]
@@ -340,28 +329,20 @@ def execute_task(task: SweepTask, retry: RetryPolicy | None = None) -> Experimen
     used_seed: int | None = seed if entry.accepts("seed") else None
     started = _profiling.clock()
     for attempt in range(1, policy.max_attempts + 1):
-        run_task = task
         try:
             # Inside the try: an injected "raise" at this site is exactly a
             # transient task failure, so it flows through the retry policy
             # like any real exception would.
-            action = faults.fire(
+            faults.fire(
                 "sweep.task",
                 experiment=task.experiment,
                 task_index=task.index,
                 attempt=attempt,
             )
-            if action == "degrade":
-                # Simulated accelerator loss: the point must still produce
-                # its exact record on the pure-Python backend (backend
-                # independence is the determinism contract, so degradation
-                # is invisible in the output).
-                run_task = replace(task, backend="python")
             metrics = run_experiment_structured(
-                run_task.experiment,
-                quick=run_task.quick_base,
+                task.experiment,
+                quick=task.quick_base,
                 seed=seed,
-                backend=run_task.backend,
                 **params,
             )
             return ExperimentRecord(
@@ -724,7 +705,6 @@ def spec_from_options(
     n_samples: int = 0,
     seed: int = 0,
     quick_base: bool = True,
-    backend: str = "auto",
 ) -> SweepSpec:
     """Build a :class:`SweepSpec` from raw CLI option strings."""
     grids: dict[str, list[object]] = {}
@@ -746,5 +726,4 @@ def spec_from_options(
         n_samples=n_samples,
         seed=seed,
         quick_base=quick_base,
-        backend=backend,
     )

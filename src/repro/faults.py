@@ -17,8 +17,8 @@ Four fault actions exist:
   testing; pairs with the executor's pool-rebuild recovery);
 * ``"corrupt"`` — returned to the caller, which damages the bytes it was
   about to persist (storage-rot testing; pairs with checksum validation);
-* ``"degrade"`` — returned to the caller, which falls back to the pure
-  Python backend (degraded-mode testing; records must not change).
+* ``"degrade"`` — returned to the caller, which sheds the request it was
+  about to admit (overload testing at ``http.admit``).
 
 Plans propagate to sweep worker processes through the ``REPRO_FAULTS``
 environment variable (the plan's JSON form), and a ``kill`` rule can carry a

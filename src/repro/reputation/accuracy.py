@@ -104,8 +104,8 @@ def spearman_rank_correlation(
     Returns 0.0 when fewer than two peers overlap or either side is
     constant (zero variance makes the coefficient undefined; 0 — "no
     evidence of agreement" — is the useful reading for robustness metrics).
-    Pure-Python on purpose: robustness records must be byte-identical across
-    compute backends.
+    Pure-Python on purpose: robustness records must not depend on a BLAS
+    summation order.
     """
     aligned = _aligned(scores, ground_truth)
     if len(aligned) < 2:

@@ -37,9 +37,7 @@ class AnonymousFeedbackReputation(ReputationSystem):
         strip_identity: bool = True,
         seed: int = 0,
     ) -> None:
-        # Scoring is delegated to the wrapped mechanism, so the wrapper
-        # inherits its compute backend instead of taking one itself.
-        super().__init__(default_score=inner.default_score, backend=inner.backend)
+        super().__init__(default_score=inner.default_score)
         self.inner = inner
         #: Truth-retention parameter of randomized response: with probability
         #: ``epsilon`` the true rating is forwarded, otherwise a fair coin is

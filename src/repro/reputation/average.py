@@ -9,10 +9,9 @@ raters — exactly the contrast the paper's reputation-power axis captures.
 from __future__ import annotations
 
 
-from repro._util import mean
 from repro.core import accel
 from repro.core import backend as backend_kernels
-from repro.core.backend import VECTORIZED_BACKEND, PeerIndex
+from repro.core.backend import PeerIndex
 from repro.reputation.base import ReputationSystem
 
 
@@ -23,7 +22,7 @@ class SimpleAverageReputation(ReputationSystem):
     folds in only the feedback appended since the previous refresh.  The
     running sum left-folds ratings in exactly the order a cold rescan of the
     subject's bucket would (per-subject append order), so the incremental
-    score is *bitwise* identical to the cold one on either backend — no
+    score is *bitwise* identical to a per-subject cold mean — no
     quantization needed to absorb it.
     """
 
@@ -71,15 +70,6 @@ class SimpleAverageReputation(ReputationSystem):
         incremental = self._compute_incremental()
         if incremental is not None:
             return incremental
-        if self.resolved_backend == VECTORIZED_BACKEND:
-            return self._compute_vectorized()
-        scores: dict[str, float] = {}
-        for subject in self.store.subjects():
-            ratings = [feedback.rating for feedback in self.store.about(subject)]
-            scores[subject] = mean(ratings, default=self.default_score)
-        return scores
-
-    def _compute_vectorized(self) -> dict[str, float]:
         subjects = self.store.subjects()
         if not subjects:
             return {}

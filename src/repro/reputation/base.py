@@ -23,18 +23,18 @@ from __future__ import annotations
 import abc
 
 from repro._util import clamp
-from repro.core.backend import resolve_backend
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
 from repro.simulation.transaction import Feedback
 
 #: Published scores are rounded to this many decimals.  Rationale: the
-#: pure-Python and vectorized backends accumulate floating point in different
-#: orders (sequential dict walks vs BLAS reductions), so raw scores can
-#: differ in the last few ulps.  Snapping to a 1e-9 grid absorbs that noise,
-#: making every downstream decision (provider selection, rankings, sweep
-#: records) identical regardless of the backend that computed the scores.
-#: The grid is deliberately coarse relative to the ~1e-16 backend noise: a
-#: score only publishes differently if it lands within an ulp of a rounding
+#: array kernels, the incremental folds and the loop references under
+#: ``tests/oracles`` accumulate floating point in different orders
+#: (sequential dict walks vs BLAS reductions), so raw scores can differ in
+#: the last few ulps.  Snapping to a 1e-9 grid absorbs that noise, making
+#: every downstream decision (provider selection, rankings, sweep records)
+#: identical regardless of the summation order that computed the scores.
+#: The grid is deliberately coarse relative to the ~1e-16 noise: a score
+#: only publishes differently if it lands within an ulp of a rounding
 #: midpoint, and the wide ratio makes that a ~1e-7 event per score instead
 #: of a once-per-large-campaign one.
 SCORE_DECIMALS = 9
@@ -100,23 +100,12 @@ class ReputationSystem(abc.ABC):
         *,
         default_score: float = 0.5,
         max_evidence_per_subject: int | None = None,
-        backend: str = "auto",
     ) -> None:
         self.default_score = clamp(default_score)
         self.store = FeedbackStore(max_per_subject=max_evidence_per_subject)
         self.local_trust = LocalTrustBuilder(self.store)
-        #: Backend *request* ("auto", "python" or "vectorized"); the concrete
-        #: choice is :attr:`resolved_backend`, evaluated lazily so that the
-        #: same configuration object works on hosts with and without numpy.
-        self.backend = backend
-        resolve_backend(backend)  # fail fast on unknown/unavailable names
         self._scores: dict[str, float] = {}
         self._dirty = False
-
-    @property
-    def resolved_backend(self) -> str:
-        """The concrete backend ("python" or "vectorized") scoring runs on."""
-        return resolve_backend(self.backend)
 
     # -- information gathering -------------------------------------------
 
@@ -143,7 +132,7 @@ class ReputationSystem(abc.ABC):
         """Recompute and cache scores if new evidence arrived since last time.
 
         Scores are clamped into ``[0, 1]`` and quantized to the 1e-9
-        :data:`SCORE_DECIMALS` grid — see the note there on cross-backend
+        :data:`SCORE_DECIMALS` grid — see the note there on summation-order
         determinism.  Returns a :class:`ScoreView` (a ``dict`` subclass:
         the historical bare-dict return shape is a strict subset of it).
         """

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro._util import require_unit_interval
 from repro.core import accel
 from repro.core import backend as backend_kernels
-from repro.core.backend import VECTORIZED_BACKEND, PeerIndex
+from repro.core.backend import PeerIndex
 from repro.reputation.base import ReputationSystem
 
 
@@ -30,8 +30,7 @@ class BetaReputation(ReputationSystem):
     accumulated mass by ``forgetting**(new - old)`` — algebraically equal to
     the cold sum but re-associated, so the two agree only to float
     round-off (~1e-13); the 1e-9 publication grid of
-    :meth:`ReputationSystem.refresh` absorbs that, exactly as it absorbs
-    cross-backend noise.
+    :meth:`ReputationSystem.refresh` absorbs that.
     """
 
     name = "beta"
@@ -43,12 +42,10 @@ class BetaReputation(ReputationSystem):
         forgetting: float = 1.0,
         default_score: float = 0.5,
         max_evidence_per_subject: int | None = None,
-        backend: str = "auto",
     ) -> None:
         super().__init__(
             default_score=default_score,
             max_evidence_per_subject=max_evidence_per_subject,
-            backend=backend,
         )
         self.forgetting = require_unit_interval(forgetting, "forgetting")
         #: subject -> [α mass, β mass, latest report time].  When
@@ -113,31 +110,11 @@ class BetaReputation(ReputationSystem):
         incremental = self._compute_incremental()
         if incremental is not None:
             return incremental
-        if self.resolved_backend == VECTORIZED_BACKEND:
-            return self._compute_vectorized()
-        scores: dict[str, float] = {}
-        for subject in self.store.subjects():
-            reports = self.store.about(subject)
-            if not reports:
-                continue
-            latest = max(feedback.time for feedback in reports)
-            alpha = 1.0
-            beta = 1.0
-            for feedback in reports:
-                weight = self.forgetting ** (latest - feedback.time)
-                if feedback.positive:
-                    alpha += weight
-                else:
-                    beta += weight
-            scores[subject] = alpha / (alpha + beta)
-        return scores
-
-    def _compute_vectorized(self) -> dict[str, float]:
         subjects = self.store.subjects()
         if not subjects:
             return {}
-        # Subject order mirrors the pure-Python path so the published score
-        # dict iterates identically on both backends.
+        # Subject order mirrors the incremental fold so the published score
+        # dict iterates identically on both paths.
         index = PeerIndex(subjects)
         columns = self.store.columns()
         positions = backend_kernels.subject_positions_from_columns(columns, index)

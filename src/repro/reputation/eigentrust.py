@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from repro._util import require_unit_interval
 from repro.core import accel
 from repro.core import backend as backend_kernels
-from repro.core.backend import VECTORIZED_BACKEND, PeerIndex
+from repro.core.backend import PeerIndex
 from repro.errors import ConfigurationError
 from repro.reputation.base import ReputationSystem
 
@@ -46,12 +46,10 @@ class EigenTrust(ReputationSystem):
         tolerance: float = 1e-8,
         default_score: float = 0.5,
         max_evidence_per_subject: int | None = None,
-        backend: str = "auto",
     ) -> None:
         super().__init__(
             default_score=default_score,
             max_evidence_per_subject=max_evidence_per_subject,
-            backend=backend,
         )
         self.pretrusted = list(pretrusted or [])
         self.restart_weight = require_unit_interval(restart_weight, "restart_weight")
@@ -85,48 +83,6 @@ class EigenTrust(ReputationSystem):
         peers = list(self.store.sorted_participants())
         if not peers:
             return {}
-        if self.resolved_backend == VECTORIZED_BACKEND:
-            return self._compute_vectorized(peers)
-        return self._compute_python(peers)
-
-    def _compute_python(self, peers: list[str]) -> dict[str, float]:
-        local = self.local_trust.normalized_local_trust(peers)
-        p = self._pretrusted_distribution(peers)
-        dangling = [peer for peer in peers if not local.get(peer)]
-
-        trust = dict(p)
-        self.iterations_used = 0
-        for _ in range(self.max_iterations):
-            self.iterations_used += 1
-            updated = {peer: 0.0 for peer in peers}
-            # Peers with no outgoing trust redistribute their mass over the
-            # pre-trusted distribution, as in the original algorithm's
-            # handling of inexperienced peers; the mass is accumulated once
-            # and spread in a single pass rather than once per dangling peer.
-            dangling_mass = sum(trust[peer] for peer in dangling)
-            for rater in peers:
-                row = local.get(rater)
-                if not row:
-                    continue
-                mass = trust[rater]
-                for subject, weight in row.items():
-                    updated[subject] += mass * weight
-            if dangling_mass:
-                for peer in peers:
-                    updated[peer] += dangling_mass * p[peer]
-            blended = {
-                peer: (1.0 - self.restart_weight) * updated[peer]
-                + self.restart_weight * p[peer]
-                for peer in peers
-            }
-            delta = sum(abs(blended[peer] - trust[peer]) for peer in peers)
-            trust = blended
-            if delta < self.tolerance:
-                break
-
-        return self._rescale(trust)
-
-    def _compute_vectorized(self, peers: list[str]) -> dict[str, float]:
         index = PeerIndex(peers)
         matrix = self._local_trust_matrix(index)
         restart = index.dict_to_vector(self._pretrusted_distribution(peers))
@@ -140,12 +96,12 @@ class EigenTrust(ReputationSystem):
         return index.vector_to_dict(backend_kernels.minmax_rescale(trust))
 
     def _local_trust_matrix(self, index: PeerIndex) -> backend_kernels.TrustMatrix:
-        """The row-normalized local trust ``C`` for the vectorized path.
+        """The row-normalized local trust ``C``.
 
         With incremental refresh on, small populations clip/normalize the
         builder's incrementally maintained dense raw matrix (O(Δ + n²) per
         refresh instead of O(total reports)); large populations keep the
-        cold vectorized column build — at CSR sizes the numpy gather over
+        cold column build — at CSR sizes the numpy gather over
         the report log is cheaper than walking the Python pair ledger, so
         "incremental" would be a pessimization there.  All paths produce
         bitwise-identical matrices — the pairwise totals are integers.
@@ -157,8 +113,3 @@ class EigenTrust(ReputationSystem):
             raw = self.local_trust.dense_raw_totals(index.position_map, len(index))
             return backend_kernels.normalize_dense_raw(raw)
         return backend_kernels.local_trust_matrix_from_columns(self.store.columns(), index)
-
-    @staticmethod
-    def _rescale(trust: dict[str, float]) -> dict[str, float]:
-        """Min-max rescale the stationary distribution into ``[0, 1]`` scores."""
-        return backend_kernels.minmax_rescale_dict(trust)

@@ -12,14 +12,11 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from collections.abc import Iterable
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core import accel
 from repro.simulation.transaction import Feedback
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass
@@ -28,8 +25,8 @@ class FeedbackColumns:
 
     Parallel columns (one entry per report) that vectorized kernels turn
     into NumPy arrays without touching one :class:`Feedback` object per
-    report — the pure-Python object walk is exactly the overhead the array
-    backend exists to avoid.  Numeric columns live in ``array.array``
+    report — the per-object walk is exactly the overhead the array kernels
+    exist to avoid.  Numeric columns live in ``array.array``
     buffers, which NumPy views zero-copy; peer identifiers are *interned*
     into dense integer codes (``id_for_code`` maps a code back to the
     string), so kernels can translate a whole column with one permutation
@@ -285,13 +282,6 @@ class LocalTrustBuilder:
             self._watermark = (epoch, len(columns))
         return self._totals
 
-    def raw_local_trust(self) -> dict[str, dict[str, float]]:
-        """``{rater: {subject: max(0, positives - negatives)}}``."""
-        return {
-            rater: {subject: max(0.0, value) for subject, value in row.items()}
-            for rater, row in self.pair_totals().items()
-        }
-
     def dense_raw_totals(self, positions: dict[str, int], n: int) -> np.ndarray:
         """Signed pair totals as a dense ``(n, n)`` float array, maintained
         incrementally for a fixed peer layout.
@@ -305,9 +295,6 @@ class LocalTrustBuilder:
         bitwise identical to a from-scratch scatter.  Callers must treat
         the returned array as read-only (take a clipped/normalized copy).
         """
-        from repro.core.backend import require_numpy
-
-        numpy = require_numpy()
         columns = self._store.columns()
         epoch = self._store.epoch
         total = len(columns)
@@ -334,7 +321,7 @@ class LocalTrustBuilder:
                     column = positions[subjects[index]]
                     raw[row, column] += 1.0 if positives[index] else -1.0
         else:
-            raw = numpy.zeros((n, n), dtype=float)
+            raw = np.zeros((n, n), dtype=float)
             for rater, row_totals in self.pair_totals().items():
                 row = positions.get(rater)
                 if row is None:
@@ -346,27 +333,6 @@ class LocalTrustBuilder:
                         raw_row[column] = value
         self._dense_state = (key, epoch, total, raw)
         return raw
-
-    def normalized_local_trust(
-        self, peers: Iterable[str] | None = None
-    ) -> dict[str, dict[str, float]]:
-        """Row-normalized local trust ``c_ij`` as used by EigenTrust.
-
-        Rows that are entirely zero stay empty; EigenTrust handles them by
-        falling back to the pre-trusted distribution.
-        """
-        raw = self.raw_local_trust()
-        known = set(peers) if peers is not None else self._store.participants()
-        normalized: dict[str, dict[str, float]] = {}
-        for rater in known:
-            row = raw.get(rater, {})
-            row = {subject: value for subject, value in row.items() if subject in known}
-            total = sum(row.values())
-            if total > 0.0:
-                normalized[rater] = {s: v / total for s, v in row.items()}
-            else:
-                normalized[rater] = {}
-        return normalized
 
     def positive_negative_counts(self, subject: str) -> tuple[int, int]:
         """Counts of positive and negative reports about ``subject``."""

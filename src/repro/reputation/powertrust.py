@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro._util import require_unit_interval
 from repro.core import accel
 from repro.core import backend as backend_kernels
-from repro.core.backend import VECTORIZED_BACKEND, PeerIndex
+from repro.core.backend import PeerIndex
 from repro.errors import ConfigurationError
 from repro.reputation.base import SCORE_DECIMALS, ReputationSystem
 from repro.reputation.overlay import TrustOverlayNetwork
@@ -33,8 +33,8 @@ def _quantized(trust: dict[str, float]) -> dict[str, float]:
     """Power-node selection input, snapped to the shared score grid.
 
     Selection sorts by raw trust values; quantizing first keeps the chosen
-    power-node set — and hence the whole aggregation — identical across the
-    pure-Python and vectorized backends.
+    power-node set — and hence the whole aggregation — independent of the
+    power iteration's summation order (dense vs CSR, or the loop reference).
     """
     return {peer: round(value, SCORE_DECIMALS) for peer, value in trust.items()}
 
@@ -55,12 +55,10 @@ class PowerTrust(ReputationSystem):
         tolerance: float = 1e-8,
         default_score: float = 0.5,
         max_evidence_per_subject: int | None = None,
-        backend: str = "auto",
     ) -> None:
         super().__init__(
             default_score=default_score,
             max_evidence_per_subject=max_evidence_per_subject,
-            backend=backend,
         )
         if n_power_nodes < 1:
             raise ConfigurationError("n_power_nodes must be at least 1")
@@ -90,67 +88,7 @@ class PowerTrust(ReputationSystem):
         weight = 1.0 / len(present)
         return {peer: (weight if peer in present else 0.0) for peer in peers}
 
-    def _aggregate(
-        self,
-        peers: list[str],
-        local: dict[str, dict[str, float]],
-        restart: dict[str, float],
-    ) -> dict[str, float]:
-        trust = dict(restart)
-        dangling = [peer for peer in peers if not local.get(peer)]
-        for _ in range(self.max_iterations):
-            updated = {peer: 0.0 for peer in peers}
-            # As in EigenTrust, dangling mass is tallied once per iteration
-            # and redistributed over the restart distribution in one pass.
-            dangling_mass = sum(trust[peer] for peer in dangling)
-            for rater in peers:
-                row = local.get(rater)
-                if not row:
-                    continue
-                mass = trust[rater]
-                for subject, weight in row.items():
-                    updated[subject] += mass * weight
-            if dangling_mass:
-                for peer in peers:
-                    updated[peer] += dangling_mass * restart[peer]
-            blended = {
-                peer: (1.0 - self.restart_weight) * updated[peer]
-                + self.restart_weight * restart[peer]
-                for peer in peers
-            }
-            delta = sum(abs(blended[peer] - trust[peer]) for peer in peers)
-            trust = blended
-            if delta < self.tolerance:
-                break
-        return trust
-
     # -- scoring ---------------------------------------------------------------
-
-    def compute_scores(self) -> dict[str, float]:
-        peers = list(self.store.sorted_participants())
-        if not peers:
-            return {}
-        if self.resolved_backend == VECTORIZED_BACKEND:
-            return self._compute_vectorized(peers)
-        return self._compute_python(peers)
-
-    def _compute_python(self, peers: list[str]) -> dict[str, float]:
-        local = self.local_trust.normalized_local_trust(peers)
-
-        # Bootstrap with a uniform restart, then alternate aggregation and
-        # power-node re-selection until the power-node set stabilizes.
-        power_nodes: list[str] = list(self.power_nodes)
-        trust: dict[str, float] = {}
-        for _ in range(self.power_node_rounds):
-            restart = self._restart_distribution(peers, power_nodes)
-            trust = self._aggregate(peers, local, restart)
-            new_power_nodes = self.overlay.select_power_nodes(_quantized(trust), self.n_power_nodes)
-            if new_power_nodes == power_nodes:
-                break
-            power_nodes = new_power_nodes
-        self.power_nodes = power_nodes
-
-        return self._rescale(trust)
 
     def _local_trust_matrix(self, index: PeerIndex) -> backend_kernels.TrustMatrix:
         """Row-normalized ``C`` from the incremental dense raw matrix /
@@ -165,7 +103,13 @@ class PowerTrust(ReputationSystem):
             return backend_kernels.normalize_dense_raw(raw)
         return backend_kernels.local_trust_matrix_from_columns(self.store.columns(), index)
 
-    def _compute_vectorized(self, peers: list[str]) -> dict[str, float]:
+    def compute_scores(self) -> dict[str, float]:
+        peers = list(self.store.sorted_participants())
+        if not peers:
+            return {}
+        # Bootstrap from the previous power nodes (uniform restart on the
+        # first refresh), then alternate aggregation and power-node
+        # re-selection until the power-node set stabilizes.
         index = PeerIndex(peers)
         matrix = self._local_trust_matrix(index)
 
@@ -191,10 +135,6 @@ class PowerTrust(ReputationSystem):
         self.power_nodes = power_nodes
 
         return index.vector_to_dict(backend_kernels.minmax_rescale(trust))
-
-    @staticmethod
-    def _rescale(trust: dict[str, float]) -> dict[str, float]:
-        return backend_kernels.minmax_rescale_dict(trust)
 
     def reset(self) -> None:
         """Drop evidence, cached scores *and* the sticky power-node set.

@@ -77,15 +77,12 @@ class TrustMeReputation(ReputationSystem):
         auto_certify: bool = True,
         default_score: float = 0.5,
         max_evidence_per_subject: int | None = None,
-        backend: str = "auto",
     ) -> None:
         # TrustMe's value is tamper-resistant storage, not aggregation; its
-        # certified-report mean has no array kernel, so ``backend`` is
-        # accepted for factory uniformity but scoring always runs in Python.
+        # certified-report mean has no array kernel and runs in Python.
         super().__init__(
             default_score=default_score,
             max_evidence_per_subject=max_evidence_per_subject,
-            backend=backend,
         )
         if replication < 1:
             raise ConfigurationError("replication must be at least 1")

@@ -17,7 +17,7 @@ campaign's attack window into the headline robustness numbers:
   actually experienced.
 
 Everything is pure Python over the engine's quantized scores, so robustness
-records are byte-identical across compute backends and worker counts.
+records are byte-identical across worker counts.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 from repro import _profiling
 from repro.core import accel
-from repro.core.backend import resolve_backend
 from repro.errors import CheckpointError, ConfigurationError
 from repro.reputation import make_reputation_system
 from repro.reputation.anonymous import AnonymousFeedbackReputation
@@ -60,7 +59,6 @@ def reputation_for_graph(
     mechanism: str,
     *,
     seed: int = 0,
-    backend: str = "auto",
     anonymous: bool = False,
 ) -> ReputationSystem | None:
     """Build the named mechanism wired for a concrete graph.
@@ -78,9 +76,9 @@ def reputation_for_graph(
             (user.user_id for user in graph.users() if user.is_honest),
             key=lambda uid: -graph.degree(uid),
         )[:3]
-        system = make_reputation_system(mechanism, pretrusted=founders, backend=backend)
+        system = make_reputation_system(mechanism, pretrusted=founders)
     else:
-        system = make_reputation_system(mechanism, backend=backend)
+        system = make_reputation_system(mechanism)
     if anonymous:
         return AnonymousFeedbackReputation(system, seed=seed)
     return system
@@ -95,7 +93,6 @@ class ScenarioRunConfig:
     n_users: int = 40
     rounds: int = 30
     seed: int = 0
-    backend: str = "auto"
     topology: str = "barabasi_albert"
     malicious_fraction: float = 0.25
     interactions_per_peer: float = 1.0
@@ -113,7 +110,6 @@ class ScenarioRunConfig:
             raise ConfigurationError("rounds must be at least 1")
         if self.n_users < 2:
             raise ConfigurationError("n_users must be at least 2")
-        resolve_backend(self.backend)
         get_scenario(self.scenario)  # fail fast on unknown scenario names
 
     def simulation_key(self) -> tuple | None:
@@ -130,7 +126,6 @@ class ScenarioRunConfig:
             self.n_users,
             self.rounds,
             self.seed,
-            self.backend,
             self.topology,
             self.malicious_fraction,
             self.interactions_per_peer,
@@ -286,8 +281,8 @@ def run_scenario(
     Keyword overrides build a :class:`ScenarioRunConfig` when none is given.
     The whole pipeline draws only from seed-derived named streams, and the
     robustness numbers come from the mechanism's quantized published scores,
-    so results are byte-stable across compute backends, worker processes
-    and every acceleration flag.
+    so results are byte-stable across worker processes and every
+    acceleration flag.
 
     With ``checkpoint_every=N`` the run snapshots its full state to
     ``checkpoint_path`` every N rounds (atomic replace, newest wins);
@@ -317,9 +312,7 @@ def run_scenario(
         setup = scenario_setup(config)
         graph = setup.graph
         campaign = build_campaign(config.scenario, rounds=config.rounds, **config.knobs)
-        reputation = reputation_for_graph(
-            graph, config.mechanism, seed=config.seed, backend=config.backend
-        )
+        reputation = reputation_for_graph(graph, config.mechanism, seed=config.seed)
         driver = CampaignDriver(campaign)
         trace = ScenarioTrace()
 
@@ -328,7 +321,6 @@ def run_scenario(
             sharing_level=config.sharing_level,
             interactions_per_peer=config.interactions_per_peer,
             seed=config.seed,
-            backend=config.backend,
         )
         if campaign.churn is not None:
             sim_config.churn = campaign.churn

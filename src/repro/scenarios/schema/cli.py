@@ -6,7 +6,7 @@ workhorse: it parses every shipped template strictly, checks the
 parse → serialize → parse round-trip, and (with ``--catalog``) checks the
 catalog ⇄ template parity both ways; ``verify`` runs the golden-record
 equivalence check; ``run`` executes one template and writes deterministic
-record files suitable for ``cmp``-based byte comparison across backends.
+record files suitable for ``cmp``-based byte comparison across runs.
 """
 
 from __future__ import annotations
@@ -125,9 +125,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         templates = [template for _, template in _load_all(directory)]
     results = [
-        verify_template(
-            template, args.tier, mechanism=args.mechanism, backend=args.backend
-        )
+        verify_template(template, args.tier, mechanism=args.mechanism)
         for template in templates
     ]
     _write_report(
@@ -168,9 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             template = load_template(target)
         else:
             template = find_template(args.template, directory)
-        compiled = compile_template(
-            template, args.tier, mechanism=args.mechanism, backend=args.backend
-        )
+        compiled = compile_template(template, args.tier, mechanism=args.mechanism)
         record_json = template_record_json(
             compiled,
             checkpoint_every=args.checkpoint_every,
@@ -227,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--tier", choices=("small", "medium", "large"), default=None)
     verify.add_argument("--mechanism", default=None)
-    verify.add_argument("--backend", choices=("auto", "python", "vectorized"), default=None)
     verify.add_argument("--report", metavar="PATH", help="write a JSON report here")
 
     run = commands.add_parser("run", help="run one template and write its records")
@@ -237,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--tier", choices=("small", "medium", "large"), default=None)
     run.add_argument("--mechanism", default=None)
-    run.add_argument("--backend", choices=("auto", "python", "vectorized"), default=None)
     run.add_argument("--out", metavar="PATH", help="write the JSON record file here")
     run.add_argument("--csv", metavar="PATH", help="also write the records as CSV here")
     run.add_argument(

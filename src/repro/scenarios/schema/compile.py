@@ -179,15 +179,14 @@ def compile_template(
     tier: str | None = None,
     *,
     mechanism: str | None = None,
-    backend: str | None = None,
 ) -> CompiledScenario:
     """Compile a template (at an optional size tier) into a runnable config.
 
-    ``mechanism``/``backend`` override the template's run section — the CLI
-    and the experiment layer use them to sweep one template across the
-    mechanism matrix and the compute backends.  Campaign templates are
-    registered in the catalog (``replace=True``: recompiling an edited
-    template in the same process must not serve the stale campaign).
+    ``mechanism`` overrides the template's run section — the CLI and the
+    experiment layer use it to sweep one template across the mechanism
+    matrix.  Campaign templates are registered in the catalog
+    (``replace=True``: recompiling an edited template in the same process
+    must not serve the stale campaign).
     """
     tier_spec = _resolve_tier(template, tier)
     tier_path = f"tiers.{tier}" if tier is not None else "run"
@@ -246,7 +245,6 @@ def compile_template(
             n_users=n_users,
             rounds=rounds,
             seed=template.run.seed,
-            backend=backend if backend is not None else template.run.backend,
             topology=template.network.topology,
             malicious_fraction=template.network.malicious_fraction,
             interactions_per_peer=interactions,

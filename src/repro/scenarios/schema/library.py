@@ -113,8 +113,7 @@ def _clear_caches() -> None:
 
 
 def _record(config: ScenarioRunConfig, metrics: dict[str, object]) -> ExperimentRecord:
-    """One comparable record.  ``backend`` is deliberately excluded from the
-    params — byte-identity across backends is the point of the gate."""
+    """One comparable record: the params a golden comparison keys on."""
     return ExperimentRecord(
         experiment=RECORD_EXPERIMENT,
         task_index=0,
@@ -181,7 +180,6 @@ def _programmatic_record_json(config: ScenarioRunConfig) -> str:
         n_users=config.n_users,
         rounds=config.rounds,
         seed=config.seed,
-        backend=config.backend,
         malicious_fraction=config.malicious_fraction,
         preset=config.preset,
         detect_threshold=config.detect_threshold,
@@ -234,7 +232,6 @@ def verify_template(
     tier: str | None = None,
     *,
     mechanism: str | None = None,
-    backend: str | None = None,
 ) -> VerificationResult:
     """Golden-record equivalence check for one template at one tier.
 
@@ -243,7 +240,7 @@ def verify_template(
     other template (declarative campaigns, knob overrides) is re-run after
     a full cache flush and must reproduce its own record byte-for-byte.
     """
-    compiled = compile_template(template, tier, mechanism=mechanism, backend=backend)
+    compiled = compile_template(template, tier, mechanism=mechanism)
     template_json = template_record_json(compiled)
     if _is_catalog_defaults(compiled):
         mode = "catalog-equivalence"

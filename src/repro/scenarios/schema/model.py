@@ -2,7 +2,7 @@
 
 A template is plain data (YAML or JSON) with this shape::
 
-    schema_version: 1
+    schema_version: 2
     name: collusion-ring
     description: dishonest ring inflates accomplices
     network:            # preset OR explicit spec fields
@@ -61,8 +61,8 @@ from repro.socialnet.generators import TOPOLOGIES
 #: Schema versions this parser understands.  Bump CURRENT when the document
 #: shape changes; keep old versions listed here (with a migration in
 #: :func:`migrate_document`) until templates in the wild have moved on.
-SUPPORTED_SCHEMA_VERSIONS: tuple[int, ...] = (1,)
-CURRENT_SCHEMA_VERSION = 1
+SUPPORTED_SCHEMA_VERSIONS: tuple[int, ...] = (1, 2)
+CURRENT_SCHEMA_VERSION = 2
 
 #: The size tiers a template may define.
 TIER_NAMES: tuple[str, ...] = ("small", "medium", "large")
@@ -89,7 +89,6 @@ class RunSection:
     """Simulation-level knobs (everything upstream of the metrics layer)."""
 
     mechanism: str = "eigentrust"
-    backend: str = "auto"
     seed: int = 0
     rounds: int = 30
     interactions_per_peer: float = 1.0
@@ -354,7 +353,6 @@ def _parse_network(data: Mapping[str, object], path: str) -> NetworkSection:
 def _parse_run(data: Mapping[str, object], path: str) -> RunSection:
     allowed = (
         "mechanism",
-        "backend",
         "seed",
         "rounds",
         "interactions_per_peer",
@@ -372,7 +370,6 @@ def _parse_run(data: Mapping[str, object], path: str) -> RunSection:
         )
     return RunSection(
         mechanism=_get_str(data, "mechanism", path, "eigentrust"),
-        backend=_get_str(data, "backend", path, "auto"),
         seed=_get_int(data, "seed", path, 0),
         rounds=rounds,
         interactions_per_peer=interactions,
@@ -555,9 +552,10 @@ def migrate_document(data: Mapping[str, object]) -> Mapping[str, object]:
     """Upgrade a raw document to the current schema version.
 
     The migration hook for forward compatibility: when ``schema_version``
-    bumps, add an upgrade step here (v1 → v2, …) so old template files keep
-    parsing.  Version 1 documents pass through unchanged; unsupported
-    versions fail with the usual precise error path.
+    bumps, add an upgrade step here so old template files keep parsing.
+    v1 → v2 drops ``run.backend`` whatever its value (there is one compute
+    path, so the field carries no information).  Unsupported versions fail
+    with the usual precise error path.
     """
     mapping = _require_mapping(data, "")
     version = _get_int(mapping, "schema_version", "", None)
@@ -566,8 +564,10 @@ def migrate_document(data: Mapping[str, object]) -> Mapping[str, object]:
             "schema_version",
             f"unsupported schema version {version}; supported: {list(SUPPORTED_SCHEMA_VERSIONS)}",
         )
-    # Future: chain per-version upgrade functions here until the document
-    # reaches CURRENT_SCHEMA_VERSION.
+    run = mapping.get("run")
+    if version == 1 and isinstance(run, Mapping) and "backend" in run:
+        run = {key: value for key, value in run.items() if key != "backend"}
+        mapping = {**mapping, "run": run}
     return mapping
 
 
@@ -742,7 +742,6 @@ def template_to_dict(template: ScenarioTemplate) -> dict[str, object]:
         "network": network,
         "run": {
             "mechanism": template.run.mechanism,
-            "backend": template.run.backend,
             "seed": template.run.seed,
             "rounds": template.run.rounds,
             "interactions_per_peer": template.run.interactions_per_peer,

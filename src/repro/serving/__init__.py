@@ -4,11 +4,10 @@ The batch pipeline answers "what would the scores have been"; this package
 answers "what are the scores *now*".  :class:`ReputationService` is a
 transport-agnostic session object — it owns a reputation system plus an
 append-only evidence log, folds streamed feedback through the incremental
-refresh path, and publishes score views at an explicit watermark.  Thin
-adapters in :mod:`repro.serving.http` put that session behind HTTP (stdlib
-``ThreadingHTTPServer`` always; FastAPI when installed), and
-:mod:`repro.serving.loadgen` replays scenario traces against a live server
-for the benchmark and CI gates.
+refresh path, and publishes score views at an explicit watermark.  A thin
+adapter in :mod:`repro.serving.http` puts that session behind HTTP (a
+stdlib ``ThreadingHTTPServer``), and :mod:`repro.serving.loadgen` replays
+scenario traces against a live server for the benchmark and CI gates.
 
 Durability layers two mechanisms.  ``snapshot()`` / ``restore()``
 round-trip the whole session through a checksummed checkpoint file, and the
@@ -24,7 +23,7 @@ retry/circuit-breaker/idempotency discipline.
 """
 
 from repro.serving.client import CircuitBreaker, ClientRetryPolicy, ResilientClient
-from repro.serving.http import create_asgi_app, create_http_server
+from repro.serving.http import create_http_server
 from repro.serving.service import (
     AdmissionGate,
     ClientRateLimiter,
@@ -49,7 +48,6 @@ __all__ = [
     "TornTailWarning",
     "WalEntry",
     "WriteAheadLog",
-    "create_asgi_app",
     "create_http_server",
     "feedback_from_payload",
     "verify_wal",

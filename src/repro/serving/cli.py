@@ -1,9 +1,8 @@
 """``repro-serve``: boot a live reputation service over HTTP.
 
-The stdlib adapter only — zero dependencies beyond the standard library, so
-the same command works on a laptop, in tier-1 CI and inside the serve-gate
-job.  Deployments with an ASGI stack should mount
-:func:`repro.serving.http.create_asgi_app` under uvicorn instead.
+The stdlib adapter — zero dependencies beyond the standard library, so the
+same command works on a laptop, in tier-1 CI and inside the serve-gate
+job.
 
 Subprocess coordination: with ``--port 0`` the OS picks a free port; the
 bound address is printed on stdout and, with ``--port-file``, written to a
@@ -46,12 +45,6 @@ def build_serve_parser(parser: argparse.ArgumentParser | None = None) -> argpars
         "--mechanism",
         default="beta",
         help="reputation mechanism backing the service (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=("auto", "python", "vectorized"),
-        help="compute backend (default: %(default)s)",
     )
     parser.add_argument(
         "--refresh-every",
@@ -146,7 +139,6 @@ def build_service(args: argparse.Namespace) -> ReputationService:
         return service
     config = ServiceConfig(
         mechanism=args.mechanism,
-        backend=args.backend,
         refresh_every=args.refresh_every,
         default_score=args.default_score,
         max_pending_requests=args.max_pending,

@@ -1,18 +1,12 @@
-"""HTTP adapters over :class:`~repro.serving.service.ReputationService`.
+"""HTTP adapter over :class:`~repro.serving.service.ReputationService`.
 
-Two thin transports over the same transport-agnostic session object:
+:func:`create_http_server` binds a stdlib ``ThreadingHTTPServer`` — a thin
+transport over the transport-agnostic session object.  Zero new
+dependencies, so tier-1 CI (and the serve-gate job) exercises the real
+network path on a bare container.  This is the adapter ``repro-serve``
+boots.
 
-* :func:`create_http_server` — a stdlib ``ThreadingHTTPServer``.  Zero new
-  dependencies, so tier-1 CI (and the serve-gate job) exercises the real
-  network path on a bare container.  This is the adapter ``repro-serve``
-  boots by default.
-* :func:`create_asgi_app` — a FastAPI application exposing the same routes,
-  for deployments that already run an ASGI stack (uvicorn/gunicorn worker
-  models).  FastAPI is strictly optional: the factory raises a pointed
-  error when it is not installed, and nothing else in the package imports
-  it.
-
-The v1 API surface (both adapters, documented in docs/API.md):
+The v1 API surface (documented in docs/API.md):
 
 =========  ==================  ===========================================
 method     path                semantics
@@ -25,8 +19,7 @@ method     path                semantics
 ``GET``    ``/v1/health``      state machine, counters, SLA latency summary
 =========  ==================  ===========================================
 
-Error semantics (identical bodies from both adapters — the parity tests
-compare them byte for byte):
+Error semantics:
 
 * ``400`` — malformed request (bad JSON, non-object events, bad headers):
   ``{"error": ..., "status": 400}``.
@@ -55,7 +48,6 @@ import json
 import math
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import ConfigurationError, OverloadError, ReadOnlyError, ReproError
@@ -73,7 +65,7 @@ def request_failure_record(
     """Structured record of an unexpected (non-:class:`ReproError`) failure.
 
     This is the serving layer's R8 error emitter: every broad ``except``
-    in the HTTP adapters funnels through it, so an internal bug surfaces
+    in the HTTP adapter funnels through it, so an internal bug surfaces
     as a parseable 500 body instead of a raw traceback or a silent drop.
     """
     return {
@@ -88,10 +80,7 @@ def request_failure_record(
 def _error_response(
     error: ReproError,
 ) -> tuple[int, dict[str, object], dict[str, str]]:
-    """Map a library error to ``(status, body, extra_headers)``.
-
-    Shared by both adapters so the parity tests can compare raw bodies.
-    """
+    """Map a library error to ``(status, body, extra_headers)``."""
     if isinstance(error, OverloadError):
         status, retry = 429, error.retry_after
     elif isinstance(error, ReadOnlyError):
@@ -107,7 +96,7 @@ def _error_response(
 
 
 def _decode_body(raw: bytes) -> object:
-    """Parse a request body exactly the same way in both adapters."""
+    """Parse a request body: empty is ``None``, otherwise strict UTF-8 JSON."""
     if not raw:
         return None
     if len(raw) > MAX_BODY_BYTES:
@@ -136,7 +125,7 @@ def _parse_start(value: str) -> int:
 
 
 def _scores_payload(service: ReputationService, limit: int | None) -> dict[str, object]:
-    """The ``/v1/scores`` response body (shared by both adapters)."""
+    """The ``/v1/scores`` response body."""
     view = service.scores()
     if limit is None:
         scores: dict[str, float] = dict(view)
@@ -154,7 +143,7 @@ def _scores_payload(service: ReputationService, limit: int | None) -> dict[str, 
 def _evidence_payload(
     service: ReputationService, start: int, limit: int | None
 ) -> dict[str, object]:
-    """The ``/v1/evidence`` response body (shared by both adapters)."""
+    """The ``/v1/evidence`` response body."""
     events = service.evidence(start, limit)
     return {
         "start": start,
@@ -167,7 +156,7 @@ def _evidence_payload(
 def _ingest_payload(
     service: ReputationService, body: object, *, idempotency_key: str | None = None
 ) -> dict[str, object]:
-    """The ``/v1/feedback`` response body (shared by both adapters)."""
+    """The ``/v1/feedback`` response body."""
     if isinstance(body, dict) and "events" in body:
         events = body["events"]
         if not isinstance(events, list):
@@ -194,9 +183,9 @@ def _guarded_ingest(
 ) -> dict[str, object]:
     """Rate-limit, admit, parse and ingest one ``/v1/feedback`` request.
 
-    The whole write path of both adapters: token bucket first (cheapest
-    rejection), then a bounded admission slot around parse + ingest so
-    saturation sheds with 429 instead of queueing without bound.
+    The whole write path: token bucket first (cheapest rejection), then a
+    bounded admission slot around parse + ingest so saturation sheds with
+    429 instead of queueing without bound.
     """
     allowed, wait = service.rate_limiter.allow(client_id)
     if not allowed:
@@ -211,7 +200,7 @@ def _guarded_ingest(
 def _snapshot_payload(
     service: ReputationService, body: object, default_path: str | None
 ) -> dict[str, object]:
-    """The ``/v1/snapshot`` response body (shared by both adapters)."""
+    """The ``/v1/snapshot`` response body."""
     path = default_path
     if isinstance(body, dict) and body.get("path") is not None:
         raw_path = body["path"]
@@ -372,110 +361,3 @@ def create_http_server(
     """Bind the stdlib adapter; ``port=0`` picks a free port (see
     ``server.server_address`` for the bound one)."""
     return ReputationHTTPServer((host, port), service, snapshot_path=snapshot_path)
-
-
-def create_asgi_app(
-    service: ReputationService, *, snapshot_path: str | None = None
-) -> Any:
-    """A FastAPI application over the same session and routes.
-
-    Requires ``fastapi`` (deliberately not a dependency of this package);
-    raises :class:`ConfigurationError` with installation guidance when it
-    is missing.  Route semantics and response bodies match the stdlib
-    adapter exactly — the adapters share the payload builders *and* the
-    error mapping, and the parity tests compare raw bodies.
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import JSONResponse
-    except ImportError as error:  # pragma: no cover - exercised without fastapi
-        raise ConfigurationError(
-            "the ASGI adapter needs fastapi (pip install fastapi); "
-            "use the stdlib adapter (create_http_server / repro-serve) otherwise"
-        ) from error
-
-    app = FastAPI(title="repro reputation service", version="1")
-
-    def _json(
-        payload: dict[str, object],
-        status: int = 200,
-        headers: dict[str, str] | None = None,
-    ) -> Any:
-        # Sorted keys keep ASGI responses byte-identical to the stdlib
-        # adapter for the same session state.
-        return JSONResponse(
-            content=json.loads(json.dumps(payload, sort_keys=True)),
-            status_code=status,
-            headers=headers,
-        )
-
-    def _error(error: ReproError) -> Any:
-        status, payload, headers = _error_response(error)
-        return _json(payload, status=status, headers=headers)
-
-    def _asgi_client_id(request: Request) -> str:
-        header = request.headers.get("X-Client-Id")
-        if header:
-            return header
-        return request.client.host if request.client is not None else "unknown"
-
-    @app.get("/v1/health")
-    def health() -> Any:
-        return _json(service.health())
-
-    @app.get("/v1/scores")
-    def scores(limit: str | None = None) -> Any:
-        # ``limit`` parses by hand (not via FastAPI coercion) so a bad
-        # value yields the same 400 body as the stdlib adapter, not a 422.
-        try:
-            parsed = None if limit is None else _parse_limit(limit)
-            return _json(_scores_payload(service, parsed))
-        except ReproError as error:
-            return _error(error)
-
-    @app.get("/v1/evidence")
-    def evidence(start: str | None = None, limit: str | None = None) -> Any:
-        try:
-            parsed_start = 0 if start is None else _parse_start(start)
-            parsed_limit = None if limit is None else _parse_limit(limit)
-            return _json(_evidence_payload(service, parsed_start, parsed_limit))
-        except ReproError as error:
-            return _error(error)
-
-    @app.get("/v1/peers/{peer_id}")
-    def peer(peer_id: str) -> Any:
-        summary = service.peer(peer_id)
-        return _json(dict(asdict(summary)), status=200 if summary.known else 404)
-
-    @app.post("/v1/feedback")
-    async def feedback(request: Request) -> Any:
-        try:
-            payload = _guarded_ingest(
-                service,
-                await request.body(),
-                client_id=_asgi_client_id(request),
-                idempotency_key=request.headers.get("Idempotency-Key"),
-            )
-            return _json(payload)
-        except ReproError as error:
-            return _error(error)
-        except Exception as error:
-            return _json(
-                request_failure_record(error, method="POST", path="/v1/feedback"),
-                status=500,
-            )
-
-    @app.post("/v1/snapshot")
-    async def snapshot(request: Request) -> Any:
-        try:
-            body = _decode_body(await request.body())
-            return _json(_snapshot_payload(service, body, snapshot_path))
-        except ReproError as error:
-            return _error(error)
-        except Exception as error:
-            return _json(
-                request_failure_record(error, method="POST", path="/v1/snapshot"),
-                status=500,
-            )
-
-    return app

@@ -43,16 +43,15 @@ def build_trace(
     n_users: int = 30,
     rounds: int = 30,
     seed: int = 0,
-    backend: str = "auto",
 ) -> list[dict[str, object]]:
     """The disclosed-feedback stream of one scenario run, as ingest events.
 
     Deterministic in all arguments (the scenario pipeline draws only from
-    seed-derived streams), so two calls — in different processes, on
-    different backends — produce the identical event list.  The simulated
-    *mechanism* is irrelevant to the disclosed stream's content ordering
-    only insofar as provider selection reacts to scores; running with the
-    ``"none"`` baseline keeps the trace mechanism-neutral.
+    seed-derived streams), so two calls — in different processes — produce
+    the identical event list.  The simulated *mechanism* is irrelevant to
+    the disclosed stream's content ordering only insofar as provider
+    selection reacts to scores; running with the ``"none"`` baseline keeps
+    the trace mechanism-neutral.
     """
     result = run_scenario(
         ScenarioRunConfig(
@@ -61,7 +60,6 @@ def build_trace(
             n_users=n_users,
             rounds=rounds,
             seed=seed,
-            backend=backend,
         )
     )
     events: list[dict[str, object]] = []

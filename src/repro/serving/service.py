@@ -80,7 +80,8 @@ class ServiceConfig:
 
     #: Registered mechanism name (``repro.reputation.REPUTATION_FACTORIES``).
     mechanism: str = "beta"
-    #: Compute backend request ("auto", "python" or "vectorized").
+    #: Accepted for callers written when the compute path was selectable;
+    #: ``"auto"`` is the only valid value and nothing reads it.
     backend: str = "auto"
     #: Publish fresh scores every N accepted events (1 = per event).
     refresh_every: int = 64
@@ -107,6 +108,11 @@ class ServiceConfig:
                 f"unknown mechanism {self.mechanism!r}; expected one of "
                 f"{sorted(REPUTATION_FACTORIES)}"
             )
+        if self.backend != "auto":
+            raise ConfigurationError(
+                f"unknown backend {self.backend!r}; there is one compute path, "
+                "so only 'auto' is accepted"
+            )
         if self.refresh_every < 1:
             raise ConfigurationError("refresh_every must be at least 1")
         if self.latency_window < 1:
@@ -126,9 +132,8 @@ class ServiceConfig:
         """The score-relevant config subset a WAL header pins.
 
         Replay only depends on what changes the *scores* an event stream
-        produces; transport/backpressure knobs (backend choice included —
-        backends are byte-identical by contract) stay out so an operator
-        can retune them across restarts without orphaning the log.
+        produces; transport/backpressure knobs stay out so an operator can
+        retune them across restarts without orphaning the log.
         """
         return {
             "default_score": self.default_score,
@@ -391,7 +396,6 @@ class ReputationService:
             config.mechanism,
             default_score=config.default_score,
             max_evidence_per_subject=config.max_evidence_per_subject,
-            backend=config.backend,
         )
         self._evidence: list[Feedback] = []
         self._ingested = 0
@@ -616,7 +620,6 @@ class ReputationService:
             return {
                 "status": self._state_locked(),
                 "mechanism": self.config.mechanism,
-                "backend": self._system.resolved_backend,
                 "ingested": self._ingested,
                 "watermark": self._watermark,
                 "pending": self._ingested - self._watermark,

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from repro import faults
+from repro._util import fsync_directory
 from repro.errors import ConfigurationError, IntegrityError
 from repro.simulation.transaction import Feedback
 
@@ -165,16 +166,6 @@ def _parse_entry_line(line: bytes) -> WalEntry | None:
     except IntegrityError:
         return None
     return WalEntry(seq=seq, key=key, events=decoded)
-
-
-def _fsync_directory(path: str) -> None:
-    """Make a rename in ``path``'s directory durable (POSIX)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _scan(
@@ -419,7 +410,7 @@ class WriteAheadLog:
                 os.fsync(tmp.fileno())
             self._handle.close()
             os.replace(tmp_path, self._path)
-            _fsync_directory(self._path)
+            fsync_directory(self._path)
             self._handle = open(self._path, "ab")
             self._entries = kept_entries
             self._events = kept_events

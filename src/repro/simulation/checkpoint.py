@@ -7,7 +7,7 @@ cursors, the published score snapshot, and the collected transaction and
 feedback logs — captured at a round boundary.  Restoring it and running the
 remaining rounds produces byte-identical records to a run that was never
 interrupted; the contract tests in ``tests/chaos`` enforce this per
-mechanism and per compute backend.
+mechanism.
 
 File format (version 1): one JSON header line, then a pickle payload::
 
@@ -18,7 +18,9 @@ File format (version 1): one JSON header line, then a pickle payload::
 The header is self-describing and cheap to read without unpickling; the
 SHA-256 digest detects truncation and bit rot before any pickle byte is
 trusted.  Writes are atomic (temp file + ``os.replace``) so a crash during
-checkpointing leaves the previous checkpoint intact.  Versioning policy:
+checkpointing leaves the previous checkpoint intact, and durable (the
+directory is fsynced after the rename) so a power loss cannot roll a
+completed checkpoint back.  Versioning policy:
 ``version`` bumps whenever the payload's shape changes incompatibly; readers
 reject unknown versions outright rather than guessing (a checkpoint is a
 short-lived restart artifact, not an archival format).
@@ -41,7 +43,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro import faults
-from repro.core.backend import resolve_backend
+from repro._util import fsync_directory
 from repro.errors import CheckpointError
 from repro.simulation.engine import (
     DisclosureObserver,
@@ -157,7 +159,6 @@ def restore_simulator(
     simulator._engine = EventDrivenSimulator()
     simulator._engine.restore_clock(state.clock)
     simulator._next_round = state.next_round
-    simulator._backend = resolve_backend(state.config.backend)
     # The churn cursor lives inside config.churn and was pickled in place —
     # restoring must NOT reset it (unlike __init__, which starts a new run).
     simulator._round_scores = state.round_scores
@@ -209,6 +210,7 @@ def write_checkpoint(path: str, kind: str, payload: object, *, round_index: int)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
+    fsync_directory(path)
 
 
 def read_checkpoint(

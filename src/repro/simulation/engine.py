@@ -27,11 +27,7 @@ from typing import Protocol
 
 from repro import _profiling
 from repro._util import require_unit_interval
-from repro.core.backend import (
-    VECTORIZED_BACKEND,
-    interaction_counts,
-    resolve_backend,
-)
+from repro.core.backend import interaction_counts
 from repro.errors import ConfigurationError, SimulationError
 from repro.simulation.adversary import (
     BehaviorModel,
@@ -75,7 +71,7 @@ class RoundHook(Protocol):
     "churn", "selection", "activity", "transactions", "feedback"); a hook
     that needs randomness draws from its own named stream (e.g.
     ``simulator.streams.stream("campaign")``) so that runs with and without
-    hooks, and runs on either compute backend, stay stream-exact.
+    hooks stay stream-exact.
     """
 
     def on_round_start(self, simulator: InteractionSimulator, round_index: int) -> None:
@@ -166,15 +162,10 @@ class SimulationConfig:
     collusion_fraction: float = 0.0
     churn: ChurnModel = field(default_factory=ChurnModel)
     seed: int = 0
-    #: Compute backend for the round loop's numeric kernels ("python",
-    #: "vectorized" or "auto").  Both backends consume the random streams
-    #: identically, so a run's trajectory does not depend on the choice.
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
             raise ConfigurationError("rounds must be non-negative")
-        resolve_backend(self.backend)
         require_unit_interval(self.sharing_level, "sharing_level")
         require_unit_interval(self.selection_exploration, "selection_exploration")
         require_unit_interval(self.traitor_fraction, "traitor_fraction")
@@ -316,7 +307,6 @@ class InteractionSimulator:
         self._engine = EventDrivenSimulator()
         #: First round the next :meth:`run_until` segment will execute.
         self._next_round = 0
-        self._backend = resolve_backend(self.config.backend)
         # Stateful churn models (PhasedChurnModel) rewind here so a config
         # or campaign reused across simulators starts every run at round 0.
         self.config.churn.reset()
@@ -386,10 +376,9 @@ class InteractionSimulator:
         """Round-start scores of a consumer's candidates, in candidate order.
 
         ``None`` when selection does not use reputation.  Kept as a plain
-        list on every backend: candidate sets are small (a peer's
-        neighbourhood), where the pure-Python argmax scan beats the fixed
-        dispatch cost of any array kernel — and a single selection code
-        path keeps trajectories trivially backend-independent.
+        list: candidate sets are small (a peer's neighbourhood), where the
+        pure-Python argmax scan beats the fixed dispatch cost of any array
+        kernel.
         """
         if self.reputation is None or not self.config.use_reputation_selection:
             return None
@@ -501,16 +490,10 @@ class InteractionSimulator:
 
     def _interaction_counts(self, online: list[Peer], draws: list[float]) -> list[int]:
         """Per-consumer interaction counts from the batched activity draws."""
-        per_peer = self.config.interactions_per_peer
-        if self._backend == VECTORIZED_BACKEND and online:
-            activities = [peer.user.activity for peer in online]
-            return interaction_counts(activities, per_peer, draws).tolist()
-        counts: list[int] = []
-        for peer, draw in zip(online, draws, strict=True):
-            expected = peer.user.activity * per_peer
-            base = int(expected)
-            counts.append(base + (1 if draw < (expected - base) else 0))
-        return counts
+        if not online:
+            return []
+        activities = [peer.user.activity for peer in online]
+        return interaction_counts(activities, self.config.interactions_per_peer, draws).tolist()
 
     def _refresh_round_scores(self) -> None:
         """Snapshot the mechanism's published scores for the running round.

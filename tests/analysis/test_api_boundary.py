@@ -75,7 +75,7 @@ class TestFlaggedClients:
     def test_nested_function_import_flagged(self, tmp_path):
         _client(
             tmp_path,
-            "def helper():\n    from repro.core.backend import resolve_backend\n",
+            "def helper():\n    from repro.core.backend import PeerIndex\n",
         )
         findings = _lint_project(tmp_path).active
         assert len(findings) == 1

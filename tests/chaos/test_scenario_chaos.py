@@ -1,8 +1,8 @@
-"""Checkpoint/resume byte-identity for scenario runs, per mechanism and backend.
+"""Checkpoint/resume byte-identity for scenario runs, per mechanism.
 
 The contract: a run that crashes mid-flight and resumes from its checkpoint
 produces an experiment record byte-identical to a run that was never
-interrupted — for every reputation mechanism and both compute backends.
+interrupted — for every reputation mechanism.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.scenarios.runner import ScenarioRunConfig, resume_scenario, run_scena
 from repro.scenarios.schema.library import scenario_record_json
 
 MECHANISMS = ("none", "average", "beta", "eigentrust", "powertrust")
-BACKENDS = ("python", "vectorized")
 
 
 @pytest.fixture(autouse=True)
@@ -24,20 +23,19 @@ def deactivate_plans():
     faults.activate(None)
 
 
-def make_config(mechanism="beta", backend="python", scenario="traitor-oscillation"):
+def make_config(mechanism="beta", scenario="traitor-oscillation"):
     return ScenarioRunConfig(
         scenario=scenario,
         mechanism=mechanism,
         n_users=16,
         rounds=10,
         seed=3,
-        backend=backend,
     )
 
 
 def crash_then_resume(config, tmp_path):
     """Run with checkpointing, die at the final checkpoint save, resume."""
-    path = str(tmp_path / f"{config.mechanism}-{config.backend}.ckpt")
+    path = str(tmp_path / f"{config.mechanism}.ckpt")
     crash_at_end = FaultPlan(
         rules=(
             FaultRule(
@@ -56,9 +54,8 @@ def crash_then_resume(config, tmp_path):
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_crash_resume_is_byte_identical(mechanism, backend, tmp_path):
-    config = make_config(mechanism=mechanism, backend=backend)
+def test_crash_resume_is_byte_identical(mechanism, tmp_path):
+    config = make_config(mechanism=mechanism)
     uninterrupted = scenario_record_json(run_scenario(config))
     resumed = scenario_record_json(crash_then_resume(config, tmp_path))
     assert resumed == uninterrupted

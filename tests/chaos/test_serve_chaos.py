@@ -36,7 +36,7 @@ BATCH = 8
 
 
 def wal_service(tmp_path, tag):
-    config = ServiceConfig(refresh_every=REFRESH_EVERY, backend="python")
+    config = ServiceConfig(refresh_every=REFRESH_EVERY)
     wal, _, _ = WriteAheadLog.open(
         str(tmp_path / f"{tag}.wal"),
         config_sha256=config_digest(config.wal_identity()),
@@ -46,7 +46,7 @@ def wal_service(tmp_path, tag):
 
 @pytest.fixture(scope="module")
 def trace():
-    return build_trace("collusion-ring", n_users=12, rounds=6, seed=3, backend="python")
+    return build_trace("collusion-ring", n_users=12, rounds=6, seed=3)
 
 
 class TestWalAppendFaults:
@@ -91,7 +91,7 @@ class TestWalAppendFaults:
         with pytest.warns(TornTailWarning):
             recovered = ReputationService.recover(
                 wal_path=wal_path,
-                config=ServiceConfig(refresh_every=REFRESH_EVERY, backend="python"),
+                config=ServiceConfig(refresh_every=REFRESH_EVERY),
             )
         # Storage rot on the tail costs exactly that unverifiable batch.
         assert recovered.health()["ingested"] == BATCH
@@ -120,7 +120,7 @@ class TestWalAppendFaults:
         with pytest.raises(IntegrityError, match="damaged interior"):
             ReputationService.recover(
                 wal_path=wal_path,
-                config=ServiceConfig(refresh_every=REFRESH_EVERY, backend="python"),
+                config=ServiceConfig(refresh_every=REFRESH_EVERY),
             )
 
 
@@ -146,8 +146,6 @@ class _Server:
                 str(self.port_file),
                 "--refresh-every",
                 str(REFRESH_EVERY),
-                "--backend",
-                "python",
                 *extra,
             ],
             env=env,
@@ -228,7 +226,7 @@ class TestSigkillMidWindow:
         finally:
             second.kill()
 
-        control = ReputationService(refresh_every=REFRESH_EVERY, backend="python")
+        control = ReputationService(refresh_every=REFRESH_EVERY)
         control.ingest_many(trace)
         expected = {
             "watermark": control.watermark,

@@ -1,4 +1,4 @@
-"""Sweep execution under injected faults: retries, degradation, worker loss.
+"""Sweep execution under injected faults: retries, worker loss, journal rot.
 
 Every recovery path must leave the record bytes exactly as a fault-free
 sweep would — faults may cost time, never fidelity.
@@ -94,17 +94,6 @@ class TestTransientFaults:
             result = run_sweep(make_spec())
         (failed,) = result.failed_records
         assert failed.failure["retries"] == 0
-
-
-class TestDegradedMode:
-    def test_forced_python_backend_changes_no_bytes(self):
-        cold = _json(run_sweep(make_spec()))
-        plan = FaultPlan(
-            rules=(FaultRule(site="sweep.task", action="degrade", times=None),)
-        )
-        with faults.active(plan):
-            degraded = _json(run_sweep(make_spec()))
-        assert degraded == cold
 
 
 class TestWorkerLoss:

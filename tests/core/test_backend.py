@@ -1,28 +1,12 @@
 """Unit tests for the array-backed compute core (repro.core.backend)."""
 
+import numpy
 import pytest
 
 from repro.core import backend as bk
 from repro.core.coupling import STATE_VARIABLES, CouplingDynamics, CouplingState
 from repro.errors import ConfigurationError
-
-numpy = pytest.importorskip("numpy")
-
-
-class TestBackendSelection:
-    def test_auto_resolves_to_vectorized_with_numpy(self):
-        assert bk.resolve_backend("auto") == bk.VECTORIZED_BACKEND
-
-    def test_explicit_names_pass_through(self):
-        assert bk.resolve_backend("python") == "python"
-        assert bk.resolve_backend("vectorized") == "vectorized"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            bk.resolve_backend("cuda")
-
-    def test_available_backends_include_python(self):
-        assert "python" in bk.available_backends()
+from tests.oracles import coupling as coupling_oracle
 
 
 class TestPeerIndex:
@@ -163,21 +147,22 @@ class TestScoreKernels:
 
 class TestCouplingKernels:
     def test_single_step_is_bitwise_identical_to_python(self):
-        dynamics = CouplingDynamics(backend="python")
+        dynamics = CouplingDynamics()
         state = CouplingState(trust=0.3, satisfaction=0.7, disclosure=0.9)
         stepped = dynamics.step(state)
         vector = numpy.array([getattr(state, name) for name in STATE_VARIABLES])
         kernel = bk.coupling_step(vector, **dynamics._kernel_params())
         assert kernel.tolist() == [getattr(stepped, name) for name in STATE_VARIABLES]
 
-    def test_run_trajectories_identical_across_backends(self):
-        python_path = CouplingDynamics(backend="python").run()
-        kernel_path = CouplingDynamics(backend="vectorized").run()
-        assert len(python_path) == len(kernel_path)
-        assert all(a.as_dict() == b.as_dict() for a, b in zip(python_path, kernel_path, strict=True))
+    def test_run_trajectories_match_oracle(self):
+        dynamics = CouplingDynamics()
+        kernel_path = dynamics.run()
+        oracle_path = coupling_oracle.run(dynamics)
+        assert len(kernel_path) == len(oracle_path) > 1
+        assert [s.as_dict() for s in kernel_path] == [s.as_dict() for s in oracle_path]
 
     def test_equilibria_match_per_state_runs(self):
-        dynamics = CouplingDynamics(backend="vectorized")
+        dynamics = CouplingDynamics()
         initials = [CouplingState(trust=0.1), CouplingState(disclosure=0.9)]
         batched = dynamics.equilibria(initials)
         singles = [dynamics.equilibrium(state) for state in initials]

@@ -101,6 +101,20 @@ class TestJournaledSweep:
         with pytest.raises(IntegrityError, match="malformed header"):
             run_sweep(make_spec(), journal=str(journal_path))
 
+    @pytest.mark.parametrize(
+        "torn", [b"", b'{"campaign_sha256": "ab'], ids=["empty", "partial-line"]
+    )
+    def test_torn_header_is_recreated(self, tmp_path, torn):
+        # A crash before the header's newline hit the disk: the header is
+        # fsynced before any record, so the file holds nothing to resume.
+        journal_path = tmp_path / "sweep.jnl"
+        journal_path.write_bytes(torn)
+        cold = _json(run_sweep(make_spec()))
+        resumed = run_sweep(make_spec(), journal=str(journal_path))
+        assert resumed.n_resumed == 0
+        assert _json(resumed) == cold
+        assert verify_journal(str(journal_path)) == (len(resumed.records), 0)
+
 
 class TestJournalPrimitives:
     def test_open_creates_header_with_campaign_digest(self, tmp_path):

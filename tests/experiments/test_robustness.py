@@ -24,7 +24,6 @@ def test_registered_with_quick_kwargs():
     entry = get_experiment("robustness")
     assert entry.experiment_ids == ("E-X1",)
     assert entry.accepts("seed")
-    assert entry.accepts("backend")
     assert entry.accepts("scenario")
 
 
@@ -99,28 +98,25 @@ def test_cli_quick_run():
     assert "scenario" in text and "mechanism" in text
 
 
-def test_structured_run_accepts_seed_and_backend():
+def test_structured_run_accepts_seed():
     metrics = run_experiment_structured(
-        "robustness", quick=True, seed=11, backend="python", rounds=6, n_users=16
+        "robustness", quick=True, seed=11, rounds=6, n_users=16
     )
     assert metrics["n_outcomes"] == 4  # quick preset: 2 scenarios x 2 mechanisms
 
 
-def test_sweep_records_identical_across_jobs_and_backends():
-    def spec(backend):
-        return SweepSpec(
-            experiment="robustness",
-            grids={
-                "scenario": ["collusion-ring", "whitewash-wave"],
-                "n_users": [16],
-                "rounds": [6],
-            },
-            seed=7,
-            backend=backend,
-        )
-
-    serial = run_sweep(spec("python"), jobs=1)
-    parallel = run_sweep(spec("vectorized"), jobs=2)
+def test_sweep_records_identical_across_jobs():
+    spec = SweepSpec(
+        experiment="robustness",
+        grids={
+            "scenario": ["collusion-ring", "whitewash-wave"],
+            "n_users": [16],
+            "rounds": [6],
+        },
+        seed=7,
+    )
+    serial = run_sweep(spec, jobs=1)
+    parallel = run_sweep(spec, jobs=2)
     assert all(record.ok for record in serial.records)
     serial_json = records_to_json(serial.records, campaign=serial.spec.campaign_metadata())
     parallel_json = records_to_json(parallel.records, campaign=parallel.spec.campaign_metadata())

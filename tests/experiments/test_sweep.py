@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import scenario as scenario_module
 from repro.experiments.results import (
     ExperimentRecord,
     RecordValueError,
@@ -25,6 +26,17 @@ from repro.experiments.sweep import (
     run_sweep,
     spec_from_options,
 )
+from repro.reputation import REPUTATION_FACTORIES
+from tests.oracles import reputation as reputation_oracle
+from tests.oracles.simulation import OracleSimulator
+
+#: Registry names whose mechanism has a loop oracle.
+ORACLE_MECHANISMS = {
+    "average": reputation_oracle.OracleAverage,
+    "beta": reputation_oracle.OracleBeta,
+    "eigentrust": reputation_oracle.OracleEigenTrust,
+    "powertrust": reputation_oracle.OraclePowerTrust,
+}
 
 ANALYTIC_SPEC = dict(
     experiment="figure2-left",
@@ -223,6 +235,29 @@ class TestRunSweep:
         assert "jobs" not in payload["campaign"]  # determinism contract
         assert len(payload["records"]) == 4
         assert csv_path.read_text().startswith("experiment,")
+
+
+class TestOracleDeterminism:
+    """A simulated campaign writes the same bytes whether its mechanisms
+    and round draws go through the kernels or their loop oracles."""
+
+    SPEC = dict(experiment="reputation", grids={"n_users": [18, 24], "rounds": [6]}, seed=11)
+
+    def _records_json(self, tmp_path, tag):
+        path = tmp_path / f"records-{tag}.json"
+        run_sweep(SweepSpec(**self.SPEC), jobs=1).write_json(str(path))
+        return path.read_bytes()
+
+    def test_records_byte_identical_to_oracle_run(self, tmp_path, monkeypatch):
+        kernel_bytes = self._records_json(tmp_path, "kernel")
+        for name, oracle_cls in ORACLE_MECHANISMS.items():
+            monkeypatch.setitem(REPUTATION_FACTORIES, name, oracle_cls)
+        monkeypatch.setattr(scenario_module, "InteractionSimulator", OracleSimulator)
+        oracle_bytes = self._records_json(tmp_path, "oracle")
+        assert kernel_bytes == oracle_bytes
+        records = json.loads(kernel_bytes)["records"]
+        assert len(records) == 2
+        assert all(record["status"] == "ok" for record in records)
 
 
 class TestStructuredRunner:

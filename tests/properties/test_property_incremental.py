@@ -1,12 +1,12 @@
 """Property tests: incremental refresh equals cold-start refresh, byte for byte.
 
 The acceleration contract of the incremental layer: for any feedback
-history — interleaved refreshes, anonymous reports, eviction, clears — and
-on either compute backend, a mechanism that folds evidence incrementally
-publishes *exactly* the scores a cold rescan publishes.  The end-to-end
-variant replays whole attack scenarios (including whitewashing and churn,
-which retire peer identities mid-run) with the acceleration flags on and
-off and requires byte-identical robustness records.
+history — interleaved refreshes, anonymous reports, eviction, clears — a
+mechanism that folds evidence incrementally publishes *exactly* the scores
+a cold rescan publishes.  The end-to-end variant replays whole attack
+scenarios (including whitewashing and churn, which retire peer identities
+mid-run) with the acceleration flags on and off and requires
+byte-identical robustness records.
 """
 
 import json
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import accel
-from repro.core.backend import available_backends
 from repro.experiments import robustness
 from repro.reputation.average import SimpleAverageReputation
 from repro.reputation.beta import BetaReputation
@@ -31,21 +30,11 @@ SUBJECTS = ["s0", "s1", "s2", "s3", "s4"]
 RATERS = ["s0", "s1", "r0", "r1", "r2"]
 
 FACTORIES = [
-    lambda backend, cap: SimpleAverageReputation(
-        backend=backend, max_evidence_per_subject=cap
-    ),
-    lambda backend, cap: BetaReputation(
-        forgetting=1.0, backend=backend, max_evidence_per_subject=cap
-    ),
-    lambda backend, cap: BetaReputation(
-        forgetting=0.9, backend=backend, max_evidence_per_subject=cap
-    ),
-    lambda backend, cap: EigenTrust(
-        pretrusted=["s0", "s1"], backend=backend, max_evidence_per_subject=cap
-    ),
-    lambda backend, cap: PowerTrust(
-        n_power_nodes=2, backend=backend, max_evidence_per_subject=cap
-    ),
+    lambda cap: SimpleAverageReputation(max_evidence_per_subject=cap),
+    lambda cap: BetaReputation(forgetting=1.0, max_evidence_per_subject=cap),
+    lambda cap: BetaReputation(forgetting=0.9, max_evidence_per_subject=cap),
+    lambda cap: EigenTrust(pretrusted=["s0", "s1"], max_evidence_per_subject=cap),
+    lambda cap: PowerTrust(n_power_nodes=2, max_evidence_per_subject=cap),
 ]
 
 
@@ -83,22 +72,21 @@ def feedback_schedules(draw):
 def test_incremental_refresh_matches_cold_refresh(batches, mechanism_index, cap):
     """After every batch, incremental and cold publish identical scores."""
     factory = FACTORIES[mechanism_index]
-    for backend in available_backends():
-        with accel.override(incremental_refresh=True, disable_all=False):
-            incremental = factory(backend, cap)
-        with accel.override(incremental_refresh=False):
-            cold = factory(backend, cap)
-        for batch in batches:
-            for feedback in batch:
-                with accel.override(incremental_refresh=True, disable_all=False):
-                    incremental.record_feedback(feedback)
-                with accel.override(incremental_refresh=False):
-                    cold.record_feedback(feedback)
+    with accel.override(incremental_refresh=True, disable_all=False):
+        incremental = factory(cap)
+    with accel.override(incremental_refresh=False):
+        cold = factory(cap)
+    for batch in batches:
+        for feedback in batch:
             with accel.override(incremental_refresh=True, disable_all=False):
-                published_incremental = incremental.refresh()
+                incremental.record_feedback(feedback)
             with accel.override(incremental_refresh=False):
-                published_cold = cold.refresh()
-            assert list(published_incremental.items()) == list(published_cold.items())
+                cold.record_feedback(feedback)
+        with accel.override(incremental_refresh=True, disable_all=False):
+            published_incremental = incremental.refresh()
+        with accel.override(incremental_refresh=False):
+            published_cold = cold.refresh()
+        assert list(published_incremental.items()) == list(published_cold.items())
 
 
 @given(batches=feedback_schedules(), mechanism_index=st.integers(0, len(FACTORIES) - 1))
@@ -113,8 +101,8 @@ def test_refresh_survives_clear_and_reset(batches, mechanism_index):
     """
     factory = FACTORIES[mechanism_index]
     with accel.override(incremental_refresh=True, disable_all=False):
-        system = factory("python", None)
-        reference = factory("python", None)
+        system = factory(None)
+        reference = factory(None)
         for batch_index, batch in enumerate(batches):
             for feedback in batch:
                 system.record_feedback(feedback)

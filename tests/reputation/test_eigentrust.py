@@ -124,10 +124,15 @@ class TestPretrustedPeers:
 
 class TestRescaling:
     def test_identical_mass_rescales_to_half(self):
-        assert EigenTrust._rescale({"a": 0.5, "b": 0.5}) == {"a": 0.5, "b": 0.5}
+        system = EigenTrust()
+        system.record_feedback(make_feedback("b", 1.0, rater="a", transaction_id=1))
+        system.record_feedback(make_feedback("a", 1.0, rater="b", transaction_id=2))
+        assert system.refresh() == {"a": 0.5, "b": 0.5}
 
     def test_rescale_spans_unit_interval(self):
-        rescaled = EigenTrust._rescale({"a": 0.1, "b": 0.2, "c": 0.7})
-        assert rescaled["a"] == 0.0
-        assert rescaled["c"] == 1.0
-        assert 0.0 < rescaled["b"] < 1.0
+        system = EigenTrust(pretrusted=["a"])
+        feed_community(system)
+        scores = system.refresh()
+        assert scores["a"] == 1.0
+        assert scores["mallory"] == 0.0
+        assert 0.0 < scores["b"] < 1.0

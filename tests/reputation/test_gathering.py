@@ -4,6 +4,7 @@ import pytest
 
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
 from tests.conftest import make_feedback
+from tests.oracles.reputation import normalized_local_trust, raw_local_trust
 
 
 class TestFeedbackStore:
@@ -85,21 +86,21 @@ class TestLocalTrustBuilder:
 
     def test_raw_local_trust_clips_at_zero(self):
         builder = LocalTrustBuilder(self.build_store())
-        raw = builder.raw_local_trust()
+        raw = raw_local_trust(builder)
         assert raw["alice"]["bob"] == 2.0
         assert raw["alice"]["carol"] == 0.0
         assert raw["carol"]["bob"] == 0.0
 
     def test_normalized_rows_sum_to_one_or_are_empty(self):
         builder = LocalTrustBuilder(self.build_store())
-        normalized = builder.normalized_local_trust()
+        normalized = normalized_local_trust(builder)
         for row in normalized.values():
             if row:
                 assert sum(row.values()) == pytest.approx(1.0)
 
     def test_normalization_restricted_to_known_peers(self):
         builder = LocalTrustBuilder(self.build_store())
-        normalized = builder.normalized_local_trust(peers=["alice", "carol"])
+        normalized = normalized_local_trust(builder, peers=["alice", "carol"])
         # bob excluded: alice's only surviving target is carol with zero trust.
         assert normalized["alice"] == {}
 

@@ -76,8 +76,8 @@ class TestRun:
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
         base = ["run", "double-cross", "--tier", "small"]
-        assert main([*base, "--backend", "python", "--out", str(out_a)]) == 0
-        assert main([*base, "--backend", "vectorized", "--out", str(out_b)]) == 0
+        assert main([*base, "--out", str(out_a)]) == 0
+        assert main([*base, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         payload = json.loads(out_a.read_text())
         assert payload["records"][0]["params"]["scenario"] == "double-cross"

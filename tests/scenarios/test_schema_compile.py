@@ -79,12 +79,9 @@ class TestCatalogCompilation:
             compile_template(parse_template(doc))
         assert excinfo.value.path == "scenario"
 
-    def test_mechanism_and_backend_overrides(self):
-        compiled = compile_template(
-            parse_template(minimal_doc()), mechanism="beta", backend="python"
-        )
+    def test_mechanism_override(self):
+        compiled = compile_template(parse_template(minimal_doc()), mechanism="beta")
         assert compiled.config.mechanism == "beta"
-        assert compiled.config.backend == "python"
 
     def test_preset_network(self):
         doc = minimal_doc(network={"preset": "village"})

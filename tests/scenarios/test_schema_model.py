@@ -18,7 +18,7 @@ from repro.scenarios.schema.model import (
 
 def minimal_doc(**overrides):
     doc = {
-        "schema_version": 1,
+        "schema_version": CURRENT_SCHEMA_VERSION,
         "name": "example",
         "scenario": {"catalog": "collusion-ring"},
     }
@@ -28,7 +28,7 @@ def minimal_doc(**overrides):
 
 def campaign_doc(**overrides):
     doc = {
-        "schema_version": 1,
+        "schema_version": CURRENT_SCHEMA_VERSION,
         "name": "example-campaign",
         "description": "a declarative campaign",
         "network": {"n_users": 30, "topology": "erdos_renyi", "malicious_fraction": 0.2},
@@ -245,6 +245,34 @@ class TestVersioning:
         with pytest.raises(TemplateError) as excinfo:
             parse_template(doc)
         assert error_path(excinfo) == "schema_version"
+
+    def test_v1_run_backend_is_dropped_whatever_its_value(self):
+        for value in ("auto", "python", "vectorized", "gpu"):
+            doc = minimal_doc(schema_version=1, run={"mechanism": "beta", "backend": value})
+            template = parse_template(doc)
+            assert template.schema_version == CURRENT_SCHEMA_VERSION
+            assert template.run.mechanism == "beta"
+            assert doc["run"]["backend"] == value  # the input is not mutated
+
+    def test_v1_yaml_with_backend_auto_loads(self):
+        text = (
+            "schema_version: 1\n"
+            "name: legacy\n"
+            "run:\n"
+            "  mechanism: eigentrust\n"
+            "  backend: auto\n"
+            "scenario:\n"
+            "  catalog: collusion-ring\n"
+        )
+        template = template_from_text(text)
+        assert template_to_dict(template)["run"] == template_to_dict(
+            template_from_text(text.replace("  backend: auto\n", ""))
+        )["run"]
+
+    def test_current_version_rejects_run_backend(self):
+        with pytest.raises(TemplateError) as excinfo:
+            parse_template(minimal_doc(run={"backend": "auto"}))
+        assert error_path(excinfo) == "run.backend"
 
 
 class TestTextLoading:

@@ -73,14 +73,16 @@ class TestGoldenRecords:
         assert result.mode == "self-consistency"
         assert result.ok, result.detail
 
-    def test_records_byte_identical_across_backends(self):
-        python_json = template_record_json(
-            compile_template(TEMPLATES["double-cross"], "small", backend="python")
-        )
-        vector_json = template_record_json(
-            compile_template(TEMPLATES["double-cross"], "small", backend="vectorized")
-        )
-        assert python_json == vector_json
+    def test_v1_document_with_run_backend_is_byte_identical(self):
+        document = template_to_dict(TEMPLATES["double-cross"])
+        legacy = {
+            **document,
+            "schema_version": 1,
+            "run": {**document["run"], "backend": "python"},
+        }
+        legacy_json = template_record_json(compile_template(parse_template(legacy), "small"))
+        current_json = template_record_json(compile_template(TEMPLATES["double-cross"], "small"))
+        assert legacy_json == current_json
 
     def test_small_tier_smoke_runs_produce_metrics(self):
         for name in ("marketplace", "flash-crowd", "regional-partition"):

@@ -1,4 +1,4 @@
-"""Route semantics of the stdlib HTTP adapter (and the optional ASGI one)."""
+"""Route semantics of the stdlib HTTP adapter."""
 
 import http.client
 import json
@@ -351,27 +351,8 @@ class TestOverloadAndReadOnly:
         assert status == 200
 
 
-class TestAsgiAdapter:
-    def test_missing_fastapi_raises_pointed_error(self, service):
-        try:
-            import fastapi  # noqa: F401
-        except ImportError:
-            from repro.errors import ConfigurationError
-            from repro.serving import create_asgi_app
-
-            with pytest.raises(ConfigurationError, match="fastapi"):
-                create_asgi_app(service)
-        else:  # pragma: no cover - container ships without fastapi
-            pytest.skip("fastapi installed; the missing-dependency path is untestable")
-
-
 class TestErrorBodyParity:
-    """Both adapters build error bodies through one shared mapping.
-
-    The unit tests below pin the shared builders' exact output; the
-    integration test (skipped when fastapi is absent) replays the same bad
-    requests through both adapters and compares raw bodies.
-    """
+    """Every error response is built by one mapping; pin its exact output."""
 
     def test_error_response_shapes(self):
         from repro.errors import ConfigurationError, OverloadError, ReadOnlyError
@@ -396,32 +377,3 @@ class TestErrorBodyParity:
 
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             _decode_body(b"{not json")
-
-    def test_adapters_agree_on_error_bodies(self, server):
-        fastapi = pytest.importorskip("fastapi")  # noqa: F841
-        testclient = pytest.importorskip("fastapi.testclient")
-        from repro.serving import create_asgi_app
-
-        asgi_service = ReputationService(refresh_every=2)
-        client = testclient.TestClient(create_asgi_app(asgi_service))
-
-        bad_requests = [
-            ("POST", "/v1/feedback", b"{not json"),
-            ("POST", "/v1/feedback", json.dumps({"events": "nope"}).encode()),
-            ("POST", "/v1/feedback", json.dumps({"events": [42]}).encode()),
-            ("POST", "/v1/snapshot", b""),
-            ("GET", "/v1/scores?limit=abc", None),
-            ("GET", "/v1/evidence?start=-1", None),
-        ]
-        for method, path, raw in bad_requests:
-            host, port = server.server_address[:2]
-            connection = http.client.HTTPConnection(host, port, timeout=10)
-            try:
-                connection.request(method, path, body=raw)
-                response = connection.getresponse()
-                stdlib_status, stdlib_body = response.status, json.loads(response.read())
-            finally:
-                connection.close()
-            asgi = client.request(method, path, content=raw)
-            assert asgi.status_code == stdlib_status, path
-            assert asgi.json() == stdlib_body, path

@@ -36,14 +36,12 @@ REFRESH_EVERY = 8
 
 @pytest.fixture(scope="module")
 def trace():
-    return build_trace(
-        "collusion-ring", n_users=12, rounds=6, seed=3, backend="python"
-    )
+    return build_trace("collusion-ring", n_users=12, rounds=6, seed=3)
 
 
 def _control_scores(trace):
     """The published scores of a never-interrupted session."""
-    service = ReputationService(refresh_every=REFRESH_EVERY, backend="python")
+    service = ReputationService(refresh_every=REFRESH_EVERY)
     service.ingest_many(trace)
     return json.dumps(service.scores(), sort_keys=True)
 
@@ -51,7 +49,7 @@ def _control_scores(trace):
 class TestInProcess:
     def test_snapshot_mid_stream_restores_byte_identically(self, trace, tmp_path):
         half = len(trace) // 2
-        service = ReputationService(refresh_every=REFRESH_EVERY, backend="python")
+        service = ReputationService(refresh_every=REFRESH_EVERY)
         service.ingest_many(trace[:half])
         path = tmp_path / "mid.ckpt"
         service.snapshot(str(path))
@@ -66,7 +64,7 @@ class TestInProcess:
         control = _control_scores(trace)
         # One split mid-refresh-window, one exactly on a boundary.
         for split in (REFRESH_EVERY + 3, 3 * REFRESH_EVERY):
-            service = ReputationService(refresh_every=REFRESH_EVERY, backend="python")
+            service = ReputationService(refresh_every=REFRESH_EVERY)
             service.ingest_many(trace[:split])
             path = tmp_path / f"split{split}.ckpt"
             service.snapshot(str(path))
@@ -79,7 +77,7 @@ class TestWalRecovery:
     """Recovery = snapshot + WAL replay, byte-identical either way."""
 
     def _wal_service(self, tmp_path, tag):
-        config = ServiceConfig(refresh_every=REFRESH_EVERY, backend="python")
+        config = ServiceConfig(refresh_every=REFRESH_EVERY)
         wal, _, _ = WriteAheadLog.open(
             str(tmp_path / f"{tag}.wal"),
             config_sha256=config_digest(config.wal_identity()),
@@ -94,7 +92,7 @@ class TestWalRecovery:
 
         recovered = ReputationService.recover(
             wal_path=str(tmp_path / "only.wal"),
-            config=ServiceConfig(refresh_every=REFRESH_EVERY, backend="python"),
+            config=ServiceConfig(refresh_every=REFRESH_EVERY),
         )
         assert json.dumps(recovered.scores(), sort_keys=True) == _control_scores(trace)
         assert recovered.health()["ingested"] == len(trace)
@@ -124,7 +122,7 @@ class TestWalRecovery:
 
         recovered = ReputationService.recover(
             wal_path=str(tmp_path / "keys.wal"),
-            config=ServiceConfig(refresh_every=REFRESH_EVERY, backend="python"),
+            config=ServiceConfig(refresh_every=REFRESH_EVERY),
         )
         replayed = recovered.ingest_many(trace[:10], idempotency_key="k-0")
         assert replayed.duplicate is True
@@ -154,8 +152,6 @@ class _Server:
                 str(self.port_file),
                 "--refresh-every",
                 str(REFRESH_EVERY),
-                "--backend",
-                "python",
                 *extra,
             ],
             env=env,
@@ -211,7 +207,7 @@ class TestSubprocess:
         finally:
             second.kill()
 
-        control = ReputationService(refresh_every=REFRESH_EVERY, backend="python")
+        control = ReputationService(refresh_every=REFRESH_EVERY)
         control.ingest_many(trace)
         expected = {
             "watermark": control.watermark,
@@ -257,7 +253,7 @@ class TestSubprocess:
         finally:
             second.kill()
 
-        control = ReputationService(refresh_every=REFRESH_EVERY, backend="python")
+        control = ReputationService(refresh_every=REFRESH_EVERY)
         control.ingest_many(trace)
         expected = {
             "watermark": control.watermark,

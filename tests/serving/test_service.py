@@ -34,6 +34,15 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError, match="unknown mechanism"):
             ServiceConfig(mechanism="nope")
 
+    def test_backend_accepts_only_auto_and_is_not_reported(self):
+        # Callers that still pass backend="auto" keep working; there is one
+        # compute path, so any other value is a configuration error.
+        service = ReputationService(ServiceConfig(backend="auto"))
+        assert "backend" not in service.health()
+        for value in ("python", "vectorized"):
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                ServiceConfig(backend=value)
+
     def test_refresh_every_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="refresh_every"):
             ServiceConfig(refresh_every=0)

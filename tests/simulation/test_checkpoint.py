@@ -1,6 +1,8 @@
 """Checkpoint/resume: RNG snapshots, the file format, and simulator restore."""
 
+import os
 import pickle
+import stat
 
 import pytest
 
@@ -142,6 +144,22 @@ class TestCheckpointFileFormat:
         (tmp_path / "state.ckpt.tmp").write_bytes(b"partial garbage")
         _, payload = read_checkpoint(path, expected_kind="probe")
         assert payload == "first"
+
+    def test_rename_is_fsynced_into_the_directory(self, tmp_path, monkeypatch):
+        """Durability: the directory entry is fsynced after the rename, so
+        a power loss cannot undo a checkpoint (or serving snapshot) that a
+        later WAL compaction already relied on."""
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        write_checkpoint(str(tmp_path / "state.ckpt"), "probe", "first", round_index=1)
+        assert synced[-1] == (True, os.stat(tmp_path).st_ino)
 
 
 class TestSimulatorCheckpoint:
