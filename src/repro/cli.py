@@ -150,7 +150,9 @@ def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "stream records to this JSONL file in task order as they "
-            "complete (the --out JSON is still written at the end)"
+            "complete: a record waits for every earlier task, since tasks "
+            "sharing a simulation run together (the --out JSON is still "
+            "written at the end)"
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="campaign seed")
@@ -176,9 +178,10 @@ def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
         "--journal",
         metavar="PATH",
         help=(
-            "durable resume journal: completed records are fsynced here as "
-            "they finish; re-running with the same spec and journal skips "
-            "them (byte-identical output to a cold sweep)"
+            "durable resume journal: each record is fsynced here as soon as "
+            "its task finishes, in completion order; re-running with the "
+            "same spec and journal skips them (byte-identical output to a "
+            "cold sweep)"
         ),
     )
     parser.add_argument(
@@ -330,11 +333,11 @@ def sweep_main(argv: list[str], *, prog: str = "repro sweep") -> int:
     print(format_sweep_summary(result.records))
     print()
     print(
-        f"{len(result.records)} tasks in {result.wall_time:.2f}s "
-        f"({result.tasks_per_second:.2f} tasks/s, jobs={result.jobs})"
+        f"{result.n_executed} tasks executed in {result.wall_time:.2f}s "
+        f"({result.tasks_per_second:.2f} tasks/s, jobs={result.jobs}); "
+        f"{result.n_resumed} tasks resumed"
+        + (f" from journal {args.journal}" if args.journal else "")
     )
-    if result.n_resumed:
-        print(f"{result.n_resumed} tasks resumed from journal {args.journal}")
     if args.stream:
         print(f"records streamed to {args.stream}")
     if args.out:

@@ -494,15 +494,6 @@ def interaction_counts(
     return (base + bonus).astype(np.intp)
 
 
-def lexicographic_argmax(primary: ArrayLike, tiebreak: ArrayLike) -> int:
-    """Index of the maximum by ``(primary, tiebreak)`` — vectorized twin of
-    sorting score/jitter pairs descending and taking the head."""
-    order = np.lexsort(
-        (np.asarray(tiebreak, dtype=float), np.asarray(primary, dtype=float))
-    )
-    return int(order[-1])
-
-
 __all__ = [
     "COUPLING_LAYOUT",
     "DENSE_TRUST_THRESHOLD",
@@ -515,7 +506,6 @@ __all__ = [
     "coupling_step",
     "dense_local_trust_matrix",
     "interaction_counts",
-    "lexicographic_argmax",
     "local_trust_matrix",
     "local_trust_matrix_from_columns",
     "mean_scores",

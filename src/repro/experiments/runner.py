@@ -27,6 +27,7 @@ from repro.experiments import (
     robustness,
     satisfaction_eval,
 )
+from repro.scenarios.runner import EVALUATION_FIELDS
 
 
 class RunResult(dict[str, object]):
@@ -83,6 +84,9 @@ class ExperimentEntry:
     #: Keyword arguments that make the experiment finish quickly (used by the
     #: ``--quick`` CLI flag and by integration tests).
     quick_kwargs: dict[str, object]
+    #: Parameters that leave the simulation unchanged (only the metrics read
+    #: them); sweeps run the tasks that differ in nothing else back to back.
+    evaluation_only: tuple[str, ...] = ()
 
     def accepted_parameters(self) -> dict[str, inspect.Parameter]:
         """The keyword parameters this experiment's ``run()`` accepts."""
@@ -174,6 +178,7 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
             "n_users": 24,
             "rounds": 12,
         },
+        evaluation_only=EVALUATION_FIELDS,
     ),
     "ablations": ExperimentEntry(
         name="ablations",

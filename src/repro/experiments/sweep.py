@@ -12,24 +12,28 @@ module turns any registered experiment into a campaign:
   with a per-task seed derived (via SHA-256) from the campaign seed, the
   task's parameters and its index — so every task is reproducible in
   isolation and independent of worker scheduling;
-* :func:`run_sweep` executes the tasks — inline for ``jobs=1``, through a
-  :class:`SweepExecutor` otherwise — and collects
+* :func:`schedule` orders the tasks for execution: tasks that share a
+  simulation (they differ only in the experiment's evaluation-only
+  parameters, such as a detection threshold) run back to back, so the
+  per-process scenario **run cache** simulates each once;
+* :func:`run_sweep` executes the tasks in that order — inline for
+  ``jobs=1``, through a :class:`SweepExecutor` otherwise — and collects
   :class:`~repro.experiments.results.ExperimentRecord`s in task order.
 
 The executor keeps a pool of **persistent worker processes** that survive
 across sweeps (pass one ``SweepExecutor`` to several :func:`run_sweep`
 calls to amortize interpreter/import startup), runs each worker with the
-per-process scenario **run cache** enabled (tasks that differ only in
-post-simulation metric knobs share the underlying simulation), schedules
-tasks in contiguous **chunks** (fewer IPC round-trips, better cache
-locality), and supports **streaming record writes**: completed records are
-emitted in task order while later tasks are still running.
+run cache enabled, submits the schedule in **chunks** (fewer IPC
+round-trips; a chunk boundary splits at most one simulation group), and
+supports **streaming record writes**: records are journaled as they
+complete and handed to ``on_record`` in task order while later tasks are
+still running.
 
 Determinism contract: the records (and hence the serialized JSON) depend
-only on the spec — never on the worker count, the chunk size or the
-completion order.  The caches are memos of pure functions, so a cache hit
-returns exactly what a fresh execution would.  Timing lives
-on :class:`SweepResult` for benchmarks but is excluded from the serialized
+only on the spec — never on the worker count, the chunk size, the schedule
+or the completion order.  The caches are memos of pure functions, so a
+cache hit returns exactly what a fresh execution would.  Timing lives on
+:class:`SweepResult` for benchmarks but is excluded from the serialized
 campaign output.
 """
 
@@ -46,7 +50,7 @@ import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro import _profiling, faults
 from repro.core import accel
@@ -250,6 +254,46 @@ def expand_tasks(spec: SweepSpec) -> list[SweepTask]:
     ]
 
 
+def _effective_seed(task: SweepTask) -> object:
+    """The seed a task runs with: an explicitly swept ``seed`` wins over the
+    derived task seed (the user asked for that exact value)."""
+    seed = task.params.get("seed")
+    return task.seed if seed is None else seed
+
+
+def simulation_identity(task: SweepTask) -> str | int:
+    """What a task simulates: its experiment, base and params minus the
+    experiment's evaluation-only ones, plus its effective seed.  Tasks with
+    equal identities differ only in how the metrics read one simulation.
+
+    An experiment that declares no evaluation-only parameter shares
+    nothing, so each of its tasks is its own identity (its index).
+    """
+    names = get_experiment(task.experiment).evaluation_only
+    if not names:
+        return task.index
+    simulated = {key: value for key, value in task.params.items() if key not in names}
+    return json.dumps(
+        [task.experiment, task.quick_base, simulated, _effective_seed(task)], sort_keys=True
+    )
+
+
+def schedule(tasks: Sequence[SweepTask]) -> list[SweepTask]:
+    """The order a sweep executes its tasks in.
+
+    Tasks with the same :func:`simulation_identity` run back to back, each
+    group where its first task appears, so the run cache has to hold one
+    group's simulations rather than a whole pass over the grid.  Tasks of
+    experiments without evaluation-only parameters keep their order.
+    Records do not depend on the schedule: they are handed on and
+    serialized in task-index order.
+    """
+    groups: dict[str | int, list[SweepTask]] = {}
+    for task in tasks:
+        groups.setdefault(simulation_identity(task), []).append(task)
+    return [task for group in groups.values() for task in group]
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Per-task retry behaviour for transient failures.
@@ -319,13 +363,11 @@ def execute_task(task: SweepTask, retry: RetryPolicy | None = None) -> Experimen
     for the process pool."""
     policy = retry or RetryPolicy()
     entry = get_experiment(task.experiment)
-    # An explicitly swept seed wins over the derived task seed (the user
-    # asked for that exact value); otherwise the derived seed applies when
-    # the experiment takes one.  The record reports the seed actually used.
+    # The seed applies when the experiment takes one; the record reports
+    # the seed actually used.
     params = dict(task.params)
-    seed = params.pop("seed", None)
-    if seed is None:
-        seed = task.seed
+    params.pop("seed", None)
+    seed = _effective_seed(task)
     used_seed: int | None = seed if entry.accepts("seed") else None
     started = _profiling.clock()
     for attempt in range(1, policy.max_attempts + 1):
@@ -385,14 +427,42 @@ def _worker_init() -> None:
 def _execute_chunk(
     tasks: list[SweepTask], retry: RetryPolicy | None = None
 ) -> list[ExperimentRecord]:
-    """Run one contiguous chunk of tasks in a worker; top-level so it
-    pickles.  One submission per chunk instead of per task keeps IPC and
-    future bookkeeping off the per-task critical path."""
+    """Run one chunk of the schedule in a worker; top-level so it pickles.
+    One submission per chunk instead of per task keeps IPC and future
+    bookkeeping off the per-task critical path."""
     return [execute_task(task, retry) for task in tasks]
 
 
 #: Record-streaming callback: called with each record in task-index order.
 RecordCallback = Callable[[ExperimentRecord], None]
+
+
+def _in_task_order(
+    tasks: Sequence[SweepTask],
+    completed: Iterable[ExperimentRecord],
+    on_record: RecordCallback | None,
+    journal: SweepJournal | None = None,
+) -> list[ExperimentRecord]:
+    """Collect records that arrive in completion order; return them in the
+    order of ``tasks``.
+
+    Each record is journaled the moment it arrives, so an interruption
+    loses no completed task.  ``on_record`` gets a record once every record
+    before it in ``tasks`` has arrived: whatever the schedule, callers see
+    task-index order.
+    """
+    held: dict[int, ExperimentRecord] = {}
+    ordered: list[ExperimentRecord] = []
+    for record in completed:
+        if journal is not None:
+            journal.append(record)
+        held[record.task_index] = record
+        while len(ordered) < len(tasks) and tasks[len(ordered)].index in held:
+            ready = held.pop(tasks[len(ordered)].index)
+            ordered.append(ready)
+            if on_record is not None:
+                on_record(ready)
+    return ordered
 
 
 class SweepExecutor:
@@ -416,7 +486,7 @@ class SweepExecutor:
             raise ConfigurationError("max_pool_rebuilds must be non-negative")
         self.jobs = jobs
         self.chunksize = chunksize
-        #: How many times one :meth:`map_records` call may replace a broken
+        #: How many times one :meth:`completions` run may replace a broken
         #: pool (a worker died mid-chunk) before giving up and re-raising.
         self.max_pool_rebuilds = max_pool_rebuilds
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
@@ -431,10 +501,52 @@ class SweepExecutor:
     def _effective_chunksize(self, n_tasks: int) -> int:
         if self.chunksize is not None:
             return self.chunksize
-        # Four chunks per worker balances scheduling slack against IPC and
-        # cache locality; expand_tasks orders grid points first-key-major,
-        # so contiguous chunks tend to share a simulation identity.
+        # Four chunks per worker balances scheduling slack against IPC.
+        # Chunks are cut from the schedule, so the tasks that share a
+        # simulation stay in one chunk unless a boundary splits their group.
         return max(1, math.ceil(n_tasks / (self.jobs * 4)))
+
+    def _chunks(self, tasks: Sequence[SweepTask]) -> list[list[SweepTask]]:
+        """The pool submissions for ``tasks``: the :func:`schedule` cut
+        every ``chunksize`` tasks."""
+        ordered = schedule(tasks)
+        size = self._effective_chunksize(len(ordered))
+        return [ordered[start : start + size] for start in range(0, len(ordered), size)]
+
+    def completions(
+        self, tasks: Sequence[SweepTask], retry: RetryPolicy | None = None
+    ) -> Iterator[ExperimentRecord]:
+        """Execute tasks on the pool; yield each chunk's records as soon as
+        the chunk finishes, in completion order.
+
+        A worker death (``SIGKILL``, OOM, hard crash) breaks the whole
+        ``ProcessPoolExecutor``; this method recovers by discarding the
+        broken pool and re-running every chunk not yet yielded on a fresh
+        one — at most :attr:`max_pool_rebuilds` times per call.  Chunks are
+        pure functions of their tasks, so a re-run reproduces exactly the
+        records the lost workers would have produced, and a chunk is only
+        ever yielded once.
+        """
+        pending: dict[int, list[SweepTask]] = dict(enumerate(self._chunks(tasks)))
+        rebuilds = 0
+        while pending:
+            pool = self._ensure_pool()
+            futures = {
+                pool.submit(_execute_chunk, chunk, retry): index
+                for index, chunk in pending.items()
+            }
+            try:
+                for future in concurrent.futures.as_completed(futures):
+                    records = future.result()
+                    del pending[futures[future]]
+                    yield from records
+            except BrokenProcessPool:
+                # Results completed but not yet consumed are lost with the
+                # pool; their chunks simply stay pending.
+                self.shutdown()
+                rebuilds += 1
+                if rebuilds > self.max_pool_rebuilds:
+                    raise
 
     def map_records(
         self,
@@ -443,61 +555,14 @@ class SweepExecutor:
         on_record: RecordCallback | None = None,
         retry: RetryPolicy | None = None,
     ) -> list[ExperimentRecord]:
-        """Execute tasks on the pool; stream records in task order.
+        """Execute tasks on the pool; return and stream records in task order.
 
         ``on_record`` (when given) is invoked for every record as soon as
         the ordered prefix up to it has completed — long campaigns surface
-        results (and can persist them) while later chunks still run.
-
-        A worker death (``SIGKILL``, OOM, hard crash) breaks the whole
-        ``ProcessPoolExecutor``; this method recovers by discarding the
-        broken pool and re-running every not-yet-delivered chunk on a fresh
-        one — at most :attr:`max_pool_rebuilds` times per call.  Chunks are
-        pure functions of their tasks, so a re-run reproduces exactly the
-        records the lost workers would have produced, and a chunk is only
-        ever streamed once.
+        results while later chunks still run.  Worker deaths are recovered
+        as in :meth:`completions`.
         """
-        if not tasks:
-            return []
-        chunksize = self._effective_chunksize(len(tasks))
-        chunks = [
-            list(tasks[start : start + chunksize])
-            for start in range(0, len(tasks), chunksize)
-        ]
-        pending: dict[int, list[SweepTask]] = dict(enumerate(chunks))
-        finished: dict[int, list[ExperimentRecord]] = {}
-        next_chunk = 0
-        ordered: list[ExperimentRecord] = []
-        rebuilds = 0
-        while pending:
-            pool = self._ensure_pool()
-            futures = {
-                pool.submit(_execute_chunk, chunk, retry): index
-                for index, chunk in sorted(pending.items())
-            }
-            broken: BrokenProcessPool | None = None
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                try:
-                    finished[index] = future.result()
-                except BrokenProcessPool as error:
-                    # Results completed but not yet consumed are lost with
-                    # the pool; their chunks simply stay pending.
-                    broken = error
-                    break
-                pending.pop(index)
-                while next_chunk in finished:
-                    for record in finished.pop(next_chunk):
-                        ordered.append(record)
-                        if on_record is not None:
-                            on_record(record)
-                    next_chunk += 1
-            if broken is not None:
-                self.shutdown()
-                rebuilds += 1
-                if rebuilds > self.max_pool_rebuilds:
-                    raise broken
-        return ordered
+        return _in_task_order(tasks, self.completions(tasks, retry), on_record)
 
     def shutdown(self) -> None:
         """Stop the worker processes (idempotent)."""
@@ -537,10 +602,17 @@ class SweepResult:
         return [record for record in self.records if not record.ok]
 
     @property
+    def n_executed(self) -> int:
+        """Tasks this run executed: the records not resumed from a journal."""
+        return len(self.records) - self.n_resumed
+
+    @property
     def tasks_per_second(self) -> float:
+        """Executed tasks per second of ``wall_time``, which covers only
+        them: resumed tasks cost no execution."""
         if self.wall_time <= 0:
             return float("inf")
-        return len(self.records) / self.wall_time
+        return self.n_executed / self.wall_time
 
     def write_json(self, path: str, *, checksum: bool = True) -> None:
         """Serialize records + campaign header; deterministic by contract.
@@ -572,71 +644,46 @@ def run_sweep(
     ``jobs=1`` runs inline (no pool, easiest to debug); ``jobs>1`` fans
     chunked tasks over a :class:`SweepExecutor` — pass ``executor`` to
     reuse an existing pool across campaigns (its ``jobs``/``chunksize``
-    then apply).  ``on_record`` streams records in task order as they
-    complete.  Records are always returned sorted by task index and are
-    byte-identical regardless of worker count, chunking or streaming.
+    then apply).  Both paths execute the tasks in :func:`schedule` order.
+    ``on_record`` streams records in task order as they complete.  Records
+    are always returned sorted by task index and are byte-identical
+    regardless of worker count, chunking, schedule or streaming.
 
     ``retry`` applies a :class:`RetryPolicy` to every task.  ``journal``
     names a durable :class:`~repro.experiments.journal.SweepJournal` file:
-    every completed record is appended (and fsynced) as it streams, and an
-    interrupted campaign re-run with the same spec and journal path skips
-    the intact journaled tasks, executes only the missing or corrupt ones,
-    and still returns the full record list — byte-identical to a cold
-    sweep.  ``on_record`` fires only for newly executed tasks, immediately
-    after their journal line is durable.
+    every record is appended (and fsynced) as soon as its task completes,
+    and an interrupted campaign re-run with the same spec and journal path
+    skips the intact journaled tasks, executes only the missing or corrupt
+    ones, and still returns the full record list — byte-identical to a cold
+    sweep.  ``on_record`` fires only for newly executed tasks, after their
+    journal line is durable.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
     tasks = expand_tasks(spec)
     start = _profiling.clock()
     resumed: dict[int, ExperimentRecord] = {}
-    journal_handle: SweepJournal | None = None
-    if journal is not None:
-        journal_handle, resumed, _ = SweepJournal.open(journal, spec.campaign_metadata())
-        tasks = [task for task in tasks if task.index not in resumed]
-    emit: RecordCallback | None = on_record
-    if journal_handle is not None:
-        appender = journal_handle
-
-        def journal_emit(record: ExperimentRecord) -> None:
-            appender.append(record)
-            if on_record is not None:
-                on_record(record)
-
-        emit = journal_emit
-
-    try:
+    with contextlib.ExitStack() as stack:
+        journal_handle: SweepJournal | None = None
+        if journal is not None:
+            journal_handle, resumed, _ = SweepJournal.open(journal, spec.campaign_metadata())
+            stack.callback(journal_handle.close)
+            tasks = [task for task in tasks if task.index not in resumed]
+        completed: Iterable[ExperimentRecord]
         if executor is not None:
-            records = executor.map_records(tasks, on_record=emit, retry=retry)
+            completed = executor.completions(tasks, retry)
             effective_jobs = executor.jobs
         elif jobs == 1 or len(tasks) <= 1:
-            # Inline execution keeps the run cache on too: identical records
-            # (the cache memoizes a pure function), faster threshold-style
-            # sweeps, no pool to manage.  The memo is dropped afterwards so a
-            # one-shot sweep does not pin simulation products in the caller's
-            # process for its lifetime (worker processes keep theirs by
-            # design — they exist to stay warm).
-            from repro.scenarios.runner import clear_run_cache
-
-            use_cache = not accel.env_disabled("run_cache")
-            try:
-                with accel.override(run_cache=use_cache):
-                    records = []
-                    for task in tasks:
-                        record = execute_task(task, retry)
-                        records.append(record)
-                        if emit is not None:
-                            emit(record)
-            finally:
-                clear_run_cache()
+            stack.enter_context(_inline_run_cache())
+            completed = (execute_task(task, retry) for task in schedule(tasks))
             effective_jobs = 1
         else:
-            with SweepExecutor(min(jobs, len(tasks)), chunksize=chunksize) as owned:
-                records = owned.map_records(tasks, on_record=emit, retry=retry)
+            owned = stack.enter_context(
+                SweepExecutor(min(jobs, len(tasks)), chunksize=chunksize)
+            )
+            completed = owned.completions(tasks, retry)
             effective_jobs = jobs
-    finally:
-        if journal_handle is not None:
-            journal_handle.close()
+        records = _in_task_order(tasks, completed, on_record, journal_handle)
     records.extend(resumed.values())
     records.sort(key=lambda record: record.task_index)
     wall_time = _profiling.clock() - start
@@ -647,6 +694,22 @@ def run_sweep(
         wall_time=wall_time,
         n_resumed=len(resumed),
     )
+
+
+@contextlib.contextmanager
+def _inline_run_cache() -> Iterator[None]:
+    """Inline execution keeps the run cache on too: identical records (the
+    cache memoizes a pure function), faster threshold-style sweeps, no pool
+    to manage.  The memo is dropped afterwards so a one-shot sweep does not
+    pin simulation products in the caller's process for its lifetime
+    (worker processes keep theirs by design — they exist to stay warm)."""
+    from repro.scenarios.runner import clear_run_cache
+
+    try:
+        with accel.override(run_cache=not accel.env_disabled("run_cache")):
+            yield
+    finally:
+        clear_run_cache()
 
 
 # -- CLI-facing parsing helpers -------------------------------------------------

@@ -14,9 +14,9 @@ respect to results (see :mod:`repro.core.accel`):
   graph and the directory plan across every mechanism column of a scenario
   row — only setup is shared; the simulation still runs per mechanism,
   since provider selection is score-dependent;
-* the **run cache** (off by default; sweep workers enable it) memoizes
-  whole simulations per process, so sweep points that differ only in
-  post-simulation metric knobs (detection threshold, recovery fraction)
+* the **run cache** (off by default; sweeps enable it) memoizes whole
+  simulations per process, so runs that differ only in the
+  :data:`EVALUATION_FIELDS` (detection threshold, recovery fraction)
   re-evaluate the recorded trace instead of re-simulating.
 
 :func:`reputation_for_graph` is the shared mechanism builder (EigenTrust's
@@ -27,7 +27,7 @@ end-to-end :class:`~repro.experiments.scenario.Scenario`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro import _profiling
 from repro.core import accel
@@ -84,6 +84,11 @@ def reputation_for_graph(
     return system
 
 
+#: The :class:`ScenarioRunConfig` fields only the metric layer reads:
+#: runs that differ in nothing else share one simulation.
+EVALUATION_FIELDS = ("detect_threshold", "recovery_fraction")
+
+
 @dataclass
 class ScenarioRunConfig:
     """Everything one robustness scenario run needs."""
@@ -113,26 +118,21 @@ class ScenarioRunConfig:
         get_scenario(self.scenario)  # fail fast on unknown scenario names
 
     def simulation_key(self) -> tuple | None:
-        """Identity of everything that shapes the *simulation* (not the
-        post-hoc metric evaluation): the run-cache key.  ``None`` when the
-        knobs are unhashable."""
+        """Identity of everything that shapes the *simulation*: every field
+        but the :data:`EVALUATION_FIELDS`.  The run-cache key; ``None``
+        when the knobs are unhashable."""
+        values = {
+            item.name: getattr(self, item.name)
+            for item in fields(self)
+            if item.name not in EVALUATION_FIELDS
+        }
+        values["knobs"] = tuple(sorted(self.knobs.items()))
+        key = tuple(values.values())
         try:
-            knob_key = tuple(sorted(self.knobs.items()))
+            hash(key)
         except TypeError:
             return None
-        return (
-            self.scenario,
-            self.mechanism,
-            self.n_users,
-            self.rounds,
-            self.seed,
-            self.topology,
-            self.malicious_fraction,
-            self.interactions_per_peer,
-            self.sharing_level,
-            self.preset,
-            knob_key,
-        )
+        return key
 
 
 @dataclass
@@ -148,9 +148,12 @@ class ScenarioRunResult:
     final_scores: dict[str, float]
 
 
-#: Per-process memo of executed simulations (run cache).  Sized to hold one
-#: full robustness matrix pass (7 catalog scenarios × 5 mechanisms) with
-#: headroom, so threshold-grid re-evaluations hit across whole passes.
+#: Per-process memo of executed simulations (run cache).  Sweeps do not
+#: depend on its size: they schedule the tasks that share a simulation next
+#: to each other, so a handful of entries serve them.  Only loops that call
+#: ``robustness.run`` directly, one full matrix pass per threshold, need it
+#: to hold a pass: 48 entries cover a 7-scenario × 5-mechanism matrix, and
+#: the 11-scenario catalog's 55 cells cycle through it without a hit.
 #: Entries keep the full simulation products (roughly a few MB each at
 #: laptop-scale populations), which is why the cache is opt-in.
 _RUN_CACHE_SIZE = 48

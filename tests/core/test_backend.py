@@ -195,7 +195,3 @@ class TestSimulationKernels:
             base = int(activity)
             expected.append(base + (1 if draw < activity - base else 0))
         assert counts.tolist() == expected
-
-    def test_lexicographic_argmax_breaks_ties_by_second_key(self):
-        assert bk.lexicographic_argmax([0.5, 0.9, 0.9], [0.99, 0.2, 0.3]) == 2
-        assert bk.lexicographic_argmax([0.5, 0.9, 0.9], [0.99, 0.4, 0.3]) == 1

@@ -147,9 +147,11 @@ class TestSweepCliFaultFlags:
             journal,
         ]
         assert main(args) == 0
-        capsys.readouterr()
+        assert "2 tasks executed in" in capsys.readouterr().out
         assert main(args) == 0
-        assert "2 tasks resumed from journal" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 tasks executed in" in out
+        assert "(0.00 tasks/s, jobs=1); 2 tasks resumed from journal" in out
 
     def test_failed_tasks_print_structured_summaries(self, tmp_path, capsys):
         code = main(

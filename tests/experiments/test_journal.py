@@ -43,6 +43,21 @@ class TestJournaledSweep:
         assert second.n_resumed == 4
         assert _json(second) == _json(first)
 
+    def test_rate_counts_only_executed_tasks(self, tmp_path):
+        # wall_time covers the executed tasks only, so resumed records
+        # must not inflate the rate.
+        journal_path = tmp_path / "sweep.jnl"
+        run_sweep(make_spec(), journal=str(journal_path))
+        finished = run_sweep(make_spec(), journal=str(journal_path))
+        assert (finished.n_executed, finished.n_resumed) == (0, 4)
+        assert finished.tasks_per_second == 0.0
+
+        lines = _journal_lines(journal_path)
+        journal_path.write_bytes(b"\n".join(lines[:2]) + b"\n")
+        partial = run_sweep(make_spec(), journal=str(journal_path))
+        assert (partial.n_executed, partial.n_resumed) == (3, 1)
+        assert partial.tasks_per_second == pytest.approx(3 / partial.wall_time)
+
     def test_partial_journal_resumes_only_missing_tasks(self, tmp_path):
         cold = _json(run_sweep(make_spec()))
         journal_path = tmp_path / "sweep.jnl"
