@@ -20,6 +20,11 @@ durability contract:
   every attempt, so a retry of a batch the server acked (but whose
   response got lost) returns the original receipt with
   ``duplicate: true`` instead of double-ingesting.
+* **One kept-alive connection**: every request reuses one HTTP/1.1
+  connection.  A transport error drops it and the next attempt
+  reconnects; a connection the server closed while it sat idle (its idle
+  timeout, a restart) is replaced before use, silently — that costs no
+  retry, no backoff and no breaker failure.
 
 The client records every acked receipt (:attr:`ResilientClient.acked`), so
 crash drills can check that *every event the client saw acknowledged* is
@@ -34,6 +39,7 @@ import hashlib
 import http.client
 import json
 import random
+import socket
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -132,8 +138,34 @@ def _jitter_seed(seed: int, client_id: str) -> int:
     return seed ^ int.from_bytes(digest[:8], "big")
 
 
+def _peer_closed(sock: socket.socket) -> bool:
+    """Whether an idle kept-alive connection can no longer carry a request.
+
+    Between requests the server sends nothing, so a readable socket holds
+    an EOF (the server hung up), a reset, or bytes no request asked for:
+    the connection is finished either way.
+    """
+    timeout = sock.gettimeout()
+    sock.settimeout(0.0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+    finally:
+        sock.settimeout(timeout)
+    return True
+
+
 class ResilientClient:
-    """The retrying, circuit-breaking, exactly-once v1 API client."""
+    """The retrying, circuit-breaking, exactly-once v1 API client.
+
+    A client holds one persistent connection, the retry jitter stream and
+    the auto idempotency-key counter, none of them locked: use one client
+    per thread.  :meth:`close` (or a ``with`` block) releases the
+    connection; a later request would open a new one.
+    """
 
     def __init__(
         self,
@@ -159,31 +191,46 @@ class ResilientClient:
         self.retries = 0
         #: 429/503 responses absorbed over the client's lifetime.
         self.backpressure_responses = 0
+        # Connects lazily on the first request, and again after close().
+        self._connection = http.client.HTTPConnection(host, port, timeout=self.policy.timeout)
+
+    def close(self) -> None:
+        """Close the kept-alive connection."""
+        self._connection.close()
+
+    def __enter__(self) -> ResilientClient:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- one attempt -------------------------------------------------------
 
     def _once(
         self, method: str, path: str, body: object, headers: dict[str, str]
     ) -> tuple[int, object, bytes]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.policy.timeout
-        )
+        connection = self._connection
+        if connection.sock is not None and _peer_closed(connection.sock):
+            connection.close()
+        encoded = None
+        sent_headers = dict(headers)
+        if body is not None:
+            encoded = json.dumps(body, sort_keys=True).encode("utf-8")
+            sent_headers["Content-Type"] = "application/json"
         try:
-            encoded = None
-            sent_headers = dict(headers)
-            if body is not None:
-                encoded = json.dumps(body, sort_keys=True).encode("utf-8")
-                sent_headers["Content-Type"] = "application/json"
             connection.request(method, path, body=encoded, headers=sent_headers)
             response = connection.getresponse()
             raw = response.read()
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else None
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                payload = None
-            return response.status, payload, raw
-        finally:
+        except BaseException:
+            # The exchange broke off mid-request, so the connection's state
+            # is unknown: drop it, and the next attempt reconnects.
             connection.close()
+            raise
+        try:
+            payload = json.loads(raw.decode("utf-8")) if raw else None
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            payload = None
+        return response.status, payload, raw
 
     def _backoff(self, attempt: int, floor: float) -> float:
         """The jittered wait before retry number ``attempt`` (1-based)."""

@@ -40,23 +40,39 @@ re-sent under an acked key returns the original receipt with
 Every response is JSON with sorted keys, so two servers serving the same
 session state answer byte-identically — the serve-gate's restart check
 compares raw response bodies.
+
+Connections are HTTP/1.1 keep-alive.  Every declared request body is read
+before routing, so whatever a route does with it the next request on the
+connection starts where the body ends; a body whose length is unknown or
+too large gets a ``400`` and the connection closes.  Each response leaves
+in one send with Nagle off, and a connection idle for
+:data:`IDLE_TIMEOUT_SECONDS` is closed so it stops holding a thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import socket
+import threading
+from collections.abc import Callable
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import ParseResult, parse_qs, urlparse
 
 from repro.errors import ConfigurationError, OverloadError, ReadOnlyError, ReproError
 from repro.serving.service import ReputationService
 from repro.serving.wal import feedback_to_wire
 
-#: Cap on request bodies (16 MiB): a runaway client should get a 413, not
+#: Cap on request bodies (16 MiB): a runaway client should get a 400, not
 #: an out-of-memory server.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Seconds a kept-alive connection may sit between requests before the
+#: server closes it and frees its thread.  Well above the pauses of a live
+#: client (``perfbench`` clients wait up to 10 s at a sampling barrier), so
+#: only an abandoned connection is reaped.
+IDLE_TIMEOUT_SECONDS = 60.0
 
 
 def request_failure_record(
@@ -125,18 +141,21 @@ def _parse_start(value: str) -> int:
 
 
 def _scores_payload(service: ReputationService, limit: int | None) -> dict[str, object]:
-    """The ``/v1/scores`` response body."""
+    """The ``/v1/scores`` response body, built from one consistent read."""
     view = service.scores()
     if limit is None:
         scores: dict[str, float] = dict(view)
+        ranking = view.ranking()
     else:
-        scores = dict(view.top(limit))
+        top = view.top(limit)
+        scores = dict(top)
+        ranking = [peer for peer, _ in top]
     return {
-        "watermark": service.watermark,
-        "pending": service.pending,
+        "watermark": view.watermark,
+        "pending": view.pending,
         "default_score": view.default_score,
         "scores": scores,
-        "ranking": view.ranking() if limit is None else [peer for peer, _ in view.top(limit)],
+        "ranking": ranking,
     }
 
 
@@ -220,11 +239,25 @@ class ReputationRequestHandler(BaseHTTPRequestHandler):
     #: Advertised in the ``Server`` response header.
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a kept-alive peer delays its ACKs, and Nagle would hold
+    #: any second segment of a response back until that ACK arrives.
+    disable_nagle_algorithm = True
 
     server: ReputationHTTPServer
+    #: The stdlib's response head, which ``send_header`` appends to.
+    _headers_buffer: list[bytes]
 
     def log_message(self, format: str, *args: object) -> None:
         """Per-request stderr logging is off; latency lives in /v1/health."""
+
+    def setup(self) -> None:
+        super().setup()
+        self.connection.settimeout(IDLE_TIMEOUT_SECONDS)
+        self.server.track(self.connection)
+
+    def finish(self) -> None:
+        self.server.untrack(self.connection)
+        super().finish()
 
     # -- plumbing ----------------------------------------------------------
 
@@ -240,8 +273,13 @@ class ReputationRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name in sorted(headers or {}):
             self.send_header(name, (headers or {})[name])
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no head was buffered
+            self.wfile.write(body)
+            return
+        # end_headers() would send the head on its own: queue the blank line
+        # and the body behind it so the whole response is one send.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message, "status": status})
@@ -251,6 +289,10 @@ class ReputationRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, payload, headers)
 
     def _read_raw_body(self) -> bytes:
+        if "Transfer-Encoding" in self.headers:
+            raise ConfigurationError(
+                "Transfer-Encoding request bodies are not supported; send Content-Length"
+            )
         raw_length = self.headers.get("Content-Length", "0") or "0"
         try:
             length = int(raw_length)
@@ -271,65 +313,70 @@ class ReputationRequestHandler(BaseHTTPRequestHandler):
 
     # -- verbs -------------------------------------------------------------
 
-    def do_GET(self) -> None:
+    def _respond(self, method: str, route: Callable[[ParseResult, bytes], None]) -> None:
+        """Read the request body, then route; every failure becomes JSON."""
         url = urlparse(self.path)
-        service = self.server.service
         try:
-            if url.path == "/v1/health":
-                self._send_json(200, service.health())
-            elif url.path == "/v1/scores":
-                query = parse_qs(url.query)
-                limit: int | None = None
-                if "limit" in query:
-                    limit = _parse_limit(query["limit"][0])
-                self._send_json(200, _scores_payload(service, limit))
-            elif url.path == "/v1/evidence":
-                query = parse_qs(url.query)
-                start = _parse_start(query["start"][0]) if "start" in query else 0
-                slice_limit = (
-                    _parse_limit(query["limit"][0]) if "limit" in query else None
-                )
-                self._send_json(200, _evidence_payload(service, start, slice_limit))
-            elif url.path.startswith("/v1/peers/"):
-                peer_id = url.path[len("/v1/peers/") :]
-                if not peer_id or "/" in peer_id:
-                    self._send_error_json(404, f"no such route: {url.path}")
-                    return
-                summary = service.peer(peer_id)
-                self._send_json(200 if summary.known else 404, dict(asdict(summary)))
-            else:
-                self._send_error_json(404, f"no such route: {url.path}")
+            raw = self._read_raw_body()
+        except ConfigurationError as error:
+            # Where the body ends, and so where the next request on this
+            # connection starts, is unknown: answer, then hang up.
+            status, payload, headers = _error_response(error)
+            self._send_json(status, payload, {**headers, "Connection": "close"})
+            return
+        try:
+            route(url, raw)
         except ReproError as error:
             self._send_repro_error(error)
         except Exception as error:
-            self._send_json(
-                500, request_failure_record(error, method="GET", path=url.path)
-            )
+            self._send_json(500, request_failure_record(error, method=method, path=url.path))
+
+    def do_GET(self) -> None:
+        self._respond("GET", self._route_get)
 
     def do_POST(self) -> None:
-        url = urlparse(self.path)
+        self._respond("POST", self._route_post)
+
+    def _route_get(self, url: ParseResult, raw: bytes) -> None:
         service = self.server.service
-        try:
-            if url.path == "/v1/feedback":
-                payload = _guarded_ingest(
-                    service,
-                    self._read_raw_body(),
-                    client_id=self._client_id(),
-                    idempotency_key=self.headers.get("Idempotency-Key"),
-                )
-                self._send_json(200, payload)
-            elif url.path == "/v1/snapshot":
-                body = _decode_body(self._read_raw_body())
-                payload = _snapshot_payload(service, body, self.server.snapshot_path)
-                self._send_json(200, payload)
-            else:
+        if url.path == "/v1/health":
+            self._send_json(200, service.health())
+        elif url.path == "/v1/scores":
+            query = parse_qs(url.query)
+            limit: int | None = None
+            if "limit" in query:
+                limit = _parse_limit(query["limit"][0])
+            self._send_json(200, _scores_payload(service, limit))
+        elif url.path == "/v1/evidence":
+            query = parse_qs(url.query)
+            start = _parse_start(query["start"][0]) if "start" in query else 0
+            slice_limit = _parse_limit(query["limit"][0]) if "limit" in query else None
+            self._send_json(200, _evidence_payload(service, start, slice_limit))
+        elif url.path.startswith("/v1/peers/"):
+            peer_id = url.path[len("/v1/peers/") :]
+            if not peer_id or "/" in peer_id:
                 self._send_error_json(404, f"no such route: {url.path}")
-        except ReproError as error:
-            self._send_repro_error(error)
-        except Exception as error:
-            self._send_json(
-                500, request_failure_record(error, method="POST", path=url.path)
+                return
+            summary = service.peer(peer_id)
+            self._send_json(200 if summary.known else 404, dict(asdict(summary)))
+        else:
+            self._send_error_json(404, f"no such route: {url.path}")
+
+    def _route_post(self, url: ParseResult, raw: bytes) -> None:
+        service = self.server.service
+        if url.path == "/v1/feedback":
+            payload = _guarded_ingest(
+                service,
+                raw,
+                client_id=self._client_id(),
+                idempotency_key=self.headers.get("Idempotency-Key"),
             )
+            self._send_json(200, payload)
+        elif url.path == "/v1/snapshot":
+            body = _decode_body(raw)
+            self._send_json(200, _snapshot_payload(service, body, self.server.snapshot_path))
+        else:
+            self._send_error_json(404, f"no such route: {url.path}")
 
 
 class ReputationHTTPServer(ThreadingHTTPServer):
@@ -349,6 +396,33 @@ class ReputationHTTPServer(ThreadingHTTPServer):
         super().__init__(address, ReputationRequestHandler)
         self.service = service
         self.snapshot_path = snapshot_path
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def track(self, connection: socket.socket) -> None:
+        """Register an open client connection (see :meth:`server_close`)."""
+        with self._connections_lock:
+            self._connections.add(connection)
+
+    def untrack(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.discard(connection)
+
+    def server_close(self) -> None:
+        """Stop listening, and end every kept-alive connection.
+
+        Shutting down only the read side lets a request in flight still
+        write its response; the handler then reads EOF where the next
+        request would start and closes the connection.
+        """
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer already closed it
 
 
 def create_http_server(

@@ -121,15 +121,16 @@ def ingest_events(
     needs on both sides of the comparison.  Pass an explicit ``client`` to
     keep its acked-receipt record across calls (the crash drills check
     every acked event survives recovery); a default resilient client is
-    built otherwise.
+    built otherwise, and closed on return.
     """
     if client is None:
-        client = ResilientClient(
+        with ResilientClient(
             host,
             port,
             client_id="loadgen",
             policy=ClientRetryPolicy(timeout=timeout),
-        )
+        ) as owned:
+            return ingest_events(host, port, events, batch_size=batch_size, client=owned)
     accepted = 0
     for start in range(0, len(events), max(batch_size, 1)):
         batch = events[start : start + max(batch_size, 1)]
@@ -200,41 +201,41 @@ def replay(
     backpressure = [0]
 
     def worker(index: int, shard: list[dict[str, object]]) -> None:
-        client = ResilientClient(
+        with ResilientClient(
             host,
             port,
             client_id=f"worker-{index}",
             policy=ClientRetryPolicy(timeout=timeout, seed=index),
-        )
-        sent_batches = 0
-        for start in range(0, len(shard), max(batch_size, 1)):
-            batch = shard[start : start + max(batch_size, 1)]
-            sent_batches += 1
-            try:
-                client.ingest(batch)
-            except ReproError:
-                with lock:
-                    errors[0] += 1
-            if query_every and sent_batches % query_every == 0:
-                subject = batch[-1].get("subject", "")
-                for path in ("/v1/scores?limit=10", f"/v1/peers/{subject}"):
-                    begin = sla.clock()
-                    try:
-                        status, _, _ = client.request("GET", path)
-                    except ReproError:
-                        status = -1
-                    elapsed = sla.clock() - begin
+        ) as client:
+            sent_batches = 0
+            for start in range(0, len(shard), max(batch_size, 1)):
+                batch = shard[start : start + max(batch_size, 1)]
+                sent_batches += 1
+                try:
+                    client.ingest(batch)
+                except ReproError:
                     with lock:
-                        queries[0] += 1
-                        query_latency.observe(elapsed)
-                        # Unknown peers answer 404 by design; anything else
-                        # non-2xx is a replay error.
-                        if status not in (200, 404):
-                            errors[0] += 1
-        with lock:
-            batches[0] += sent_batches
-            retries[0] += client.retries
-            backpressure[0] += client.backpressure_responses
+                        errors[0] += 1
+                if query_every and sent_batches % query_every == 0:
+                    subject = batch[-1].get("subject", "")
+                    for path in ("/v1/scores?limit=10", f"/v1/peers/{subject}"):
+                        begin = sla.clock()
+                        try:
+                            status, _, _ = client.request("GET", path)
+                        except ReproError:
+                            status = -1
+                        elapsed = sla.clock() - begin
+                        with lock:
+                            queries[0] += 1
+                            query_latency.observe(elapsed)
+                            # Unknown peers answer 404 by design; anything else
+                            # non-2xx is a replay error.
+                            if status not in (200, 404):
+                                errors[0] += 1
+            with lock:
+                batches[0] += sent_batches
+                retries[0] += client.retries
+                backpressure[0] += client.backpressure_responses
 
     threads = [
         threading.Thread(target=worker, args=(index, shard), daemon=True)

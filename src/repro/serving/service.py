@@ -175,6 +175,38 @@ class PeerSummary:
     watermark: int
 
 
+class PublishedScores(ScoreView):
+    """The published scores together with the watermark they were read at.
+
+    :meth:`ReputationService.scores` fills every field under one hold of
+    the session lock, so a refresh racing the read can never pair one
+    watermark's scores with another's counters.  :meth:`ranking` is the
+    ranking the service published with these scores, not a fresh sort.
+    """
+
+    #: Events folded into these scores.
+    watermark: int
+    #: Events accepted after the watermark, not yet in these scores.
+    pending: int
+
+    def __init__(
+        self,
+        scores: dict[str, float],
+        *,
+        default_score: float,
+        ranking: list[str],
+        watermark: int,
+        pending: int,
+    ) -> None:
+        super().__init__(scores, default_score=default_score)
+        self._ranking = ranking
+        self.watermark = watermark
+        self.pending = pending
+
+    def ranking(self) -> list[str]:
+        return list(self._ranking)
+
+
 @dataclass
 class ServiceSnapshot:
     """Checkpoint payload of a paused service session.
@@ -570,10 +602,18 @@ class ReputationService:
 
     # -- queries -----------------------------------------------------------
 
-    def scores(self) -> ScoreView:
+    def scores(self) -> PublishedScores:
         """The published scores at the current watermark (no refresh)."""
         with self._lock, self._clock.timed("query"):
-            return ScoreView(self._published, default_score=self.config.default_score)
+            # Publishing replaces _ranking rather than mutating it, so the
+            # view may share the list.
+            return PublishedScores(
+                self._published,
+                default_score=self.config.default_score,
+                ranking=self._ranking,
+                watermark=self._watermark,
+                pending=self._ingested - self._watermark,
+            )
 
     def ranking(self, limit: int | None = None) -> list[str]:
         """Peer ids from most to least reputable at the current watermark."""

@@ -7,7 +7,9 @@ import threading
 import pytest
 
 import repro.faults as faults
+from repro.reputation.base import ScoreView
 from repro.serving import ReputationService, create_http_server
+from repro.serving.http import _scores_payload
 
 
 @pytest.fixture()
@@ -140,6 +142,46 @@ class TestScoresRoute:
         status, body, _ = request(server, "GET", "/v1/scores?limit=abc")
         assert status == 400
         assert "limit" in body["error"]
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 10, -1, 1000])
+    def test_body_matches_a_fresh_sort_of_the_scores(self, server, service, limit):
+        # Seven peers over five rating levels, so some scores tie and the
+        # ranking's peer-id tie break shows in the body.
+        events = [
+            {"subject": f"p{i % 7}", "rating": (i % 5) / 4, "time": i, "transaction_id": i}
+            for i in range(41)
+        ]
+        request(server, "POST", "/v1/feedback", {"events": events})
+        view = ScoreView(dict(service.scores()), default_score=service.config.default_score)
+        ranking = view.ranking() if limit is None else view.ranking()[: max(limit, 0)]
+        expected = {
+            "watermark": 40,
+            "pending": 1,
+            "default_score": view.default_score,
+            "scores": {peer: view[peer] for peer in ranking},
+            "ranking": ranking,
+        }
+        path = "/v1/scores" if limit is None else f"/v1/scores?limit={limit}"
+        _, _, raw = request(server, "GET", path)
+        assert raw == (json.dumps(expected, sort_keys=True) + "\n").encode("utf-8")
+
+    def test_body_comes_from_one_read(self, service):
+        """A refresh landing between the reads must not relabel the scores."""
+        service.ingest_many(EVENTS[:2])
+        published = dict(service.scores())
+        read = service.scores
+
+        def read_then_refresh():
+            view = read()
+            service.ingest_many(EVENTS[2:])  # crosses the next refresh
+            return view
+
+        service.scores = read_then_refresh
+        body = _scores_payload(service, None)
+        assert service.watermark == 4
+        assert (body["watermark"], body["pending"]) == (2, 0)
+        assert body["scores"] == published
+        assert body["ranking"] == ["alice"]
 
 
 class TestPeersRoute:
