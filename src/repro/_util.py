@@ -2,14 +2,12 @@
 
 These utilities are intentionally tiny and dependency-free: value clamping,
 normalization, exponentially-weighted averaging and validation helpers that
-many models (satisfaction, reputation, trust facets) need, plus the
-directory fsync every atomic-rename writer (checkpoints, WAL compaction)
-ends with.
+many models (satisfaction, reputation, trust facets) need.  File
+durability (fsync, atomic replacement) lives in :mod:`repro.durable`.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
@@ -124,16 +122,3 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         return 0.0
     return cov / (vx ** 0.5 * vy ** 0.5)
 
-
-def fsync_directory(path: str) -> None:
-    """Make a rename into ``path``'s directory durable (POSIX).
-
-    ``os.replace`` is atomic but not durable: until the directory entry is
-    fsynced, a power loss can roll the rename back.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)

@@ -27,7 +27,7 @@ import json
 import sys
 from typing import TextIO
 
-from repro import _profiling
+from repro import _profiling, durable
 from repro.errors import ConfigurationError, IntegrityError
 from repro.experiments.journal import JOURNAL_MAGIC, verify_journal
 from repro.experiments.reporting import format_sweep_summary
@@ -230,40 +230,36 @@ def build_verify_parser(prog: str = "repro verify-records") -> argparse.Argument
 def _verify_one(path: str) -> tuple[str | None, str | None]:
     """Check one artifact; returns ``(error, warning)`` (both None = intact).
 
-    Dispatch is by content: sweep journals and serve WALs are recognized
-    from their header line; anything else (records, service snapshots) is
-    checked against its SHA-256 sidecar.  For a WAL, torn/corrupt *tail*
-    lines are a warning, not a failure — they were never acked and the
-    next recovery truncates them; damaged interior lines (acked evidence
-    lost) fail hard.
+    Dispatch is by the ``format`` field of the header line
+    (:mod:`repro.durable`): sweep journals and serve WALs are verified
+    line by line; anything else (records, service snapshots) is checked
+    against its SHA-256 sidecar.  For a WAL, torn/corrupt *tail* lines are
+    a warning, not a failure — they were never acked and the next recovery
+    truncates them; damaged interior lines (acked evidence lost) fail hard.
     """
     try:
-        with open(path, "rb") as handle:
-            first = handle.readline()
+        header = durable.read_header(path)
     except OSError as error:
         return f"cannot read file: {error}", None
-    if first.startswith(b'{"campaign_sha256"') or JOURNAL_MAGIC.encode() in first:
-        try:
-            n_valid, n_invalid = verify_journal(path)
-        except IntegrityError as error:
-            return str(error), None
-        if n_invalid:
-            return f"{n_invalid} corrupt/truncated journal lines ({n_valid} intact)", None
-        return None, None
-    if b"repro-serve-wal" in first:  # WAL_MAGIC; literal keeps serving lazy
-        from repro.serving.wal import verify_wal
-
-        try:
-            n_valid, n_tail = verify_wal(path)
-        except IntegrityError as error:
-            return str(error), None
-        if n_tail:
-            return None, (
-                f"{n_tail} torn/corrupt unacked tail line(s) "
-                f"({n_valid} intact batches; next recovery truncates the tail)"
-            )
-        return None, None
+    kind = None if header is None else header.get("format")
     try:
+        if kind == JOURNAL_MAGIC:
+            n_valid, n_invalid = verify_journal(path)
+            if n_invalid:
+                return f"{n_invalid} corrupt/truncated journal lines ({n_valid} intact)", None
+            return None, None
+        if kind is not None:
+            # Imported here, so that records and CSVs never load the serving layer.
+            from repro.serving.wal import WAL_MAGIC, verify_wal
+
+            if kind == WAL_MAGIC:
+                n_valid, n_tail = verify_wal(path)
+                if n_tail:
+                    return None, (
+                        f"{n_tail} torn/corrupt unacked tail line(s) "
+                        f"({n_valid} intact batches; next recovery truncates the tail)"
+                    )
+                return None, None
         verify_file_checksum(path)
     except IntegrityError as error:
         return str(error), None

@@ -8,8 +8,7 @@ restores the newest snapshot (if any) and re-ingests every WAL batch past
 its watermark, yielding a session byte-identical to one that never crashed
 (the same restart-identity contract the snapshot path already honors).
 
-Format (version 1, one JSON object per line, reusing the sweep-journal
-discipline of :mod:`repro.experiments.journal`)::
+Format (version 1, framed by :mod:`repro.durable` like the sweep journal)::
 
     {"config_sha256": "...", "format": "repro-serve-wal", "version": 1}
     {"events": [...], "key": "c1-0", "n": 2, "seq": 0, "sha256": "..."}
@@ -26,7 +25,9 @@ Damage policy — asymmetric on purpose:
 
 * **Torn/corrupt tail** (crash mid-append): those batches were never acked,
   so they are *truncated* from the file with a structured
-  :class:`TornTailWarning`; the client's retry re-ingests them.
+  :class:`TornTailWarning`; the client's retry re-ingests them.  A batch
+  counts only once its newline is on disk, so the bytes after the last
+  newline are always tail.
 * **Damaged interior line** (bit rot under acked data): unrecoverable acked
   evidence — :func:`verify_wal` and :meth:`WriteAheadLog.open` hard-fail
   with :class:`~repro.errors.IntegrityError`.
@@ -34,7 +35,7 @@ Damage policy — asymmetric on purpose:
 Compaction is keyed to snapshot watermarks: once a snapshot covers the
 first ``n`` ingested events, every batch ending at or before ``n`` is dead
 weight and :meth:`WriteAheadLog.compact` atomically rewrites the log
-without them (tmp file + fsync + ``os.replace``), keeping recovery cost
+without them (:func:`repro.durable.replace_file`), keeping recovery cost
 proportional to the events since the last snapshot, not since boot.
 
 The ``wal.append`` fault site (:mod:`repro.faults`) can corrupt the encoded
@@ -44,22 +45,29 @@ path must survive; ``tests/chaos`` and the CI chaos-gate drill both.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import IO
 
-from repro import faults
-from repro._util import fsync_directory
-from repro.errors import ConfigurationError, IntegrityError
+from repro import durable, faults
+from repro.errors import IntegrityError
 from repro.simulation.transaction import Feedback
 
 WAL_MAGIC = "repro-serve-wal"
 WAL_VERSION = 1
+
+_FORMAT = durable.LogFormat(
+    name=WAL_MAGIC,
+    version=WAL_VERSION,
+    identity_key="config_sha256",
+    noun="serve WAL",
+    mismatch=(
+        "belongs to a differently-configured service "
+        "(mechanism/refresh/default-score changed since it was written?)"
+    ),
+)
 
 #: Wire fields of one feedback event inside a WAL line (sorted).
 _FEEDBACK_FIELDS = ("rater", "rating", "subject", "time", "transaction_id", "truthful")
@@ -82,8 +90,7 @@ def config_digest(identity: Mapping[str, object]) -> str:
     config subset (sorted-keys JSON, hashed) the same way sweep journals
     pin their campaign.
     """
-    encoded = json.dumps(dict(identity), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
+    return durable.digest(identity)
 
 
 def feedback_to_wire(feedback: Feedback) -> dict[str, object]:
@@ -129,22 +136,9 @@ class WalEntry:
         return self.seq + len(self.events)
 
 
-def _entry_digest(payload: Mapping[str, object]) -> str:
-    encoded = json.dumps(dict(payload), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
-
-
-def _parse_json_line(line: bytes) -> dict[str, object] | None:
-    try:
-        payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 def _parse_entry_line(line: bytes) -> WalEntry | None:
     """Validate one WAL batch line; ``None`` for anything short of intact."""
-    payload = _parse_json_line(line)
+    payload = durable.parse_line(line)
     if payload is None:
         return None
     seq = payload.get("seq")
@@ -159,7 +153,7 @@ def _parse_entry_line(line: bytes) -> WalEntry | None:
     if key is not None and not isinstance(key, str):
         return None
     body = {"events": events, "key": key, "n": n, "seq": seq}
-    if digest != _entry_digest(body):
+    if digest != durable.digest(body):
         return None
     try:
         decoded = tuple(feedback_from_wire(event) for event in events)
@@ -168,67 +162,34 @@ def _parse_entry_line(line: bytes) -> WalEntry | None:
     return WalEntry(seq=seq, key=key, events=decoded)
 
 
-def _scan(
-    path: str, raw: bytes, *, expected_config: str | None
-) -> tuple[list[WalEntry], list[bytes], int, int]:
-    """Classify a WAL's bytes into valid prefix + torn tail.
+def _replay(log: durable.LogFile) -> tuple[list[WalEntry], int]:
+    """Split a WAL's lines into the intact batches and the damaged tail.
 
-    Returns ``(entries, raw_entry_lines, tail_offset, tail_lines)`` where
-    ``tail_offset`` is the byte offset the file must be truncated to (its
-    length when the tail is clean) and ``tail_lines`` how many damaged
-    lines sit past it.  Raises :class:`IntegrityError` for a malformed
-    header, a damaged *interior* line (a valid line after an invalid one)
-    or a sequence gap, and :class:`ConfigurationError` when the header pins
-    a different service config than ``expected_config``.
+    Returns ``(entries, tail_lines)``: the intact batches are the first
+    ``len(entries)`` lines, and ``tail_lines`` damaged lines follow them
+    (a torn tail counts as one).  Raises :class:`IntegrityError` for a
+    damaged *interior* line (a valid line after an invalid one) or a
+    sequence gap: acked evidence is gone.
     """
-    lines = raw.split(b"\n")
-    header = _parse_json_line(lines[0] if lines else b"")
-    if (
-        header is None
-        or header.get("format") != WAL_MAGIC
-        or not isinstance(header.get("config_sha256"), str)
-    ):
-        raise IntegrityError(f"{path}: not a serve WAL (malformed header)")
-    if header.get("version") != WAL_VERSION:
-        raise IntegrityError(
-            f"{path}: unsupported WAL version {header.get('version')!r}"
-        )
-    if expected_config is not None and header["config_sha256"] != expected_config:
-        raise ConfigurationError(
-            f"{path}: WAL belongs to a differently-configured service "
-            "(mechanism/refresh/default-score changed since it was written?)"
-        )
     entries: list[WalEntry] = []
-    raw_lines: list[bytes] = []
-    offset = len(lines[0]) + 1
-    tail_offset = offset
     tail_lines = 0
-    for index, line in enumerate(lines[1:]):
-        is_last = index == len(lines) - 2
-        if not line:
-            if is_last:
-                continue  # trailing newline
-            entry = None  # blank interior line == damage
-        else:
-            entry = _parse_entry_line(line)
+    for line in log.lines:
+        entry = _parse_entry_line(line) if line else None  # blank == damage
         if entry is None:
             tail_lines += 1
         elif tail_lines:
             raise IntegrityError(
-                f"{path}: damaged interior line (valid batch seq={entry.seq} "
+                f"{log.path}: damaged interior line (valid batch seq={entry.seq} "
                 f"follows {tail_lines} corrupt line(s)) — acked evidence lost"
             )
+        elif entries and entry.seq != entries[-1].end:
+            raise IntegrityError(
+                f"{log.path}: sequence gap (batch seq={entry.seq} after "
+                f"seq={entries[-1].end} expected) — acked evidence lost"
+            )
         else:
-            if entries and entry.seq != entries[-1].end:
-                raise IntegrityError(
-                    f"{path}: sequence gap (batch seq={entry.seq} after "
-                    f"seq={entries[-1].end} expected) — acked evidence lost"
-                )
             entries.append(entry)
-            raw_lines.append(line)
-            tail_offset = offset + len(line) + 1
-        offset += len(line) + 1
-    return entries, raw_lines, tail_offset, tail_lines
+    return entries, tail_lines + (1 if log.torn else 0)
 
 
 class WriteAheadLog:
@@ -276,63 +237,21 @@ class WriteAheadLog:
         WAL written for a differently-configured service raises
         :class:`~repro.errors.ConfigurationError`.
         """
-        if not os.path.exists(path) or os.path.getsize(path) == 0:
-            # Missing, or a crash beat the header write: nothing was ever
-            # acked through this file, so start it fresh.
-            handle = open(path, "wb")
-            header = {
-                "config_sha256": config_sha256,
-                "format": WAL_MAGIC,
-                "version": WAL_VERSION,
-            }
-            handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-            return cls(path, handle, config_sha256=config_sha256, fsync=fsync), [], 0
-
-        with open(path, "rb") as existing:
-            raw = existing.read()
-        if b"\n" not in raw:
-            # Torn header write: the header is fsynced before the first
-            # append can happen, so a file without even one complete line
-            # holds no acked data — recreate it.
-            handle = open(path, "wb")
-            header = {
-                "config_sha256": config_sha256,
-                "format": WAL_MAGIC,
-                "version": WAL_VERSION,
-            }
-            handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-            return cls(path, handle, config_sha256=config_sha256, fsync=fsync), [], 0
-        entries, _, tail_offset, tail_lines = _scan(
-            path, raw, expected_config=config_sha256
-        )
+        log = durable.LogFile.open(path, _FORMAT, config_sha256)
+        entries, tail_lines = _replay(log)
+        handle = log.reopen(keep=len(entries), fsync=fsync)
         if tail_lines:
-            with open(path, "r+b") as repair:
-                repair.truncate(tail_offset)
-                repair.flush()
-                os.fsync(repair.fileno())
-            warnings.warn(
-                TornTailWarning(
-                    json.dumps(
-                        {
-                            "kept_entries": len(entries),
-                            "path": path,
-                            "truncated_bytes": len(raw) - tail_offset,
-                            "truncated_lines": tail_lines,
-                        },
-                        sort_keys=True,
-                    )
-                ),
-                stacklevel=2,
-            )
+            dropped = log.lines[len(entries) :]
+            detail = {
+                "kept_entries": len(entries),
+                "path": path,
+                "truncated_bytes": len(log.torn) + sum(len(line) + 1 for line in dropped),
+                "truncated_lines": tail_lines,
+            }
+            warnings.warn(TornTailWarning(durable.encode(detail).decode("utf-8")), stacklevel=2)
         wal = cls(
             path,
-            open(path, "ab"),
+            handle,
             config_sha256=config_sha256,
             fsync=fsync,
             entries=len(entries),
@@ -352,16 +271,13 @@ class WriteAheadLog:
         wire = [feedback_to_wire(event) for event in events]
         body = {"events": wire, "key": key, "n": len(wire), "seq": seq}
         line = dict(body)
-        line["sha256"] = _entry_digest(body)
-        encoded = json.dumps(line, sort_keys=True).encode("utf-8") + b"\n"
+        line["sha256"] = durable.digest(body)
+        encoded = durable.encode(line) + b"\n"
         action = faults.fire("wal.append", seq=seq, n=len(wire))
         if action == "corrupt":
             encoded = faults.corrupt_bytes(encoded)
         with self._lock:
-            self._handle.write(encoded)
-            self._handle.flush()
-            if self._fsync:
-                os.fsync(self._handle.fileno())
+            durable.append(self._handle, encoded, fsync=self._fsync)
             self._entries += 1
             self._events += len(wire)
 
@@ -371,46 +287,33 @@ class WriteAheadLog:
         A batch is dead once ``entry.end <= upto_seq`` (all its events sit
         at or below the snapshot's ingested count; batches never straddle
         snapshots because snapshots take the service lock between
-        batches).  The rewrite goes through a temp file + fsync +
-        ``os.replace`` so a crash mid-compaction leaves either the old or
-        the new file, never a hybrid.  Lines that fail validation (e.g. a
-        fault-corrupted tail not yet repaired) are kept verbatim —
-        compaction must never destroy evidence it cannot vouch for.
-        Returns the number of batches dropped.
+        batches).  The rewrite goes through
+        :func:`repro.durable.replace_file`, so a crash mid-compaction
+        leaves either the old or the new file, never a hybrid.  Lines that
+        fail validation (e.g. a fault-corrupted tail not yet repaired) are
+        kept verbatim — compaction must never destroy evidence it cannot
+        vouch for.  Returns the number of batches dropped.
         """
         with self._lock:
             self._handle.flush()
-            with open(self._path, "rb") as current:
-                raw = current.read()
-            lines = [line for line in raw.split(b"\n")[1:] if line]
             kept: list[bytes] = []
             kept_entries = 0
             kept_events = 0
             dropped = 0
-            for line in lines:
+            # A torn tail was never committed, so only whole lines carry over.
+            for line in durable.LogFile.read(self._path, _FORMAT).lines:
+                if not line:
+                    continue
                 entry = _parse_entry_line(line)
                 if entry is not None and entry.end <= upto_seq:
                     dropped += 1
                     continue
-                kept.append(line)
+                kept.append(line + b"\n")
                 if entry is not None:
                     kept_entries += 1
                     kept_events += len(entry.events)
-            header = {
-                "config_sha256": self._config_sha256,
-                "format": WAL_MAGIC,
-                "version": WAL_VERSION,
-            }
-            tmp_path = f"{self._path}.tmp"
-            with open(tmp_path, "wb") as tmp:
-                tmp.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-                for line in kept:
-                    tmp.write(line + b"\n")
-                tmp.flush()
-                os.fsync(tmp.fileno())
+            durable.replace_file(self._path, [_FORMAT.header(self._config_sha256), *kept])
             self._handle.close()
-            os.replace(tmp_path, self._path)
-            fsync_directory(self._path)
             self._handle = open(self._path, "ab")
             self._entries = kept_entries
             self._events = kept_events
@@ -454,10 +357,5 @@ def verify_wal(path: str) -> tuple[int, int]:
     Unlike :meth:`WriteAheadLog.open` this never modifies the file and
     never checks the config digest (``verify-records`` has no config).
     """
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as error:
-        raise IntegrityError(f"cannot read WAL {path}: {error}") from error
-    entries, _, _, tail_lines = _scan(path, raw, expected_config=None)
+    entries, tail_lines = _replay(durable.LogFile.read(path, _FORMAT))
     return len(entries), tail_lines

@@ -17,10 +17,10 @@ File format (version 1): one JSON header line, then a pickle payload::
 
 The header is self-describing and cheap to read without unpickling; the
 SHA-256 digest detects truncation and bit rot before any pickle byte is
-trusted.  Writes are atomic (temp file + ``os.replace``) so a crash during
-checkpointing leaves the previous checkpoint intact, and durable (the
-directory is fsynced after the rename) so a power loss cannot roll a
-completed checkpoint back.  Versioning policy:
+trusted.  Writes go through :func:`repro.durable.replace_file`: atomic, so
+a crash during checkpointing leaves the previous checkpoint intact, and
+durable, so a power loss cannot roll a completed checkpoint back.
+Versioning policy:
 ``version`` bumps whenever the payload's shape changes incompatibly; readers
 reject unknown versions outright rather than guessing (a checkpoint is a
 short-lived restart artifact, not an archival format).
@@ -35,15 +35,12 @@ reconstructs the hooks from configuration before rehydrating their state.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import pickle
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
-from repro import faults
-from repro._util import fsync_directory
+from repro import durable, faults
 from repro.errors import CheckpointError
 from repro.simulation.engine import (
     DisclosureObserver,
@@ -202,15 +199,7 @@ def write_checkpoint(path: str, kind: str, payload: object, *, round_index: int)
         "payload_bytes": len(blob),
         "payload_sha256": digest,
     }
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        handle.write(b"\n")
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    fsync_directory(path)
+    durable.replace_file(path, [durable.encode(header) + b"\n", blob])
 
 
 def read_checkpoint(
@@ -228,11 +217,10 @@ def read_checkpoint(
             blob = handle.read()
     except OSError as error:
         raise CheckpointError(f"cannot read checkpoint {path}: {error}") from error
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise CheckpointError(f"{path}: malformed checkpoint header") from error
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
+    header = durable.parse_line(header_line)
+    if header is None:
+        raise CheckpointError(f"{path}: malformed checkpoint header")
+    if header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a repro checkpoint file")
     version = header.get("version")
     if version != CHECKPOINT_VERSION:

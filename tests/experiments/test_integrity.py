@@ -15,6 +15,8 @@ from repro.experiments.results import (
     write_records_json,
 )
 from repro.experiments.sweep import SweepSpec, run_sweep
+from repro.serving.wal import WriteAheadLog
+from repro.simulation.transaction import Feedback
 
 
 def make_record(status="ok", failure=None):
@@ -174,3 +176,26 @@ class TestSweepCliFaultFlags:
         assert failed["status"] == "error"
         assert failed["failure"]["exception"]
         assert "Traceback" in failed["failure"]["traceback"]
+
+
+class TestVerifyRecordsDispatch:
+    """``verify-records`` reads the header once and switches on its ``format``."""
+
+    def test_journal_with_a_torn_header_fails_as_a_journal(self, tmp_path, capsys):
+        journal = tmp_path / "sweep.jnl"
+        journal.write_bytes(
+            b'{"campaign_sha256": "ab", "format": "repro-sweep-journal", "version": 1}'
+        )
+        assert main(["verify-records", str(journal)]) == 1
+        assert "not a sweep journal (malformed header)" in capsys.readouterr().out
+
+    def test_wal_torn_one_byte_short_is_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "serve.wal"
+        wal, _, _ = WriteAheadLog.open(str(path), config_sha256="c")
+        for seq in range(2):
+            event = Feedback(transaction_id=seq, time=seq, subject="a", rating=1.0, rater="r")
+            wal.append([event], seq=seq)
+        wal.close()
+        path.write_bytes(path.read_bytes()[:-1])
+        assert main(["verify-records", str(path)]) == 0
+        assert "1 torn/corrupt unacked tail line(s) (1 intact batches" in capsys.readouterr().out

@@ -158,3 +158,65 @@ class TestJournalPrimitives:
         path.write_bytes(b"\x00\x01\x02\n")
         with pytest.raises(IntegrityError):
             verify_journal(str(path))
+
+
+class TestNewlineRule:
+    """A journal line counts only once its newline is on disk."""
+
+    def test_torn_tail_heals_on_the_first_resume(self, tmp_path):
+        cold = _json(run_sweep(make_spec()))
+        journal_path = tmp_path / "sweep.jnl"
+        run_sweep(make_spec(), journal=str(journal_path))
+        raw = journal_path.read_bytes()
+        journal_path.write_bytes(raw[: len(raw) - 40])
+        assert verify_journal(str(journal_path)) == (3, 1)
+
+        first = run_sweep(make_spec(), journal=str(journal_path))
+        assert (first.n_executed, first.n_resumed) == (1, 3)
+        assert verify_journal(str(journal_path)) == (4, 0)
+        executed = []
+        second = run_sweep(make_spec(), journal=str(journal_path), on_record=executed.append)
+        assert executed == []
+        assert second.n_resumed == 4
+        assert _json(second) == cold
+
+    def test_line_one_byte_short_of_its_newline_does_not_count(self, tmp_path):
+        cold = _json(run_sweep(make_spec()))
+        journal_path = tmp_path / "sweep.jnl"
+        run_sweep(make_spec(), journal=str(journal_path))
+        journal_path.write_bytes(journal_path.read_bytes()[:-1])
+        assert verify_journal(str(journal_path)) == (3, 1)
+
+        resumed = run_sweep(make_spec(), journal=str(journal_path))
+        assert resumed.n_resumed == 3
+        assert _json(resumed) == cold
+        assert verify_journal(str(journal_path)) == (4, 0)
+
+
+class TestHeaderCheck:
+    """Opening and verifying refuse the same headers."""
+
+    def _journal_with_version(self, tmp_path, version):
+        path = tmp_path / "sweep.jnl"
+        SweepJournal.open(str(path), {"experiment": "figure1", "seed": 1})[0].close()
+        path.write_bytes(path.read_bytes().replace(b'"version": 1', version, 1))
+        return path
+
+    def test_unsupported_version_is_refused_everywhere(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self._journal_with_version(tmp_path, b'"version": 2')
+        with pytest.raises(IntegrityError, match="unsupported .*journal version 2"):
+            SweepJournal.open(str(path), {"experiment": "figure1", "seed": 1})
+        with pytest.raises(IntegrityError, match="unsupported .*journal version 2"):
+            verify_journal(str(path))
+        assert main(["verify-records", str(path)]) == 1
+        assert "version 2" in capsys.readouterr().out
+
+    def test_non_string_campaign_digest_is_malformed_everywhere(self, tmp_path):
+        path = tmp_path / "sweep.jnl"
+        path.write_bytes(b'{"campaign_sha256": 7, "format": "repro-sweep-journal", "version": 1}\n')
+        with pytest.raises(IntegrityError, match="malformed header"):
+            SweepJournal.open(str(path), {"experiment": "figure1", "seed": 1})
+        with pytest.raises(IntegrityError, match="malformed header"):
+            verify_journal(str(path))

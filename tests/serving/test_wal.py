@@ -7,6 +7,7 @@ import pytest
 
 import repro.faults as faults
 from repro.errors import ConfigurationError, IntegrityError
+from repro.serving import ReputationService, ServiceConfig
 from repro.serving.wal import (
     TornTailWarning,
     WriteAheadLog,
@@ -250,3 +251,52 @@ class TestCompaction:
         assert wal.compact(0) == 0
         wal.close()
         assert path.read_bytes() == before
+
+
+class TestNewlineRule:
+    """A batch counts only once its newline is on disk."""
+
+    def test_batch_one_byte_short_of_its_newline_is_tail(self, tmp_path):
+        path = tmp_path / "serve.wal"
+        fresh_wal(path, 2, 1).close()
+        path.write_bytes(path.read_bytes()[:-1])
+        assert verify_wal(str(path)) == (1, 1)
+        with pytest.warns(TornTailWarning):
+            wal, entries, truncated = WriteAheadLog.open(str(path), config_sha256=CONFIG)
+        wal.close()
+        assert ([entry.seq for entry in entries], truncated) == ([0], 1)
+        assert verify_wal(str(path)) == (1, 0)
+
+    def test_batch_acked_after_a_torn_one_survives_recovery(self, tmp_path):
+        path = str(tmp_path / "serve.wal")
+        config = ServiceConfig(mechanism="beta", refresh_every=4)
+        service = ReputationService.recover(wal_path=path, config=config)
+        service.ingest_many([event(0), event(1)], idempotency_key="k0")
+        service.ingest_many([event(2)], idempotency_key="k1")
+        service.close()
+        with open(path, "rb+") as handle:  # the last batch was never acked
+            handle.truncate(handle.seek(0, 2) - 1)
+
+        with pytest.warns(TornTailWarning):
+            service = ReputationService.recover(wal_path=path, config=config)
+        assert service.health()["ingested"] == 2
+        acked = service.ingest_many([event(2), event(3)], idempotency_key="k2")
+        service.close()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recovered = ReputationService.recover(wal_path=path, config=config)
+        assert recovered.health()["ingested"] == acked.ingested == 4
+        assert verify_wal(path) == (2, 0)
+        recovered.close()
+
+
+class TestHeaderCheck:
+    def test_unsupported_version_is_refused_by_open_and_verify(self, tmp_path):
+        path = tmp_path / "serve.wal"
+        fresh_wal(path, 2).close()
+        path.write_bytes(path.read_bytes().replace(b'"version": 1', b'"version": 2', 1))
+        with pytest.raises(IntegrityError, match="unsupported .*WAL version 2"):
+            WriteAheadLog.open(str(path), config_sha256=CONFIG)
+        with pytest.raises(IntegrityError, match="unsupported .*WAL version 2"):
+            verify_wal(str(path))
