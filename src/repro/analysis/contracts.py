@@ -110,7 +110,14 @@ DEFAULT_CACHE_CONTRACTS: tuple[CacheContract, ...] = (
     CacheContract(
         module="repro/reputation/gathering.py",
         class_name="LocalTrustBuilder",
-        cache_fields=("_totals", "_watermark", "_dense_state"),
+        cache_fields=(
+            "_pair_raters",
+            "_pair_subjects",
+            "_pair_sums",
+            "_pair_slots",
+            "_pair_watermark",
+            "_dense_state",
+        ),
         source_counters=("_store.epoch",),
     ),
     CacheContract(

@@ -14,8 +14,12 @@ Flags
 -----
 ``incremental_refresh``
     Mechanisms fold only newly appended feedback into their score state
-    instead of rescanning the whole :class:`FeedbackStore` per refresh.
-    Default on.
+    instead of rescanning the whole :class:`FeedbackStore` per refresh:
+    Beta/average their per-subject masses, EigenTrust/PowerTrust the
+    pair ledger of :class:`~repro.reputation.gathering.LocalTrustBuilder`
+    (which builds local trust from it at every population size).  Off,
+    local trust is rebuilt by rescanning the whole report log — the cold
+    reference the incremental paths must match byte for byte.  Default on.
 ``setup_cache``
     Social-network generation, scenario graph setup and directory plans are
     cached by specification and reused across (scenario × mechanism) cells

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import accel
+from repro.core import backend
+from repro.core.backend import PeerIndex
 from repro.simulation.transaction import Feedback
 
 
@@ -218,86 +220,162 @@ class LocalTrustBuilder:
     trust — mechanisms that need it simply see less evidence, which is the
     accuracy cost of anonymity the ablation experiment quantifies.
 
-    Pairwise totals are maintained *incrementally*: every report is a ``±1``
-    delta on its ``(rater, subject)`` pair, so the builder keeps a running
-    ledger and folds only feedback appended since the previous call (an
-    ``(epoch, position)`` watermark into the store's column log).  The
-    deltas are integers, which float arithmetic represents exactly in any
-    accumulation order, so the incremental ledger is *bitwise* identical to
-    a full rescan — including row/column insertion order, because appends
-    fold in the same global order a rescan walks.  When
-    ``accel.flags().incremental_refresh`` is off the ledger is rebuilt from
-    scratch on every call (the cold-pipeline reference behaviour), and a
-    store-history rewrite (eviction, ``clear``) always forces a rebuild.
+    The builder keeps one *pair ledger* in column form: every distinct
+    ``(rater, subject)`` pair, in first-seen order, has a rater code, a
+    subject code (the store's interned codes, see :class:`FeedbackColumns`)
+    and a signed total ``positives - negatives``.  Each read folds only the
+    reports appended since the previous one, from an ``(epoch, position)``
+    watermark into the store's column log, so a refresh costs O(new reports
+    + distinct pairs) however much evidence the store holds.  Three readers
+    share the ledger: the sparse ``C`` build of :meth:`matrix`, the
+    layout-change rebuild of :meth:`dense_raw_totals` and the overlay's
+    in-degree centrality (:meth:`raters_per_subject`).
+
+    The deltas are integers, which float arithmetic sums exactly in any
+    order, so every matrix built from the ledger is *bitwise* identical to
+    a cold rescan of the report log.  When
+    ``accel.flags().incremental_refresh`` is off, :meth:`matrix` is that
+    cold rescan and the ledger is rebuilt from scratch on every read (the
+    cold-pipeline reference); a store-history rewrite (eviction, ``clear``)
+    always forces a rebuild.
     """
 
     def __init__(self, store: FeedbackStore) -> None:
         self._store = store
-        self._totals: dict[str, dict[str, float]] = {}
-        self._watermark: tuple[int, int] = (-1, 0)
+        #: The pair ledger: parallel columns, one entry per distinct pair.
+        self._pair_raters = array("q")
+        self._pair_subjects = array("q")
+        self._pair_sums = array("d")
+        #: ``rater_code << 32 | subject_code`` -> ledger slot.
+        self._pair_slots: dict[int, int] = {}
+        #: ``(epoch, position)`` of the column log folded so far.
+        self._pair_watermark: tuple[int, int] = (-1, 0)
         #: Dense raw-total matrix cache: (peer-id tuple, epoch, position,
         #: ndarray).  See :meth:`dense_raw_totals`.
         self._dense_state: tuple[tuple[str, ...], int, int, object] | None = None
 
-    def _fold_totals(
-        self, totals: dict[str, dict[str, float]], columns: FeedbackColumns, start: int
-    ) -> None:
-        """Fold column-log entries ``[start:]`` into the pairwise ledger."""
-        subjects = columns.subjects
-        raters = columns.raters
-        positives = columns.positives
-        for position in range(start, len(subjects)):
-            rater = raters[position]
-            if rater is None:
-                continue
-            row = totals.get(rater)
-            if row is None:
-                row = totals[rater] = {}
-            delta = 1.0 if positives[position] else -1.0
-            row[subjects[position]] = row.get(subjects[position], 0.0) + delta
+    # Everything but the store is derived from it, so snapshots and
+    # checkpoints carry the store alone and an unpickled builder starts an
+    # empty ledger that its first read re-folds.  Builders pickled with
+    # the older dict-of-dicts ledger restore the same way.
+    def __getstate__(self) -> dict[str, object]:
+        return {"_store": self._store}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__init__(state["_store"])
+
+    def _fold(self) -> FeedbackColumns:
+        """Bring the pair ledger up to date; returns the columns it reflects."""
+        columns = self._store.columns()
+        epoch = self._store.epoch
+        if self._pair_watermark[0] != epoch or not accel.flags().incremental_refresh:
+            self._pair_raters = array("q")
+            self._pair_subjects = array("q")
+            self._pair_sums = array("d")
+            self._pair_slots = {}
+            self._pair_watermark = (epoch, 0)
+        start = self._pair_watermark[1]
+        total = len(columns)
+        if start < total:
+            slots = self._pair_slots
+            pair_raters = self._pair_raters
+            pair_subjects = self._pair_subjects
+            sums = self._pair_sums
+            rater_codes = columns.rater_codes
+            subject_codes = columns.subject_codes
+            positives = columns.positives
+            for position in range(start, total):
+                rater = rater_codes[position]
+                if rater < 0:
+                    continue
+                subject = subject_codes[position]
+                delta = 1.0 if positives[position] else -1.0
+                key = rater << 32 | subject
+                slot = slots.get(key)
+                if slot is None:
+                    slots[key] = len(sums)
+                    pair_raters.append(rater)
+                    pair_subjects.append(subject)
+                    sums.append(delta)
+                else:
+                    sums[slot] += delta
+            self._pair_watermark = (epoch, total)
+        return columns
+
+    def _pair_positions(self, index: PeerIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The folded ledger in ``index`` positions: ``(rows, columns, sums)``
+        of every pair whose rater and subject are both in ``index``."""
+        perm = index.permutation(self._fold().id_for_code)
+        rows = perm[np.asarray(self._pair_raters, dtype=np.intp)]
+        cols = perm[np.asarray(self._pair_subjects, dtype=np.intp)]
+        # A copy, not a view: a live view would pin the ledger's buffer
+        # and make the next fold's append raise.
+        sums = np.array(self._pair_sums, dtype=float)
+        known = (rows >= 0) & (cols >= 0)
+        return rows[known], cols[known], sums[known]
+
+    def matrix(self, index: PeerIndex) -> backend.TrustMatrix:
+        """The row-normalized local trust ``C`` over ``index``'s peers.
+
+        With incremental refresh off, a cold rescan of the report log (the
+        reference every other path must match bit for bit).  Otherwise,
+        below :data:`~repro.core.backend.DENSE_TRUST_THRESHOLD` peers the
+        incrementally scattered dense raw matrix is clipped and normalized
+        (:meth:`dense_raw_totals`); from the threshold up ``C`` is built
+        as CSR from the ledger's positive totals — one permutation over
+        the id universe and O(distinct pairs) of array work per refresh.
+        """
+        if not accel.flags().incremental_refresh:
+            return backend.local_trust_matrix_from_columns(self._store.columns(), index)
+        n = len(index)
+        if n < backend.DENSE_TRUST_THRESHOLD:
+            return backend.normalize_dense_raw(self.dense_raw_totals(index))
+        rows, cols, sums = self._pair_positions(index)
+        positive = sums > 0.0
+        return backend.local_trust_matrix(n, rows[positive], cols[positive], sums[positive])
 
     def pair_totals(self) -> dict[str, dict[str, float]]:
         """Signed pairwise totals ``{rater: {subject: positives - negatives}}``.
 
-        Unclipped (rows may carry zero or negative entries) and live: treat
-        the result as read-only.  Pairs stay present once rated, which is
-        exactly the edge set of PowerTrust's trust overlay.
+        A fresh read view of the ledger, in first-seen order.  Unclipped
+        (rows may carry zero or negative entries); pairs stay present once
+        rated, which is exactly the edge set of PowerTrust's trust overlay.
         """
-        columns = self._store.columns()
-        epoch = self._store.epoch
-        if not accel.flags().incremental_refresh:
-            totals: dict[str, dict[str, float]] = {}
-            self._fold_totals(totals, columns, 0)
-            # Keep the ledger consistent so flipping the flag mid-life stays
-            # correct: the cold result *is* the up-to-date ledger.
-            self._totals = totals
-            self._watermark = (epoch, len(columns))
-            return totals
-        if self._watermark[0] != epoch:
-            self._totals = {}
-            self._watermark = (epoch, 0)
-        position = self._watermark[1]
-        if position < len(columns):
-            self._fold_totals(self._totals, columns, position)
-            self._watermark = (epoch, len(columns))
-        return self._totals
+        ids = self._fold().id_for_code
+        totals: dict[str, dict[str, float]] = {}
+        for rater, subject, value in zip(self._pair_raters, self._pair_subjects, self._pair_sums):
+            row = totals.get(ids[rater])
+            if row is None:
+                row = totals[ids[rater]] = {}
+            row[ids[subject]] = value
+        return totals
 
-    def dense_raw_totals(self, positions: dict[str, int], n: int) -> np.ndarray:
+    def raters_per_subject(self) -> dict[str, int]:
+        """How many distinct raters assessed each rated peer (ledger pairs
+        per subject code)."""
+        ids = self._fold().id_for_code
+        counts = np.bincount(
+            np.asarray(self._pair_subjects, dtype=np.intp), minlength=len(ids)
+        )
+        return {ids[code]: int(count) for code, count in enumerate(counts.tolist()) if count}
+
+    def dense_raw_totals(self, index: PeerIndex) -> np.ndarray:
         """Signed pair totals as a dense ``(n, n)`` float array, maintained
         incrementally for a fixed peer layout.
 
-        ``positions`` maps every current participant to its dense index
-        (the :class:`~repro.core.backend.PeerIndex` layout).  While the
-        layout is unchanged, each refresh scatters only the newly appended
-        reports into the cached matrix; a layout change (a new participant
-        appeared, identities rebound) rebuilds from the pair ledger.  The
-        entries are integer-valued sums of ``±1``, so the cached matrix is
-        bitwise identical to a from-scratch scatter.  Callers must treat
-        the returned array as read-only (take a clipped/normalized copy).
+        ``index`` lays out every current participant.  While the layout is
+        unchanged, each refresh scatters only the newly appended reports
+        into the cached matrix; a layout change (a new participant
+        appeared, identities rebound) rebuilds it by scattering the pair
+        ledger.  The entries are integer-valued sums of ``±1``, so the
+        cached matrix is bitwise identical to a from-scratch scatter.
+        Callers must treat the returned array as read-only (take a
+        clipped/normalized copy).
         """
         columns = self._store.columns()
         epoch = self._store.epoch
         total = len(columns)
+        positions = index.position_map
         # Insertion order of a PeerIndex position map *is* the dense layout.
         key = tuple(positions)
         state = self._dense_state
@@ -313,24 +391,18 @@ class LocalTrustBuilder:
                 subjects = columns.subjects
                 raters = columns.raters
                 positives = columns.positives
-                for index in range(start, total):
-                    rater = raters[index]
+                for position in range(start, total):
+                    rater = raters[position]
                     if rater is None:
                         continue
                     row = positions[rater]
-                    column = positions[subjects[index]]
-                    raw[row, column] += 1.0 if positives[index] else -1.0
+                    column = positions[subjects[position]]
+                    raw[row, column] += 1.0 if positives[position] else -1.0
         else:
+            n = len(index)
             raw = np.zeros((n, n), dtype=float)
-            for rater, row_totals in self.pair_totals().items():
-                row = positions.get(rater)
-                if row is None:
-                    continue
-                raw_row = raw[row]
-                for subject, value in row_totals.items():
-                    column = positions.get(subject)
-                    if column is not None:
-                        raw_row[column] = value
+            rows, cols, sums = self._pair_positions(index)
+            raw[rows, cols] = sums
         self._dense_state = (key, epoch, total, raw)
         return raw
 

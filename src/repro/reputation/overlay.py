@@ -55,14 +55,14 @@ class TrustOverlayNetwork:
     def in_degree_centrality(self) -> dict[str, float]:
         """Normalized in-degree of every node: how widely a peer was rated.
 
-        Computed straight from the pairwise rated-whom ledger — the overlay
-        node set is every subject and rater, its edge set every distinct
-        ``(rater, subject)`` pair, so the in-degree of a peer is the number
-        of distinct raters that assessed it.  The arithmetic mirrors
-        ``networkx.in_degree_centrality`` term for term (multiply by the
-        reciprocal of ``n - 1``) so the values equal the historical
-        nx-backed computation bitwise, without building a DiGraph per
-        refresh.
+        Computed straight from the pair ledger — the overlay node set is
+        every subject and rater, its edge set every distinct ``(rater,
+        subject)`` pair, so the in-degree of a peer is the number of ledger
+        pairs with that subject.  The arithmetic mirrors
+        ``networkx.in_degree_centrality`` term for term (an integer degree
+        times the reciprocal of ``n - 1``) so the values equal the
+        historical nx-backed computation bitwise, without building a
+        DiGraph per refresh.
         """
         version = self._store.version
         if self._centrality_cache is not None and self._centrality_cache[0] == version:
@@ -80,11 +80,8 @@ class TrustOverlayNetwork:
             # re-sort with a total tiebreak today, but a deterministic key
             # order keeps any future iteration over the dict safe too.
             scale = 1.0 / (len(nodes) - 1.0)
-            centrality = {node: 0.0 for node in sorted(nodes)}
-            for row in self._builder.pair_totals().values():
-                for subject in row:
-                    centrality[subject] += 1.0
-            centrality = {node: degree * scale for node, degree in centrality.items()}
+            raters = self._builder.raters_per_subject()
+            centrality = {node: raters.get(node, 0) * scale for node in sorted(nodes)}
         self._centrality_cache = (version, centrality)
         return centrality
 

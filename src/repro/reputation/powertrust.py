@@ -21,7 +21,6 @@ from __future__ import annotations
 
 
 from repro._util import require_unit_interval
-from repro.core import accel
 from repro.core import backend as backend_kernels
 from repro.core.backend import PeerIndex
 from repro.errors import ConfigurationError
@@ -90,19 +89,6 @@ class PowerTrust(ReputationSystem):
 
     # -- scoring ---------------------------------------------------------------
 
-    def _local_trust_matrix(self, index: PeerIndex) -> backend_kernels.TrustMatrix:
-        """Row-normalized ``C`` from the incremental dense raw matrix /
-        pair ledger (or a cold store rescan when incremental refresh is
-        off) — bitwise identical either way, see
-        :meth:`EigenTrust._local_trust_matrix`."""
-        if (
-            accel.flags().incremental_refresh
-            and len(index) < backend_kernels.DENSE_TRUST_THRESHOLD
-        ):
-            raw = self.local_trust.dense_raw_totals(index.position_map, len(index))
-            return backend_kernels.normalize_dense_raw(raw)
-        return backend_kernels.local_trust_matrix_from_columns(self.store.columns(), index)
-
     def compute_scores(self) -> dict[str, float]:
         peers = list(self.store.sorted_participants())
         if not peers:
@@ -111,7 +97,7 @@ class PowerTrust(ReputationSystem):
         # first refresh), then alternate aggregation and power-node
         # re-selection until the power-node set stabilizes.
         index = PeerIndex(peers)
-        matrix = self._local_trust_matrix(index)
+        matrix = self.local_trust.matrix(index)
 
         power_nodes: list[str] = list(self.power_nodes)
         trust_map: dict[str, float] = {}

@@ -10,12 +10,13 @@ byte-identical robustness records.
 """
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import accel
+from repro.core import accel, backend
 from repro.experiments import robustness
 from repro.reputation.average import SimpleAverageReputation
 from repro.reputation.beta import BetaReputation
@@ -87,6 +88,41 @@ def test_incremental_refresh_matches_cold_refresh(batches, mechanism_index, cap)
         with accel.override(incremental_refresh=False):
             published_cold = cold.refresh()
         assert list(published_incremental.items()) == list(published_cold.items())
+
+
+#: The local-trust mechanisms, whose refresh takes the pair ledger's sparse
+#: branch once the population reaches ``DENSE_TRUST_THRESHOLD``.
+LEDGER_FACTORIES = FACTORIES[3:]
+
+
+@given(
+    batches=feedback_schedules(),
+    mechanism_index=st.integers(0, len(LEDGER_FACTORIES) - 1),
+    cap=st.sampled_from([None, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_ledger_matches_cold_rescan_on_sparse_path(batches, mechanism_index, cap):
+    """The ledger-built CSR publishes what the cold rescan publishes.
+
+    The schedules reach 2-8 peers; lowering the threshold to 2 sends every
+    multi-peer build of both twins through the sparse branch.
+    """
+    factory = LEDGER_FACTORIES[mechanism_index]
+    with mock.patch.object(backend, "DENSE_TRUST_THRESHOLD", 2):
+        with accel.override(incremental_refresh=True, disable_all=False):
+            incremental = factory(cap)
+        with accel.override(incremental_refresh=False):
+            cold = factory(cap)
+        for batch in batches:
+            with accel.override(incremental_refresh=True, disable_all=False):
+                for feedback in batch:
+                    incremental.record_feedback(feedback)
+                published_incremental = incremental.refresh()
+            with accel.override(incremental_refresh=False):
+                for feedback in batch:
+                    cold.record_feedback(feedback)
+                published_cold = cold.refresh()
+            assert list(published_incremental.items()) == list(published_cold.items())
 
 
 @given(batches=feedback_schedules(), mechanism_index=st.integers(0, len(FACTORIES) - 1))
