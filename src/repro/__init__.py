@@ -38,6 +38,8 @@ they require:
     The blessed public facade.  Client code (examples, benchmarks,
     downstream users) should import from :mod:`repro.api` — or from
     :mod:`repro` directly, which lazily forwards the same headline names.
+    It is the one import surface: the subpackages above export nothing,
+    so every other name is imported from the module that defines it.
 
 Quickstart
 ----------
@@ -49,13 +51,6 @@ True
 
 from typing import TYPE_CHECKING
 
-from repro.core import (
-    CompositeTrustMetric,
-    FacetScores,
-    SystemSettings,
-    TrustModel,
-    TrustReport,
-)
 from repro.version import __version__
 
 if TYPE_CHECKING:
@@ -95,6 +90,11 @@ _FACADE_EXPORTS = (
     "run_experiment",
     "run_experiment_structured",
     "RunResult",
+    "CompositeTrustMetric",
+    "FacetScores",
+    "SystemSettings",
+    "TrustModel",
+    "TrustReport",
     "accel",
     "faults",
 )
@@ -125,11 +125,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "CompositeTrustMetric",
-    "FacetScores",
-    "SystemSettings",
-    "TrustModel",
-    "TrustReport",
     "quick_scenario",
     "__version__",
     *_FACADE_EXPORTS,

@@ -15,34 +15,3 @@ their intentions.  This subpackage provides that substrate:
   feeding the satisfaction tracker;
 * :mod:`repro.allocation.workload` — synthetic query workload generation.
 """
-
-from repro.allocation.mediator import AllocationRecord, MediatorReport, QueryMediator
-from repro.allocation.participants import ConsumerAgent, ProviderAgent
-from repro.allocation.query import Query, QueryResult
-from repro.allocation.strategies import (
-    AllocationStrategy,
-    CapacityBasedAllocation,
-    QualityBasedAllocation,
-    RandomAllocation,
-    ReputationAwareAllocation,
-    SatisfactionBalancedAllocation,
-)
-from repro.allocation.workload import WorkloadGenerator, WorkloadSpec
-
-__all__ = [
-    "AllocationRecord",
-    "AllocationStrategy",
-    "CapacityBasedAllocation",
-    "ConsumerAgent",
-    "MediatorReport",
-    "ProviderAgent",
-    "QualityBasedAllocation",
-    "Query",
-    "QueryMediator",
-    "QueryResult",
-    "RandomAllocation",
-    "ReputationAwareAllocation",
-    "SatisfactionBalancedAllocation",
-    "WorkloadGenerator",
-    "WorkloadSpec",
-]

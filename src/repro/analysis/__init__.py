@@ -18,34 +18,3 @@ Entry points: the ``repro-lint`` console script, ``python -m
 repro.analysis``, or :func:`repro.analysis.framework.run_lint` in process.
 Suppress a single finding with ``# repro-lint: ignore[RULE] reason``.
 """
-
-from __future__ import annotations
-
-from repro.analysis.contracts import CacheContract, LintConfig, default_config
-from repro.analysis.framework import (
-    Finding,
-    LintResult,
-    ModuleContext,
-    ProjectContext,
-    Rule,
-    register,
-    registered_rules,
-    run_lint,
-)
-from repro.analysis.reporters import render_json, render_text
-
-__all__ = [
-    "CacheContract",
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "ModuleContext",
-    "ProjectContext",
-    "Rule",
-    "default_config",
-    "register",
-    "registered_rules",
-    "render_json",
-    "render_text",
-    "run_lint",
-]

@@ -3,7 +3,9 @@
 Everything a *client* of this library needs — examples, benchmarks,
 notebooks, downstream services — is re-exported here, and repro-lint rule
 R9 holds the in-repo client trees (``examples/``, ``benchmarks/``) to
-exactly this module.  Internals stay importable (white-box tests use them
+exactly this module.  It is the one module that re-exports: package
+namespaces export nothing, so every name below is imported from the module
+that defines it.  Internals stay importable (white-box tests use them
 deliberately), but only names listed in :data:`__all__` carry a
 compatibility promise.  docs/API.md documents the surface name by name and
 assigns each group a stability tier (stable / provisional / internal).
@@ -30,18 +32,13 @@ from __future__ import annotations
 import repro.core.accel as accel
 import repro.faults as faults
 from repro._profiling import profiled
-from repro.core import (
-    CompositeTrustMetric,
-    FacetConstraints,
-    FacetScores,
-    SettingsExplorer,
-    SystemSettings,
-    TrustModel,
-    TrustOptimizer,
-    TrustReport,
-)
+from repro.core.config import SystemSettings
 from repro.core.coupling import CouplingDynamics, CouplingState, coupling_matrix
-from repro.core.metric import Aggregator
+from repro.core.facets import FacetScores
+from repro.core.metric import Aggregator, CompositeTrustMetric
+from repro.core.optimizer import FacetConstraints, TrustOptimizer
+from repro.core.tradeoff import SettingsExplorer
+from repro.core.trust_model import TrustModel, TrustReport
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -80,48 +77,36 @@ from repro.experiments.sweep import (
     expand_tasks,
     run_sweep,
 )
-from repro.privacy import (
+from repro.privacy.negotiation import NegotiationEngine, Proposal
+from repro.privacy.oecd import OecdPrinciple, check_compliance
+from repro.privacy.policy import (
     Audience,
-    NegotiationEngine,
     Obligation,
-    OecdPrinciple,
-    Operation,
     PolicyRule,
-    PriServService,
     PrivacyPolicy,
-    Proposal,
-    Purpose,
-    check_compliance,
     restrictive_policy,
 )
-from repro.reputation import (
-    BetaReputation,
-    EigenTrust,
-    PowerTrust,
-    ReputationSystem,
-    ScoreView,
-    SimpleAverageReputation,
-    make_reputation_system,
-    pairwise_ranking_accuracy,
+from repro.privacy.priserv import PriServService
+from repro.privacy.purposes import Operation, Purpose
+from repro.reputation.accuracy import pairwise_ranking_accuracy
+from repro.reputation.average import SimpleAverageReputation
+from repro.reputation.base import ReputationSystem, ScoreView
+from repro.reputation.beta import BetaReputation
+from repro.reputation.eigentrust import EigenTrust
+from repro.reputation.powertrust import PowerTrust
+from repro.reputation.registry import make_reputation_system
+from repro.scenarios.catalog import CATALOG
+from repro.scenarios.runner import (
+    ScenarioRunConfig,
+    ScenarioRunResult,
+    clear_run_cache,
+    run_scenario,
 )
-from repro.scenarios import CATALOG, ScenarioRunConfig, ScenarioRunResult, run_scenario
-from repro.scenarios.runner import clear_run_cache
-from repro.scenarios.schema.library import ScenarioTemplate, load_template
+from repro.scenarios.schema.library import load_template
+from repro.scenarios.schema.model import ScenarioTemplate
 from repro.scenarios.setup import clear_setup_cache
-from repro.serving import (
-    CircuitBreaker,
-    ClientRetryPolicy,
-    IngestReceipt,
-    PeerSummary,
-    ReputationService,
-    ResilientClient,
-    ServiceConfig,
-    TornTailWarning,
-    WriteAheadLog,
-    create_http_server,
-    feedback_from_payload,
-    verify_wal,
-)
+from repro.serving.client import CircuitBreaker, ClientRetryPolicy, ResilientClient
+from repro.serving.http import create_http_server
 from repro.serving.loadgen import (
     ReplayStats,
     build_trace,
@@ -130,11 +115,22 @@ from repro.serving.loadgen import (
     request_json,
     scores_body,
 )
-from repro.simulation import ChurnModel, InteractionSimulator, SimulationConfig
-from repro.simulation.engine import SimulationResult
+from repro.serving.service import (
+    IngestReceipt,
+    PeerSummary,
+    ReputationService,
+    ServiceConfig,
+    feedback_from_payload,
+)
+from repro.serving.wal import TornTailWarning, WriteAheadLog, verify_wal
+from repro.simulation.churn import ChurnModel
+from repro.simulation.engine import InteractionSimulator, SimulationConfig, SimulationResult
 from repro.simulation.transaction import Feedback
-from repro.socialnet import SocialNetworkSpec, generate_social_network
-from repro.socialnet.generators import clear_network_cache
+from repro.socialnet.generators import (
+    SocialNetworkSpec,
+    clear_network_cache,
+    generate_social_network,
+)
 from repro.socialnet.presets import preset_spec
 from repro.version import __version__
 

@@ -17,6 +17,9 @@ warns once and forwards here, producing byte-identical artifacts (a CI
 check holds the shim to that).  For ergonomic and compatibility reasons a
 first argument that is not a subcommand is treated as ``run`` input, so
 ``repro figure1 --full`` and the historical bare invocations keep working.
+
+Each subcommand imports its own stack when it runs, so ``repro serve``
+never loads the experiment, sweep or scenario code.
 """
 
 from __future__ import annotations
@@ -28,12 +31,7 @@ import sys
 from typing import TextIO
 
 from repro import _profiling, durable
-from repro.errors import ConfigurationError, IntegrityError
-from repro.experiments.journal import JOURNAL_MAGIC, verify_journal
-from repro.experiments.reporting import format_sweep_summary
-from repro.experiments.results import ExperimentRecord, verify_file_checksum
-from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.experiments.sweep import RetryPolicy, run_sweep, spec_from_options
+from repro.errors import CheckpointError, ConfigurationError, IntegrityError
 
 #: The unified subcommands, in help order.
 COMMANDS = ("run", "sweep", "scenario", "verify-records", "serve")
@@ -53,6 +51,8 @@ share --out/--csv/--seed conventions.
 
 
 def build_run_parser(prog: str = "repro run") -> argparse.ArgumentParser:
+    from repro.experiments.runner import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog=prog,
         description="Run the paper-reproduction experiments.",
@@ -91,6 +91,8 @@ def build_run_parser(prog: str = "repro run") -> argparse.ArgumentParser:
 
 
 def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
+    from repro.experiments.runner import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
@@ -212,7 +214,8 @@ def build_verify_parser(prog: str = "repro verify-records") -> argparse.Argument
         prog=prog,
         description=(
             "Verify the integrity of record artifacts: JSON/CSV files "
-            "against their SHA-256 sidecars, sweep journals line by line."
+            "against their SHA-256 sidecars, sweep journals and serve WALs "
+            "line by line, checkpoints against their header digest."
         ),
     )
     parser.add_argument(
@@ -221,7 +224,7 @@ def build_verify_parser(prog: str = "repro verify-records") -> argparse.Argument
         metavar="PATH",
         help=(
             "record files (.json/.csv, checked against <file>.sha256), sweep "
-            "journals, serve WALs, or service snapshots (via their sidecar)"
+            "journals, serve WALs, or checkpoints (service snapshots included)"
         ),
     )
     return parser
@@ -232,10 +235,12 @@ def _verify_one(path: str) -> tuple[str | None, str | None]:
 
     Dispatch is by the ``format`` field of the header line
     (:mod:`repro.durable`): sweep journals and serve WALs are verified
-    line by line; anything else (records, service snapshots) is checked
-    against its SHA-256 sidecar.  For a WAL, torn/corrupt *tail* lines are
-    a warning, not a failure — they were never acked and the next recovery
-    truncates them; damaged interior lines (acked evidence lost) fail hard.
+    line by line, checkpoints (service snapshots included) against the
+    payload digest in their own header; anything else (records, CSVs) is
+    checked against its SHA-256 sidecar.  For a WAL, torn/corrupt *tail*
+    lines are a warning, not a failure — they were never acked and the
+    next recovery truncates them; damaged interior lines (acked evidence
+    lost) fail hard.
     """
     try:
         header = durable.read_header(path)
@@ -243,15 +248,18 @@ def _verify_one(path: str) -> tuple[str | None, str | None]:
         return f"cannot read file: {error}", None
     kind = None if header is None else header.get("format")
     try:
-        if kind == JOURNAL_MAGIC:
-            n_valid, n_invalid = verify_journal(path)
-            if n_invalid:
-                return f"{n_invalid} corrupt/truncated journal lines ({n_valid} intact)", None
-            return None, None
         if kind is not None:
-            # Imported here, so that records and CSVs never load the serving layer.
+            # Imported here, so that records and CSVs never load the
+            # serving or simulation layers.
+            from repro.experiments.journal import JOURNAL_MAGIC, verify_journal
             from repro.serving.wal import WAL_MAGIC, verify_wal
+            from repro.simulation.checkpoint import CHECKPOINT_MAGIC, verify_checkpoint
 
+            if kind == JOURNAL_MAGIC:
+                n_valid, n_invalid = verify_journal(path)
+                if n_invalid:
+                    return f"{n_invalid} corrupt/truncated journal lines ({n_valid} intact)", None
+                return None, None
             if kind == WAL_MAGIC:
                 n_valid, n_tail = verify_wal(path)
                 if n_tail:
@@ -260,8 +268,13 @@ def _verify_one(path: str) -> tuple[str | None, str | None]:
                         f"({n_valid} intact batches; next recovery truncates the tail)"
                     )
                 return None, None
+            if kind == CHECKPOINT_MAGIC:
+                verify_checkpoint(path)
+                return None, None
+        from repro.experiments.results import verify_file_checksum
+
         verify_file_checksum(path)
-    except IntegrityError as error:
+    except (CheckpointError, IntegrityError) as error:
         return str(error), None
     return None, None
 
@@ -283,6 +296,10 @@ def verify_records_main(argv: list[str], *, prog: str = "repro verify-records") 
 
 
 def sweep_main(argv: list[str], *, prog: str = "repro sweep") -> int:
+    from repro.experiments.reporting import format_sweep_summary
+    from repro.experiments.results import ExperimentRecord
+    from repro.experiments.sweep import RetryPolicy, run_sweep, spec_from_options
+
     parser = build_sweep_parser(prog)
     args = parser.parse_args(argv)
     try:
@@ -358,6 +375,8 @@ def sweep_main(argv: list[str], *, prog: str = "repro sweep") -> int:
 
 
 def run_main(argv: list[str], *, prog: str = "repro run") -> int:
+    from repro.experiments.runner import EXPERIMENTS, run_experiment
+
     parser = build_run_parser(prog)
     args = parser.parse_args(argv)
 
@@ -388,8 +407,6 @@ def run_main(argv: list[str], *, prog: str = "repro run") -> int:
 
 
 def serve_main(argv: list[str]) -> int:
-    # Imported lazily: `repro run` and friends should not pay for (or be
-    # able to break on) the serving stack.
     from repro.serving.cli import main as serving_main
 
     return serving_main(argv)

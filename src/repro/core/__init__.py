@@ -20,47 +20,3 @@
   "method to obtain the right settings" of Section 4, with per-facet
   application constraints.
 """
-
-from repro.core.backend import PeerIndex
-from repro.core.config import SystemSettings
-from repro.core.coupling import CouplingDynamics, CouplingState, coupling_matrix
-from repro.core.facets import (
-    FacetScores,
-    privacy_facet,
-    reputation_facet,
-    satisfaction_facet,
-)
-from repro.core.metric import Aggregator, CompositeTrustMetric
-from repro.core.optimizer import (
-    FacetConstraints,
-    OptimizationResult,
-    TrustOptimizer,
-)
-from repro.core.tradeoff import (
-    AnalyticFacetModel,
-    SettingsExplorer,
-    TradeoffPoint,
-)
-from repro.core.trust_model import TrustModel, TrustReport
-
-__all__ = [
-    "Aggregator",
-    "AnalyticFacetModel",
-    "CompositeTrustMetric",
-    "CouplingDynamics",
-    "CouplingState",
-    "FacetConstraints",
-    "FacetScores",
-    "OptimizationResult",
-    "PeerIndex",
-    "SettingsExplorer",
-    "SystemSettings",
-    "TradeoffPoint",
-    "TrustModel",
-    "TrustOptimizer",
-    "TrustReport",
-    "coupling_matrix",
-    "privacy_facet",
-    "reputation_facet",
-    "satisfaction_facet",
-]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from repro._util import normalize_weights, require_unit_interval
 from repro.errors import ConfigurationError
 
-#: Mechanisms the settings accept; mirrors repro.reputation.REPUTATION_FACTORIES
+#: Mechanisms the settings accept; mirrors repro.reputation.registry.REPUTATION_FACTORIES
 #: without importing it (keeps core free of a dependency on the substrate).
 KNOWN_MECHANISMS = ("average", "beta", "eigentrust", "powertrust", "trustme", "none")
 

@@ -1,5 +1,6 @@
 """Durable files: the framing the sweep journal and the serve WAL share, and
-the atomic replacement that WAL compaction and checkpoints share.
+the atomic replacement that WAL compaction, checkpoints and record files
+share.
 
 A durable log (:mod:`repro.experiments.journal`, :mod:`repro.serving.wal`)
 holds one sorted-keys JSON object per line::

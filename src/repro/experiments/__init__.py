@@ -26,45 +26,3 @@ Each module implements one experiment of the DESIGN.md index:
   and Latin-hypercube parameter coverage) over any registered experiment;
 * :mod:`repro.experiments.runner` / ``__main__`` — registry and CLI.
 """
-
-from repro.experiments.results import (
-    ExperimentRecord,
-    read_records_json,
-    records_from_json,
-    records_to_csv,
-    records_to_json,
-)
-from repro.experiments.runner import (
-    EXPERIMENTS,
-    run_experiment,
-    run_experiment_structured,
-)
-from repro.experiments.scenario import Scenario, ScenarioConfig, ScenarioResult
-from repro.experiments.sweep import (
-    ParamRange,
-    SweepResult,
-    SweepSpec,
-    SweepTask,
-    expand_tasks,
-    run_sweep,
-)
-
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentRecord",
-    "ParamRange",
-    "Scenario",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "SweepResult",
-    "SweepSpec",
-    "SweepTask",
-    "expand_tasks",
-    "read_records_json",
-    "records_from_json",
-    "records_to_csv",
-    "records_to_json",
-    "run_experiment",
-    "run_experiment_structured",
-    "run_sweep",
-]

@@ -12,6 +12,10 @@ output files whether the campaign ran on one worker or many.  Records
 therefore carry no wall-clock timestamps or host information, dictionaries
 are serialized with sorted keys, and floats round-trip through ``repr`` (the
 default for :mod:`json`), which is exact for IEEE doubles.
+
+Record files and their sidecars are written through
+:func:`repro.durable.replace_file`, so a crash mid-write leaves the
+previous artifact intact.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+from repro import durable
 from repro.errors import IntegrityError
 
 #: Bumped whenever the serialized record layout changes shape.
@@ -179,8 +184,7 @@ def write_checksum_sidecar(path: str) -> str:
     """
     sidecar = checksum_sidecar_path(path)
     line = f"{file_sha256(path)}  {os.path.basename(path)}\n"
-    with open(sidecar, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(line)
+    durable.replace_file(sidecar, [line.encode("utf-8")])
     return sidecar
 
 
@@ -215,8 +219,7 @@ def write_records_json(
     campaign: dict[str, object] | None = None,
     checksum: bool = False,
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(records_to_json(records, campaign=campaign))
+    durable.replace_file(path, [records_to_json(records, campaign=campaign).encode("utf-8")])
     if checksum:
         write_checksum_sidecar(path)
 
@@ -266,7 +269,6 @@ def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
 def write_records_csv(
     path: str, records: Sequence[ExperimentRecord], *, checksum: bool = False
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(records_to_csv(records))
+    durable.replace_file(path, [records_to_csv(records).encode("utf-8")])
     if checksum:
         write_checksum_sidecar(path)

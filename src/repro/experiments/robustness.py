@@ -111,7 +111,8 @@ def run(
         mechanisms = (mechanism,)
     if template is not None:
         # Local import: the schema package layers on top of this module.
-        from repro.scenarios.schema import compile_template, find_template
+        from repro.scenarios.schema.compile import compile_template
+        from repro.scenarios.schema.library import find_template
 
         document = find_template(template)
         outcomes: list[ScenarioOutcome] = []

@@ -21,82 +21,3 @@ systems.  This subpackage implements that stack:
 * :mod:`repro.privacy.metrics` — exposure and privacy-satisfaction measures
   feeding the trust model's privacy facet.
 """
-
-from repro.privacy.anonymization import (
-    PseudonymManager,
-    anonymize_feedback,
-    generalize_age,
-    k_anonymous_groups,
-)
-from repro.privacy.disclosure import DisclosureLedger, DisclosureRecord
-from repro.privacy.metrics import (
-    exposure_level,
-    policy_respect_rate,
-    privacy_guarantee_level,
-    privacy_satisfaction,
-)
-from repro.privacy.negotiation import (
-    NegotiationEngine,
-    NegotiationOutcome,
-    Proposal,
-)
-from repro.privacy.oecd import (
-    OECD_PRINCIPLES,
-    ComplianceReport,
-    OecdPrinciple,
-    check_compliance,
-)
-from repro.privacy.policy import (
-    AccessDecision,
-    AccessRequest,
-    Audience,
-    Obligation,
-    PolicyRule,
-    PrivacyPolicy,
-    permissive_policy,
-    restrictive_policy,
-)
-from repro.privacy.policy_io import (
-    policy_from_dict,
-    policy_from_json,
-    policy_to_dict,
-    policy_to_json,
-)
-from repro.privacy.priserv import PriServService, PublishedItem
-from repro.privacy.purposes import Operation, Purpose
-
-__all__ = [
-    "AccessDecision",
-    "AccessRequest",
-    "Audience",
-    "ComplianceReport",
-    "DisclosureLedger",
-    "DisclosureRecord",
-    "NegotiationEngine",
-    "NegotiationOutcome",
-    "Obligation",
-    "OECD_PRINCIPLES",
-    "OecdPrinciple",
-    "Operation",
-    "PolicyRule",
-    "PriServService",
-    "PrivacyPolicy",
-    "Proposal",
-    "PseudonymManager",
-    "PublishedItem",
-    "Purpose",
-    "anonymize_feedback",
-    "check_compliance",
-    "exposure_level",
-    "generalize_age",
-    "k_anonymous_groups",
-    "permissive_policy",
-    "policy_from_dict",
-    "policy_from_json",
-    "policy_respect_rate",
-    "policy_to_dict",
-    "policy_to_json",
-    "privacy_guarantee_level",
-    "privacy_satisfaction",
-    "restrictive_policy",
-]

@@ -18,90 +18,8 @@ implements that architecture and the concrete mechanisms the paper cites:
   feedback in the spirit of reputation systems for anonymous networks.
 
 :mod:`repro.reputation.accuracy` provides the evaluation measures used to
-quantify "reputation power" (consistency with reality), and
+quantify "reputation power" (consistency with reality),
 :mod:`repro.reputation.response` the response policies peers use to act on
-scores.
+scores, and :mod:`repro.reputation.registry` the name-to-mechanism registry
+(``REPUTATION_FACTORIES``, ``make_reputation_system``).
 """
-
-from repro.reputation.accuracy import (
-    classification_accuracy,
-    mean_absolute_error,
-    pairwise_ranking_accuracy,
-    reputation_power,
-)
-from repro.reputation.anonymous import AnonymousFeedbackReputation
-from repro.reputation.average import SimpleAverageReputation
-from repro.reputation.base import ReputationSystem, ScoreView
-from repro.reputation.beta import BetaReputation
-from repro.reputation.eigentrust import EigenTrust
-from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
-from repro.reputation.overlay import TrustOverlayNetwork
-from repro.reputation.powertrust import PowerTrust
-from repro.reputation.response import (
-    ProbabilisticSelection,
-    ResponsePolicy,
-    SelectBest,
-    ThresholdBan,
-)
-from repro.reputation.taxonomy import (
-    SYSTEM_TAXONOMY,
-    GatheringDesign,
-    ResponseDesign,
-    ScoringDesign,
-    SystemTaxonomy,
-    taxonomy_for,
-)
-from repro.reputation.trustme import TrustMeReputation
-
-#: Factory registry mapping mechanism names to constructors, used by the
-#: experiment harness and the CLI to select a mechanism by name.
-REPUTATION_FACTORIES = {
-    "average": SimpleAverageReputation,
-    "beta": BetaReputation,
-    "eigentrust": EigenTrust,
-    "powertrust": PowerTrust,
-    "trustme": TrustMeReputation,
-}
-
-
-def make_reputation_system(name: str, **kwargs: object) -> ReputationSystem:
-    """Instantiate a reputation mechanism by registry name."""
-    try:
-        factory = REPUTATION_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown reputation system {name!r}; expected one of "
-            f"{sorted(REPUTATION_FACTORIES)}"
-        ) from None
-    return factory(**kwargs)
-
-
-__all__ = [
-    "AnonymousFeedbackReputation",
-    "BetaReputation",
-    "EigenTrust",
-    "FeedbackStore",
-    "GatheringDesign",
-    "LocalTrustBuilder",
-    "PowerTrust",
-    "ProbabilisticSelection",
-    "REPUTATION_FACTORIES",
-    "ReputationSystem",
-    "ResponseDesign",
-    "ResponsePolicy",
-    "SYSTEM_TAXONOMY",
-    "ScoreView",
-    "ScoringDesign",
-    "SelectBest",
-    "SimpleAverageReputation",
-    "SystemTaxonomy",
-    "ThresholdBan",
-    "TrustMeReputation",
-    "TrustOverlayNetwork",
-    "classification_accuracy",
-    "make_reputation_system",
-    "mean_absolute_error",
-    "pairwise_ranking_accuracy",
-    "reputation_power",
-    "taxonomy_for",
-]

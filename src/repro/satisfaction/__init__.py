@@ -14,37 +14,3 @@ aggregation to the decisions the system actually imposed on the participant.
 * :mod:`repro.satisfaction.aggregate` — global/local satisfaction
   aggregation (the "global vision" versus "local vision" of Section 3).
 """
-
-from repro.satisfaction.adequacy import (
-    consumer_adequacy,
-    interaction_adequacy,
-    provider_adequacy,
-)
-from repro.satisfaction.aggregate import (
-    SatisfactionSummary,
-    global_satisfaction,
-    local_satisfaction,
-    summarize,
-)
-from repro.satisfaction.intentions import (
-    ConsumerIntention,
-    ProviderIntention,
-    uniform_consumer_intention,
-    uniform_provider_intention,
-)
-from repro.satisfaction.tracker import SatisfactionTracker
-
-__all__ = [
-    "ConsumerIntention",
-    "ProviderIntention",
-    "SatisfactionSummary",
-    "SatisfactionTracker",
-    "consumer_adequacy",
-    "global_satisfaction",
-    "interaction_adequacy",
-    "local_satisfaction",
-    "provider_adequacy",
-    "summarize",
-    "uniform_consumer_intention",
-    "uniform_provider_intention",
-]

@@ -15,77 +15,3 @@ resistance (separation, rank correlation, time-to-detect, time-to-recover).
 * :mod:`repro.scenarios.schema` — the declarative template front-end
   (versioned YAML/JSON scenario files compiling onto the same objects).
 """
-
-from repro.scenarios.campaign import (
-    AttackCampaign,
-    CampaignDriver,
-    CampaignEvent,
-    PeerSelector,
-    SelectGroup,
-    SetOnline,
-    SwitchBehavior,
-    Whitewash,
-    combine,
-)
-from repro.scenarios.catalog import (
-    BUILTIN_SCENARIOS,
-    CATALOG,
-    SYBIL_PREFIX,
-    ScenarioSpec,
-    attack_window,
-    behavior_factory,
-    behavior_names,
-    build_campaign,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-    setup_scenario_graph,
-    unregister_scenario,
-)
-from repro.scenarios.metrics import (
-    NEVER,
-    RobustnessMetrics,
-    RoundObservation,
-    ScenarioTrace,
-    evaluate_trace,
-)
-from repro.scenarios.runner import (
-    ScenarioRunConfig,
-    ScenarioRunResult,
-    reputation_for_graph,
-    run_scenario,
-)
-
-__all__ = [
-    "BUILTIN_SCENARIOS",
-    "CATALOG",
-    "NEVER",
-    "SYBIL_PREFIX",
-    "AttackCampaign",
-    "CampaignDriver",
-    "CampaignEvent",
-    "PeerSelector",
-    "RobustnessMetrics",
-    "RoundObservation",
-    "ScenarioRunConfig",
-    "ScenarioRunResult",
-    "ScenarioSpec",
-    "ScenarioTrace",
-    "SelectGroup",
-    "SetOnline",
-    "SwitchBehavior",
-    "Whitewash",
-    "attack_window",
-    "behavior_factory",
-    "behavior_names",
-    "build_campaign",
-    "combine",
-    "evaluate_trace",
-    "get_scenario",
-    "register_scenario",
-    "reputation_for_graph",
-    "run_scenario",
-    "scenario_names",
-    "setup_scenario_graph",
-    "unregister_scenario",
-]

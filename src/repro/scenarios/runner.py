@@ -32,9 +32,9 @@ from dataclasses import dataclass, field, fields
 from repro import _profiling
 from repro.core import accel
 from repro.errors import CheckpointError, ConfigurationError
-from repro.reputation import make_reputation_system
 from repro.reputation.anonymous import AnonymousFeedbackReputation
 from repro.reputation.base import ReputationSystem
+from repro.reputation.registry import make_reputation_system
 from repro.scenarios.campaign import AttackCampaign, CampaignDriver
 from repro.scenarios.catalog import build_campaign, get_scenario
 from repro.scenarios.metrics import RobustnessMetrics, ScenarioTrace, evaluate_trace

@@ -18,44 +18,3 @@ byte-identical to the equivalent Python-constructed run.
   catalog, loading, and catalog⇄template equivalence verification;
 * :mod:`repro.scenarios.schema.cli` — ``scenario validate|verify|run|list``.
 """
-
-from repro.scenarios.schema.compile import CompiledScenario, compile_template
-from repro.scenarios.schema.library import (
-    VerificationResult,
-    builtin_template_dir,
-    discover_templates,
-    find_template,
-    load_template,
-    template_record_json,
-    verify_template,
-)
-from repro.scenarios.schema.model import (
-    CURRENT_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
-    TIER_NAMES,
-    ScenarioTemplate,
-    migrate_document,
-    parse_template,
-    template_from_text,
-    template_to_dict,
-)
-
-__all__ = [
-    "CURRENT_SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
-    "TIER_NAMES",
-    "CompiledScenario",
-    "ScenarioTemplate",
-    "VerificationResult",
-    "builtin_template_dir",
-    "compile_template",
-    "discover_templates",
-    "find_template",
-    "load_template",
-    "template_record_json",
-    "migrate_document",
-    "parse_template",
-    "template_from_text",
-    "template_to_dict",
-    "verify_template",
-]

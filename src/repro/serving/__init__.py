@@ -1,7 +1,8 @@
 """Reputation-as-a-service: a live serving layer over the paper's mechanisms.
 
 The batch pipeline answers "what would the scores have been"; this package
-answers "what are the scores *now*".  :class:`ReputationService` is a
+answers "what are the scores *now*".
+:class:`~repro.serving.service.ReputationService` is a
 transport-agnostic session object — it owns a reputation system plus an
 append-only evidence log, folds streamed feedback through the incremental
 refresh path, and publishes score views at an explicit watermark.  A thin
@@ -21,34 +22,3 @@ machine) sheds with 429/503 instead of melting, and
 :class:`~repro.serving.client.ResilientClient` gives callers the matching
 retry/circuit-breaker/idempotency discipline.
 """
-
-from repro.serving.client import CircuitBreaker, ClientRetryPolicy, ResilientClient
-from repro.serving.http import create_http_server
-from repro.serving.service import (
-    AdmissionGate,
-    ClientRateLimiter,
-    IngestReceipt,
-    PeerSummary,
-    ReputationService,
-    ServiceConfig,
-    feedback_from_payload,
-)
-from repro.serving.wal import TornTailWarning, WalEntry, WriteAheadLog, verify_wal
-
-__all__ = [
-    "AdmissionGate",
-    "CircuitBreaker",
-    "ClientRateLimiter",
-    "ClientRetryPolicy",
-    "IngestReceipt",
-    "PeerSummary",
-    "ReputationService",
-    "ResilientClient",
-    "ServiceConfig",
-    "TornTailWarning",
-    "WalEntry",
-    "WriteAheadLog",
-    "create_http_server",
-    "feedback_from_payload",
-    "verify_wal",
-]

@@ -12,15 +12,16 @@ pair-ledger folds later), and scores are re-published once per
 are dictionary lookups.
 
 Restart safety layers two mechanisms.  :meth:`snapshot` writes a versioned,
-SHA-256-checksummed checkpoint file (kind ``"service"``, now with a
-``verify-records``-compatible sidecar) holding the full session, and
-:meth:`ReputationService.restore` rehydrates it.  On top of that the PR-10
-write-ahead log (:mod:`repro.serving.wal`) makes *acked mean durable*: when
-a WAL is attached, every ingest batch is fsynced to the log before the call
-returns, and :meth:`ReputationService.recover` = restore the latest snapshot
-+ replay the WAL past its watermark — byte-identical to a session that never
-crashed.  Snapshots double as the WAL's compaction watermark: a background
-maintenance thread drops batches the newest snapshot already covers.
+SHA-256-checksummed checkpoint file (kind ``"service"``, which
+``verify-records`` checks against the digest in its own header) holding the
+full session, and :meth:`ReputationService.restore` rehydrates it.  On top
+of that the write-ahead log (:mod:`repro.serving.wal`) makes *acked mean
+durable*: when a WAL is attached, every ingest batch is fsynced to the log
+before the call returns, and :meth:`ReputationService.recover` = restore the
+latest snapshot + replay the WAL past its watermark — byte-identical to a
+session that never crashed.  Snapshots double as the WAL's compaction
+watermark: a background maintenance thread drops batches the newest
+snapshot already covers.
 
 Overload protection: ingestion is gated by a bounded
 :class:`AdmissionGate` (shed with HTTP 429 + ``Retry-After`` once
@@ -56,9 +57,8 @@ from repro.errors import (
     OverloadError,
     ReadOnlyError,
 )
-from repro.experiments.results import write_checksum_sidecar
-from repro.reputation import REPUTATION_FACTORIES, make_reputation_system
 from repro.reputation.base import ReputationSystem, ScoreView
+from repro.reputation.registry import REPUTATION_FACTORIES, make_reputation_system
 from repro.serving.sla import OperationClock, clock as sla_clock
 from repro.serving.wal import WalEntry, WriteAheadLog, config_digest
 from repro.simulation.checkpoint import read_checkpoint, write_checkpoint
@@ -78,7 +78,7 @@ SERVICE_STATES = ("ok", "degraded", "read_only")
 class ServiceConfig:
     """Everything a reputation service session is parameterized on."""
 
-    #: Registered mechanism name (``repro.reputation.REPUTATION_FACTORIES``).
+    #: Registered mechanism name (``repro.reputation.registry.REPUTATION_FACTORIES``).
     mechanism: str = "beta"
     #: Accepted for callers written when the compute path was selectable;
     #: ``"auto"`` is the only valid value and nothing reads it.
@@ -680,9 +680,10 @@ class ReputationService:
         """Persist the full session to a checkpoint file.
 
         Atomic, versioned and checksummed (see
-        :mod:`repro.simulation.checkpoint`), with a SHA-256 sidecar so
-        ``verify-records`` can audit it; returns the snapshot's vitals for
-        the caller (the HTTP adapter echoes them to the client).  With a
+        :mod:`repro.simulation.checkpoint`): the header records the
+        payload's SHA-256, which is what ``verify-records`` audits, so no
+        sidecar is written.  Returns the snapshot's vitals for the caller
+        (the HTTP adapter echoes them to the client).  With a
         WAL attached, the snapshot also advances the compaction watermark
         and nudges the background maintenance thread to drop the batches
         it covers.
@@ -700,14 +701,12 @@ class ReputationService:
             write_checkpoint(
                 path, SERVICE_CHECKPOINT_KIND, payload, round_index=self._watermark
             )
-            sidecar = write_checksum_sidecar(path)
             self._snapshotted = self._ingested
             vitals = {
                 "path": path,
                 "ingested": self._ingested,
                 "watermark": self._watermark,
                 "events": len(self._evidence),
-                "sidecar": sidecar,
             }
         if self._wal is not None:
             self._schedule_compaction()

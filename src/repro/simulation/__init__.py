@@ -15,61 +15,3 @@ measured:
   discrete-event engine and the round-based interaction simulator built on it;
 * :mod:`repro.simulation.metrics` — measurement collection.
 """
-
-from repro.simulation.adversary import (
-    BehaviorModel,
-    CollusiveBehavior,
-    GroomingBehavior,
-    HonestBehavior,
-    MaliciousBehavior,
-    SelfishBehavior,
-    SlanderBehavior,
-    TraitorBehavior,
-    WhitewasherBehavior,
-    behavior_for_user,
-)
-from repro.simulation.churn import ChurnEvent, ChurnModel, ChurnPhase, PhasedChurnModel
-from repro.simulation.engine import (
-    EventDrivenSimulator,
-    InteractionSimulator,
-    RoundHook,
-    SimulationConfig,
-    SimulationResult,
-)
-from repro.simulation.events import Event, EventQueue
-from repro.simulation.metrics import MetricsCollector, RoundMetrics
-from repro.simulation.peer import Peer, PeerDirectory
-from repro.simulation.rng import RandomStreams
-from repro.simulation.transaction import Feedback, Transaction, TransactionOutcome
-
-__all__ = [
-    "BehaviorModel",
-    "ChurnEvent",
-    "ChurnModel",
-    "ChurnPhase",
-    "CollusiveBehavior",
-    "Event",
-    "EventDrivenSimulator",
-    "EventQueue",
-    "Feedback",
-    "GroomingBehavior",
-    "HonestBehavior",
-    "InteractionSimulator",
-    "MaliciousBehavior",
-    "MetricsCollector",
-    "Peer",
-    "PeerDirectory",
-    "PhasedChurnModel",
-    "RandomStreams",
-    "RoundHook",
-    "RoundMetrics",
-    "SelfishBehavior",
-    "SimulationConfig",
-    "SimulationResult",
-    "SlanderBehavior",
-    "TraitorBehavior",
-    "Transaction",
-    "TransactionOutcome",
-    "WhitewasherBehavior",
-    "behavior_for_user",
-]

@@ -202,14 +202,16 @@ def write_checkpoint(path: str, kind: str, payload: object, *, round_index: int)
     durable.replace_file(path, [durable.encode(header) + b"\n", blob])
 
 
-def read_checkpoint(
+def verify_checkpoint(
     path: str, *, expected_kind: str | None = None
-) -> tuple[dict[str, object], object]:
-    """Load and verify a checkpoint; returns ``(header, payload)``.
+) -> tuple[dict[str, object], bytes]:
+    """Check a checkpoint against its own header; returns ``(header, blob)``.
 
+    Everything :func:`read_checkpoint` checks except unpickling, so
+    ``verify-records`` can audit a checkpoint without trusting its payload.
     Every failure mode — missing file, foreign format, unsupported version,
-    wrong kind, truncation, digest mismatch, unpicklable payload — raises
-    :class:`CheckpointError` with a message naming the file and the defect.
+    wrong kind, truncation, digest mismatch — raises :class:`CheckpointError`
+    with a message naming the file and the defect.
     """
     try:
         with open(path, "rb") as handle:
@@ -242,6 +244,18 @@ def read_checkpoint(
     digest = hashlib.sha256(blob).hexdigest()
     if digest != header.get("payload_sha256"):
         raise CheckpointError(f"{path}: checkpoint payload failed its SHA-256 check")
+    return header, blob
+
+
+def read_checkpoint(
+    path: str, *, expected_kind: str | None = None
+) -> tuple[dict[str, object], object]:
+    """Load and verify a checkpoint; returns ``(header, payload)``.
+
+    Raises :class:`CheckpointError` for every defect
+    :func:`verify_checkpoint` finds, and for an unpicklable payload.
+    """
+    header, blob = verify_checkpoint(path, expected_kind=expected_kind)
     try:
         payload = pickle.loads(blob)
     except Exception as error:

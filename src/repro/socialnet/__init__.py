@@ -13,63 +13,3 @@ by every experiment.  It covers:
   connected users;
 * :mod:`repro.socialnet.communities` — community extraction helpers.
 """
-
-from repro.socialnet.communities import (
-    community_partition,
-    intra_community_fraction,
-    modularity,
-)
-from repro.socialnet.generators import (
-    SocialNetworkSpec,
-    generate_social_network,
-    populate_users,
-)
-from repro.socialnet.graph import SocialGraph
-from repro.socialnet.presets import (
-    NETWORK_PRESETS,
-    generate_preset,
-    graph_from_dict,
-    graph_from_json,
-    graph_to_dict,
-    graph_to_json,
-    preset_spec,
-)
-from repro.socialnet.interactions import (
-    Interaction,
-    InteractionKind,
-    InteractionTrace,
-    InteractionTraceGenerator,
-)
-from repro.socialnet.user import (
-    AttributeSensitivity,
-    ProfileAttribute,
-    User,
-    UserProfile,
-    standard_profile,
-)
-
-__all__ = [
-    "AttributeSensitivity",
-    "Interaction",
-    "InteractionKind",
-    "InteractionTrace",
-    "InteractionTraceGenerator",
-    "NETWORK_PRESETS",
-    "ProfileAttribute",
-    "SocialGraph",
-    "SocialNetworkSpec",
-    "User",
-    "UserProfile",
-    "community_partition",
-    "generate_preset",
-    "generate_social_network",
-    "graph_from_dict",
-    "graph_from_json",
-    "graph_to_dict",
-    "graph_to_json",
-    "intra_community_fraction",
-    "modularity",
-    "populate_users",
-    "preset_spec",
-    "standard_profile",
-]

@@ -19,17 +19,10 @@ import pytest
 
 import repro.faults as faults
 from repro.errors import ReadOnlyError, RequestFailedError
-from repro.serving import (
-    ClientRetryPolicy,
-    ReputationService,
-    ResilientClient,
-    ServiceConfig,
-    TornTailWarning,
-    WriteAheadLog,
-    verify_wal,
-)
+from repro.serving.client import ClientRetryPolicy, ResilientClient
 from repro.serving.loadgen import build_trace
-from repro.serving.wal import config_digest
+from repro.serving.service import ReputationService, ServiceConfig
+from repro.serving.wal import TornTailWarning, WriteAheadLog, config_digest, verify_wal
 
 REFRESH_EVERY = 8
 BATCH = 8

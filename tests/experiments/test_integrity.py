@@ -1,6 +1,8 @@
 """Record integrity: checksum sidecars, failure detail, the verify-records CLI."""
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -12,9 +14,14 @@ from repro.experiments.results import (
     file_sha256,
     verify_file_checksum,
     write_checksum_sidecar,
+    write_records_csv,
     write_records_json,
 )
 from repro.experiments.sweep import SweepSpec, run_sweep
+from repro.scenarios.runner import ScenarioRunConfig, run_scenario
+from repro.serving.http import create_http_server
+from repro.serving.loadgen import request_json
+from repro.serving.service import ReputationService
 from repro.serving.wal import WriteAheadLog
 from repro.simulation.transaction import Feedback
 
@@ -77,6 +84,23 @@ class TestChecksumSidecars:
         sidecar = write_checksum_sidecar(str(path))
         assert sidecar == str(path) + ".sha256"
         verify_file_checksum(str(path))
+
+    @pytest.mark.parametrize("writer", [write_records_json, write_records_csv])
+    def test_failed_rewrite_leaves_the_previous_artifact(self, tmp_path, monkeypatch, writer):
+        path = str(tmp_path / "records.out")
+        writer(path, [make_record()], checksum=True)
+        before = open(path, "rb").read(), open(checksum_sidecar_path(path), "rb").read()
+
+        def refuse(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="simulated crash"):
+            writer(path, [make_record(status="error")], checksum=True)
+        monkeypatch.undo()
+        after = open(path, "rb").read(), open(checksum_sidecar_path(path), "rb").read()
+        assert after == before
+        verify_file_checksum(path)
 
 
 class TestFailureDetail:
@@ -199,3 +223,68 @@ class TestVerifyRecordsDispatch:
         path.write_bytes(path.read_bytes()[:-1])
         assert main(["verify-records", str(path)]) == 0
         assert "1 torn/corrupt unacked tail line(s) (1 intact batches" in capsys.readouterr().out
+
+
+def _service_with_evidence():
+    service = ReputationService(refresh_every=2)
+    service.ingest_many(
+        [
+            Feedback(transaction_id=i, time=i, subject="ab"[i % 2], rating=0.9, rater="r")
+            for i in range(6)
+        ]
+    )
+    return service
+
+
+class TestCheckpointsVerifyByTheirHeader:
+    """Checkpoints carry their payload digest in their header: no sidecar."""
+
+    def test_service_snapshot_verifies_without_a_sidecar(self, tmp_path, capsys):
+        path = str(tmp_path / "svc.ckpt")
+        vitals = _service_with_evidence().snapshot(path)
+        assert "sidecar" not in vitals
+        assert not os.path.exists(checksum_sidecar_path(path))
+        assert main(["verify-records", path]) == 0
+        assert f"{path}: ok" in capsys.readouterr().out
+
+    def test_scenario_checkpoint_verifies_without_a_sidecar(self, tmp_path, capsys):
+        path = str(tmp_path / "scenario.ckpt")
+        config = ScenarioRunConfig(
+            scenario="traitor-oscillation", mechanism="beta", n_users=16, rounds=4, seed=3
+        )
+        run_scenario(config, checkpoint_every=2, checkpoint_path=path)
+        assert main(["verify-records", path]) == 0
+        assert f"{path}: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_snapshot_fails(self, tmp_path, capsys, damage):
+        path = tmp_path / "svc.ckpt"
+        _service_with_evidence().snapshot(str(path))
+        raw = bytearray(path.read_bytes())
+        if damage == "truncate":
+            raw = raw[:-7]
+        else:
+            raw[-1] ^= 0x01  # the last byte is payload, past the header line
+        path.write_bytes(bytes(raw))
+        assert main(["verify-records", str(path)]) == 1
+        output = capsys.readouterr().out
+        assert "FAIL" in output
+        assert ("truncated" if damage == "truncate" else "SHA-256") in output
+
+    def test_snapshot_route_writes_no_sidecar(self, tmp_path):
+        service = _service_with_evidence()
+        server = create_http_server(service, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        path = str(tmp_path / "route.ckpt")
+        try:
+            host, port = server.server_address[:2]
+            status, body, _ = request_json(host, port, "POST", "/v1/snapshot", {"path": path})
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert status == 200
+        assert "sidecar" not in body
+        assert os.path.exists(path)
+        assert not os.path.exists(checksum_sidecar_path(path))

@@ -26,7 +26,7 @@ from repro.experiments.sweep import (
     run_sweep,
     spec_from_options,
 )
-from repro.reputation import REPUTATION_FACTORIES
+from repro.reputation.registry import REPUTATION_FACTORIES
 from tests.oracles import reputation as reputation_oracle
 from tests.oracles.simulation import OracleSimulator
 

@@ -6,13 +6,13 @@ from typing import ClassVar
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.reputation import REPUTATION_FACTORIES, make_reputation_system
 from repro.reputation.accuracy import (
     classification_accuracy,
     mean_absolute_error,
     pairwise_ranking_accuracy,
     reputation_power,
 )
+from repro.reputation.registry import REPUTATION_FACTORIES, make_reputation_system
 from repro.reputation.response import (
     ProbabilisticSelection,
     SelectBest,

@@ -3,16 +3,15 @@
 import pytest
 
 from repro.scenarios.catalog import BUILTIN_SCENARIOS
-from repro.scenarios.schema import (
-    CURRENT_SCHEMA_VERSION,
-    compile_template,
+from repro.scenarios.schema.compile import compile_template
+from repro.scenarios.schema.library import (
     discover_templates,
     find_template,
     load_template,
     template_record_json,
     verify_template,
 )
-from repro.scenarios.schema.model import parse_template, template_to_dict
+from repro.scenarios.schema.model import CURRENT_SCHEMA_VERSION, parse_template, template_to_dict
 
 TEMPLATES = {
     load_template(path).name: load_template(path) for path in discover_templates()

@@ -7,13 +7,9 @@ import pytest
 
 import repro.faults as faults
 from repro.errors import CircuitOpenError, ConfigurationError, RequestFailedError
-from repro.serving import (
-    CircuitBreaker,
-    ClientRetryPolicy,
-    ReputationService,
-    ResilientClient,
-    create_http_server,
-)
+from repro.serving.client import CircuitBreaker, ClientRetryPolicy, ResilientClient
+from repro.serving.http import create_http_server
+from repro.serving.service import ReputationService
 
 EVENTS = [
     {"subject": "alice", "rating": 1.0, "time": 0, "transaction_id": 0},

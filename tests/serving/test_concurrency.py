@@ -2,8 +2,8 @@
 
 import threading
 
-from repro.serving import ReputationService, ServiceConfig, WriteAheadLog, verify_wal
-from repro.serving.wal import config_digest
+from repro.serving.service import ReputationService, ServiceConfig
+from repro.serving.wal import WriteAheadLog, config_digest, verify_wal
 
 
 def make_service(tmp_path, **overrides):

@@ -8,8 +8,8 @@ import pytest
 
 import repro.faults as faults
 from repro.reputation.base import ScoreView
-from repro.serving import ReputationService, create_http_server
-from repro.serving.http import _scores_payload
+from repro.serving.http import _scores_payload, create_http_server
+from repro.serving.service import ReputationService
 
 
 @pytest.fixture()

@@ -15,7 +15,9 @@ import pytest
 
 import repro.serving.http as serving_http
 from repro.errors import RequestFailedError
-from repro.serving import ClientRetryPolicy, ReputationService, ResilientClient, create_http_server
+from repro.serving.client import ClientRetryPolicy, ResilientClient
+from repro.serving.http import create_http_server
+from repro.serving.service import ReputationService
 
 EVENTS = [
     {"subject": "alice", "rating": 1.0, "time": 0, "transaction_id": 0},

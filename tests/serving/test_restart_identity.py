@@ -17,19 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.serving import (
-    ReputationService,
-    ResilientClient,
-    ServiceConfig,
-    WriteAheadLog,
-)
+from repro.serving.client import ResilientClient
 from repro.serving.loadgen import (
     build_trace,
     ingest_events,
     request_json,
     scores_body,
 )
-from repro.serving.wal import config_digest
+from repro.serving.service import ReputationService, ServiceConfig
+from repro.serving.wal import WriteAheadLog, config_digest
 
 REFRESH_EVERY = 8
 

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.serving import ReputationService
 from repro.serving.loadgen import build_trace
+from repro.serving.service import ReputationService
 
 DATA = Path(__file__).resolve().parent / "data"
 

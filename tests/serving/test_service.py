@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.reputation.base import ScoreView
-from repro.serving import (
+from repro.serving.service import (
     IngestReceipt,
     PeerSummary,
     ReputationService,

@@ -7,7 +7,7 @@ import pytest
 
 import repro.faults as faults
 from repro.errors import ConfigurationError, IntegrityError
-from repro.serving import ReputationService, ServiceConfig
+from repro.serving.service import ReputationService, ServiceConfig
 from repro.serving.wal import (
     TornTailWarning,
     WriteAheadLog,

@@ -104,7 +104,7 @@ class TestLegacyShimEquivalence:
         # runner so the test stays fast; the point is the dispatch path.
         ran = []
         monkeypatch.setattr(
-            "repro.cli.run_experiment",
+            "repro.experiments.runner.run_experiment",
             lambda name, quick: ran.append(name) or f"<{name}>",
         )
         with warnings.catch_warnings():
@@ -117,7 +117,7 @@ class TestLegacyShimEquivalence:
     def test_new_cli_bare_invocation_does_not_run_everything(self, monkeypatch, capsys):
         ran = []
         monkeypatch.setattr(
-            "repro.cli.run_experiment",
+            "repro.experiments.runner.run_experiment",
             lambda name, quick: ran.append(name) or f"<{name}>",
         )
         assert cli.main([]) == 0
