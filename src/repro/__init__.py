@@ -8,7 +8,7 @@ they require:
     Synthetic social networks: users, profiles, sensitive attributes and the
     graph generators used to build laptop-scale social topologies.
 ``repro.simulation``
-    A discrete-event peer-to-peer interaction simulator with adversary models
+    A round-based peer-to-peer interaction simulator with adversary models
     (malicious peers, traitors, whitewashers, colluders) and churn.
 ``repro.reputation``
     Reputation mechanisms surveyed by the paper: EigenTrust, PowerTrust, a

@@ -51,10 +51,6 @@ class TemplateError(ConfigurationError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class SimulationError(ReproError):
-    """The discrete-event simulation reached an inconsistent state."""
-
-
 class CheckpointError(ReproError):
     """A checkpoint file is unreadable, corrupt, or incompatible.
 

@@ -10,14 +10,11 @@ aggregation.
 
 from __future__ import annotations
 
-
-import networkx as nx
-
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
 
 
 class TrustOverlayNetwork:
-    """Directed rated-whom overlay built from a feedback store."""
+    """The directed rated-whom overlay, read off a feedback store's pair ledger."""
 
     def __init__(
         self, store: FeedbackStore, *, builder: LocalTrustBuilder | None = None
@@ -32,25 +29,6 @@ class TrustOverlayNetwork:
         #: power-node selection rounds of one refresh rebuild the overlay
         #: once instead of once per round.
         self._centrality_cache: tuple[int, dict[str, float]] | None = None
-
-    def build(self) -> nx.DiGraph:
-        """Construct the overlay: edge weight = mean rating from rater to subject."""
-        overlay = nx.DiGraph()
-        for subject in self._store.subjects():
-            overlay.add_node(subject)
-        for rater in self._store.raters():
-            overlay.add_node(rater)
-            per_subject: dict[str, list[float]] = {}
-            for feedback in self._store.by(rater):
-                per_subject.setdefault(feedback.subject, []).append(feedback.rating)
-            for subject, ratings in per_subject.items():
-                overlay.add_edge(
-                    rater,
-                    subject,
-                    weight=sum(ratings) / len(ratings),
-                    reports=len(ratings),
-                )
-        return overlay
 
     def in_degree_centrality(self) -> dict[str, float]:
         """Normalized in-degree of every node: how widely a peer was rated.

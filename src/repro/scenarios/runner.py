@@ -39,13 +39,7 @@ from repro.scenarios.campaign import AttackCampaign, CampaignDriver
 from repro.scenarios.catalog import build_campaign, get_scenario
 from repro.scenarios.metrics import RobustnessMetrics, ScenarioTrace, evaluate_trace
 from repro.scenarios.setup import scenario_setup
-from repro.simulation.checkpoint import (
-    SimulatorState,
-    capture_state,
-    read_checkpoint,
-    restore_simulator,
-    write_checkpoint,
-)
+from repro.simulation.checkpoint import read_checkpoint, write_checkpoint
 from repro.simulation.engine import (
     InteractionSimulator,
     SimulationConfig,
@@ -191,24 +185,23 @@ def _evaluate(config: ScenarioRunConfig, base: ScenarioRunResult) -> ScenarioRun
 class ScenarioCheckpoint:
     """What a scenario-run checkpoint file carries.
 
-    The run config travels with the simulator state so resume can rebuild
+    The run config travels with the pickled simulator so resume can rebuild
     the unpicklable configuration layer (campaign closures, trace hooks)
-    from the catalog before rehydrating hook cursors out of ``state``.
+    from the catalog and reattach it, which hands the hooks their cursors.
     """
 
     config: ScenarioRunConfig
-    state: SimulatorState
+    simulator: InteractionSimulator
 
 
 def _save_scenario_checkpoint(
     path: str, config: ScenarioRunConfig, simulator: InteractionSimulator
 ) -> None:
-    state = capture_state(simulator)
     write_checkpoint(
         path,
         "scenario",
-        ScenarioCheckpoint(config=config, state=state),
-        round_index=state.next_round,
+        ScenarioCheckpoint(config=config, simulator=simulator),
+        round_index=simulator.completed_rounds,
     )
 
 
@@ -375,7 +368,8 @@ def resume_scenario(
         campaign = build_campaign(config.scenario, rounds=config.rounds, **config.knobs)
         driver = CampaignDriver(campaign)
         trace = ScenarioTrace()
-        simulator = restore_simulator(payload.state, hooks=(driver, trace))
+        simulator = payload.simulator
+        simulator.reattach((driver, trace))
     with _profiling.phase("simulate"):
         _run_segments(simulator, config, checkpoint_every, checkpoint_path)
     with _profiling.phase("metrics"):

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from repro.errors import ConfigurationError, ReproError, TemplateError
-from repro.experiments.results import records_from_json, records_to_csv
+from repro.experiments.results import records_from_json, write_records_csv, write_records_json
 from repro.scenarios.catalog import BUILTIN_SCENARIOS
 from repro.scenarios.runner import resume_scenario
 from repro.scenarios.schema.compile import compile_template
@@ -172,13 +172,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint,
         )
+    # Written as sweeps write theirs: atomically, with a checksum sidecar,
+    # so `repro verify-records` accepts both files.
+    records = records_from_json(record_json)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(record_json)
+        write_records_json(args.out, records, checksum=True)
         print(f"records written to {args.out}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(records_to_csv(records_from_json(record_json)))
+        write_records_csv(args.csv, records, checksum=True)
         print(f"CSV written to {args.csv}")
     if not args.out and not args.csv:
         print(record_json, end="")

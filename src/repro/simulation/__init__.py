@@ -11,7 +11,9 @@ measured:
 * :mod:`repro.simulation.peer` / :mod:`repro.simulation.adversary` — peer
   behaviours (honest, malicious, selfish, traitor, whitewasher, colluder);
 * :mod:`repro.simulation.churn` — session churn;
-* :mod:`repro.simulation.events` / :mod:`repro.simulation.engine` — a small
-  discrete-event engine and the round-based interaction simulator built on it;
+* :mod:`repro.simulation.engine` — the round-based interaction simulator,
+  whose rounds run in a plain loop and which pickles itself to checkpoint;
+* :mod:`repro.simulation.checkpoint` — the checkpoint file format only (it
+  imports no simulation code, so the serving layer uses it too);
 * :mod:`repro.simulation.metrics` — measurement collection.
 """

@@ -1,13 +1,10 @@
-"""Checkpoint/resume for the interaction simulator.
+"""The checkpoint file format: a versioned, checksummed pickle.
 
-A checkpoint is the *complete* state of a paused run — peers and their
-rebound identities, the reputation mechanism with its feedback store and
-epoch, every materialized RNG stream mid-sequence, churn and campaign
-cursors, the published score snapshot, and the collected transaction and
-feedback logs — captured at a round boundary.  Restoring it and running the
-remaining rounds produces byte-identical records to a run that was never
-interrupted; the contract tests in ``tests/chaos`` enforce this per
-mechanism.
+This module is only the file format.  Scenario runs write a paused
+``InteractionSimulator``, which pickles itself, and the serving layer writes
+a whole service session; neither payload is known here, so the module loads
+no simulation code and a serving process that snapshots never loads the
+engine.
 
 File format (version 1): one JSON header line, then a pickle payload::
 
@@ -20,38 +17,25 @@ SHA-256 digest detects truncation and bit rot before any pickle byte is
 trusted.  Writes go through :func:`repro.durable.replace_file`: atomic, so
 a crash during checkpointing leaves the previous checkpoint intact, and
 durable, so a power loss cannot roll a completed checkpoint back.
-Versioning policy:
-``version`` bumps whenever the payload's shape changes incompatibly; readers
-reject unknown versions outright rather than guessing (a checkpoint is a
-short-lived restart artifact, not an archival format).
 
-Hooks (campaign drivers, trace collectors) hold closures and are not
-pickled.  Instead a hook may implement the checkpoint protocol —
-``checkpoint_state() -> state`` and
-``restore_checkpoint_state(state, simulator) -> None`` — and the resume path
-reconstructs the hooks from configuration before rehydrating their state.
+Versioning policy: ``version`` bumps when the header or the framing changes,
+and readers reject unknown versions outright rather than guessing (a
+checkpoint is a short-lived restart artifact, not an archival format).  A
+payload whose pickled classes are gone or reshaped keeps its version: the
+file still verifies, because its digest is intact, but reading it raises
+:class:`~repro.errors.CheckpointError` ("cannot unpickle checkpoint
+payload").  A scenario checkpoint written before simulators pickled
+themselves fails that way; the committed version-1 service snapshots still
+restore.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
 
 from repro import durable, faults
 from repro.errors import CheckpointError
-from repro.simulation.engine import (
-    DisclosureObserver,
-    EventDrivenSimulator,
-    InteractionSimulator,
-    RoundHook,
-)
-from repro.simulation.rng import RandomStreams
-
-if TYPE_CHECKING:
-    from repro.simulation.metrics import MetricsCollector
 
 CHECKPOINT_MAGIC = "repro-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -59,123 +43,6 @@ CHECKPOINT_VERSION = 1
 #: Protocol 4 is supported by every Python this repo targets; pinning it
 #: keeps checkpoint bytes stable across interpreter minor versions.
 _PICKLE_PROTOCOL = 4
-
-
-@dataclass
-class SimulatorState:
-    """Picklable snapshot of a paused :class:`InteractionSimulator`.
-
-    ``config`` carries the churn model *with its cursor* (stateful churn
-    advances inside the config object), so restore must not reset it.
-    ``hook_states`` holds one entry per hook, in hook order — the hook's
-    ``checkpoint_state()`` result, or ``None`` for stateless hooks.
-    """
-
-    config: Any
-    graph: Any
-    directory: Any
-    reputation: Any
-    stream_states: dict[str, object]
-    transactions: list[Any]
-    feedbacks: list[Any]
-    disclosed: list[Any]
-    transaction_counter: int
-    round_scores: dict[str, float]
-    metrics: MetricsCollector
-    next_round: int
-    clock: float
-    hook_states: list[object]
-
-
-def capture_state(simulator: InteractionSimulator) -> SimulatorState:
-    """Snapshot a simulator paused at a round boundary.
-
-    The snapshot shares references with the live simulator — callers
-    serialize it immediately (:func:`save_simulator_checkpoint`) rather than
-    holding it across further rounds.
-    """
-    hook_states: list[object] = []
-    for hook in simulator._hooks:
-        state_of = getattr(hook, "checkpoint_state", None)
-        hook_states.append(None if state_of is None else state_of())
-    return SimulatorState(
-        config=simulator.config,
-        graph=simulator.graph,
-        directory=simulator.directory,
-        reputation=simulator.reputation,
-        stream_states=simulator.streams.snapshot(),
-        transactions=simulator._transactions,
-        feedbacks=simulator._feedbacks,
-        disclosed=simulator._disclosed,
-        transaction_counter=simulator._transaction_counter,
-        round_scores=simulator._round_scores,
-        metrics=simulator.metrics,
-        next_round=simulator.completed_rounds,
-        clock=simulator._engine.now,
-        hook_states=hook_states,
-    )
-
-
-def restore_simulator(
-    state: SimulatorState,
-    *,
-    hooks: Sequence[RoundHook] = (),
-    disclosure_observer: DisclosureObserver | None = None,
-) -> InteractionSimulator:
-    """Rebuild a simulator from a snapshot, ready to run the remaining rounds.
-
-    ``hooks`` must mirror the checkpointed run's hooks positionally: each is
-    rehydrated from the matching ``hook_states`` entry via its
-    ``restore_checkpoint_state``.  The caller reconstructs the hook objects
-    themselves (they are configuration, not state).
-    """
-    if len(hooks) != len(state.hook_states):
-        raise CheckpointError(
-            f"checkpoint carries state for {len(state.hook_states)} hooks, "
-            f"but {len(hooks)} were supplied"
-        )
-    simulator = InteractionSimulator.__new__(InteractionSimulator)
-    simulator.graph = state.graph
-    simulator.config = state.config
-    simulator.reputation = state.reputation
-    simulator._disclosure_observer = disclosure_observer
-    simulator._hooks = tuple(hooks)
-    streams = RandomStreams(state.config.seed)
-    streams.restore(state.stream_states)
-    simulator._streams = streams
-    simulator._rng_selection = streams.stream("selection")
-    simulator._rng_transactions = streams.stream("transactions")
-    simulator._rng_feedback = streams.stream("feedback")
-    simulator._directory_plan = None
-    simulator.directory = state.directory
-    simulator.metrics = state.metrics
-    simulator._transactions = state.transactions
-    simulator._feedbacks = state.feedbacks
-    simulator._disclosed = state.disclosed
-    simulator._transaction_counter = state.transaction_counter
-    simulator._engine = EventDrivenSimulator()
-    simulator._engine.restore_clock(state.clock)
-    simulator._next_round = state.next_round
-    # The churn cursor lives inside config.churn and was pickled in place —
-    # restoring must NOT reset it (unlike __init__, which starts a new run).
-    simulator._round_scores = state.round_scores
-    # Pure caches: rebuilt lazily with value-identical contents.
-    simulator._disclosure_cache = {}
-    simulator._neighbor_peers_cache = {}
-    for hook, hook_state in zip(hooks, state.hook_states, strict=True):
-        if hook_state is None:
-            continue
-        restore = getattr(hook, "restore_checkpoint_state", None)
-        if restore is None:
-            raise CheckpointError(
-                f"checkpoint carries state for hook {type(hook).__name__}, "
-                "which does not implement restore_checkpoint_state"
-            )
-        restore(hook_state, simulator)
-    return simulator
-
-
-# -- file format -----------------------------------------------------------
 
 
 def write_checkpoint(path: str, kind: str, payload: object, *, round_index: int) -> None:
@@ -259,21 +126,8 @@ def read_checkpoint(
     try:
         payload = pickle.loads(blob)
     except Exception as error:
-        # The digest matched, so this is a format bug, not rot — still a
-        # CheckpointError so callers have a single failure type to handle.
+        # The digest matched, so this is not rot: the payload names classes
+        # this build no longer has in that shape.  Still a CheckpointError,
+        # so callers have a single failure type to handle.
         raise CheckpointError(f"{path}: cannot unpickle checkpoint payload") from error
     return header, payload
-
-
-def save_simulator_checkpoint(path: str, simulator: InteractionSimulator) -> None:
-    """Snapshot a simulator (paused at a round boundary) to ``path``."""
-    state = capture_state(simulator)
-    write_checkpoint(path, "simulator", state, round_index=state.next_round)
-
-
-def load_simulator_checkpoint(path: str) -> SimulatorState:
-    """Read back a :func:`save_simulator_checkpoint` file."""
-    _, payload = read_checkpoint(path, expected_kind="simulator")
-    if not isinstance(payload, SimulatorState):
-        raise CheckpointError(f"{path}: payload is not a simulator state")
-    return payload

@@ -1,21 +1,21 @@
-"""The simulation engine.
+"""The simulation engine: :class:`InteractionSimulator`, the round-based
+peer-to-peer interaction simulation used throughout the experiments.
 
-Two layers:
-
-* :class:`EventDrivenSimulator` — a generic discrete-event loop over the
-  :class:`~repro.simulation.events.EventQueue`;
-* :class:`InteractionSimulator` — the round-based peer-to-peer interaction
-  simulation used throughout the experiments, built on top of the event loop.
-
-Each round, every online peer may initiate a transaction with a provider
-chosen either at random among its candidates or through the reputation
-system's response policy; the provider serves well or badly according to its
-behaviour model; the consumer produces (possibly dishonest) feedback and
-discloses it to the reputation system with a probability driven by the
-system-wide *information-sharing level* and the peer's own privacy concern.
+Rounds run in a plain loop.  Each round, every online peer may initiate a
+transaction with a provider chosen either at random among its candidates or
+through the reputation system's response policy; the provider serves well or
+badly according to its behaviour model; the consumer produces (possibly
+dishonest) feedback and discloses it to the reputation system with a
+probability driven by the system-wide *information-sharing level* and the
+peer's own privacy concern.
 Disclosed feedback is what the reputation mechanism sees and what the privacy
 ledger accounts for — this is the concrete coupling knob between the paper's
 reputation and privacy facets.
+
+A paused simulator pickles itself: its ``__dict__`` is the checkpoint
+payload, minus the configuration the resuming caller supplies again
+(:meth:`InteractionSimulator.reattach`) and caches that refill with the same
+values.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Protocol
 from repro import _profiling
 from repro._util import require_unit_interval
 from repro.core.backend import interaction_counts
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.simulation.adversary import (
     BehaviorModel,
     CollusiveBehavior,
@@ -36,7 +36,6 @@ from repro.simulation.adversary import (
     behavior_for_user,
 )
 from repro.simulation.churn import ChurnModel
-from repro.simulation.events import Event, EventQueue
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.peer import Peer, PeerDirectory
 from repro.simulation.rng import RandomStreams
@@ -72,6 +71,13 @@ class RoundHook(Protocol):
     that needs randomness draws from its own named stream (e.g.
     ``simulator.streams.stream("campaign")``) so that runs with and without
     hooks stay stream-exact.
+
+    Hooks are configuration, so a pickled simulator leaves them out.  A hook
+    with a cursor to keep across a checkpoint implements
+    ``checkpoint_state() -> state`` and
+    ``restore_checkpoint_state(state, simulator)``; the resuming caller
+    rebuilds the hook and :meth:`InteractionSimulator.reattach` hands the
+    cursor back.
     """
 
     def on_round_start(self, simulator: InteractionSimulator, round_index: int) -> None:
@@ -85,58 +91,6 @@ class RoundHook(Protocol):
 
 #: Callback invoked for every feedback actually disclosed to the system.
 DisclosureObserver = Callable[[Feedback, Peer, Peer], None]
-
-
-class EventDrivenSimulator:
-    """A minimal discrete-event loop with a virtual clock."""
-
-    def __init__(self) -> None:
-        self._queue = EventQueue()
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def schedule_at(
-        self, time: float, action: Callable[[], None], *, priority: int = 0, label: str = ""
-    ) -> None:
-        if time < self._now:
-            raise ConfigurationError("cannot schedule an event in the past")
-        self._queue.push(Event(time=time, priority=priority, action=action, label=label))
-
-    def schedule_in(
-        self, delay: float, action: Callable[[], None], *, priority: int = 0, label: str = ""
-    ) -> None:
-        self.schedule_at(self._now + delay, action, priority=priority, label=label)
-
-    def run(self, until: float | None = None) -> int:
-        """Process events until the queue drains or the clock passes ``until``.
-
-        Returns the number of events processed.
-        """
-        processed = 0
-        while self._queue:
-            next_time = self._queue.peek_time()
-            if until is not None and next_time is not None and next_time > until:
-                break
-            event = self._queue.pop()
-            self._now = event.time
-            event.action()
-            processed += 1
-        if until is not None and until > self._now:
-            self._now = until
-        return processed
-
-    def restore_clock(self, now: float) -> None:
-        """Reset the virtual clock to a checkpointed instant.
-
-        Only legal while the queue is drained — checkpoints are taken at
-        round boundaries, so a restored loop never has in-flight events.
-        """
-        if self._queue:
-            raise SimulationError("cannot restore the clock while events are pending")
-        self._now = float(now)
 
 
 @dataclass
@@ -270,6 +224,21 @@ def build_directory_plan(
     )
 
 
+#: Attributes a pickled simulator leaves out: configuration the resuming
+#: caller passes again (:meth:`InteractionSimulator.reattach`), the directory
+#: plan (it holds closures, and a started run never reads it again) and
+#: caches that refill with the same values.
+_NOT_PICKLED = frozenset(
+    {
+        "_hooks",
+        "_disclosure_observer",
+        "_directory_plan",
+        "_disclosure_cache",
+        "_neighbor_peers_cache",
+    }
+)
+
+
 class InteractionSimulator:
     """Round-based peer-to-peer interaction simulation over a social graph."""
 
@@ -289,7 +258,10 @@ class InteractionSimulator:
         self.config = config or SimulationConfig()
         self.reputation = reputation
         self._disclosure_observer = disclosure_observer
-        self._hooks: tuple = tuple(hooks)
+        self._hooks: tuple[RoundHook, ...] = tuple(hooks)
+        #: The hooks' checkpointed cursors, held by an unpickled simulator
+        #: until :meth:`reattach` hands them back; ``None`` otherwise.
+        self._hook_states: list[object] | None = None
         self._streams = RandomStreams(self.config.seed)
         #: Hot-loop stream handles; hoisted so per-transaction code skips the
         #: per-call name lookup.  Streams are independent per name, so eager
@@ -304,7 +276,6 @@ class InteractionSimulator:
         self._feedbacks: list[Feedback] = []
         self._disclosed: list[Feedback] = []
         self._transaction_counter = 0
-        self._engine = EventDrivenSimulator()
         #: First round the next :meth:`run_until` segment will execute.
         self._next_round = 0
         # Stateful churn models (PhasedChurnModel) rewind here so a config
@@ -328,6 +299,66 @@ class InteractionSimulator:
     def streams(self) -> RandomStreams:
         """The run's named random streams (hooks draw from their own stream)."""
         return self._streams
+
+    # -- checkpointing -------------------------------------------------------
+
+    def __getstate__(self) -> dict[str, object]:
+        """Everything but :data:`_NOT_PICKLED`, plus each hook's cursor.
+
+        The pickle memo keeps the hoisted stream handles the very objects
+        inside ``_streams``, so a restored run continues every stream
+        mid-sequence.
+        """
+        state = {name: value for name, value in self.__dict__.items() if name not in _NOT_PICKLED}
+        state["_hook_states"] = [
+            getattr(hook, "checkpoint_state", lambda: None)() for hook in self._hooks
+        ]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # The churn cursor lives inside config.churn and was pickled in
+        # place, so unlike __init__ this must not reset it.
+        self.__dict__.update(state)
+        self._hooks = ()
+        self._disclosure_observer = None
+        self._directory_plan = None
+        self._disclosure_cache = {}
+        self._neighbor_peers_cache = {}
+
+    def reattach(
+        self,
+        hooks: Sequence[RoundHook] = (),
+        *,
+        disclosure_observer: DisclosureObserver | None = None,
+    ) -> None:
+        """Hand an unpickled simulator its configuration back, ready to run.
+
+        ``hooks`` must mirror the checkpointed run's hooks positionally: each
+        is rehydrated from its checkpointed cursor via its
+        ``restore_checkpoint_state``.  The caller rebuilds the hook objects
+        themselves (they are configuration, not state).
+        """
+        hook_states = self._hook_states
+        if hook_states is None:
+            raise CheckpointError("only an unpickled simulator can be reattached")
+        if len(hooks) != len(hook_states):
+            raise CheckpointError(
+                f"checkpoint carries state for {len(hook_states)} hooks, "
+                f"but {len(hooks)} were supplied"
+            )
+        self._hooks = tuple(hooks)
+        self._disclosure_observer = disclosure_observer
+        for hook, hook_state in zip(hooks, hook_states, strict=True):
+            if hook_state is None:
+                continue
+            restore = getattr(hook, "restore_checkpoint_state", None)
+            if restore is None:
+                raise CheckpointError(
+                    f"checkpoint carries state for hook {type(hook).__name__}, "
+                    "which does not implement restore_checkpoint_state"
+                )
+            restore(hook_state, self)
+        self._hook_states = None
 
     # -- setup -------------------------------------------------------------
 
@@ -568,21 +599,16 @@ class InteractionSimulator:
         """Execute rounds up to ``round_limit`` (clamped to the configured
         total) and return the number of rounds completed so far.
 
-        Segmenting a run over several ``run_until`` calls schedules and
-        drains exactly the events a single :meth:`run` would, on the same
-        virtual clock — so the trajectory, and any checkpoint taken between
-        segments, is byte-identical to an uninterrupted run.
+        Segmenting a run over several ``run_until`` calls runs exactly the
+        rounds a single :meth:`run` would, so the trajectory, and any
+        checkpoint taken between segments, is byte-identical to an
+        uninterrupted run.
         """
-        limit = min(round_limit, self.config.rounds)
-        for round_index in range(self._next_round, limit):
-            self._engine.schedule_at(
-                float(round_index),
-                lambda idx=round_index: self._run_round(idx),
-                label=f"round-{round_index}",
-            )
-        if limit > self._next_round:
-            self._next_round = limit
-        self._engine.run()
+        if self._hook_states is not None:
+            raise CheckpointError("an unpickled simulator must be reattached before it runs")
+        for round_index in range(self._next_round, min(round_limit, self.config.rounds)):
+            self._run_round(round_index)
+            self._next_round = round_index + 1
         return self._next_round
 
     def result(self) -> SimulationResult:

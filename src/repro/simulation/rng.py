@@ -10,8 +10,6 @@ distributed-system simulations.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
-from typing import Any, cast
 
 
 class RandomStreams:
@@ -55,29 +53,6 @@ class RandomStreams:
         """
         draw = self.stream(name).random
         return [draw() for _ in range(n)]
-
-    def snapshot(self) -> dict[str, object]:
-        """Exact generator state of every materialized stream.
-
-        The returned mapping (stream name → ``random.Random.getstate()``
-        tuple) is plain picklable data; feeding it to :meth:`restore` on a
-        fresh instance reproduces the remaining draw sequence of every
-        stream bit-for-bit — the checkpoint/resume contract.  Streams not
-        yet materialized are deliberately absent: they carry no state
-        beyond the master seed, and a restored instance re-derives them on
-        first use exactly like an uninterrupted run would.
-        """
-        return {name: self._streams[name].getstate() for name in sorted(self._streams)}
-
-    def restore(self, states: Mapping[str, object]) -> None:
-        """Rewind to a :meth:`snapshot`: recreate exactly the snapshotted
-        streams, each mid-sequence at its saved state."""
-        self._streams.clear()
-        for name, state in states.items():
-            # stream() seeds the generator from the master seed as usual;
-            # setstate() then overwrites that state wholesale, so the seed
-            # only matters for streams *not* in the snapshot.
-            self.stream(name).setstate(cast("tuple[Any, ...]", state))
 
     def reset(self) -> None:
         """Drop every derived stream so the next access re-seeds it."""

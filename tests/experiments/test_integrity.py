@@ -2,11 +2,13 @@
 
 import json
 import os
+import sys
 import threading
+import types
 
 import pytest
 
-from repro.errors import IntegrityError
+from repro.errors import CheckpointError, IntegrityError
 from repro.experiments.__main__ import main
 from repro.experiments.results import (
     ExperimentRecord,
@@ -18,11 +20,18 @@ from repro.experiments.results import (
     write_records_json,
 )
 from repro.experiments.sweep import SweepSpec, run_sweep
-from repro.scenarios.runner import ScenarioRunConfig, run_scenario
+from repro.scenarios.runner import (
+    ScenarioCheckpoint,
+    ScenarioRunConfig,
+    resume_scenario,
+    run_scenario,
+)
+from repro.scenarios.schema.cli import main as scenario_main
 from repro.serving.http import create_http_server
 from repro.serving.loadgen import request_json
 from repro.serving.service import ReputationService
 from repro.serving.wal import WriteAheadLog
+from repro.simulation.checkpoint import read_checkpoint, write_checkpoint
 from repro.simulation.transaction import Feedback
 
 
@@ -253,6 +262,30 @@ class TestCheckpointsVerifyByTheirHeader:
             scenario="traitor-oscillation", mechanism="beta", n_users=16, rounds=4, seed=3
         )
         run_scenario(config, checkpoint_every=2, checkpoint_path=path)
+        assert main(["verify-records", path]) == 0
+        assert f"{path}: ok" in capsys.readouterr().out
+
+    def test_checkpoint_whose_payload_class_is_gone_fails_cleanly(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A scenario checkpoint from a build whose simulator class is gone:
+        reading it names the file, and the intact digest still verifies."""
+        module = types.ModuleType("throwaway_payload")
+        module.Simulator = type("Simulator", (), {"__module__": module.__name__})
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        path = str(tmp_path / "old.ckpt")
+        config = ScenarioRunConfig(
+            scenario="traitor-oscillation", mechanism="beta", n_users=16, rounds=4, seed=3
+        )
+        payload = ScenarioCheckpoint(config=config, simulator=module.Simulator())
+        write_checkpoint(path, "scenario", payload, round_index=2)
+        monkeypatch.delitem(sys.modules, module.__name__)
+
+        for read in (read_checkpoint, resume_scenario):
+            with pytest.raises(CheckpointError, match="cannot unpickle") as raised:
+                read(path)
+            assert path in str(raised.value)
+        assert scenario_main(["run", "--resume", path]) == 2
         assert main(["verify-records", path]) == 0
         assert f"{path}: ok" in capsys.readouterr().out
 

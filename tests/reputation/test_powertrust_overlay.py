@@ -28,15 +28,6 @@ def populate(system_or_store, tid_start: int = 0) -> int:
 
 
 class TestOverlay:
-    def test_builds_weighted_digraph(self):
-        store = FeedbackStore()
-        populate(store)
-        overlay = TrustOverlayNetwork(store).build()
-        assert overlay.has_edge("a", "good1")
-        assert overlay["a"]["good1"]["weight"] == 1.0
-        assert overlay["a"]["bad"]["weight"] == 0.0
-        assert overlay["a"]["good1"]["reports"] == 4
-
     def test_in_degree_centrality_nonempty(self):
         store = FeedbackStore()
         populate(store)

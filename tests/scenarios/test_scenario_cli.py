@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.scenarios.schema.cli import main
 
 
@@ -88,6 +89,13 @@ class TestRun:
         assert code == 0
         header = csv_path.read_text().splitlines()[0]
         assert "param_scenario" in header
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_record_files_pass_verify_records(self, capsys, tmp_path, flag):
+        path = str(tmp_path / "records")
+        assert main(["run", "baseline", "--tier", "small", flag, path]) == 0
+        assert repro_main(["verify-records", path]) == 0
+        assert f"{path}: ok" in capsys.readouterr().out
 
     def test_runs_template_from_path(self, capsys, tmp_path):
         path = tmp_path / "inline.yaml"

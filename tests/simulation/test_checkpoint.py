@@ -1,4 +1,4 @@
-"""Checkpoint/resume: RNG snapshots, the file format, and simulator restore."""
+"""Checkpoint/resume: the file format, and the simulator that pickles itself."""
 
 import os
 import pickle
@@ -7,15 +7,7 @@ import stat
 import pytest
 
 from repro.errors import CheckpointError
-from repro.simulation.checkpoint import (
-    CHECKPOINT_MAGIC,
-    capture_state,
-    load_simulator_checkpoint,
-    read_checkpoint,
-    restore_simulator,
-    save_simulator_checkpoint,
-    write_checkpoint,
-)
+from repro.simulation.checkpoint import CHECKPOINT_MAGIC, read_checkpoint, write_checkpoint
 from repro.simulation.engine import InteractionSimulator, SimulationConfig
 from repro.simulation.rng import RandomStreams
 from repro.socialnet.generators import SocialNetworkSpec, generate_social_network
@@ -28,53 +20,16 @@ def make_simulator(rounds=10, seed=3, n_users=16):
     return InteractionSimulator(graph, SimulationConfig(rounds=rounds, seed=seed))
 
 
-class TestRandomStreamsSnapshot:
-    def test_snapshot_restore_round_trip(self):
-        streams = RandomStreams(42)
-        streams.stream("churn").random()
-        streams.stream("behavior").random()
-        snapshot = streams.snapshot()
-        expected = [streams.stream("churn").random() for _ in range(5)]
-
-        fresh = RandomStreams(42)
-        fresh.restore(snapshot)
-        assert [fresh.stream("churn").random() for _ in range(5)] == expected
-
-    def test_restore_discards_streams_missing_from_snapshot(self):
-        streams = RandomStreams(7)
-        snapshot = streams.snapshot()  # no streams materialized yet
-        streams.stream("extra").random()
-        streams.restore(snapshot)
-        # After restore, "extra" re-derives from the master seed as if it
-        # had never been drawn from.
-        assert streams.stream("extra").random() == RandomStreams(7).stream("extra").random()
-
-    def test_new_streams_derive_identically_after_restore(self):
-        streams = RandomStreams(11)
-        streams.stream("old").random()
-        fresh = RandomStreams(11)
-        fresh.restore(streams.snapshot())
-        assert fresh.stream("new").random() == RandomStreams(11).stream("new").random()
-
-    def test_snapshot_survives_pickling(self):
-        """Regression: stream states must round-trip through pickle, since
-        checkpoints persist them that way."""
-        streams = RandomStreams(13)
-        for _ in range(17):
-            streams.stream("feedback").random()
-        snapshot = pickle.loads(pickle.dumps(streams.snapshot()))
-        expected = streams.stream("feedback").random()
-        fresh = RandomStreams(13)
-        fresh.restore(snapshot)
-        assert fresh.stream("feedback").random() == expected
-
-    def test_snapshot_does_not_advance_streams(self):
-        streams = RandomStreams(5)
-        streams.stream("x").random()
-        twin = RandomStreams(5)
-        twin.stream("x").random()
-        streams.snapshot()
-        assert streams.stream("x").random() == twin.stream("x").random()
+def test_pickled_streams_continue_every_stream():
+    streams = RandomStreams(42)
+    for name, draws in (("churn", 3), ("feedback", 17), ("selection", 1)):
+        for _ in range(draws):
+            streams.stream(name).random()
+    restored = pickle.loads(pickle.dumps(streams))
+    for name in ("churn", "feedback", "selection", "never-drawn"):
+        assert [restored.stream(name).random() for _ in range(5)] == [
+            streams.stream(name).random() for _ in range(5)
+        ]
 
 
 class TestCheckpointFileFormat:
@@ -162,16 +117,21 @@ class TestCheckpointFileFormat:
         assert synced[-1] == (True, os.stat(tmp_path).st_ino)
 
 
+def save_and_load(simulator, tmp_path):
+    path = str(tmp_path / "mid.ckpt")
+    write_checkpoint(path, "simulator", simulator, round_index=simulator.completed_rounds)
+    _, restored = read_checkpoint(path, expected_kind="simulator")
+    return restored
+
+
 class TestSimulatorCheckpoint:
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
         baseline = make_simulator().run()
 
         simulator = make_simulator()
         simulator.run_until(5)
-        path = str(tmp_path / "mid.ckpt")
-        save_simulator_checkpoint(path, simulator)
-
-        resumed = restore_simulator(load_simulator_checkpoint(path))
+        resumed = save_and_load(simulator, tmp_path)
+        resumed.reattach()
         resumed.run_until(10)
         result = resumed.result()
         assert result.transactions == baseline.transactions
@@ -184,19 +144,35 @@ class TestSimulatorCheckpoint:
         simulator = make_simulator()
         for checkpoint_round in (2, 4, 6, 8):
             simulator.run_until(checkpoint_round)
-            capture_state(simulator)
+            pickle.dumps(simulator)
         simulator.run_until(10)
         assert simulator.result().transactions == baseline.transactions
 
-    def test_restore_rejects_hook_count_mismatch(self, tmp_path):
+    def test_restored_simulator_has_a_fresh_ones_attributes(self, tmp_path):
         simulator = make_simulator()
         simulator.run_until(3)
-        state = capture_state(simulator)
-        with pytest.raises(CheckpointError, match="hooks"):
-            restore_simulator(state, hooks=(lambda sim, r: None,))
+        resumed = save_and_load(simulator, tmp_path)
+        resumed.reattach()
+        assert set(vars(resumed)) == set(vars(make_simulator()))
+        # The hoisted handles are the streams themselves, not copies.
+        assert resumed._rng_selection is resumed.streams.stream("selection")
+        assert resumed._rng_transactions is resumed.streams.stream("transactions")
+        assert resumed._rng_feedback is resumed.streams.stream("feedback")
 
-    def test_load_rejects_non_simulator_payload(self, tmp_path):
-        path = str(tmp_path / "state.ckpt")
-        write_checkpoint(path, "simulator", {"not": "a state"}, round_index=0)
-        with pytest.raises(CheckpointError, match="not a simulator state"):
-            load_simulator_checkpoint(path)
+    def test_restore_rejects_hook_count_mismatch(self):
+        simulator = make_simulator()
+        simulator.run_until(3)
+        resumed = pickle.loads(pickle.dumps(simulator))
+        with pytest.raises(CheckpointError, match="hooks"):
+            resumed.reattach((lambda sim, r: None,))
+
+    def test_unpickled_simulator_refuses_to_run_before_reattach(self):
+        simulator = make_simulator()
+        simulator.run_until(3)
+        resumed = pickle.loads(pickle.dumps(simulator))
+        with pytest.raises(CheckpointError, match="reattached"):
+            resumed.run_until(10)
+        with pytest.raises(CheckpointError, match="reattached"):
+            resumed.run()
+        resumed.reattach()
+        assert resumed.run_until(10) == 10

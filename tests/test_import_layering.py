@@ -4,7 +4,8 @@
 module that defines it.  So a subpackage ``__init__`` holds only its
 docstring, and importing one module loads that module's own imports, not
 its package's whole subtree.  The fresh-interpreter checks pin what the
-light entry points load.
+light entry points load, and that a serving process never loads the
+simulator stack, not even for a moment during a whole session.
 """
 
 import ast
@@ -33,6 +34,10 @@ def test_package_init_is_docstring_only(init):
     tree = ast.parse((SRC / init).read_text(encoding="utf-8"))
     assert ast.get_docstring(tree), f"{init} has no docstring"
     assert len(tree.body) == 1, f"{init} holds code besides its docstring"
+
+
+#: What only the offline simulation needs: a serving process never loads it.
+SIMULATOR_STACK = ("networkx", "repro.simulation.engine", "repro.socialnet")
 
 
 def _loaded_after(statement):
@@ -74,3 +79,71 @@ def test_the_serve_path_loads_no_batch_stack():
         "repro.satisfaction",
     )
     assert _under(loaded, *batch) == []
+
+
+def test_the_checkpoint_format_loads_no_simulator():
+    loaded = _loaded_after("import repro.simulation.checkpoint")
+    assert _under(loaded, "numpy", "repro.reputation", *SIMULATOR_STACK) == []
+
+
+def test_the_serve_path_loads_no_simulator():
+    loaded = _loaded_after("import repro.cli, repro.serving.cli")
+    assert _under(loaded, *SIMULATOR_STACK) == []
+
+
+#: One durable session per mechanism, as `repro serve --wal` runs it:
+#: recover, ingest, snapshot, ingest, then recover from the snapshot plus the
+#: WAL and read the scores.  The finder at the head of ``sys.meta_path`` sees
+#: every module the first time it loads, so nothing escapes by being
+#: unloaded again.
+_SESSION = """
+import os
+import sys
+
+seen = set()
+
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        seen.add(name)
+        return None
+
+
+sys.meta_path.insert(0, Recorder())
+import repro.cli, repro.serving.cli
+from repro.reputation.registry import REPUTATION_FACTORIES
+from repro.serving.service import ReputationService, ServiceConfig
+
+events = [
+    {"subject": f"s{i % 5}", "rating": (i % 4) / 3, "rater": f"r{i % 6}"} for i in range(96)
+]
+for mechanism in sorted(REPUTATION_FACTORIES):
+    wal = os.path.join(sys.argv[1], mechanism + ".wal")
+    snapshot = os.path.join(sys.argv[1], mechanism + ".ckpt")
+    config = ServiceConfig(mechanism=mechanism, refresh_every=8)
+    service = ReputationService.recover(wal_path=wal, config=config, wal_fsync=False)
+    service.ingest_many(events[:48])
+    service.snapshot(snapshot)
+    service.ingest_many(events[48:])
+    service.close()
+    restored = ReputationService.recover(wal_path=wal, snapshot_path=snapshot, wal_fsync=False)
+    assert restored.health()["ingested"] == len(events), mechanism
+    assert restored.scores(), mechanism
+    restored.close()
+print(" ".join(sorted(REPUTATION_FACTORIES)))
+print("\\n".join(sorted(seen | set(sys.modules))))
+"""
+
+
+def test_a_whole_service_session_never_loads_the_simulator(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", _SESSION, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    mechanisms, *loaded = result.stdout.splitlines()
+    assert mechanisms.split() == ["average", "beta", "eigentrust", "powertrust", "trustme"]
+    assert "repro.serving.service" in loaded
+    assert _under(loaded, *SIMULATOR_STACK) == []
