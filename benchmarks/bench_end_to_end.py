@@ -12,11 +12,10 @@ detection-threshold grid), a reference sweep campaign, and the refresh
 layer of one long simulation — each twice with the same binary:
 
 * **cold**: every acceleration layer off (``repro.core.accel`` master
-  switch) — per-refresh store rescans, per-cell scenario setup, no run
-  memoization, fresh worker pools;
-* **accelerated**: the defaults — incremental refresh, shared scenario
-  setup, per-worker scenario-run memoization, persistent chunked sweep
-  workers.
+  switch) — per-refresh store rescans, a freshly generated network per
+  run, no run memoization, fresh worker pools;
+* **accelerated**: the defaults — incremental refresh, shared networks,
+  per-worker scenario-run memoization, persistent chunked sweep workers.
 
 Every workload's outputs are byte-compared across the two modes, so the
 file doubles as the acceleration layer's *purity certificate*: a speedup
@@ -56,7 +55,6 @@ from repro.api import (
     accel,
     clear_network_cache,
     clear_run_cache,
-    clear_setup_cache,
     profiled,
     records_to_json,
     robustness,
@@ -86,7 +84,6 @@ UNGATED_WORKLOADS = frozenset({"figure1", "robustness_matrix", "refresh_layer_ei
 
 def _clear_caches() -> None:
     clear_network_cache()
-    clear_setup_cache()
     clear_run_cache()
 
 

@@ -104,7 +104,6 @@ from repro.scenarios.runner import (
 )
 from repro.scenarios.schema.library import load_template
 from repro.scenarios.schema.model import ScenarioTemplate
-from repro.scenarios.setup import clear_setup_cache
 from repro.serving.client import CircuitBreaker, ClientRetryPolicy, ResilientClient
 from repro.serving.http import create_http_server
 from repro.serving.loadgen import (
@@ -164,7 +163,6 @@ __all__ = [
     "ScenarioTemplate",
     "load_template",
     "clear_run_cache",
-    "clear_setup_cache",
     "EXPERIMENTS",
     "RunResult",
     "get_experiment",

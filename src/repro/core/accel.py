@@ -1,7 +1,7 @@
 """Acceleration switches for the end-to-end pipeline.
 
 The execution layers added for pipeline acceleration — incremental
-reputation refresh, shared scenario setup, per-worker scenario-run
+reputation refresh, shared networks, per-worker scenario-run
 memoization — are all *pure* with respect to published results: enabling or
 disabling any of them must never change a record byte.  That contract is
 what makes a single global switchboard safe, and the switchboard is what
@@ -21,9 +21,11 @@ Flags
     local trust is rebuilt by rescanning the whole report log — the cold
     reference the incremental paths must match byte for byte.  Default on.
 ``setup_cache``
-    Social-network generation, scenario graph setup and directory plans are
-    cached by specification and reused across (scenario × mechanism) cells
-    and sweep tasks.  Default on.
+    Generated social networks are cached by specification
+    (:func:`~repro.socialnet.generators.cached_social_network`) and shared
+    across (scenario × mechanism) cells and sweep tasks; each run still
+    draws its own directory and builds its own campaign.  Off, every run
+    generates a fresh network.  Default on.
 ``run_cache``
     Whole scenario *simulations* are memoized per process so sweep points
     that differ only in post-simulation metric knobs (detection thresholds)

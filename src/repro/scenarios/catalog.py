@@ -765,9 +765,8 @@ def register_scenario(spec: ScenarioSpec, *, replace: bool = False) -> None:
     """Add a scenario to the catalog at runtime (template-defined workloads).
 
     Built-in names can never be shadowed.  Re-registering a non-builtin name
-    requires ``replace=True`` and purges the campaign memo for that name, so
-    a template edited between two ``scenario run`` calls in one process
-    cannot serve a stale campaign.
+    requires ``replace=True``.  Campaigns are built per run from the
+    registered spec, so none outlives a replacement.
     """
     if spec.name in BUILTIN_SCENARIOS:
         raise ConfigurationError(
@@ -777,8 +776,6 @@ def register_scenario(spec: ScenarioSpec, *, replace: bool = False) -> None:
         raise ConfigurationError(
             f"scenario {spec.name!r} is already registered (pass replace=True to update)"
         )
-    for key in [key for key in _CAMPAIGN_CACHE if key[0] == spec.name]:
-        del _CAMPAIGN_CACHE[key]
     CATALOG[spec.name] = spec
 
 
@@ -787,27 +784,6 @@ def unregister_scenario(name: str) -> None:
     if name in BUILTIN_SCENARIOS:
         raise ConfigurationError(f"scenario {name!r} is built-in and cannot be unregistered")
     CATALOG.pop(name, None)
-    for key in [key for key in _CAMPAIGN_CACHE if key[0] == name]:
-        del _CAMPAIGN_CACHE[key]
-
-
-#: Memo of built campaigns keyed by (scenario, rounds, knobs).  Campaigns
-#: without a churn override are safe to share: their events are frozen
-#: dataclasses and sticky-group state lives in the per-run
-#: :class:`~repro.scenarios.campaign.CampaignDriver`.  Campaigns that carry
-#: a churn model are built fresh every time — a
-#: :class:`~repro.simulation.churn.PhasedChurnModel` counts rounds, and
-#: although the engine rewinds it at simulator construction, two
-#: simulators *constructed* before either *runs* would share (and corrupt)
-#: one counter.  Sweeps and robustness matrices rebuild the same few
-#: campaigns thousands of times otherwise.
-_CAMPAIGN_CACHE_SIZE = 64
-_CAMPAIGN_CACHE: dict[tuple, AttackCampaign] = {}
-
-
-def clear_campaign_cache() -> None:
-    """Drop every memoized campaign (tests use this)."""
-    _CAMPAIGN_CACHE.clear()
 
 
 def build_campaign(name: str, *, rounds: int, **overrides: object) -> AttackCampaign:
@@ -815,26 +791,10 @@ def build_campaign(name: str, *, rounds: int, **overrides: object) -> AttackCamp
 
     ``overrides`` replace catalog knob defaults; unknown knobs raise.  Graph
     knobs (e.g. sybil counts) are accepted here for validation but consumed
-    by :func:`setup_scenario_graph`.  Repeated calls with the same
-    arguments return the same campaign object when it is stateless (no
-    churn override); campaigns carrying a churn model are always fresh.
+    by :func:`setup_scenario_graph`.
     """
     spec = get_scenario(name)
-    knobs = spec.merged_knobs(overrides)
-    try:
-        key: tuple | None = (name, rounds, tuple(sorted(knobs.items())))
-    except TypeError:
-        key = None  # unhashable knob values: build fresh
-    if key is not None:
-        cached = _CAMPAIGN_CACHE.get(key)
-        if cached is not None:
-            return cached
-    campaign = spec.build(rounds=rounds, **knobs)
-    if key is not None and campaign.churn is None:
-        if len(_CAMPAIGN_CACHE) >= _CAMPAIGN_CACHE_SIZE:
-            _CAMPAIGN_CACHE.clear()
-        _CAMPAIGN_CACHE[key] = campaign
-    return campaign
+    return spec.build(rounds=rounds, **spec.merged_knobs(overrides))
 
 
 def setup_scenario_graph(

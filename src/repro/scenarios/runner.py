@@ -7,17 +7,15 @@ interaction simulation and condenses the trace into
 the robustness experiment (and any sweep over it) repeats per
 (scenario, mechanism) cell.
 
-Two acceleration layers sit in front of the simulation, both pure with
-respect to results (see :mod:`repro.core.accel`):
-
-* the **setup cache** (:mod:`repro.scenarios.setup`) shares the generated
-  graph and the directory plan across every mechanism column of a scenario
-  row — only setup is shared; the simulation still runs per mechanism,
-  since provider selection is score-dependent;
-* the **run cache** (off by default; sweeps enable it) memoizes whole
-  simulations per process, so runs that differ only in the
-  :data:`EVALUATION_FIELDS` (detection threshold, recovery fraction)
-  re-evaluate the recorded trace instead of re-simulating.
+Each run sets itself up: it takes its graph from the network cache
+(:func:`~repro.socialnet.generators.cached_social_network`, behind the
+``setup_cache`` flag), or generates a fresh one when the scenario changes
+the population; it builds its own campaign, and the simulator draws its
+own directory.  The **run cache** (off by default; sweeps enable it)
+memoizes whole simulations per process, so runs that differ only in the
+:data:`EVALUATION_FIELDS` (detection threshold, recovery fraction)
+re-evaluate the recorded trace instead of re-simulating.  Both caches are
+pure with respect to results (see :mod:`repro.core.accel`).
 
 :func:`reputation_for_graph` is the shared mechanism builder (EigenTrust's
 pre-trusted founders, anonymous-feedback wrapping) also used by the
@@ -36,16 +34,22 @@ from repro.reputation.anonymous import AnonymousFeedbackReputation
 from repro.reputation.base import ReputationSystem
 from repro.reputation.registry import make_reputation_system
 from repro.scenarios.campaign import AttackCampaign, CampaignDriver
-from repro.scenarios.catalog import build_campaign, get_scenario
+from repro.scenarios.catalog import build_campaign, get_scenario, setup_scenario_graph
 from repro.scenarios.metrics import RobustnessMetrics, ScenarioTrace, evaluate_trace
-from repro.scenarios.setup import scenario_setup
 from repro.simulation.checkpoint import read_checkpoint, write_checkpoint
 from repro.simulation.engine import (
     InteractionSimulator,
     SimulationConfig,
     SimulationResult,
 )
+from repro.simulation.rng import RandomStreams
+from repro.socialnet.generators import (
+    SocialNetworkSpec,
+    cached_social_network,
+    generate_social_network,
+)
 from repro.socialnet.graph import SocialGraph
+from repro.socialnet.presets import preset_spec
 
 
 def reputation_for_graph(
@@ -127,6 +131,27 @@ class ScenarioRunConfig:
         except TypeError:
             return None
         return key
+
+
+def _scenario_graph(config: ScenarioRunConfig) -> SocialGraph:
+    """The run's graph: the shared network for the config's spec, or a fresh
+    one when the scenario changes the population (sybil injection), which
+    draws from its own stream so the generator's draws stay untouched."""
+    if config.preset is not None:
+        spec = preset_spec(config.preset, seed=config.seed)
+    else:
+        spec = SocialNetworkSpec(
+            n_users=config.n_users,
+            topology=config.topology,
+            malicious_fraction=config.malicious_fraction,
+            seed=config.seed,
+        )
+    if get_scenario(config.scenario).setup_graph is None:
+        return cached_social_network(spec)
+    graph = generate_social_network(spec)
+    setup_rng = RandomStreams(config.seed).stream("scenario-setup")
+    setup_scenario_graph(config.scenario, graph, setup_rng, **config.knobs)
+    return graph
 
 
 @dataclass
@@ -305,8 +330,7 @@ def run_scenario(
                 return _evaluate(config, cached)
 
     with _profiling.phase("setup"):
-        setup = scenario_setup(config)
-        graph = setup.graph
+        graph = _scenario_graph(config)
         campaign = build_campaign(config.scenario, rounds=config.rounds, **config.knobs)
         reputation = reputation_for_graph(graph, config.mechanism, seed=config.seed)
         driver = CampaignDriver(campaign)
@@ -325,7 +349,6 @@ def run_scenario(
             sim_config,
             reputation=reputation,
             hooks=(driver, trace),
-            directory_plan=setup.plan,
         )
     with _profiling.phase("simulate"):
         _run_segments(simulator, config, checkpoint_every, checkpoint_path)

@@ -20,7 +20,6 @@ from pathlib import Path
 from repro.errors import TemplateError
 from repro.experiments import robustness
 from repro.experiments.results import ExperimentRecord, records_to_json
-from repro.scenarios.catalog import clear_campaign_cache
 from repro.scenarios.runner import (
     ScenarioRunConfig,
     ScenarioRunResult,
@@ -29,7 +28,6 @@ from repro.scenarios.runner import (
 )
 from repro.scenarios.schema.compile import CompiledScenario, compile_template
 from repro.scenarios.schema.model import ScenarioTemplate, template_from_text
-from repro.scenarios.setup import clear_setup_cache
 
 #: Environment override for the template directory (CI and tests use it).
 TEMPLATE_DIR_ENV = "REPRO_TEMPLATE_DIR"
@@ -104,12 +102,6 @@ def find_template(name: str, directory: Path | None = None) -> ScenarioTemplate:
             return template
     root = directory if directory is not None else builtin_template_dir()
     raise TemplateError("", f"no template named {name!r} under {root}")
-
-
-def _clear_caches() -> None:
-    clear_run_cache()
-    clear_setup_cache()
-    clear_campaign_cache()
 
 
 def _record(config: ScenarioRunConfig, metrics: dict[str, object]) -> ExperimentRecord:
@@ -238,7 +230,7 @@ def verify_template(
     Catalog-reference templates with default knobs are compared
     byte-for-byte against the programmatic robustness experiment; every
     other template (declarative campaigns, knob overrides) is re-run after
-    a full cache flush and must reproduce its own record byte-for-byte.
+    a run-cache flush and must reproduce its own record byte-for-byte.
     """
     compiled = compile_template(template, tier, mechanism=mechanism)
     template_json = template_record_json(compiled)
@@ -247,7 +239,7 @@ def verify_template(
         reference_json = _programmatic_record_json(compiled.config)
     else:
         mode = "self-consistency"
-        _clear_caches()
+        clear_run_cache()
         reference_json = template_record_json(compiled)
     ok = template_json == reference_json
     detail = (

@@ -20,7 +20,6 @@ values.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 from typing import Protocol
@@ -30,7 +29,6 @@ from repro._util import require_unit_interval
 from repro.core.backend import interaction_counts
 from repro.errors import CheckpointError, ConfigurationError
 from repro.simulation.adversary import (
-    BehaviorModel,
     CollusiveBehavior,
     WhitewasherBehavior,
     behavior_for_user,
@@ -150,92 +148,11 @@ class SimulationResult:
         return len(self.disclosed_feedbacks) / len(self.feedbacks)
 
 
-@dataclass(frozen=True)
-class DirectoryPlan:
-    """A deterministic blueprint of the peer directory.
-
-    Building a :class:`PeerDirectory` draws behaviour assignments from the
-    engine's ``"behavior"`` stream; those draws depend only on the graph,
-    the seed and the adversary-mix fractions, so scenario runs that share a
-    setup (every mechanism column of a robustness row) repeat them
-    needlessly.  A plan captures the *decisions* — per user, a zero-argument
-    factory for its behaviour — without any mutable state: materializing it
-    creates fresh :class:`Peer` and behaviour objects every time, so
-    restored directories are exactly what a cold build would produce.
-
-    Skipping the draws is stream-exact: ``"behavior"`` is its own named
-    stream, consumed only during directory construction, so every other
-    stream's sequence is untouched whether a plan is supplied or not.
-    """
-
-    entries: tuple[tuple[str, Callable[[], BehaviorModel]], ...]
-
-    def materialize(self, graph: SocialGraph) -> list[Peer]:
-        """Fresh peers (fresh behaviour instances) for the planned graph."""
-        user_of = graph.user
-        return [
-            Peer(user=user_of(user_id), behavior=factory())
-            for user_id, factory in self.entries
-        ]
-
-
-def _collusive_factory(ring: frozenset) -> Callable[[], BehaviorModel]:
-    return lambda: CollusiveBehavior(ring=set(ring))
-
-
-def build_directory_plan(
-    graph: SocialGraph,
-    rng: random.Random,
-    *,
-    traitor_fraction: float = 0.0,
-    whitewasher_fraction: float = 0.0,
-    selfish_fraction: float = 0.0,
-    collusion_fraction: float = 0.0,
-) -> DirectoryPlan:
-    """Draw the directory's behaviour decisions into a reusable plan.
-
-    Consumes the rng exactly as the historical directory build did — one
-    :func:`behavior_for_user` call per user in graph order, then one
-    ``sample`` for the collusion ring — so building a plan and materializing
-    it yields the same directory as the old inline construction.
-    """
-    decisions: list[list[object]] = []
-    for user in graph.users():
-        behavior = behavior_for_user(
-            user,
-            rng=rng,
-            traitor_fraction=traitor_fraction,
-            whitewasher_fraction=whitewasher_fraction,
-            selfish_fraction=selfish_fraction,
-        )
-        # Every assignable behaviour is default-constructible, so the class
-        # itself is the factory; the throwaway instance only fixes the draw.
-        decisions.append([user.user_id, type(behavior), user.is_honest])
-    if collusion_fraction > 0.0:
-        dishonest = [decision for decision in decisions if not decision[2]]
-        if len(dishonest) >= 2:
-            ring_size = max(2, int(round(collusion_fraction * len(dishonest))))
-            ring_members = rng.sample(dishonest, min(ring_size, len(dishonest)))
-            ring_ids = {member[0] for member in ring_members}
-            for member in ring_members:
-                member[1] = _collusive_factory(frozenset(ring_ids - {member[0]}))
-    return DirectoryPlan(
-        entries=tuple((user_id, factory) for user_id, factory, _ in decisions)
-    )
-
-
 #: Attributes a pickled simulator leaves out: configuration the resuming
-#: caller passes again (:meth:`InteractionSimulator.reattach`), the directory
-#: plan (it holds closures, and a started run never reads it again) and
-#: caches that refill with the same values.
+#: caller passes again (:meth:`InteractionSimulator.reattach`) and caches
+#: that refill with the same values.
 _NOT_PICKLED = frozenset(
-    {
-        "_hooks",
-        "_disclosure_observer",
-        "_directory_plan",
-        "_disclosure_cache",
-        "_neighbor_peers_cache",
-    }
+    {"_hooks", "_disclosure_observer", "_disclosure_cache", "_neighbor_peers_cache"}
 )
 
 
@@ -250,7 +167,6 @@ class InteractionSimulator:
         reputation: ReputationProtocol | None = None,
         disclosure_observer: DisclosureObserver | None = None,
         hooks: Sequence[RoundHook] = (),
-        directory_plan: DirectoryPlan | None = None,
     ) -> None:
         if len(graph) < 2:
             raise ConfigurationError("the simulation needs at least two peers")
@@ -269,7 +185,6 @@ class InteractionSimulator:
         self._rng_selection = self._streams.stream("selection")
         self._rng_transactions = self._streams.stream("transactions")
         self._rng_feedback = self._streams.stream("feedback")
-        self._directory_plan = directory_plan
         self.directory = self._build_directory()
         self.metrics = MetricsCollector()
         self._transactions: list[Transaction] = []
@@ -321,7 +236,6 @@ class InteractionSimulator:
         self.__dict__.update(state)
         self._hooks = ()
         self._disclosure_observer = None
-        self._directory_plan = None
         self._disclosure_cache = {}
         self._neighbor_peers_cache = {}
 
@@ -363,17 +277,33 @@ class InteractionSimulator:
     # -- setup -------------------------------------------------------------
 
     def _build_directory(self) -> PeerDirectory:
-        plan = self._directory_plan
-        if plan is None:
-            plan = build_directory_plan(
-                self.graph,
-                self._streams.stream("behavior"),
-                traitor_fraction=self.config.traitor_fraction,
-                whitewasher_fraction=self.config.whitewasher_fraction,
-                selfish_fraction=self.config.selfish_fraction,
-                collusion_fraction=self.config.collusion_fraction,
+        """Fresh peers with behaviours drawn from the ``"behavior"`` stream:
+        one :func:`behavior_for_user` draw per user in graph order, then one
+        ``sample`` of the dishonest peers for the collusion ring."""
+        config = self.config
+        rng = self._streams.stream("behavior")
+        peers = [
+            Peer(
+                user=user,
+                behavior=behavior_for_user(
+                    user,
+                    rng=rng,
+                    traitor_fraction=config.traitor_fraction,
+                    whitewasher_fraction=config.whitewasher_fraction,
+                    selfish_fraction=config.selfish_fraction,
+                ),
             )
-        return PeerDirectory(plan.materialize(self.graph))
+            for user in self.graph.users()
+        ]
+        if config.collusion_fraction > 0.0:
+            dishonest = [peer for peer in peers if not peer.user.is_honest]
+            if len(dishonest) >= 2:
+                ring_size = max(2, int(round(config.collusion_fraction * len(dishonest))))
+                ring = rng.sample(dishonest, min(ring_size, len(dishonest)))
+                ring_ids = {peer.base_id for peer in ring}
+                for peer in ring:
+                    peer.behavior = CollusiveBehavior(ring=ring_ids - {peer.base_id})
+        return PeerDirectory(peers)
 
     # -- provider selection --------------------------------------------------
 

@@ -188,7 +188,7 @@ def generate_social_network(spec: SocialNetworkSpec) -> SocialGraph:
     return social
 
 
-# -- shared setup cache ----------------------------------------------------------
+# -- network cache ---------------------------------------------------------------
 
 #: Most-recently-used cache of generated networks, keyed by specification.
 #: Small on purpose: entries hold whole graphs, and the sharing pattern this
@@ -202,7 +202,7 @@ def _spec_cache_key(spec: SocialNetworkSpec) -> tuple | None:
     """A hashable identity for the spec, or ``None`` when it has none
     (unhashable ``extra`` payloads fall back to fresh generation)."""
     try:
-        return (
+        key = (
             spec.n_users,
             spec.topology,
             spec.mean_degree,
@@ -214,8 +214,10 @@ def _spec_cache_key(spec: SocialNetworkSpec) -> tuple | None:
             spec.seed,
             tuple(sorted(spec.extra.items())),
         )
+        hash(key)
     except TypeError:
         return None
+    return key
 
 
 def clear_network_cache() -> None:
@@ -233,8 +235,9 @@ def cached_social_network(spec: SocialNetworkSpec) -> SocialGraph:
     graph's mutation :attr:`~repro.socialnet.graph.SocialGraph.version` at
     store time and regenerates on mismatch, so a consumer that does mutate
     a shared graph costs a rebuild rather than corrupting later runs.
-    Callers that need to mutate should take ``.copy()`` first.  With the
-    setup cache disabled this is exactly :func:`generate_social_network`.
+    Callers that need to mutate should call :func:`generate_social_network`
+    instead.  With the ``setup_cache`` flag off this is exactly
+    :func:`generate_social_network`.
     """
     if not accel.flags().setup_cache:
         return generate_social_network(spec)

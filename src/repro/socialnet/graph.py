@@ -44,9 +44,11 @@ class SocialGraph:
     def version(self) -> int:
         """Monotone mutation counter (bumps on every structural change).
 
-        The shared-setup caches key their validity on this: a cached graph
-        whose version moved since it was stored has been mutated by some
-        consumer and is silently regenerated instead of reused.
+        The network cache
+        (:func:`~repro.socialnet.generators.cached_social_network`) keys its
+        validity on this: a cached graph whose version moved since it was
+        stored has been mutated by some consumer and is silently regenerated
+        instead of reused.
         """
         return self._version
 
@@ -181,25 +183,6 @@ class SocialGraph:
     def to_networkx(self) -> nx.Graph:
         """Return a copy of the underlying networkx graph (nodes = user ids)."""
         return self._graph.copy()
-
-    def copy(self) -> SocialGraph:
-        """An independent structural copy sharing the (read-only) users.
-
-        The networkx graph is copied adjacency-dict for adjacency-dict, so
-        neighbour iteration order — which downstream determinism depends on
-        — is preserved exactly.  :class:`User` objects are shared, not
-        deep-copied: nothing in the library mutates a user after creation.
-        Scenario setup uses this to mutate a population (e.g. inject
-        sybils) without touching the cached base network.
-        """
-        duplicate = SocialGraph.__new__(SocialGraph)
-        duplicate._graph = self._graph.copy()
-        duplicate._users = dict(self._users)
-        duplicate._neighbors_cache = {}
-        duplicate._users_cache = None
-        duplicate._user_ids_cache = None
-        duplicate._version = 0
-        return duplicate
 
     def subgraph(self, user_ids: Iterable[str]) -> SocialGraph:
         """Build a new :class:`SocialGraph` restricted to the given users."""

@@ -23,7 +23,6 @@ from repro.reputation.beta import BetaReputation
 from repro.reputation.eigentrust import EigenTrust
 from repro.reputation.powertrust import PowerTrust
 from repro.scenarios.runner import clear_run_cache
-from repro.scenarios.setup import clear_setup_cache
 from repro.simulation.transaction import Feedback
 from repro.socialnet.generators import clear_network_cache
 
@@ -157,7 +156,6 @@ def test_refresh_survives_clear_and_reset(batches, mechanism_index):
 
 def _matrix_records(**kwargs):
     clear_network_cache()
-    clear_setup_cache()
     clear_run_cache()
     result = robustness.run(**kwargs)
     return json.dumps(robustness.summarize(result), sort_keys=True)

@@ -1,15 +1,10 @@
-"""Shared scenario setup: cache reuse, mutation guards, campaign memoization."""
+"""Shared networks: cache reuse and mutation guards; per-run scenario setup."""
 
 import pytest
 
 from repro.core import accel
-from repro.scenarios.catalog import build_campaign, clear_campaign_cache
+from repro.scenarios.catalog import build_campaign
 from repro.scenarios.runner import ScenarioRunConfig, run_scenario
-from repro.scenarios.setup import (
-    build_scenario_setup,
-    clear_setup_cache,
-    scenario_setup,
-)
 from repro.socialnet.generators import (
     SocialNetworkSpec,
     cached_social_network,
@@ -22,12 +17,8 @@ from repro.socialnet.user import User, standard_profile
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_network_cache()
-    clear_setup_cache()
-    clear_campaign_cache()
     yield
     clear_network_cache()
-    clear_setup_cache()
-    clear_campaign_cache()
 
 
 SPEC = SocialNetworkSpec(n_users=16, seed=3)
@@ -66,33 +57,24 @@ class TestNetworkCache:
             second = cached_social_network(SPEC)
         assert first is not second
 
-    def test_copy_is_structurally_identical_and_independent(self):
-        shared = cached_social_network(SPEC)
-        duplicate = shared.copy()
-        assert duplicate.user_ids() == shared.user_ids()
-        assert all(
-            duplicate.neighbors(uid) == shared.neighbors(uid) for uid in shared.user_ids()
-        )
-        duplicate.add_user(User(user_id="extra", profile=standard_profile("extra")))
-        assert "extra" not in shared
+    def test_unhashable_extra_generates_fresh(self):
+        spec = SocialNetworkSpec(n_users=10, seed=1, extra={"tags": ["a", "b"]})
+        first = cached_social_network(spec)
+        fresh = generate_social_network(spec)
+        assert first.user_ids() == fresh.user_ids()
+        assert {uid: first.neighbors(uid) for uid in first.user_ids()} == {
+            uid: fresh.neighbors(uid) for uid in fresh.user_ids()
+        }
+        assert cached_social_network(spec) is not first
 
 
 class TestScenarioSetupCache:
-    def test_setup_shared_across_mechanism_columns(self):
-        config_a = ScenarioRunConfig(
-            scenario="collusion-ring", mechanism="eigentrust", n_users=14, rounds=6, seed=2
-        )
-        config_b = ScenarioRunConfig(
-            scenario="collusion-ring", mechanism="beta", n_users=14, rounds=6, seed=2
-        )
-        assert scenario_setup(config_a).graph is scenario_setup(config_b).graph
-
     def test_sybil_scenario_does_not_pollute_the_base_network(self):
         config = ScenarioRunConfig(
             scenario="sybil-burst", mechanism="average", n_users=14, rounds=10, seed=2
         )
-        setup = scenario_setup(config)
-        assert any(uid.startswith("sybil-") for uid in setup.graph.user_ids())
+        graph = run_scenario(config).graph
+        assert any(uid.startswith("sybil-") for uid in graph.user_ids())
         base = cached_social_network(
             SocialNetworkSpec(
                 n_users=config.n_users,
@@ -103,28 +85,12 @@ class TestScenarioSetupCache:
         )
         assert not any(uid.startswith("sybil-") for uid in base.user_ids())
 
-    def test_cached_setup_matches_fresh_build(self):
-        config = ScenarioRunConfig(
-            scenario="sybil-burst", mechanism="average", n_users=14, rounds=10, seed=2
-        )
-        cached = scenario_setup(config)
-        with accel.override(setup_cache=False):
-            fresh = build_scenario_setup(config)
-        assert cached.graph.user_ids() == fresh.graph.user_ids()
-        assert [entry[0] for entry in cached.plan.entries] == [
-            entry[0] for entry in fresh.plan.entries
-        ]
-        cached_behaviors = [type(factory()) for _, factory in cached.plan.entries]
-        fresh_behaviors = [type(factory()) for _, factory in fresh.plan.entries]
-        assert cached_behaviors == fresh_behaviors
-
     def test_run_scenario_results_identical_with_and_without_setup_cache(self):
         kwargs = dict(
             scenario="whitewash-wave", mechanism="eigentrust", n_users=14, rounds=8, seed=4
         )
         shared = run_scenario(**kwargs)
         clear_network_cache()
-        clear_setup_cache()
         with accel.override(setup_cache=False):
             fresh = run_scenario(**kwargs)
         assert shared.robustness == fresh.robustness
@@ -132,11 +98,6 @@ class TestScenarioSetupCache:
 
 
 class TestCampaignMemo:
-    def test_same_arguments_return_same_campaign(self):
-        first = build_campaign("collusion-ring", rounds=12)
-        second = build_campaign("collusion-ring", rounds=12)
-        assert first is second
-
     def test_different_knobs_build_different_campaigns(self):
         base = build_campaign("collusion-ring", rounds=12)
         dense = build_campaign("collusion-ring", rounds=12, density=0.5)
@@ -177,6 +138,6 @@ class TestCampaignMemo:
         )
         first = run_scenario(**kwargs)
         second = run_scenario(**kwargs)
-        # The stateful phased churn model is rewound per run, so a shared
-        # campaign object yields identical trajectories.
+        # The stateful phased churn model starts at round 0 in every run,
+        # so repeated runs yield identical trajectories.
         assert first.robustness == second.robustness
