@@ -13,9 +13,10 @@ layer of one long simulation — each twice with the same binary:
 
 * **cold**: every acceleration layer off (``repro.core.accel`` master
   switch) — per-refresh store rescans, a freshly generated network per
-  run, no run memoization, fresh worker pools;
+  run, every threshold pass re-simulated, fresh worker pools;
 * **accelerated**: the defaults — incremental refresh, shared networks,
-  per-worker scenario-run memoization, persistent chunked sweep workers.
+  threshold passes sharing their simulations, persistent chunked sweep
+  workers.
 
 Every workload's outputs are byte-compared across the two modes, so the
 file doubles as the acceleration layer's *purity certificate*: a speedup
@@ -54,13 +55,13 @@ from repro.api import (
     SweepSpec,
     accel,
     clear_network_cache,
-    clear_run_cache,
     profiled,
     records_to_json,
     robustness,
     run_experiment_structured,
     run_scenario,
     run_sweep,
+    shared_simulations,
 )
 
 SCHEMA_VERSION = 2
@@ -82,11 +83,6 @@ FLOORS = {
 UNGATED_WORKLOADS = frozenset({"figure1", "robustness_matrix", "refresh_layer_eigentrust"})
 
 
-def _clear_caches() -> None:
-    clear_network_cache()
-    clear_run_cache()
-
-
 @contextmanager
 def cold_pipeline():
     """All acceleration off, also for worker processes forked inside."""
@@ -103,7 +99,7 @@ def cold_pipeline():
 
 
 def _timed(operation: Callable[[], object]) -> tuple[float, object]:
-    _clear_caches()
+    clear_network_cache()
     start = time.perf_counter()
     result = operation()
     return time.perf_counter() - start, result
@@ -148,8 +144,8 @@ def figure1_workload(quick: bool) -> Callable[[], str]:
 
 #: The robustness matrix rows: the seven scenarios the catalog held when
 #: these workloads were first measured.  Pinned so catalog growth cannot
-#: silently resize the matrix — eleven rows × five mechanisms is 55 cells,
-#: which cycle through the 48-entry scenario run cache and miss every time.
+#: silently resize the matrix, which the committed baseline measured at
+#: seven rows × five mechanisms.
 MATRIX_SCENARIOS = (
     "baseline",
     "collusion-ring",
@@ -178,7 +174,7 @@ def robustness_matrix_workload(quick: bool) -> Callable[[], str]:
 #: The standard detection-threshold sensitivity grid: robustness
 #: conclusions should not hinge on the (arbitrary) detection threshold, so
 #: the matrix is evaluated at each value.  Only the metric layer differs
-#: between passes — exactly the redundancy the run cache eliminates.
+#: between passes — exactly the redundancy shared simulations eliminate.
 DETECT_THRESHOLDS = (0.05, 0.1, 0.2)
 
 
@@ -187,9 +183,9 @@ def threshold_matrix_workload(quick: bool) -> Callable[[], str]:
 
     def run() -> str:
         payloads = []
-        # Requesting the run cache is harmless in cold mode: the master
-        # kill switch still wins, so cold re-simulates every pass.
-        with accel.override(run_cache=True):
+        # In cold mode the master switch makes the block share nothing,
+        # so cold re-simulates every pass.
+        with shared_simulations():
             for threshold in DETECT_THRESHOLDS:
                 result = robustness.run(detect_threshold=threshold, **kwargs)
                 payloads.append(robustness.summarize(result))
@@ -216,8 +212,8 @@ def reference_sweep_workload(quick: bool, jobs: int) -> Callable[[], str]:
         if accel.flags().disable_all:
             result = run_sweep(spec, jobs=jobs)
         else:
-            # Accelerated execution: persistent cache-warm workers, chunks
-            # aligned with the scenario-major task order.
+            # Accelerated execution: persistent workers, one chunk per
+            # group of tasks that share a simulation.
             with SweepExecutor(jobs, chunksize=len(DETECT_THRESHOLDS)) as executor:
                 result = run_sweep(spec, executor=executor)
         return records_to_json(result.records, campaign=spec.campaign_metadata())

@@ -34,11 +34,13 @@ zero extra dependencies); ``--drill`` selects a subset:
   byte-for-byte.
 
 ``--check-baseline PATH`` compares against the committed baseline
-(``benchmarks/baselines/BENCH_serve_baseline.json``): throughput may not
-fall below ``(1 - tolerance)`` of the baseline events/sec, and the
-absolute floors catch wholesale losses even with a stale baseline.  The
-tolerance is deliberately loose (CI machines differ widely); the
-byte-identity and zero-error checks are exact.
+(``benchmarks/baselines/BENCH_serve_baseline.json``): a report whose
+workload definition (:func:`workload_definition`) differs from the
+baseline's is refused outright, throughput may not fall below
+``(1 - tolerance)`` of the baseline events/sec, and the absolute floors
+catch wholesale losses even with a stale baseline.  The tolerance is
+deliberately loose (CI machines differ widely); the byte-identity and
+zero-error checks are exact.
 """
 
 from __future__ import annotations
@@ -88,6 +90,28 @@ FLOORS = {
 #: Service parameters used by every drill (and by the committed baseline).
 REFRESH_EVERY = 32
 
+#: Each drill's fixed parameters, all recorded in :func:`workload_definition`.
+#: A batch is the events one ingest request carries.
+THROUGHPUT_BATCH = 32
+#: The throughput clients query the scores after every this many batches.
+THROUGHPUT_QUERY_EVERY = 2
+RESTART_BATCH = 16
+#: The restart drill snapshots and kills its server after this share of
+#: the events.
+RESTART_SPLIT = 0.5
+OVERLOAD_BATCH = 16
+#: The overload server's admission gate (``--max-pending``) and the fault
+#: plan that forces its first sheds.
+OVERLOAD_MAX_PENDING = 4
+OVERLOAD_FAULT_PLAN = {
+    "seed": 0,
+    "rules": [{"site": "http.admit", "action": "degrade", "times": 12}],
+}
+CRASH_BATCH = 16
+#: The crash drill kills its server mid-append of the batch this share of
+#: the way through the trace.
+CRASH_KILL_POINT = 0.5
+
 #: The in-repo src/ tree, so server subprocesses resolve the same package
 #: as the driving process regardless of the caller's cwd or install state.
 _SRC_PATH = os.pathsep.join(
@@ -100,6 +124,26 @@ def trace_kwargs(quick: bool) -> dict[str, object]:
     if quick:
         return dict(scenario="collusion-ring", n_users=25, rounds=20, seed=11)
     return dict(scenario="collusion-ring", n_users=40, rounds=60, seed=11)
+
+
+def workload_definition() -> dict[str, object]:
+    """Everything that shapes what the drills measure, for both modes.
+
+    Recorded in every report; the gate refuses to compare a report against
+    a baseline whose definition differs.
+    """
+    return {
+        "trace": {mode: trace_kwargs(quick) for mode, quick in (("full", False), ("quick", True))},
+        "refresh_every": REFRESH_EVERY,
+        "throughput": {"batch_size": THROUGHPUT_BATCH, "query_every": THROUGHPUT_QUERY_EVERY},
+        "restart": {"batch_size": RESTART_BATCH, "split": RESTART_SPLIT},
+        "overload": {
+            "batch_size": OVERLOAD_BATCH,
+            "max_pending": OVERLOAD_MAX_PENDING,
+            "fault_plan": OVERLOAD_FAULT_PLAN,
+        },
+        "crash": {"batch_size": CRASH_BATCH, "kill_point": CRASH_KILL_POINT},
+    }
 
 
 class ServerProcess:
@@ -178,8 +222,8 @@ def throughput_drill(
             server.port,
             events,
             clients=clients,
-            batch_size=32,
-            query_every=2,
+            batch_size=THROUGHPUT_BATCH,
+            query_every=THROUGHPUT_QUERY_EVERY,
         )
     finally:
         server.terminate()
@@ -225,7 +269,7 @@ def _control_scores_body(events: list[dict[str, object]]) -> bytes:
 def restart_drill(workdir: Path, events: list[dict[str, object]]) -> dict[str, object]:
     """Kill a server mid-trace, restore from snapshot, compare bytewise."""
     snapshot = workdir / "restart.ckpt"
-    half = len(events) // 2
+    split = int(len(events) * RESTART_SPLIT)
 
     first = ServerProcess(
         workdir,
@@ -233,7 +277,7 @@ def restart_drill(workdir: Path, events: list[dict[str, object]]) -> dict[str, o
         ["--refresh-every", str(REFRESH_EVERY), "--snapshot", str(snapshot)],
     )
     try:
-        ingest_events("127.0.0.1", first.port, events[:half], batch_size=16)
+        ingest_events("127.0.0.1", first.port, events[:split], batch_size=RESTART_BATCH)
         status, payload, _ = request_json(
             "127.0.0.1", first.port, "POST", "/v1/snapshot"
         )
@@ -244,7 +288,7 @@ def restart_drill(workdir: Path, events: list[dict[str, object]]) -> dict[str, o
 
     second = ServerProcess(workdir, "restart-b", ["--restore", str(snapshot)])
     try:
-        ingest_events("127.0.0.1", second.port, events[half:], batch_size=16)
+        ingest_events("127.0.0.1", second.port, events[split:], batch_size=RESTART_BATCH)
         interrupted = scores_body("127.0.0.1", second.port)
     finally:
         second.terminate()
@@ -254,7 +298,7 @@ def restart_drill(workdir: Path, events: list[dict[str, object]]) -> dict[str, o
     return {
         "drill": "restart",
         "events": len(events),
-        "snapshot_at": half,
+        "snapshot_at": split,
         "restart_identical": interrupted == control,
         "interrupted_sha": hashlib.sha256(interrupted).hexdigest(),
         "control_sha": hashlib.sha256(control).hexdigest(),
@@ -272,14 +316,11 @@ def overload_drill(
     absorb the 429s through their retry budget, so the invariant at the end
     is exact: every acked event is ingested exactly once.
     """
-    plan = json.dumps(
-        {"seed": 0, "rules": [{"site": "http.admit", "action": "degrade", "times": 12}]}
-    )
     server = ServerProcess(
         workdir,
         "overload",
-        ["--refresh-every", str(REFRESH_EVERY), "--max-pending", "4"],
-        env_extra={"REPRO_FAULTS": plan},
+        ["--refresh-every", str(REFRESH_EVERY), "--max-pending", str(OVERLOAD_MAX_PENDING)],
+        env_extra={"REPRO_FAULTS": json.dumps(OVERLOAD_FAULT_PLAN)},
     )
     shards = [events[index::clients] for index in range(clients)]
     flood_clients = [
@@ -310,9 +351,9 @@ def overload_drill(
     def flood(index: int) -> None:
         shard = shards[index]
         client = flood_clients[index]
-        for start in range(0, len(shard), 16):
+        for start in range(0, len(shard), OVERLOAD_BATCH):
             try:
-                client.ingest(shard[start : start + 16])
+                client.ingest(shard[start : start + OVERLOAD_BATCH])
             except RequestFailedError:
                 failed_batches[index] += 1
 
@@ -362,8 +403,8 @@ def overload_drill(
 def crash_drill(workdir: Path, events: list[dict[str, object]]) -> dict[str, object]:
     """SIGKILL mid-WAL-append under live traffic; recover from the WAL alone."""
     wal_path = workdir / "crash.wal"
-    batch = 16
-    kill_seq = (len(events) // batch // 2) * batch
+    batch = CRASH_BATCH
+    kill_seq = int(len(events) // batch * CRASH_KILL_POINT) * batch
     plan = json.dumps(
         {
             "seed": 0,
@@ -455,6 +496,7 @@ def run_benchmarks(
     report = {
         "schema_version": SCHEMA_VERSION,
         "generated_by": "benchmarks/bench_serve.py",
+        "definition": workload_definition(),
         "quick": quick,
         "clients": clients,
         "refresh_every": REFRESH_EVERY,
@@ -474,6 +516,11 @@ def check_against_baseline(
     report: dict[str, object], baseline: dict[str, object], *, tolerance: float
 ) -> list[str]:
     """Regression findings (empty when the gate passes)."""
+    if report.get("definition") != baseline.get("definition"):
+        return [
+            "workload definition differs from the baseline's; regenerate "
+            "the baseline in the same change"
+        ]
     problems: list[str] = []
     drills = {entry["drill"]: entry for entry in report["drills"]}
     selected = tuple(report.get("drills_selected", DRILLS))

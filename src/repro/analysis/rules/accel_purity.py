@@ -5,8 +5,8 @@ never changes a record byte.  That contract only holds while each flag is
 *exercised*: a new flag merged without a cold-vs-accelerated agreement test
 is an unchecked claim.  This rule parses the ``AccelFlags`` dataclass for
 its boolean fields and requires, for each, at least one test module that
-names the flag **and** drives the switchboard (``accel.override(...)``,
-``set_flags(...)`` or the ``REPRO_ACCEL`` environment knob).
+names the flag **and** drives the switchboard (``accel.override(...)`` or
+the ``REPRO_ACCEL`` environment knob).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from repro.analysis.contracts import LintConfig
 from repro.analysis.framework import Finding, ProjectContext, Rule, register
 
-_DRIVER_MARKERS = ("override(", "set_flags(", "REPRO_ACCEL")
+_DRIVER_MARKERS = ("override(", "REPRO_ACCEL")
 
 
 @register
@@ -91,7 +91,7 @@ class AccelPurityRule(Rule):
                     message=(
                         f"accel flag {flag!r} has no byte-agreement test: no "
                         "module under the test tree names it while driving "
-                        "override()/set_flags()/REPRO_ACCEL"
+                        "override()/REPRO_ACCEL"
                     ),
                 )
             )

@@ -99,8 +99,8 @@ from repro.scenarios.catalog import CATALOG
 from repro.scenarios.runner import (
     ScenarioRunConfig,
     ScenarioRunResult,
-    clear_run_cache,
     run_scenario,
+    shared_simulations,
 )
 from repro.scenarios.schema.library import load_template
 from repro.scenarios.schema.model import ScenarioTemplate
@@ -162,7 +162,7 @@ __all__ = [
     "run_scenario",
     "ScenarioTemplate",
     "load_template",
-    "clear_run_cache",
+    "shared_simulations",
     "EXPERIMENTS",
     "RunResult",
     "get_experiment",

@@ -406,10 +406,10 @@ def run_main(argv: list[str], *, prog: str = "repro run") -> int:
     return 0
 
 
-def serve_main(argv: list[str]) -> int:
+def serve_main(argv: list[str], *, prog: str = "repro serve") -> int:
     from repro.serving.cli import main as serving_main
 
-    return serving_main(argv)
+    return serving_main(argv, prog=prog)
 
 
 def dispatch(argv: list[str], *, empty_runs_all: bool = False) -> int:
@@ -426,7 +426,7 @@ def dispatch(argv: list[str], *, empty_runs_all: bool = False) -> int:
     if argv and argv[0] == "scenario":
         from repro.scenarios.schema.cli import main as scenario_main
 
-        return scenario_main(argv[1:])
+        return scenario_main(argv[1:], prog="repro scenario")
     if argv and argv[0] == "verify-records":
         return verify_records_main(argv[1:])
     if argv and argv[0] == "serve":

@@ -1,14 +1,13 @@
 """Acceleration switches for the end-to-end pipeline.
 
 The execution layers added for pipeline acceleration — incremental
-reputation refresh, shared networks, per-worker scenario-run
-memoization — are all *pure* with respect to published results: enabling or
-disabling any of them must never change a record byte.  That contract is
-what makes a single global switchboard safe, and the switchboard is what
-makes the contract testable: benchmarks and property tests flip the flags
-and assert byte-identical output, and ``benchmarks/bench_end_to_end.py``
-measures the cold (all off) versus accelerated (defaults) pipeline with the
-same binary.
+reputation refresh, shared networks — are *pure* with respect to published
+results: enabling or disabling either must never change a record byte.
+That contract is what makes a single global switchboard safe, and the
+switchboard is what makes the contract testable: benchmarks and property
+tests flip the flags and assert byte-identical output, and
+``benchmarks/bench_end_to_end.py`` measures the cold (all off) versus
+accelerated (defaults) pipeline with the same binary.
 
 Flags
 -----
@@ -26,16 +25,15 @@ Flags
     across (scenario × mechanism) cells and sweep tasks; each run still
     draws its own directory and builds its own campaign.  Off, every run
     generates a fresh network.  Default on.
-``run_cache``
-    Whole scenario *simulations* are memoized per process so sweep points
-    that differ only in post-simulation metric knobs (detection thresholds)
-    re-evaluate the cached trace instead of re-simulating.  Default off —
-    sweep workers opt in, interactive sessions keep fresh runs.
+``disable_all``
+    The master kill switch: every flag reads off, and
+    :func:`~repro.scenarios.runner.shared_simulations` blocks share
+    nothing, so every run simulates.
 
 The environment variable ``REPRO_ACCEL`` seeds the initial state (it is read
 once at import, so forked sweep workers inherit whatever the parent set):
 a comma-separated list of ``off`` (master kill switch), ``on``,
-``no-incremental``, ``no-setup-cache``, ``run-cache`` or ``no-run-cache``.
+``incremental``, ``no-incremental``, ``setup-cache`` or ``no-setup-cache``.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ _ENV_TOKENS = {
     "no-incremental": {"incremental_refresh": False},
     "setup-cache": {"setup_cache": True},
     "no-setup-cache": {"setup_cache": False},
-    "run-cache": {"run_cache": True},
-    "no-run-cache": {"run_cache": False},
 }
 
 
@@ -66,7 +62,6 @@ class AccelFlags:
 
     incremental_refresh: bool = True
     setup_cache: bool = True
-    run_cache: bool = False
     #: Master kill switch: when set, every accessor reports everything off
     #: regardless of the individual flags (the cold-pipeline benchmark mode).
     disable_all: bool = False
@@ -78,15 +73,13 @@ class AccelFlags:
         return AccelFlags(
             incremental_refresh=False,
             setup_cache=False,
-            run_cache=False,
             disable_all=True,
         )
 
 
-def _from_env(value: str) -> tuple[AccelFlags, frozenset]:
-    """Parse ``REPRO_ACCEL``: the flags plus which fields were set explicitly."""
+def _from_env(value: str) -> AccelFlags:
+    """Parse ``REPRO_ACCEL``."""
     flags = AccelFlags()
-    explicit = set()
     for raw_token in value.split(","):
         token = raw_token.strip().lower()
         if not token:
@@ -98,37 +91,15 @@ def _from_env(value: str) -> tuple[AccelFlags, frozenset]:
                 f"unknown REPRO_ACCEL token {token!r}; expected one of {sorted(_ENV_TOKENS)}"
             ) from None
         flags = replace(flags, **updates)
-        explicit.update(updates)
-    return flags, frozenset(explicit)
+    return flags
 
 
-_STATE: AccelFlags = _from_env(os.environ.get("REPRO_ACCEL", ""))[0]
-
-
-def env_disabled(name: str) -> bool:
-    """Whether the environment *explicitly* switched a flag off.
-
-    Code that turns a flag on programmatically by default (sweep workers
-    enable the run cache) consults this so an operator's explicit
-    ``REPRO_ACCEL=no-run-cache`` opt-out is honoured rather than silently
-    overridden.
-    """
-    env_flags, explicit = _from_env(os.environ.get("REPRO_ACCEL", ""))
-    if env_flags.disable_all:
-        return True
-    return name in explicit and not getattr(env_flags, name)
+_STATE: AccelFlags = _from_env(os.environ.get("REPRO_ACCEL", ""))
 
 
 def flags() -> AccelFlags:
     """The current effective acceleration flags."""
     return _STATE.effective()
-
-
-def set_flags(**updates: bool) -> AccelFlags:
-    """Permanently update flags (sweep worker initializers use this)."""
-    global _STATE
-    _STATE = replace(_STATE, **updates)
-    return flags()
 
 
 @contextmanager
@@ -143,4 +114,4 @@ def override(**updates: bool) -> Iterator[AccelFlags]:
         _STATE = previous
 
 
-__all__ = ["AccelFlags", "env_disabled", "flags", "override", "set_flags"]
+__all__ = ["AccelFlags", "flags", "override"]

@@ -14,27 +14,27 @@ module turns any registered experiment into a campaign:
   isolation and independent of worker scheduling;
 * :func:`schedule` orders the tasks for execution: tasks that share a
   simulation (they differ only in the experiment's evaluation-only
-  parameters, such as a detection threshold) run back to back, so the
-  per-process scenario **run cache** simulates each once;
+  parameters, such as a detection threshold) run back to back, each group
+  inside one :func:`~repro.scenarios.runner.shared_simulations` block, so
+  the group simulates once;
 * :func:`run_sweep` executes the tasks in that order — inline for
   ``jobs=1``, through a :class:`SweepExecutor` otherwise — and collects
   :class:`~repro.experiments.results.ExperimentRecord`s in task order.
 
 The executor keeps a pool of **persistent worker processes** that survive
 across sweeps (pass one ``SweepExecutor`` to several :func:`run_sweep`
-calls to amortize interpreter/import startup), runs each worker with the
-run cache enabled, submits the schedule in **chunks** (fewer IPC
-round-trips; a chunk boundary splits at most one simulation group), and
-supports **streaming record writes**: records are journaled as they
-complete and handed to ``on_record`` in task order while later tasks are
-still running.
+calls to amortize interpreter/import startup), submits the schedule in
+**chunks** (fewer IPC round-trips; a chunk boundary splits at most one
+simulation group, whose halves each simulate once), and supports
+**streaming record writes**: records are journaled as they complete and
+handed to ``on_record`` in task order while later tasks are still running.
 
 Determinism contract: the records (and hence the serialized JSON) depend
 only on the spec — never on the worker count, the chunk size, the schedule
-or the completion order.  The caches are memos of pure functions, so a
-cache hit returns exactly what a fresh execution would.  Timing lives on
-:class:`SweepResult` for benchmarks but is excluded from the serialized
-campaign output.
+or the completion order.  A shared simulation is the one each of its tasks
+would run alone, so sharing returns exactly what re-simulating would.
+Timing lives on :class:`SweepResult` for benchmarks but is excluded from
+the serialized campaign output.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro import _profiling, faults
-from repro.core import accel
 from repro.errors import ConfigurationError
 from repro.experiments.journal import SweepJournal
 from repro.experiments.results import (
@@ -63,6 +62,7 @@ from repro.experiments.results import (
     write_records_json,
 )
 from repro.experiments.runner import get_experiment, run_experiment_structured
+from repro.scenarios.runner import shared_simulations
 
 #: Supported parameter-space samplers.
 SAMPLERS = ("grid", "random", "latin")
@@ -282,7 +282,8 @@ def schedule(tasks: Sequence[SweepTask]) -> list[SweepTask]:
     """The order a sweep executes its tasks in.
 
     Tasks with the same :func:`simulation_identity` run back to back, each
-    group where its first task appears, so the run cache has to hold one
+    group where its first task appears, so one
+    :func:`~repro.scenarios.runner.shared_simulations` block holds one
     group's simulations rather than a whole pass over the grid.  Tasks of
     experiments without evaluation-only parameters keep their order.
     Records do not depend on the schedule: they are handed on and
@@ -407,21 +408,22 @@ def execute_task(task: SweepTask, retry: RetryPolicy | None = None) -> Experimen
 
 
 def _worker_init() -> None:
-    """Initializer for persistent sweep workers.
-
-    Turns the per-process scenario run cache on: within one worker, sweep
-    points that share a simulation identity (same scenario, mechanism,
-    size, seed — differing only in metric knobs) reuse the recorded trace.
-    The cache is a pure-function memo, so records are unchanged; an
-    explicit environment opt-out (``REPRO_ACCEL=no-run-cache`` or ``off``,
-    inherited through the fork/environment) is honoured.
-
-    Fault-plan firing counters are per-process state: a freshly forked
-    worker starts from zero rather than inheriting its parent's counts.
-    """
-    if not accel.env_disabled("run_cache"):
-        accel.set_flags(run_cache=True)
+    """Initializer for persistent sweep workers: fault-plan firing counters
+    are per-process state, so a freshly forked worker starts from zero
+    rather than inheriting its parent's counts."""
     faults.reset_worker_state()
+
+
+def _execute_scheduled(
+    tasks: Iterable[SweepTask], retry: RetryPolicy | None = None
+) -> Iterator[ExperimentRecord]:
+    """Run scheduled tasks, each group of one :func:`simulation_identity`
+    inside its own :func:`~repro.scenarios.runner.shared_simulations`
+    block, so a group's simulations are dropped before the next starts."""
+    for _, group in itertools.groupby(tasks, key=simulation_identity):
+        with shared_simulations():
+            for task in group:
+                yield execute_task(task, retry)
 
 
 def _execute_chunk(
@@ -430,7 +432,7 @@ def _execute_chunk(
     """Run one chunk of the schedule in a worker; top-level so it pickles.
     One submission per chunk instead of per task keeps IPC and future
     bookkeeping off the per-task critical path."""
-    return [execute_task(task, retry) for task in tasks]
+    return list(_execute_scheduled(tasks, retry))
 
 
 #: Record-streaming callback: called with each record in task-index order.
@@ -466,13 +468,13 @@ def _in_task_order(
 
 
 class SweepExecutor:
-    """A reusable pool of persistent, cache-warm sweep worker processes.
+    """A reusable pool of persistent sweep worker processes.
 
     The underlying ``ProcessPoolExecutor`` is created lazily on first use
     and kept alive until :meth:`shutdown` (or context-manager exit), so
     consecutive campaigns — a benchmark's repeats, a driver script's sweep
-    series — pay worker startup and imports once.  Workers run with the
-    scenario run cache enabled (see :func:`_worker_init`).
+    series — pay worker startup and imports once.  A worker keeps no
+    simulation past the group that shares it.
     """
 
     def __init__(
@@ -674,8 +676,11 @@ def run_sweep(
             completed = executor.completions(tasks, retry)
             effective_jobs = executor.jobs
         elif jobs == 1 or len(tasks) <= 1:
-            stack.enter_context(_inline_run_cache())
-            completed = (execute_task(task, retry) for task in schedule(tasks))
+            # Closed on the way out, so an interrupted sweep leaves no
+            # shared-simulations block open.
+            completed = stack.enter_context(
+                contextlib.closing(_execute_scheduled(schedule(tasks), retry))
+            )
             effective_jobs = 1
         else:
             owned = stack.enter_context(
@@ -694,22 +699,6 @@ def run_sweep(
         wall_time=wall_time,
         n_resumed=len(resumed),
     )
-
-
-@contextlib.contextmanager
-def _inline_run_cache() -> Iterator[None]:
-    """Inline execution keeps the run cache on too: identical records (the
-    cache memoizes a pure function), faster threshold-style sweeps, no pool
-    to manage.  The memo is dropped afterwards so a one-shot sweep does not
-    pin simulation products in the caller's process for its lifetime
-    (worker processes keep theirs by design — they exist to stay warm)."""
-    from repro.scenarios.runner import clear_run_cache
-
-    try:
-        with accel.override(run_cache=not accel.env_disabled("run_cache")):
-            yield
-    finally:
-        clear_run_cache()
 
 
 # -- CLI-facing parsing helpers -------------------------------------------------

@@ -11,11 +11,12 @@ Each run sets itself up: it takes its graph from the network cache
 (:func:`~repro.socialnet.generators.cached_social_network`, behind the
 ``setup_cache`` flag), or generates a fresh one when the scenario changes
 the population; it builds its own campaign, and the simulator draws its
-own directory.  The **run cache** (off by default; sweeps enable it)
-memoizes whole simulations per process, so runs that differ only in the
+own directory.  Inside a :func:`shared_simulations` block (sweeps open one
+per group of tasks that share a simulation), runs that differ only in the
 :data:`EVALUATION_FIELDS` (detection threshold, recovery fraction)
-re-evaluate the recorded trace instead of re-simulating.  Both caches are
-pure with respect to results (see :mod:`repro.core.accel`).
+re-evaluate one recorded trace instead of re-simulating; the block's memo
+is dropped when it exits.  Neither changes a result (see
+:mod:`repro.core.accel`).
 
 :func:`reputation_for_graph` is the shared mechanism builder (EigenTrust's
 pre-trusted founders, anonymous-feedback wrapping) also used by the
@@ -24,7 +25,8 @@ end-to-end :class:`~repro.experiments.scenario.Scenario`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 from repro import _profiling
@@ -117,8 +119,8 @@ class ScenarioRunConfig:
 
     def simulation_key(self) -> tuple | None:
         """Identity of everything that shapes the *simulation*: every field
-        but the :data:`EVALUATION_FIELDS`.  The run-cache key; ``None``
-        when the knobs are unhashable."""
+        but the :data:`EVALUATION_FIELDS`.  The :func:`shared_simulations`
+        key; ``None`` when the knobs are unhashable."""
         values = {
             item.name: getattr(self, item.name)
             for item in fields(self)
@@ -167,27 +169,38 @@ class ScenarioRunResult:
     final_scores: dict[str, float]
 
 
-#: Per-process memo of executed simulations (run cache).  Sweeps do not
-#: depend on its size: they schedule the tasks that share a simulation next
-#: to each other, so a handful of entries serve them.  Only loops that call
-#: ``robustness.run`` directly, one full matrix pass per threshold, need it
-#: to hold a pass: 48 entries cover a 7-scenario × 5-mechanism matrix, and
-#: the 11-scenario catalog's 55 cells cycle through it without a hit.
-#: Entries keep the full simulation products (roughly a few MB each at
-#: laptop-scale populations), which is why the cache is opt-in.
-_RUN_CACHE_SIZE = 48
-_RUN_CACHE: OrderedDict[tuple, ScenarioRunResult] = OrderedDict()
+#: The memo of the innermost open :func:`shared_simulations` block
+#: (``None`` outside one).
+_shared: dict[tuple, ScenarioRunResult] | None = None
 
 
-def clear_run_cache() -> None:
-    """Drop every memoized scenario run (tests and benchmarks use this)."""
-    _RUN_CACHE.clear()
+@contextmanager
+def shared_simulations() -> Iterator[None]:
+    """Share simulations between the runs made inside the block.
+
+    A :func:`run_scenario` call whose config has the
+    :meth:`~ScenarioRunConfig.simulation_key` of a run already finished in
+    the block re-evaluates that run's trace instead of simulating.  The
+    memo has no size limit and is dropped when the block exits, so open a
+    block around runs that share simulations (a sweep opens one per group)
+    rather than around a whole session.  Each block keeps its own memo, so
+    the groups of a sweep run inside a block, even in workers forked
+    there, never add to the enclosing one.  Under the ``disable_all``
+    master switch nothing is shared.
+    """
+    global _shared
+    outer = _shared
+    _shared = {}
+    try:
+        yield
+    finally:
+        _shared = outer
 
 
 def _evaluate(config: ScenarioRunConfig, base: ScenarioRunResult) -> ScenarioRunResult:
     """Re-derive the metric layer of a finished run for (possibly new)
     detection/recovery knobs.  Everything upstream of ``evaluate_trace`` is
-    shared with the cached run; the trace observations are frozen rows."""
+    shared with the finished run; the trace observations are frozen rows."""
     robustness = evaluate_trace(
         base.trace.observations,
         base.campaign.window,
@@ -308,8 +321,8 @@ def run_scenario(
     With ``checkpoint_every=N`` the run snapshots its full state to
     ``checkpoint_path`` every N rounds (atomic replace, newest wins);
     :func:`resume_scenario` picks such a file up after a crash and finishes
-    the run byte-identically.  Checkpointed runs bypass the run cache: a
-    cache hit would skip the simulation and therefore write no checkpoints.
+    the run byte-identically.  Checkpointed runs share no simulation: a
+    shared one would be skipped and therefore write no checkpoints.
     """
     if config is None:
         config = ScenarioRunConfig(**overrides)
@@ -317,17 +330,11 @@ def run_scenario(
         raise ConfigurationError("pass either a config object or keyword overrides")
     _check_checkpoint_args(checkpoint_every, checkpoint_path)
 
-    run_key = (
-        config.simulation_key()
-        if accel.flags().run_cache and checkpoint_every is None
-        else None
-    )
-    if run_key is not None:
-        cached = _RUN_CACHE.get(run_key)
-        if cached is not None:
-            _RUN_CACHE.move_to_end(run_key)
-            with _profiling.phase("metrics"):
-                return _evaluate(config, cached)
+    memo = _shared if checkpoint_every is None and not accel.flags().disable_all else None
+    key = None if memo is None else config.simulation_key()
+    if memo is not None and key in memo:
+        with _profiling.phase("metrics"):
+            return _evaluate(config, memo[key])
 
     with _profiling.phase("setup"):
         graph = _scenario_graph(config)
@@ -354,10 +361,8 @@ def run_scenario(
         _run_segments(simulator, config, checkpoint_every, checkpoint_path)
     with _profiling.phase("metrics"):
         result = _collect_result(config, campaign, simulator, trace)
-    if run_key is not None:
-        _RUN_CACHE[run_key] = result
-        while len(_RUN_CACHE) > _RUN_CACHE_SIZE:
-            _RUN_CACHE.popitem(last=False)
+    if memo is not None and key is not None:
+        memo[key] = result
     return result
 
 

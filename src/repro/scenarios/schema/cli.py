@@ -1,6 +1,6 @@
 """``scenario`` CLI subcommands: list, validate, verify and run templates.
 
-Reached as ``python -m repro.experiments scenario <command>`` (and the
+Reached as ``python -m repro scenario <command>`` (and the
 ``repro-scenario`` console script).  ``validate`` is the CI scenario-gate
 workhorse: it parses every shipped template strictly, checks the
 parse → serialize → parse round-trip, and (with ``--catalog``) checks the
@@ -186,9 +186,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(prog: str = "repro-scenario") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments scenario",
+        prog=prog,
         description="List, validate, verify and run declarative scenario templates.",
     )
     parser.add_argument(
@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def main(argv: list[str] | None = None, *, prog: str = "repro-scenario") -> int:
+    parser = build_parser(prog)
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     handler = {
         "list": _cmd_list,

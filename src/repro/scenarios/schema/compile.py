@@ -8,7 +8,7 @@ fully declarative campaign templates are materialized into
 :class:`~repro.scenarios.campaign.AttackCampaign` events (and, when churn is
 declared, a :class:`~repro.simulation.churn.PhasedChurnModel`) and
 registered in the catalog under the template's name, so the normal
-``run_scenario`` pipeline — network cache, run cache, sweep workers — executes
+``run_scenario`` pipeline — network cache, shared simulations, sweeps — executes
 them exactly like built-in scenarios.  Nothing here draws randomness or
 reads the clock: a compiled template is a pure function of the document, so
 a template run is byte-identical to the equivalent Python-constructed run.

@@ -7,7 +7,7 @@ golden-record equivalence check: a catalog-reference template whose knobs
 are all defaults must produce an experiment record *byte-identical* to the
 one the programmatic robustness experiment produces for the same
 parameters; any other template must reproduce its own record byte-for-byte
-across a full cache flush.  The CI scenario-gate and the repro-lint
+when it runs again.  The CI scenario-gate and the repro-lint
 template-parity rule are both built on these helpers.
 """
 
@@ -23,7 +23,6 @@ from repro.experiments.results import ExperimentRecord, records_to_json
 from repro.scenarios.runner import (
     ScenarioRunConfig,
     ScenarioRunResult,
-    clear_run_cache,
     run_scenario,
 )
 from repro.scenarios.schema.compile import CompiledScenario, compile_template
@@ -229,8 +228,8 @@ def verify_template(
 
     Catalog-reference templates with default knobs are compared
     byte-for-byte against the programmatic robustness experiment; every
-    other template (declarative campaigns, knob overrides) is re-run after
-    a run-cache flush and must reproduce its own record byte-for-byte.
+    other template (declarative campaigns, knob overrides) is run again,
+    simulating afresh, and must reproduce its own record byte-for-byte.
     """
     compiled = compile_template(template, tier, mechanism=mechanism)
     template_json = template_record_json(compiled)
@@ -239,7 +238,6 @@ def verify_template(
         reference_json = _programmatic_record_json(compiled.config)
     else:
         mode = "self-consistency"
-        clear_run_cache()
         reference_json = template_record_json(compiled)
     ok = template_json == reference_json
     detail = (

@@ -22,13 +22,12 @@ from repro.serving.http import ReputationHTTPServer, create_http_server
 from repro.serving.service import ReputationService, ServiceConfig
 
 
-def build_serve_parser(parser: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+def build_serve_parser(prog: str = "repro-serve") -> argparse.ArgumentParser:
     """The ``repro-serve`` argument surface (reused by ``repro serve``)."""
-    if parser is None:
-        parser = argparse.ArgumentParser(
-            prog="repro-serve",
-            description="Serve live reputation scores over HTTP (stdlib adapter).",
-        )
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Serve live reputation scores over HTTP (stdlib adapter).",
+    )
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
     parser.add_argument(
         "--port",
@@ -182,8 +181,8 @@ def serve(
         server.server_close()
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_serve_parser().parse_args(argv)
+def main(argv: list[str] | None = None, *, prog: str = "repro-serve") -> int:
+    args = build_serve_parser(prog).parse_args(argv)
     service = build_service(args)
     server = create_http_server(
         service, host=args.host, port=args.port, snapshot_path=args.snapshot

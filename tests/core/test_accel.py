@@ -1,5 +1,7 @@
 """Unit tests for the acceleration switchboard."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import accel
@@ -11,14 +13,17 @@ class TestFlags:
         flags = accel.AccelFlags()
         assert flags.incremental_refresh
         assert flags.setup_cache
-        assert not flags.run_cache
         assert not flags.disable_all
+
+    def test_flags_are_two_layers_and_the_master_switch(self):
+        names = [field.name for field in dataclasses.fields(accel.AccelFlags)]
+        assert names == ["incremental_refresh", "setup_cache", "disable_all"]
 
     def test_override_restores_previous_state(self):
         before = accel.flags()
-        with accel.override(incremental_refresh=False, run_cache=True) as inside:
+        with accel.override(incremental_refresh=False, setup_cache=False) as inside:
             assert not inside.incremental_refresh
-            assert inside.run_cache
+            assert not inside.setup_cache
         assert accel.flags() == before
 
     def test_override_restores_on_error(self):
@@ -28,52 +33,39 @@ class TestFlags:
         assert accel.flags() == before
 
     def test_disable_all_wins_over_individual_flags(self):
-        with accel.override(run_cache=True, disable_all=True) as flags:
+        with accel.override(setup_cache=True, disable_all=True) as flags:
             assert not flags.incremental_refresh
             assert not flags.setup_cache
-            assert not flags.run_cache
 
     def test_nested_overrides(self):
         with accel.override(incremental_refresh=False):
-            with accel.override(run_cache=True) as inner:
+            with accel.override(setup_cache=False) as inner:
                 assert not inner.incremental_refresh
-                assert inner.run_cache
+                assert not inner.setup_cache
             assert not accel.flags().incremental_refresh
-            assert not accel.flags().run_cache
+            assert accel.flags().setup_cache
 
 
 class TestEnvParsing:
     def test_tokens(self):
-        flags, _ = accel._from_env("no-incremental,run-cache")
+        flags = accel._from_env("no-incremental,setup-cache")
         assert not flags.incremental_refresh
-        assert flags.run_cache
         assert flags.setup_cache
+        assert not accel._from_env("no-setup-cache").setup_cache
 
     def test_off_token_sets_master_switch(self):
-        flags, _ = accel._from_env("off")
+        flags = accel._from_env("off")
         assert flags.disable_all
         assert not flags.effective().incremental_refresh
 
     def test_empty_and_whitespace_tokens_ignored(self):
-        assert accel._from_env(" , ,on,")[0] == accel.AccelFlags()
+        assert accel._from_env(" , ,on,") == accel.AccelFlags()
 
     def test_unknown_token_rejected(self):
         with pytest.raises(ConfigurationError):
             accel._from_env("warp-speed")
 
-    def test_from_env_tracks_explicit_fields(self):
-        _, explicit = accel._from_env("no-run-cache")
-        assert explicit == {"run_cache"}
-        _, explicit = accel._from_env("")
-        assert explicit == frozenset()
-
-    def test_env_disabled_honours_explicit_opt_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ACCEL", raising=False)
-        assert not accel.env_disabled("run_cache")  # default off != opted out
-        monkeypatch.setenv("REPRO_ACCEL", "no-run-cache")
-        assert accel.env_disabled("run_cache")
-        assert not accel.env_disabled("incremental_refresh")
-        monkeypatch.setenv("REPRO_ACCEL", "off")
-        assert accel.env_disabled("run_cache")
-        monkeypatch.setenv("REPRO_ACCEL", "run-cache")
-        assert not accel.env_disabled("run_cache")
+    @pytest.mark.parametrize("token", ["run-cache", "no-run-cache"])
+    def test_removed_run_cache_tokens_are_unknown(self, token):
+        with pytest.raises(ConfigurationError, match="unknown REPRO_ACCEL token"):
+            accel._from_env(token)

@@ -73,8 +73,9 @@ class TestSweepExecutor:
 
 class TestRunCacheInSweeps:
     def test_threshold_sweep_records_match_across_jobs(self):
-        """Tasks differing only in detect_threshold share simulations via
-        the per-worker run cache — and the records must not show it."""
+        """Tasks differing only in detect_threshold share their group's
+        simulations, inline and in a worker — and the records must not
+        show it."""
         spec = SweepSpec(**ROBUSTNESS_SPEC, seed=5)
         serial = _json(run_sweep(spec, jobs=1))
         parallel = _json(run_sweep(spec, jobs=2))

@@ -9,7 +9,7 @@ import copy
 import json
 from pathlib import Path
 
-from benchmarks import bench_core_kernels, bench_end_to_end
+from benchmarks import bench_core_kernels, bench_end_to_end, bench_serve
 
 BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
@@ -82,6 +82,52 @@ class TestEndToEndGate:
     def test_drifted_workload_definition_fails(self):
         report = copy.deepcopy(self.baseline)
         report["definition"]["quick"]["robustness_matrix"]["scenarios"].append("marketplace")
+        problems = self.check(report)
+        assert len(problems) == 1
+        assert "definition" in problems[0]
+
+
+class TestServeGate:
+    baseline = _load("BENCH_serve_baseline.json")
+
+    def check(self, report):
+        return bench_serve.check_against_baseline(report, self.baseline, tolerance=0.5)
+
+    def _drill(self, report, name):
+        return next(entry for entry in report["drills"] if entry["drill"] == name)
+
+    def test_baseline_records_the_current_definition(self):
+        assert self.baseline["definition"] == bench_serve.workload_definition()
+
+    def test_baseline_passes_against_itself(self):
+        assert self.check(copy.deepcopy(self.baseline)) == []
+
+    def test_non_identical_restart_fails(self):
+        report = copy.deepcopy(self.baseline)
+        self._drill(report, "restart")["restart_identical"] = False
+        problems = self.check(report)
+        assert len(problems) == 1
+        assert problems[0].startswith("restart:")
+
+    def test_lost_acked_crash_events_fail(self):
+        report = copy.deepcopy(self.baseline)
+        crash = self._drill(report, "crash")
+        crash["recovered_ingested"] = crash["acked_before_kill"] - 16
+        crash["acked_survived"] = False
+        problems = self.check(report)
+        assert len(problems) == 1
+        assert "acked data lost" in problems[0]
+
+    def test_throughput_under_the_floor_fails(self):
+        report = copy.deepcopy(self.baseline)
+        self._drill(report, "throughput")["ingest_events_per_sec"] = 100.0
+        problems = self.check(report)
+        assert any("below the" in problem for problem in problems)
+        assert any("regressed" in problem for problem in problems)
+
+    def test_drifted_workload_definition_fails(self):
+        report = copy.deepcopy(self.baseline)
+        report["definition"]["overload"]["max_pending"] += 1
         problems = self.check(report)
         assert len(problems) == 1
         assert "definition" in problems[0]

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _profiling
 from repro.core import accel, backend
 from repro.experiments import robustness
 from repro.reputation.average import SimpleAverageReputation
 from repro.reputation.beta import BetaReputation
 from repro.reputation.eigentrust import EigenTrust
 from repro.reputation.powertrust import PowerTrust
-from repro.scenarios.runner import clear_run_cache
+from repro.scenarios.runner import shared_simulations
 from repro.simulation.transaction import Feedback
 from repro.socialnet.generators import clear_network_cache
 
@@ -156,7 +157,6 @@ def test_refresh_survives_clear_and_reset(batches, mechanism_index):
 
 def _matrix_records(**kwargs):
     clear_network_cache()
-    clear_run_cache()
     result = robustness.run(**kwargs)
     return json.dumps(robustness.summarize(result), sort_keys=True)
 
@@ -182,8 +182,9 @@ def test_scenario_records_identical_across_acceleration_flags(scenario):
 
 
 def test_scenario_records_identical_with_run_cache():
-    """The run cache re-evaluates traces without changing a byte, and
-    threshold-only variations reuse the simulation."""
+    """Shared simulations re-evaluate traces without changing a byte, and
+    threshold-only variations reuse the simulation: inside one
+    :func:`shared_simulations` block only the first pass simulates."""
     kwargs = dict(
         scenarios=("collusion-ring",),
         mechanisms=("eigentrust",),
@@ -192,12 +193,13 @@ def test_scenario_records_identical_with_run_cache():
         seed=5,
     )
     fresh = _matrix_records(**kwargs)
-    with accel.override(run_cache=True, disable_all=False):
-        cached_first = _matrix_records(**kwargs)
-        # Second pass hits the per-process run cache (no clears in between).
-        result = robustness.run(**kwargs)
-        cached_second = json.dumps(robustness.summarize(result), sort_keys=True)
-        varied = robustness.run(detect_threshold=0.2, **kwargs)
-        varied_summary = robustness.summarize(varied)
-    assert fresh == cached_first == cached_second
-    assert "n_outcomes" in varied_summary
+    fresh_varied = _matrix_records(detect_threshold=0.2, **kwargs)
+    with _profiling.profiled() as timer, shared_simulations():
+        shared_first = _matrix_records(**kwargs)
+        assert timer.counts["simulate"] == 1
+        shared_second = _matrix_records(**kwargs)
+        shared_varied = _matrix_records(detect_threshold=0.2, **kwargs)
+        assert timer.counts["simulate"] == 1
+    assert fresh == shared_first == shared_second
+    assert shared_varied == fresh_varied
+    assert shared_varied != shared_first

@@ -71,6 +71,26 @@ class TestDispatch:
         assert "--port" in output
         assert "--restore" in output
 
+    @pytest.mark.parametrize("command", ["scenario", "serve"])
+    def test_subcommand_usage_names_the_unified_spelling(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {command} ")
+
+    def test_scenario_argument_error_names_the_unified_spelling(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["scenario", "no-such-command"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: repro scenario ")
+
+    def test_console_scripts_keep_their_own_names(self):
+        from repro.scenarios.schema.cli import build_parser
+        from repro.serving.cli import build_serve_parser
+
+        assert build_parser().prog == "repro-scenario"
+        assert build_serve_parser().prog == "repro-serve"
+
 
 class TestLegacyShimEquivalence:
     def test_sweep_records_byte_identical(self, tmp_path, capsys):
