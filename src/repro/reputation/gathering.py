@@ -85,6 +85,15 @@ class FeedbackStore:
     _participants_state: tuple[int, set[str]] | None = None
     _participants_sorted: list[str] | None = None
 
+    # The participant set is derived from the buckets, and a set pickles in
+    # hash order: snapshots and checkpoints leave both fields out, so their
+    # bytes do not depend on PYTHONHASHSEED, and the first read rebuilds them.
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state["_participants_state"] = None
+        state["_participants_sorted"] = None
+        return state
+
     @property
     def version(self) -> int:
         """Monotone change counter: bumps on every mutation, including
