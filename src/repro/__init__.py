@@ -95,7 +95,6 @@ _FACADE_EXPORTS = (
     "SystemSettings",
     "TrustModel",
     "TrustReport",
-    "accel",
     "faults",
 )
 
@@ -109,10 +108,6 @@ def __getattr__(name: str) -> object:
         import repro.faults
 
         return repro.faults
-    if name == "accel":
-        import repro.core.accel
-
-        return repro.core.accel
     if name in _FACADE_EXPORTS:
         from repro import api
 

@@ -13,6 +13,13 @@ campaign and mechanism construction), ``simulate`` (the engine round loop),
 ``refresh`` (reputation score recomputation, reported separately because it
 is the classic hot path and is *included* in ``simulate``'s wall time), and
 ``metrics`` (trace condensation and summaries).
+
+Beside the clocks, the timer keeps exact *work counters* (:func:`add_work`):
+the reports each incremental fold site consumed (``folded.<site>``, added
+once per fold call) and the social networks generated
+(``networks_generated``).  Unlike wall time they are deterministic, so a
+benchmark gates them exactly: a fold that restarts from the first report, or
+a run that regenerates a shared network, shows as a larger count.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ class PhaseTimer:
     def __init__(self) -> None:
         self.seconds: dict[str, float] = {}
         self.counts: dict[str, int] = {}
+        #: Exact work counters, see :func:`add_work`.
+        self.work: dict[str, int] = {}
 
     def add(self, name: str, seconds: float, *, count: int = 1) -> None:
         self.seconds[name] = self.seconds.get(name, 0.0) + seconds
@@ -78,6 +87,7 @@ class PhaseTimer:
             share = seconds / total if total > 0 else 0.0
             lines.append(f"{label:<{width}s} {seconds:9.3f} {share:6.1%} {count:7d}")
         lines.append(f"{'total':<{width}s} {total:9.3f}")
+        lines.extend(f"{name}: {self.work[name]}" for name in sorted(self.work))
         return "\n".join(lines)
 
 
@@ -103,6 +113,14 @@ def add_seconds(name: str, seconds: float, *, count: int = 1) -> None:
         _ACTIVE.add(name, seconds, count=count)
 
 
+def add_work(name: str, amount: int) -> None:
+    """Count ``amount`` units of work into the active timer; no-op when
+    profiling is off.  Callers add once per operation (a fold call), never
+    once per item, so the hot loops stay untouched."""
+    if _ACTIVE is not None:
+        _ACTIVE.work[name] = _ACTIVE.work.get(name, 0) + amount
+
+
 @contextmanager
 def phase(name: str) -> Iterator[None]:
     """Time a block into the active timer; near-free when profiling is off."""
@@ -126,4 +144,4 @@ def profiled() -> Iterator[PhaseTimer]:
         _ACTIVE = previous
 
 
-__all__ = ["PhaseTimer", "active", "add_seconds", "clock", "phase", "profiled"]
+__all__ = ["PhaseTimer", "active", "add_seconds", "add_work", "clock", "phase", "profiled"]

@@ -9,10 +9,12 @@ Rule id   Name              Invariant
 R1        determinism       randomness flows through named RandomStreams only
 R2        ordering          sets are sorted before order reaches any output
 R3        cache-discipline  mutations bump version/epoch counters
-R4        accel-purity      every accel flag has a byte-agreement test
 R5        float-equality    no exact ==/!= on computed floats
 R6        typing            defs fully annotated, Optional explicit
 ========  ================  ====================================================
+
+R4 (accel-purity) is retired with the acceleration switchboard it checked;
+its id is not reused.
 
 Entry points: the ``repro-lint`` console script, ``python -m
 repro.analysis``, or :func:`repro.analysis.framework.run_lint` in process.

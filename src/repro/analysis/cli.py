@@ -9,6 +9,8 @@ Usage::
 
 Exit status 0 means no active findings; 1 means findings; 2 means usage
 error.  ``python -m repro.analysis`` is the equivalent module entry point.
+No rule reads the test tree: ``--tests PATH`` is still accepted, prints a
+deprecation notice and changes nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tests",
         type=Path,
         default=None,
-        help="test tree for cross-reference rules (default: ./tests if present)",
+        help="deprecated and ignored: no rule reads the test tree",
     )
     parser.add_argument(
         "--format",
@@ -111,17 +113,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     missing = [path for path in paths if not path.exists()]
     if missing:
         parser.error(f"path(s) do not exist: {', '.join(str(p) for p in missing)}")
-    tests_root = options.tests
-    if tests_root is None:
-        candidate = Path("tests")
-        tests_root = candidate if candidate.is_dir() else None
-    result = run_lint(
-        paths,
-        default_config(),
-        rules=rules,
-        root=Path.cwd(),
-        tests_root=tests_root,
-    )
+    if options.tests is not None:
+        print("repro-lint: --tests is deprecated and ignored", file=sys.stderr)
+    result = run_lint(paths, default_config(), rules=rules, root=Path.cwd())
     if options.format == "json":
         report = render_json(result)
     else:

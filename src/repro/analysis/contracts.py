@@ -56,11 +56,6 @@ class LintConfig:
     set_returning: tuple[str, ...] = ()
     #: Cache contracts keyed by class name (R3).
     cache_contracts: tuple[CacheContract, ...] = ()
-    #: Module suffix of the acceleration switchboard and its flags class (R4).
-    accel_module: str = ""
-    accel_class: str = "AccelFlags"
-    #: Accel flags that legitimately need no dedicated byte-agreement test.
-    accel_exempt: tuple[str, ...] = ()
     #: Function names that may compare floats exactly (R5): quantizers that
     #: snap values to a grid before comparing.
     float_eq_helpers: tuple[str, ...] = ()
@@ -143,9 +138,6 @@ def default_config() -> LintConfig:
         clock_exempt=("repro/_profiling.py", "repro/serving/sla.py"),
         set_returning=("participants",),
         cache_contracts=DEFAULT_CACHE_CONTRACTS,
-        accel_module="repro/core/accel.py",
-        accel_class="AccelFlags",
-        accel_exempt=(),
         float_eq_helpers=("_quantized",),
         template_dir="templates",
         catalog_module="repro/scenarios/catalog.py",

@@ -1,9 +1,9 @@
 """Core machinery of the ``repro-lint`` static-analysis suite.
 
-The repo's reproducibility story — byte-identical records across
-acceleration flags and worker counts — rests on a handful of conventions
-(named RNG streams, sorted iteration, cache epoch discipline, accel-flag
-purity tests).  This framework turns those conventions into machine-checked
+The repo's reproducibility story — byte-identical records across worker
+counts, checkpoints and restarts — rests on a handful of conventions
+(named RNG streams, sorted iteration, cache epoch discipline).  This
+framework turns those conventions into machine-checked
 rules: each rule walks a module's AST (or the whole project) and emits
 :class:`Finding` objects, which per-line suppression comments can silence::
 
@@ -133,9 +133,6 @@ class ProjectContext:
     modules: list[ModuleContext]
     #: Root directory the linted paths live under (for reporting).
     root: Path
-    #: Test tree for cross-referencing rules (R4); ``None`` disables them
-    #: with an explicit configuration finding rather than a silent pass.
-    tests_root: Path | None = None
 
     def find_module(self, suffix: str) -> ModuleContext | None:
         for module in self.modules:
@@ -248,14 +245,13 @@ def run_lint(
     config: LintConfig,
     rules: Sequence[Rule] | None = None,
     root: Path | None = None,
-    tests_root: Path | None = None,
 ) -> LintResult:
     """Lint ``paths`` with ``rules`` (default: every registered rule)."""
     if rules is None:
         rules = registered_rules()
     lint_root = root if root is not None else Path.cwd()
     modules = collect_modules(paths, lint_root)
-    project = ProjectContext(modules=modules, root=lint_root, tests_root=tests_root)
+    project = ProjectContext(modules=modules, root=lint_root)
     result = LintResult(checked_files=len(modules))
     for rule in rules:
         for module in modules:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.analysis.rules import (  # noqa: F401
-    accel_purity,
     api_boundary,
     cache_discipline,
     determinism,

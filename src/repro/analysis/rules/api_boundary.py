@@ -17,7 +17,7 @@ itself is pinned by ``tests/test_api_facade.py`` instead.
 Client modules are parsed by this rule (they are outside the linted
 ``src/repro`` tree), so the standard suppression syntax works in them::
 
-    from repro.core import accel  # repro-lint: ignore[R9] migration pending
+    from repro.core import backend  # repro-lint: ignore[R9] migration pending
 """
 
 from __future__ import annotations

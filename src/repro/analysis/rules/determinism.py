@@ -1,7 +1,7 @@
 """R1 — determinism: all randomness flows through named RandomStreams.
 
-Byte-identical records across worker counts and acceleration flags hold
-only if no code path reads ambient entropy.  This rule bans, everywhere
+Byte-identical records across worker counts, checkpoints and restarts
+hold only if no code path reads ambient entropy.  This rule bans, everywhere
 outside the RNG module itself:
 
 * module-level ``random`` functions (``random.random()``, ``choice`` …) and

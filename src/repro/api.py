@@ -22,14 +22,12 @@ Model substrate
     Social networks, the interaction simulator, reputation mechanisms,
     privacy machinery and the composite trust metric.
 Controls
-    The :mod:`~repro.core.accel` switchboard, deterministic fault injection
-    (:mod:`repro.faults`) and the profiling timer, re-exported as namespaced
-    modules / callables.
+    Deterministic fault injection (:mod:`repro.faults`) and the profiling
+    timer, re-exported as a namespaced module and a callable.
 """
 
 from __future__ import annotations
 
-import repro.core.accel as accel
 import repro.faults as faults
 from repro._profiling import profiled
 from repro.core.config import SystemSettings
@@ -233,7 +231,6 @@ __all__ = [
     "TrustOptimizer",
     "TrustReport",
     # -- controls ----------------------------------------------------------
-    "accel",
     "faults",
     "profiled",
     "CircuitOpenError",

@@ -1,9 +1,10 @@
 """The array-backed compute core: dense indices and vectorized kernels.
 
-Every hot numeric path of the library — the EigenTrust/PowerTrust power
-iteration, the Beta/average score refresh, the Section-3 coupling dynamics
-and the per-round draws of the interaction simulator — runs on NumPy
-arrays.  :class:`PeerIndex` maps peer identifiers to dense integer indices,
+Every hot numeric path of the library — the EigenTrust/PowerTrust local
+trust and power iteration, the Section-3 coupling dynamics and the
+per-round draws of the interaction simulator — runs on NumPy arrays (the
+Beta and simple-average refreshes are incremental folds in their own
+modules).  :class:`PeerIndex` maps peer identifiers to dense integer indices,
 and the kernels below express the mechanisms' arithmetic as matrix-vector
 products and batched elementwise updates.  The pure-Python loops these
 kernels replaced are kept under ``tests/oracles`` as reference
@@ -35,8 +36,6 @@ except ImportError:  # pragma: no cover - scipy is an optional accelerator
     sparse = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:
-    from repro.reputation.gathering import FeedbackColumns
-
     #: Anything the kernels coerce through ``np.asarray``: an existing
     #: array or a (possibly nested) sequence of numbers.
     ArrayLike = np.ndarray | Sequence[float] | Sequence[Sequence[float]]
@@ -208,23 +207,6 @@ def normalize_dense_raw(raw: np.ndarray, *, copy: bool = True) -> np.ndarray:
     return clipped
 
 
-def local_trust_matrix_from_columns(columns: FeedbackColumns, index: PeerIndex) -> TrustMatrix:
-    """Dense local trust straight from interned feedback columns.
-
-    ``columns`` is a :class:`repro.reputation.gathering.FeedbackColumns`;
-    anonymous reports (rater code -1) and peers outside ``index`` are
-    dropped, exactly as the dict-based builder ignores them.
-    """
-    perm = index.permutation(columns.id_for_code)
-    rater_codes = np.asarray(columns.rater_codes, dtype=np.intp)
-    identified = rater_codes >= 0
-    rater_positions = perm[rater_codes[identified]]
-    subject_positions = perm[np.asarray(columns.subject_codes, dtype=np.intp)[identified]]
-    known = (rater_positions >= 0) & (subject_positions >= 0)
-    deltas = np.where(np.asarray(columns.positives, dtype=bool)[identified][known], 1.0, -1.0)
-    return local_trust_matrix(len(index), rater_positions[known], subject_positions[known], deltas)
-
-
 def power_iteration(
     matrix: TrustMatrix,
     restart: ArrayLike,
@@ -294,54 +276,6 @@ def minmax_rescale(values: ArrayLike) -> np.ndarray:
     if high - low < FLAT_SPREAD:
         return np.full_like(values, 0.5)
     return np.clip((values - low) / (high - low), 0.0, 1.0)
-
-
-def subject_positions_from_columns(columns: FeedbackColumns, index: PeerIndex) -> np.ndarray:
-    """Dense index positions of every report's subject, via interned codes.
-
-    The shared preamble of the subject-keyed score kernels (Beta, simple
-    average): one permutation over the columns' id universe plus one gather
-    over the code column.
-    """
-    return index.permutation(columns.id_for_code)[
-        np.asarray(columns.subject_codes, dtype=np.intp)
-    ]
-
-
-def mean_scores(subject_positions: ArrayLike, ratings: ArrayLike, n_subjects: int) -> np.ndarray:
-    """Per-subject mean rating (the simple-average mechanism's kernel)."""
-    positions = np.asarray(subject_positions, dtype=np.intp)
-    ratings = np.asarray(ratings, dtype=float)
-    sums = np.bincount(positions, weights=ratings, minlength=n_subjects)
-    counts = np.bincount(positions, minlength=n_subjects)
-    return sums / np.maximum(counts, 1)
-
-
-def beta_scores(
-    subject_positions: ArrayLike,
-    times: ArrayLike,
-    positives: ArrayLike,
-    *,
-    forgetting: float,
-    n_subjects: int,
-) -> np.ndarray:
-    """Beta-posterior expected values with exponential forgetting.
-
-    ``α = 1 + Σ forgetting^(latest_subject − t)`` over positive reports,
-    ``β`` likewise over negative ones — the cold-rescan score of
-    :class:`~repro.reputation.beta.BetaReputation`.
-    """
-    positions = np.asarray(subject_positions, dtype=np.intp)
-    times = np.asarray(times, dtype=float)
-    positives = np.asarray(positives, dtype=bool)
-    latest = np.full(n_subjects, -np.inf)
-    np.maximum.at(latest, positions, times)
-    weights = np.power(float(forgetting), latest[positions] - times)
-    alpha = np.ones(n_subjects, dtype=float)
-    beta = np.ones(n_subjects, dtype=float)
-    np.add.at(alpha, positions[positives], weights[positives])
-    np.add.at(beta, positions[~positives], weights[~positives])
-    return alpha / (alpha + beta)
 
 
 # -- coupling kernels -------------------------------------------------------
@@ -499,7 +433,6 @@ __all__ = [
     "DENSE_TRUST_THRESHOLD",
     "FLAT_SPREAD",
     "PeerIndex",
-    "beta_scores",
     "HAS_SCIPY",
     "coupling_equilibria",
     "coupling_run",
@@ -507,10 +440,7 @@ __all__ = [
     "dense_local_trust_matrix",
     "interaction_counts",
     "local_trust_matrix",
-    "local_trust_matrix_from_columns",
-    "mean_scores",
     "minmax_rescale",
     "normalize_dense_raw",
     "power_iteration",
-    "subject_positions_from_columns",
 ]

@@ -9,20 +9,19 @@ raters — exactly the contrast the paper's reputation-power axis captures.
 from __future__ import annotations
 
 
-from repro.core import accel
-from repro.core import backend as backend_kernels
-from repro.core.backend import PeerIndex
+from repro import _profiling
 from repro.reputation.base import ReputationSystem
 
 
 class SimpleAverageReputation(ReputationSystem):
     """Mean rating per subject.
 
-    Refresh is incremental by default: a per-subject running ``(sum, count)``
-    folds in only the feedback appended since the previous refresh.  The
-    running sum left-folds ratings in exactly the order a cold rescan of the
-    subject's bucket would (per-subject append order), so the incremental
-    score is *bitwise* identical to a per-subject cold mean — no
+    Refresh is incremental: a per-subject running ``(sum, count)`` folds in
+    only the feedback appended since the previous refresh, and a history
+    rewrite (eviction, ``clear``) restarts the fold from the first report.
+    The running sum left-folds ratings in exactly the order a rescan of the
+    subject's bucket would (per-subject append order), so the score is
+    *bitwise* identical to a per-subject mean over the whole store — no
     quantization needed to absorb it.
     """
 
@@ -35,14 +34,8 @@ class SimpleAverageReputation(ReputationSystem):
         self._agg: dict[str, list[float]] = {}
         self._agg_watermark: tuple[int, int] = (-1, 0)
 
-    def _compute_incremental(self) -> dict[str, float] | None:
-        """Fold newly appended feedback into the running per-subject sums.
-
-        Returns ``None`` when incremental refresh is disabled (the caller
-        falls back to the cold rescan).
-        """
-        if not accel.flags().incremental_refresh:
-            return None
+    def compute_scores(self) -> dict[str, float]:
+        """Fold newly appended feedback into the running per-subject sums."""
         columns = self.store.columns()
         epoch = self.store.epoch
         if self._agg_watermark[0] != epoch:
@@ -61,24 +54,8 @@ class SimpleAverageReputation(ReputationSystem):
                     entry[0] += ratings[index]
                     entry[1] += 1
             self._agg_watermark = (epoch, len(subjects))
+            _profiling.add_work("folded.average", len(subjects) - position)
         agg = self._agg
         return {
             subject: agg[subject][0] / agg[subject][1] for subject in self.store.subjects()
         }
-
-    def compute_scores(self) -> dict[str, float]:
-        incremental = self._compute_incremental()
-        if incremental is not None:
-            return incremental
-        subjects = self.store.subjects()
-        if not subjects:
-            return {}
-        index = PeerIndex(subjects)
-        columns = self.store.columns()
-        positions = backend_kernels.subject_positions_from_columns(columns, index)
-        values = backend_kernels.mean_scores(
-            positions,
-            columns.ratings,
-            len(index),
-        )
-        return index.vector_to_dict(values)

@@ -11,26 +11,26 @@ requirement is low.
 from __future__ import annotations
 
 
+from repro import _profiling
 from repro._util import require_unit_interval
-from repro.core import accel
-from repro.core import backend as backend_kernels
-from repro.core.backend import PeerIndex
 from repro.reputation.base import ReputationSystem
 
 
 class BetaReputation(ReputationSystem):
     """Beta-posterior expected value with exponential forgetting.
 
-    Refresh is incremental by default: a per-subject running
-    ``(α-mass, β-mass, latest time)`` folds in only newly appended reports.
-    Without forgetting (``forgetting=1.0``, the default) every report weighs
-    exactly 1.0 and the running masses are integer counts, so incremental
-    scores are *bitwise* identical to a cold rescan.  With forgetting, a
-    report newer than the subject's previous ``latest`` rescales the
-    accumulated mass by ``forgetting**(new - old)`` — algebraically equal to
-    the cold sum but re-associated, so the two agree only to float
-    round-off (~1e-13); the 1e-9 publication grid of
-    :meth:`ReputationSystem.refresh` absorbs that.
+    Refresh is incremental: a per-subject running ``(α-mass, β-mass,
+    latest time)`` folds in only newly appended reports, from an ``(epoch,
+    position)`` watermark into the store's column log; a history rewrite
+    (eviction, ``clear``) restarts the fold from the first report.  Without
+    forgetting (``forgetting=1.0``, the default) every report weighs exactly
+    1.0 and the running masses are integer counts, so the scores are
+    *bitwise* identical to a rescan of the whole store (the rescan twin in
+    ``tests/oracles``).  With forgetting, a report newer than the subject's
+    previous ``latest`` rescales the accumulated mass by
+    ``forgetting**(new - old)`` — algebraically equal to the rescan's sum but
+    re-associated, so the two agree only to float round-off (~1e-13); the
+    1e-9 publication grid of :meth:`ReputationSystem.refresh` absorbs that.
     """
 
     name = "beta"
@@ -50,7 +50,7 @@ class BetaReputation(ReputationSystem):
         self.forgetting = require_unit_interval(forgetting, "forgetting")
         #: subject -> [α mass, β mass, latest report time].  When
         #: ``forgetting == 1.0`` the masses *include* the +1 prior so the
-        #: fold order matches the cold loop addition for addition; otherwise
+        #: fold order matches the rescan loop addition for addition; otherwise
         #: the prior is added at score time (it must not be rescaled).
         self._agg: dict[str, list[float]] = {}
         self._agg_watermark: tuple[int, int] = (-1, 0)
@@ -84,9 +84,7 @@ class BetaReputation(ReputationSystem):
             else:
                 entry[1] += weight
 
-    def _compute_incremental(self) -> dict[str, float] | None:
-        if not accel.flags().incremental_refresh:
-            return None
+    def compute_scores(self) -> dict[str, float]:
         epoch = self.store.epoch
         if self._agg_watermark[0] != epoch:
             self._agg = {}
@@ -96,6 +94,7 @@ class BetaReputation(ReputationSystem):
         if position < total:
             self._fold(position)
             self._agg_watermark = (epoch, total)
+            _profiling.add_work("folded.beta", total - position)
         # repro-lint: ignore[R5] config sentinel (see _fold): exact check
         prior = 0.0 if self.forgetting == 1.0 else 1.0
         scores: dict[str, float] = {}
@@ -105,24 +104,3 @@ class BetaReputation(ReputationSystem):
             beta = prior + entry[1]
             scores[subject] = alpha / (alpha + beta)
         return scores
-
-    def compute_scores(self) -> dict[str, float]:
-        incremental = self._compute_incremental()
-        if incremental is not None:
-            return incremental
-        subjects = self.store.subjects()
-        if not subjects:
-            return {}
-        # Subject order mirrors the incremental fold so the published score
-        # dict iterates identically on both paths.
-        index = PeerIndex(subjects)
-        columns = self.store.columns()
-        positions = backend_kernels.subject_positions_from_columns(columns, index)
-        values = backend_kernels.beta_scores(
-            positions,
-            columns.times,
-            columns.positives,
-            forgetting=self.forgetting,
-            n_subjects=len(index),
-        )
-        return index.vector_to_dict(values)

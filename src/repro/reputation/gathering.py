@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import accel
+from repro import _profiling
 from repro.core import backend
 from repro.core.backend import PeerIndex
 from repro.simulation.transaction import Feedback
@@ -242,11 +242,9 @@ class LocalTrustBuilder:
 
     The deltas are integers, which float arithmetic sums exactly in any
     order, so every matrix built from the ledger is *bitwise* identical to
-    a cold rescan of the report log.  When
-    ``accel.flags().incremental_refresh`` is off, :meth:`matrix` is that
-    cold rescan and the ledger is rebuilt from scratch on every read (the
-    cold-pipeline reference); a store-history rewrite (eviction, ``clear``)
-    always forces a rebuild.
+    a rescan of the whole report log (the rescan twins in ``tests/oracles``
+    hold it to that).  A store-history rewrite (eviction, ``clear``) restarts
+    the fold from the first report.
     """
 
     def __init__(self, store: FeedbackStore) -> None:
@@ -277,7 +275,7 @@ class LocalTrustBuilder:
         """Bring the pair ledger up to date; returns the columns it reflects."""
         columns = self._store.columns()
         epoch = self._store.epoch
-        if self._pair_watermark[0] != epoch or not accel.flags().incremental_refresh:
+        if self._pair_watermark[0] != epoch:
             self._pair_raters = array("q")
             self._pair_subjects = array("q")
             self._pair_sums = array("d")
@@ -309,6 +307,7 @@ class LocalTrustBuilder:
                 else:
                     sums[slot] += delta
             self._pair_watermark = (epoch, total)
+            _profiling.add_work("folded.pair_ledger", total - start)
         return columns
 
     def _pair_positions(self, index: PeerIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,16 +325,12 @@ class LocalTrustBuilder:
     def matrix(self, index: PeerIndex) -> backend.TrustMatrix:
         """The row-normalized local trust ``C`` over ``index``'s peers.
 
-        With incremental refresh off, a cold rescan of the report log (the
-        reference every other path must match bit for bit).  Otherwise,
-        below :data:`~repro.core.backend.DENSE_TRUST_THRESHOLD` peers the
+        Below :data:`~repro.core.backend.DENSE_TRUST_THRESHOLD` peers the
         incrementally scattered dense raw matrix is clipped and normalized
         (:meth:`dense_raw_totals`); from the threshold up ``C`` is built
         as CSR from the ledger's positive totals — one permutation over
         the id universe and O(distinct pairs) of array work per refresh.
         """
-        if not accel.flags().incremental_refresh:
-            return backend.local_trust_matrix_from_columns(self._store.columns(), index)
         n = len(index)
         if n < backend.DENSE_TRUST_THRESHOLD:
             return backend.normalize_dense_raw(self.dense_raw_totals(index))
@@ -407,6 +402,7 @@ class LocalTrustBuilder:
                     row = positions[rater]
                     column = positions[subjects[position]]
                     raw[row, column] += 1.0 if positives[position] else -1.0
+                _profiling.add_work("folded.dense_raw", total - start)
         else:
             n = len(index)
             raw = np.zeros((n, n), dtype=float)

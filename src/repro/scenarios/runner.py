@@ -8,15 +8,16 @@ the robustness experiment (and any sweep over it) repeats per
 (scenario, mechanism) cell.
 
 Each run sets itself up: it takes its graph from the network cache
-(:func:`~repro.socialnet.generators.cached_social_network`, behind the
-``setup_cache`` flag), or generates a fresh one when the scenario changes
-the population; it builds its own campaign, and the simulator draws its
-own directory.  Inside a :func:`shared_simulations` block (sweeps open one
-per group of tasks that share a simulation), runs that differ only in the
-:data:`EVALUATION_FIELDS` (detection threshold, recovery fraction)
-re-evaluate one recorded trace instead of re-simulating; the block's memo
-is dropped when it exits.  Neither changes a result (see
-:mod:`repro.core.accel`).
+(:func:`~repro.socialnet.generators.cached_social_network`), or generates a
+fresh one when the scenario changes the population; it builds its own
+campaign, and the simulator draws its own directory.  Inside a
+:func:`shared_simulations` block (sweeps open one per group of tasks that
+share a simulation), runs that differ only in the :data:`EVALUATION_FIELDS`
+(detection threshold, recovery fraction) re-evaluate one recorded trace
+instead of re-simulating; the block's memo is dropped when it exits.
+Neither changes a result: the golden digests and the tests that rerun a
+pipeline with a fresh network per run, or outside any block, hold them to
+that.
 
 :func:`reputation_for_graph` is the shared mechanism builder (EigenTrust's
 pre-trusted founders, anonymous-feedback wrapping) also used by the
@@ -30,7 +31,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 from repro import _profiling
-from repro.core import accel
 from repro.errors import CheckpointError, ConfigurationError
 from repro.reputation.anonymous import AnonymousFeedbackReputation
 from repro.reputation.base import ReputationSystem
@@ -185,8 +185,7 @@ def shared_simulations() -> Iterator[None]:
     block around runs that share simulations (a sweep opens one per group)
     rather than around a whole session.  Each block keeps its own memo, so
     the groups of a sweep run inside a block, even in workers forked
-    there, never add to the enclosing one.  Under the ``disable_all``
-    master switch nothing is shared.
+    there, never add to the enclosing one.
     """
     global _shared
     outer = _shared
@@ -315,8 +314,7 @@ def run_scenario(
     Keyword overrides build a :class:`ScenarioRunConfig` when none is given.
     The whole pipeline draws only from seed-derived named streams, and the
     robustness numbers come from the mechanism's quantized published scores,
-    so results are byte-stable across worker processes and every
-    acceleration flag.
+    so results are byte-stable across worker processes.
 
     With ``checkpoint_every=N`` the run snapshots its full state to
     ``checkpoint_path`` every N rounds (atomic replace, newest wins);
@@ -330,7 +328,7 @@ def run_scenario(
         raise ConfigurationError("pass either a config object or keyword overrides")
     _check_checkpoint_args(checkpoint_every, checkpoint_path)
 
-    memo = _shared if checkpoint_every is None and not accel.flags().disable_all else None
+    memo = _shared if checkpoint_every is None else None
     key = None if memo is None else config.simulation_key()
     if memo is not None and key in memo:
         with _profiling.phase("metrics"):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
+from repro import _profiling
 from repro._util import require_positive, require_unit_interval
-from repro.core import accel
 from repro.errors import ConfigurationError
 from repro.socialnet.graph import SocialGraph
 from repro.socialnet.user import User, standard_profile
@@ -173,6 +173,7 @@ def populate_users(
 
 def generate_social_network(spec: SocialNetworkSpec) -> SocialGraph:
     """Generate a connected :class:`SocialGraph` matching the specification."""
+    _profiling.add_work("networks_generated", 1)
     rng = random.Random(spec.seed)
     graph = _build_topology(spec)
     _ensure_connected(graph, rng)
@@ -236,11 +237,8 @@ def cached_social_network(spec: SocialNetworkSpec) -> SocialGraph:
     store time and regenerates on mismatch, so a consumer that does mutate
     a shared graph costs a rebuild rather than corrupting later runs.
     Callers that need to mutate should call :func:`generate_social_network`
-    instead.  With the ``setup_cache`` flag off this is exactly
-    :func:`generate_social_network`.
+    instead.
     """
-    if not accel.flags().setup_cache:
-        return generate_social_network(spec)
     key = _spec_cache_key(spec)
     if key is None:
         return generate_social_network(spec)

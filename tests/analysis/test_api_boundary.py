@@ -102,7 +102,7 @@ class TestSuppression:
     def test_inline_suppression_honoured(self, tmp_path):
         _client(
             tmp_path,
-            "from repro.core import accel  # repro-lint: ignore[R9] migration pending\n",
+            "from repro.core import backend  # repro-lint: ignore[R9] migration pending\n",
         )
         result = _lint_project(tmp_path)
         assert result.active == []

@@ -37,6 +37,15 @@ def test_ignore_excludes_rules(capsys: pytest.CaptureFixture[str]) -> None:
     capsys.readouterr()
 
 
+def test_deprecated_tests_option_warns_and_keeps_the_exit_status(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    assert main([GOOD, "--select", "R5", "--tests", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == "repro-lint: --tests is deprecated and ignored\n"
+    assert main([BAD, "--select", "R5", "--tests", str(tmp_path)]) == 1
+    assert "deprecated" in capsys.readouterr().err
+
+
 def test_unknown_rule_is_a_usage_error() -> None:
     with pytest.raises(SystemExit, match="unknown rule"):
         main([GOOD, "--select", "R99"])
@@ -62,8 +71,9 @@ def test_no_paths_without_default_tree(
 def test_list_rules(capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("R1", "R2", "R3", "R4", "R5", "R6", "R7"):
+    for rule_id in ("R1", "R2", "R3", "R5", "R6", "R7", "R8", "R9"):
         assert rule_id in out
+    assert "R4" not in out
 
 
 def test_json_output_to_file(

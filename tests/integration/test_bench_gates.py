@@ -53,35 +53,63 @@ class TestEndToEndGate:
     baseline = _load("BENCH_e2e_baseline.json")
 
     def check(self, report):
-        return bench_end_to_end.check_against_baseline(report, self.baseline, tolerance=0.35)
+        return bench_end_to_end.check_against_baseline(report, self.baseline)
 
-    def _workload(self, report, name):
-        return next(entry for entry in report["workloads"] if entry["workload"] == name)
+    def _counters(self, report, name):
+        entry = next(entry for entry in report["workloads"] if entry["workload"] == name)
+        return entry["counters"]
 
     def test_baseline_records_the_current_definition(self):
         assert self.baseline["definition"] == bench_end_to_end.workload_definition()
+        full = _load("BENCH_e2e_full_baseline.json")
+        assert full["definition"] == bench_end_to_end.workload_definition()
+        assert (self.baseline["quick"], full["quick"]) == (True, False)
 
     def test_baseline_passes_against_itself(self):
         assert self.check(copy.deepcopy(self.baseline)) == []
 
     def test_lost_acceleration_fails(self):
+        # A Beta fold that restarts from the first report on every refresh
+        # reads the whole store each time.
         report = copy.deepcopy(self.baseline)
-        self._workload(report, "robustness_threshold_matrix")["speedup"] = 1.14
+        counters = self._counters(report, "refresh_layer_beta")
+        counters["folded.beta"] *= 30
         problems = self.check(report)
-        assert any("below the" in problem for problem in problems)
-        assert any("regressed" in problem for problem in problems)
+        assert len(problems) == 1
+        assert problems[0].startswith("refresh_layer_beta: folded.beta")
 
-    def test_cold_accelerated_disagreement_fails(self):
+    def test_sweep_that_simulates_every_cell_fails(self):
+        # Three thresholds per scenario: sharing nothing simulates 3x.
         report = copy.deepcopy(self.baseline)
-        self._workload(report, "figure1")["agreement_ok"] = False
-        report["agreement_ok"] = False
+        counters = self._counters(report, "reference_sweep")
+        counters["simulations"] *= len(bench_end_to_end.DETECT_THRESHOLDS)
+        problems = self.check(report)
+        assert len(problems) == 1
+        assert problems[0].startswith("reference_sweep: simulations")
+
+    def test_network_generated_per_run_fails(self):
+        report = copy.deepcopy(self.baseline)
+        counters = self._counters(report, "robustness_threshold_matrix")
+        counters["networks_generated"] = counters["simulations"]
+        problems = self.check(report)
+        assert len(problems) == 1
+        assert problems[0].startswith("robustness_threshold_matrix: networks_generated")
+
+    def test_new_fold_site_fails(self):
+        report = copy.deepcopy(self.baseline)
+        self._counters(report, "refresh_layer_eigentrust")["folded.beta"] = 1
         assert self.check(report) == [
-            "figure1: cold and accelerated outputs differ (acceleration changed results)"
+            "refresh_layer_eigentrust: folded.beta 1 exceeds its baseline 0"
         ]
+
+    def test_report_of_another_size_fails(self):
+        problems = self.check(_load("BENCH_e2e_full_baseline.json"))
+        assert len(problems) == 1
+        assert "different sizes" in problems[0]
 
     def test_drifted_workload_definition_fails(self):
         report = copy.deepcopy(self.baseline)
-        report["definition"]["quick"]["robustness_matrix"]["scenarios"].append("marketplace")
+        report["definition"]["quick"]["threshold_matrix"]["scenarios"].append("marketplace")
         problems = self.check(report)
         assert len(problems) == 1
         assert "definition" in problems[0]

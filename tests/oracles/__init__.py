@@ -9,6 +9,9 @@ kernels to:
 
 * :mod:`tests.oracles.reputation` — local trust, min-max rescaling and the
   EigenTrust, PowerTrust, Beta and simple-average scores;
+* :mod:`tests.oracles.rescan` — the rescan twins of the four folding
+  mechanisms: NumPy kernels that recompute every refresh from the whole
+  report log, the reference the incremental folds must match bit for bit;
 * :mod:`tests.oracles.coupling` — the Section-3 coupling trajectories,
   equilibria and the Figure-1 sensitivity matrix;
 * :mod:`tests.oracles.simulation` — the simulator's per-round interaction

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import accel
 from repro.core.coupling import CouplingDynamics, CouplingState, coupling_matrix
 from repro.reputation.average import SimpleAverageReputation
 from repro.reputation.beta import BetaReputation
@@ -23,19 +22,30 @@ from repro.simulation.engine import InteractionSimulator, SimulationConfig
 from repro.simulation.transaction import Feedback
 from repro.socialnet.generators import SocialNetworkSpec, generate_social_network
 from tests.oracles import coupling as coupling_oracle
+from tests.oracles import rescan
 from tests.oracles import reputation as reputation_oracle
 from tests.oracles import simulation as simulation_oracle
 
 SUBJECTS = ["s0", "s1", "s2", "s3", "s4"]
 RATERS = ["s0", "s1", "r0", "r1", "r2"]
 
-#: (kernel-backed mechanism, its loop-oracle twin) factory pairs.
+#: (live mechanism, its rescan twin, its loop-oracle twin, keywords).
 PAIRS = [
-    (SimpleAverageReputation, reputation_oracle.OracleAverage, {}),
-    (BetaReputation, reputation_oracle.OracleBeta, {"forgetting": 1.0}),
-    (BetaReputation, reputation_oracle.OracleBeta, {"forgetting": 0.9}),
-    (EigenTrust, reputation_oracle.OracleEigenTrust, {"pretrusted": ["s0", "s1"]}),
-    (PowerTrust, reputation_oracle.OraclePowerTrust, {"n_power_nodes": 2}),
+    (SimpleAverageReputation, rescan.RescanAverage, reputation_oracle.OracleAverage, {}),
+    (BetaReputation, rescan.RescanBeta, reputation_oracle.OracleBeta, {"forgetting": 1.0}),
+    (BetaReputation, rescan.RescanBeta, reputation_oracle.OracleBeta, {"forgetting": 0.9}),
+    (
+        EigenTrust,
+        rescan.RescanEigenTrust,
+        reputation_oracle.OracleEigenTrust,
+        {"pretrusted": ["s0", "s1"]},
+    ),
+    (
+        PowerTrust,
+        rescan.RescanPowerTrust,
+        reputation_oracle.OraclePowerTrust,
+        {"n_power_nodes": 2},
+    ),
 ]
 
 
@@ -60,32 +70,30 @@ def feedback_schedules(draw):
 @given(
     batches=feedback_schedules(),
     pair_index=st.integers(0, len(PAIRS) - 1),
-    incremental=st.booleans(),
+    rescanning=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
-def test_published_scores_match_oracle(batches, pair_index, incremental):
-    """After every batch, the kernel-backed mechanism publishes exactly what
-    its loop oracle publishes — on the incremental fold and on the cold
-    kernel path alike."""
-    kernel_cls, oracle_cls, kwargs = PAIRS[pair_index]
-    with accel.override(incremental_refresh=incremental, disable_all=False):
-        kernel = kernel_cls(**kwargs)
-        oracle = oracle_cls(**kwargs)
-        for batch in batches:
-            for feedback in batch:
-                kernel.record_feedback(feedback)
-                oracle.record_feedback(feedback)
-            raw_kernel = kernel.compute_scores()
-            raw_oracle = oracle.compute_scores()
-            assert raw_kernel.keys() == raw_oracle.keys()
-            for peer, value in raw_oracle.items():
-                assert raw_kernel[peer] == pytest.approx(value, abs=1e-9)
-            # compute_scores above advanced PowerTrust's sticky power nodes
-            # on both sides alike; publication recomputes from there.
-            kernel._dirty = oracle._dirty = True
-            assert list(kernel.refresh().items()) == list(oracle.refresh().items())
-            if isinstance(kernel, PowerTrust):
-                assert kernel.power_nodes == oracle.power_nodes
+def test_published_scores_match_oracle(batches, pair_index, rescanning):
+    """After every batch, the live mechanism publishes exactly what its loop
+    oracle publishes, and so does its rescan twin."""
+    live_cls, rescan_cls, oracle_cls, kwargs = PAIRS[pair_index]
+    kernel = (rescan_cls if rescanning else live_cls)(**kwargs)
+    oracle = oracle_cls(**kwargs)
+    for batch in batches:
+        for feedback in batch:
+            kernel.record_feedback(feedback)
+            oracle.record_feedback(feedback)
+        raw_kernel = kernel.compute_scores()
+        raw_oracle = oracle.compute_scores()
+        assert raw_kernel.keys() == raw_oracle.keys()
+        for peer, value in raw_oracle.items():
+            assert raw_kernel[peer] == pytest.approx(value, abs=1e-9)
+        # compute_scores above advanced PowerTrust's sticky power nodes
+        # on both sides alike; publication recomputes from there.
+        kernel._dirty = oracle._dirty = True
+        assert list(kernel.refresh().items()) == list(oracle.refresh().items())
+        if isinstance(kernel, PowerTrust):
+            assert kernel.power_nodes == oracle.power_nodes
 
 
 def _dynamics(draw):
@@ -172,7 +180,7 @@ def test_simulated_trajectories_match_oracle(
         graph = generate_social_network(
             SocialNetworkSpec(n_users=16, malicious_fraction=malicious, seed=seed)
         )
-        reputation = mechanism_cls(**PAIRS[pair_index][2])
+        reputation = mechanism_cls(**PAIRS[pair_index][3])
         result = simulator_cls(
             graph,
             SimulationConfig(
@@ -189,7 +197,7 @@ def test_simulated_trajectories_match_oracle(
             reputation.refresh(),
         )
 
-    kernel_cls, oracle_cls, _ = PAIRS[pair_index]
+    kernel_cls, _, oracle_cls, _ = PAIRS[pair_index]
     assert run(InteractionSimulator, kernel_cls) == run(
         simulation_oracle.OracleSimulator, oracle_cls
     )

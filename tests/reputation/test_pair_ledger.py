@@ -1,20 +1,26 @@
-"""The local-trust pair ledger at serving scale.
+"""Refreshes fold only what was appended, at serving scale.
 
 From ``DENSE_TRUST_THRESHOLD`` peers up, EigenTrust and PowerTrust build
-``C`` from the builder's incrementally folded pair ledger.  A refresh must
-never fall back to rescanning the report log, and what it publishes must
-equal the cold rescan's scores byte for byte.
+``C`` from the builder's incrementally folded pair ledger; Beta and the
+simple average fold their per-subject masses.  A refresh must never
+restart a fold from the first report: the work counters of
+:func:`repro._profiling.profiled` show each refresh folding exactly the
+reports appended since the previous one.  What it publishes must equal the
+rescan twin's scores byte for byte.
 """
 
 import random
-from unittest import mock
 
 import pytest
 
-from repro.core import accel, backend
+from repro import _profiling
+from repro.core import backend
+from repro.reputation.average import SimpleAverageReputation
+from repro.reputation.beta import BetaReputation
 from repro.reputation.eigentrust import EigenTrust
 from repro.reputation.powertrust import PowerTrust
 from repro.simulation.transaction import Feedback
+from tests.oracles import rescan
 
 N_PEERS = 140
 PER_BATCH = 700
@@ -46,32 +52,55 @@ def _batches():
 
 
 @pytest.mark.parametrize(
-    "factory",
+    ("live", "twin", "site"),
     [
-        lambda: EigenTrust(pretrusted=["p000", "p001"]),
-        lambda: PowerTrust(n_power_nodes=3),
+        (
+            lambda: EigenTrust(pretrusted=["p000", "p001"]),
+            lambda: rescan.RescanEigenTrust(pretrusted=["p000", "p001"]),
+            "folded.pair_ledger",
+        ),
+        (
+            lambda: PowerTrust(n_power_nodes=3),
+            lambda: rescan.RescanPowerTrust(n_power_nodes=3),
+            "folded.pair_ledger",
+        ),
     ],
     ids=["eigentrust", "powertrust"],
 )
-def test_serving_scale_refresh_never_rescans_the_report_log(factory):
-    with accel.override(incremental_refresh=True, disable_all=False):
-        incremental = factory()
-    with accel.override(incremental_refresh=False):
-        cold = factory()
-    rescan = mock.patch.object(
-        backend,
-        "local_trust_matrix_from_columns",
-        side_effect=AssertionError("report log rescanned"),
-    )
+def test_serving_scale_refresh_never_rescans_the_report_log(live, twin, site):
+    incremental = live()
+    cold = twin()
     for batch in _batches():
-        with accel.override(incremental_refresh=True, disable_all=False), rescan as guard:
-            for feedback in batch:
-                incremental.record_feedback(feedback)
+        for feedback in batch:
+            incremental.record_feedback(feedback)
+            cold.record_feedback(feedback)
+        with _profiling.profiled() as timer:
             published = incremental.refresh()
-        assert guard.call_count == 0
+        assert timer.work == {site: PER_BATCH}
         assert len(published) >= backend.DENSE_TRUST_THRESHOLD
-        with accel.override(incremental_refresh=False):
-            for feedback in batch:
-                cold.record_feedback(feedback)
-            expected = cold.refresh()
-        assert list(published.items()) == list(expected.items())
+        assert list(published.items()) == list(cold.refresh().items())
+
+
+@pytest.mark.parametrize(
+    ("live", "twin", "site"),
+    [
+        (
+            lambda: BetaReputation(forgetting=0.9),
+            lambda: rescan.RescanBeta(forgetting=0.9),
+            "folded.beta",
+        ),
+        (SimpleAverageReputation, rescan.RescanAverage, "folded.average"),
+    ],
+    ids=["beta", "average"],
+)
+def test_evidence_fold_refresh_never_rescans_the_report_log(live, twin, site):
+    incremental = live()
+    cold = twin()
+    for batch in _batches():
+        for feedback in batch:
+            incremental.record_feedback(feedback)
+            cold.record_feedback(feedback)
+        with _profiling.profiled() as timer:
+            published = incremental.refresh()
+        assert timer.work == {site: PER_BATCH}
+        assert list(published.items()) == list(cold.refresh().items())

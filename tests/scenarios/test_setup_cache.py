@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import accel
+from repro import _profiling
+from repro.scenarios import runner
 from repro.scenarios.catalog import build_campaign
 from repro.scenarios.runner import ScenarioRunConfig, run_scenario
 from repro.socialnet.generators import (
@@ -51,12 +52,6 @@ class TestNetworkCache:
         assert regenerated is not shared
         assert "intruder" not in regenerated
 
-    def test_disabled_flag_generates_fresh(self):
-        with accel.override(setup_cache=False):
-            first = cached_social_network(SPEC)
-            second = cached_social_network(SPEC)
-        assert first is not second
-
     def test_unhashable_extra_generates_fresh(self):
         spec = SocialNetworkSpec(n_users=10, seed=1, extra={"tags": ["a", "b"]})
         first = cached_social_network(spec)
@@ -85,14 +80,22 @@ class TestScenarioSetupCache:
         )
         assert not any(uid.startswith("sybil-") for uid in base.user_ids())
 
-    def test_run_scenario_results_identical_with_and_without_setup_cache(self):
+    def test_run_scenario_results_identical_with_and_without_setup_cache(self, monkeypatch):
         kwargs = dict(
             scenario="whitewash-wave", mechanism="eigentrust", n_users=14, rounds=8, seed=4
         )
-        shared = run_scenario(**kwargs)
+        with _profiling.profiled() as timer:
+            shared = run_scenario(**kwargs)
+            again = run_scenario(**kwargs)
+        assert again.graph is shared.graph
+        assert timer.work["networks_generated"] == 1
         clear_network_cache()
-        with accel.override(setup_cache=False):
+        monkeypatch.setattr(runner, "cached_social_network", generate_social_network)
+        with _profiling.profiled() as timer:
             fresh = run_scenario(**kwargs)
+            fresh_again = run_scenario(**kwargs)
+        assert fresh_again.graph is not fresh.graph
+        assert timer.work["networks_generated"] == 2
         assert shared.robustness == fresh.robustness
         assert shared.final_scores == fresh.final_scores
 

@@ -5,7 +5,6 @@ import gc
 import weakref
 
 from repro import _profiling
-from repro.core import accel
 from repro.experiments import robustness
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.scenarios.runner import run_scenario, shared_simulations
@@ -26,13 +25,6 @@ class TestBlock:
         with _profiling.profiled() as timer:
             run_scenario(**CELL)
             run_scenario(**CELL)
-        assert timer.counts["simulate"] == 2
-
-    def test_master_switch_simulates_on_every_call(self):
-        with accel.override(disable_all=True), _profiling.profiled() as timer:
-            with shared_simulations():
-                run_scenario(**CELL)
-                run_scenario(detect_threshold=0.3, **CELL)
         assert timer.counts["simulate"] == 2
 
     def test_checkpointed_runs_simulate(self, tmp_path):

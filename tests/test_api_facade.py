@@ -60,7 +60,7 @@ class TestApiAnnotations:
         assert unannotated == []
 
     def test_exported_modules_are_the_blessed_set(self):
-        # Two namespaced control modules plus the experiment-definition
+        # The namespaced fault-injection module plus the experiment-definition
         # modules (provisional tier; benchmarks use module-level attrs).
         modules = sorted(
             name
@@ -69,7 +69,6 @@ class TestApiAnnotations:
         )
         assert modules == [
             "ablations",
-            "accel",
             "claims",
             "faults",
             "figure1",
@@ -112,12 +111,9 @@ class TestLazyPackageForwarding:
         assert result.stdout.split() == ["False", "False"]
 
     def test_submodule_passthrough_does_not_import_facade(self):
-        # `repro.faults` / `repro.accel` are real submodules; resolving them
-        # through the package must not pull the whole facade in.
-        code = (
-            "import sys, repro; repro.faults; repro.accel; "
-            "print('repro.api' in sys.modules)"
-        )
+        # `repro.faults` is a real submodule; resolving it through the
+        # package must not pull the whole facade in.
+        code = "import sys, repro; repro.faults; print('repro.api' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
