@@ -23,13 +23,11 @@ names each changed key and says why.
 
 Usage::
 
-    PYTHONPATH=src python tools/golden_digests.py            # rewrite the file
-    PYTHONPATH=src python tools/golden_digests.py --check    # exit 1 on drift
+    PYTHONPATH=src python tools/golden_digests.py
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -169,19 +167,8 @@ def drifted_keys(expected: dict[str, str], actual: dict[str, str]) -> list[str]:
     return sorted(key for key in keys if expected.get(key) != actual.get(key))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check", action="store_true", help="compare with the committed file instead of writing it"
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     digests = compute_digests()
-    if args.check:
-        drifted = drifted_keys(load_digests(), digests)
-        for key in drifted:
-            print(f"DRIFTED: {key}", file=sys.stderr)
-        print(f"{len(digests)} keys, {len(drifted)} drifted")
-        return 1 if drifted else 0
     payload = {"generated_by": "tools/golden_digests.py", "digests": digests}
     DIGESTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     DIGESTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
