@@ -122,14 +122,15 @@ def test_pair_ledger_matches_cold_rescan_on_sparse_path(batches, pair_index, cap
 def test_refresh_survives_clear_and_reset(batches, pair_index):
     """A cleared store cold-starts the incremental state, not stale sums.
 
-    The reference replays the post-reset evidence on the *same refresh
-    schedule*: PowerTrust's power-node selection intentionally warm-starts
-    from the previous refresh, so refresh cadence is part of a mechanism's
-    semantics — what must match is a reset system versus a fresh one.
+    The reference, a fresh rescan twin, replays the post-reset evidence on
+    the *same refresh schedule*: PowerTrust's power-node selection
+    intentionally warm-starts from the previous refresh, so refresh cadence
+    is part of a mechanism's semantics — what must match is a reset system
+    versus a fresh one.
     """
-    live_cls, _, kwargs = PAIRS[pair_index]
+    live_cls, rescan_cls, kwargs = PAIRS[pair_index]
     system = live_cls(**kwargs)
-    reference = live_cls(**kwargs)
+    reference = rescan_cls(**kwargs)
     for batch_index, batch in enumerate(batches):
         for feedback in batch:
             system.record_feedback(feedback)
@@ -137,8 +138,8 @@ def test_refresh_survives_clear_and_reset(batches, pair_index):
         if batch_index == 0:
             system.reset()
             system.refresh()
-    # Replay only the post-reset evidence into a fresh system, with the
-    # same per-batch refresh cadence the reset system experienced.
+    # Replay only the post-reset evidence into the twin, with the same
+    # per-batch refresh cadence the reset system experienced.
     for batch in batches[1:]:
         for feedback in batch:
             reference.record_feedback(feedback)
