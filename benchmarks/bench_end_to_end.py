@@ -20,7 +20,11 @@ simulation per mechanism — each once, in this process, inside
 * ``folded.<site>`` — reports each incremental fold consumed (Beta, simple
   average, the local-trust pair ledger and its dense raw matrix); a fold
   that restarted from the first report on every refresh would read the
-  whole store each time instead of the reports just appended.
+  whole store each time instead of the reports just appended;
+* ``power_iteration.steps`` and ``power_iteration.capped`` — EigenTrust
+  and PowerTrust iteration steps, and the calls the iteration cap rather
+  than the tolerance ended; a kernel that stops late, or a refresh
+  recomputed that should have been served from its cache, counts more.
 
 Counters are deterministic, so the gate has no noise to allow for.
 ``--check-baseline PATH`` exits non-zero when the report's workload

@@ -16,10 +16,14 @@ is the classic hot path and is *included* in ``simulate``'s wall time), and
 
 Beside the clocks, the timer keeps exact *work counters* (:func:`add_work`):
 the reports each incremental fold site consumed (``folded.<site>``, added
-once per fold call) and the social networks generated
-(``networks_generated``).  Unlike wall time they are deterministic, so a
-benchmark gates them exactly: a fold that restarts from the first report, or
-a run that regenerates a shared network, shows as a larger count.
+once per fold call), the social networks generated
+(``networks_generated``), and the power iteration's steps
+(``power_iteration.steps``) and the calls its iteration cap rather than its
+tolerance ended (``power_iteration.capped``), both added once per call.
+Unlike wall time they are deterministic, so a benchmark gates them exactly:
+a fold that restarts from the first report, a run that regenerates a shared
+network, or a refresh that iterates past its convergence point shows as a
+larger count.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import _profiling
 from repro.errors import ConfigurationError
 
 try:
@@ -207,6 +208,12 @@ def normalize_dense_raw(raw: np.ndarray, *, copy: bool = True) -> np.ndarray:
     return clipped
 
 
+def _count_work(iterations: int, converged: bool) -> None:
+    """Report one :func:`power_iteration` call into the work counters."""
+    _profiling.add_work("power_iteration.steps", iterations)
+    _profiling.add_work("power_iteration.capped", int(not converged))
+
+
 def power_iteration(
     matrix: TrustMatrix,
     restart: ArrayLike,
@@ -229,10 +236,14 @@ def power_iteration(
     iterations per refresh is a single matmul plus one add instead of eight
     dispatched array ops; the re-association shifts results by float
     round-off only, which the publication grid absorbs.
+
+    Each call adds its steps to the ``power_iteration.steps`` work counter
+    and, when the tolerance was never met, one to ``power_iteration.capped``.
     """
     restart = np.asarray(restart, dtype=float)
     trust = restart.copy()
     iterations = 0
+    converged = False
     if sparse is not None and sparse.issparse(matrix):
         dangling = np.asarray(matrix.sum(axis=1)).ravel() <= 0.0
         transposed = matrix.T.tocsr()
@@ -247,7 +258,9 @@ def power_iteration(
             delta = float(np.abs(blended - trust).sum())
             trust = blended
             if delta < tolerance:
+                converged = True
                 break
+        _count_work(iterations, converged)
         return trust, iterations
     matrix = np.asarray(matrix, dtype=float)
     dangling = matrix.sum(axis=1) <= 0.0
@@ -264,7 +277,9 @@ def power_iteration(
         delta = float(absolute(blended - trust).sum())
         trust = blended
         if delta < tolerance:
+            converged = True
             break
+    _count_work(iterations, converged)
     return trust, iterations
 
 

@@ -3,6 +3,7 @@
 import numpy
 import pytest
 
+from repro import _profiling
 from repro.core import backend as bk
 from repro.core.coupling import STATE_VARIABLES, CouplingDynamics, CouplingState
 from repro.errors import ConfigurationError
@@ -118,6 +119,22 @@ class TestPowerIteration:
             reference = blended
         assert numpy.allclose(trust, reference, atol=1e-12)
         assert trust.sum() == pytest.approx(1.0)
+
+    def test_work_counters_count_steps_and_cap_hits(self):
+        swap = numpy.array([[0.0, 1.0], [1.0, 0.0]])
+        dangling = numpy.zeros((2, 2))
+        restart = numpy.array([1.0, 0.0])
+        with _profiling.profiled() as timer:
+            # Contracts by 0.85 a step: seven steps end far above 1e-12.
+            _, capped = bk.power_iteration(
+                swap, restart, restart_weight=0.15, max_iterations=7, tolerance=1e-12
+            )
+            # Everything dangles: the restart vector is stationary at once.
+            _, converged = bk.power_iteration(
+                dangling, restart, restart_weight=0.15, max_iterations=50, tolerance=1e-10
+            )
+        assert (capped, converged) == (7, 1)
+        assert timer.work == {"power_iteration.steps": 8, "power_iteration.capped": 1}
 
 
 class TestScoreKernels:

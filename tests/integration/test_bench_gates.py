@@ -95,6 +95,18 @@ class TestEndToEndGate:
         assert len(problems) == 1
         assert problems[0].startswith("robustness_threshold_matrix: networks_generated")
 
+    def test_one_power_iteration_step_more_fails(self):
+        # The kernel must stop at the first iterate under the tolerance; a
+        # refresh that runs one step past it is a regression.
+        report = copy.deepcopy(self.baseline)
+        counters = self._counters(report, "refresh_layer_eigentrust")
+        counters["power_iteration.steps"] += 1
+        assert self.check(report) == [
+            "refresh_layer_eigentrust: power_iteration.steps "
+            f"{counters['power_iteration.steps']} exceeds its baseline "
+            f"{counters['power_iteration.steps'] - 1}"
+        ]
+
     def test_new_fold_site_fails(self):
         report = copy.deepcopy(self.baseline)
         self._counters(report, "refresh_layer_eigentrust")["folded.beta"] = 1
