@@ -8,6 +8,9 @@ Nothing under ``src/`` calls them.  Tests compare a live mechanism with its
 twin bit for bit, or swap the twins in through
 ``repro.reputation.registry.REPUTATION_FACTORIES`` to rerun a whole pipeline
 on the rescan path (:data:`RESCAN_MECHANISMS`).
+
+:func:`stepwise_power_iteration` is the power iteration as it ran before it
+checked convergence once per block of steps: one L1 delta per step.
 """
 
 from __future__ import annotations
@@ -79,6 +82,55 @@ def local_trust_matrix_from_columns(
     return backend.local_trust_matrix(
         len(index), rater_positions[known], subject_positions[known], deltas
     )
+
+
+def stepwise_power_iteration(
+    matrix: backend.TrustMatrix,
+    restart: backend.ArrayLike,
+    *,
+    restart_weight: float,
+    max_iterations: int,
+    tolerance: float,
+) -> tuple[np.ndarray, int]:
+    """:func:`repro.core.backend.power_iteration` checking convergence after
+    every step; the blocked kernel must return the same bytes and count."""
+    sparse = backend.sparse
+    restart = np.asarray(restart, dtype=float)
+    trust = restart.copy()
+    iterations = 0
+    if sparse is not None and sparse.issparse(matrix):
+        dangling = np.asarray(matrix.sum(axis=1)).ravel() <= 0.0
+        transposed = matrix.T.tocsr()
+        any_dangling = bool(dangling.any())
+        for _ in range(max_iterations):
+            iterations += 1
+            updated = transposed @ trust
+            if any_dangling:
+                dangling_mass = float(trust[dangling].sum())
+                updated += dangling_mass * restart
+            blended = (1.0 - restart_weight) * updated + restart_weight * restart
+            delta = float(np.abs(blended - trust).sum())
+            trust = blended
+            if delta < tolerance:
+                break
+        return trust, iterations
+    matrix = np.asarray(matrix, dtype=float)
+    dangling = matrix.sum(axis=1) <= 0.0
+    iteration_matrix = np.ascontiguousarray(
+        (1.0 - restart_weight)
+        * (matrix.T + np.outer(restart, dangling.astype(float)))
+    )
+    restart_mass = restart_weight * restart
+    absolute = np.abs
+    for _ in range(max_iterations):
+        iterations += 1
+        blended = iteration_matrix @ trust
+        blended += restart_mass
+        delta = float(absolute(blended - trust).sum())
+        trust = blended
+        if delta < tolerance:
+            break
+    return trust, iterations
 
 
 class RescanLocalTrust(LocalTrustBuilder):

@@ -9,10 +9,12 @@ trajectories, interaction counts and whole simulated runs exactly equal.
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import backend
 from repro.core.coupling import CouplingDynamics, CouplingState, coupling_matrix
 from repro.reputation.average import SimpleAverageReputation
 from repro.reputation.beta import BetaReputation
@@ -146,6 +148,59 @@ def test_coupling_matrix_matches_oracle(dynamics, perturbation, response_steps):
     ) == coupling_oracle.coupling_matrix(
         dynamics, perturbation=perturbation, response_steps=response_steps
     )
+
+
+BLOCK = backend.POWER_ITERATION_BLOCK
+
+
+@st.composite
+def power_iteration_cases(draw):
+    """A local-trust matrix (dense below ``DENSE_TRUST_THRESHOLD`` peers, CSR
+    from there up, with dangling rows), a restart vector and weight, a cap,
+    and a tolerance that the iteration meets at a drawn step, or never."""
+    threshold = backend.DENSE_TRUST_THRESHOLD
+    n = draw(st.one_of(st.integers(1, threshold - 1), st.integers(threshold, threshold + 32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Peers outside the rating set, or with only negative totals, dangle.
+    raters = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])))
+    n_reports = draw(st.integers(0, 4 * n)) if raters.size else 0
+    matrix = backend.local_trust_matrix(
+        n,
+        rng.choice(raters, n_reports) if n_reports else [],
+        rng.integers(0, n, n_reports),
+        rng.choice([-1.0, 1.0, 2.0], n_reports),
+    )
+    restart = rng.random(n) * (rng.random(n) < draw(st.sampled_from([0.2, 1.0])))
+    restart = restart / restart.sum() if restart.sum() > 0 else np.full(n, 1.0 / n)
+    restart_weight = draw(st.floats(0.0, 0.9))
+    max_iterations = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 50, 100]))
+
+    # The L1 deltas of the recurrence, to within round-off.
+    dense = matrix.toarray() if hasattr(matrix, "toarray") else matrix
+    step = (1.0 - restart_weight) * (dense.T + np.outer(restart, dense.sum(axis=1) <= 0.0))
+    trust, deltas = restart, []
+    for _ in range(max_iterations):
+        updated = step @ trust + restart_weight * restart
+        deltas.append(float(np.abs(updated - trust).sum()))
+        trust = updated
+    target = draw(st.integers(1, max_iterations))
+    tolerance = deltas[target - 1] * draw(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0]))
+    return matrix, restart, restart_weight, max_iterations, tolerance
+
+
+@given(case=power_iteration_cases())
+@settings(max_examples=150, deadline=None)
+def test_blocked_power_iteration_matches_stepwise_loop(case):
+    """The kernel checks convergence once per block of steps, yet returns
+    the very iterate, and count, of a loop that checks after every step."""
+    matrix, restart, restart_weight, max_iterations, tolerance = case
+    kwargs = dict(
+        restart_weight=restart_weight, max_iterations=max_iterations, tolerance=tolerance
+    )
+    trust, iterations = backend.power_iteration(matrix, restart, **kwargs)
+    expected, expected_iterations = rescan.stepwise_power_iteration(matrix, restart, **kwargs)
+    assert iterations == expected_iterations
+    assert trust.tobytes() == expected.tobytes()
 
 
 @given(
