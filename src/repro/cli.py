@@ -143,7 +143,9 @@ def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "tasks per worker submission (default: ~4 chunks per worker); "
+            "target tasks per worker submission (default: ~4 chunks per "
+            "worker); tasks that share a simulation are never split across "
+            "submissions, so one may hold fewer, or a whole larger group; "
             "records are identical for any chunking"
         ),
     )

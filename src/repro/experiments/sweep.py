@@ -24,10 +24,11 @@ module turns any registered experiment into a campaign:
 The executor keeps a pool of **persistent worker processes** that survive
 across sweeps (pass one ``SweepExecutor`` to several :func:`run_sweep`
 calls to amortize interpreter/import startup), submits the schedule in
-**chunks** (fewer IPC round-trips; a chunk boundary splits at most one
-simulation group, whose halves each simulate once), and supports
-**streaming record writes**: records are journaled as they complete and
-handed to ``on_record`` in task order while later tasks are still running.
+**chunks** of whole simulation groups (fewer IPC round-trips; a chunk
+boundary never splits a group, so each group simulates once in one worker),
+and supports **streaming record writes**: records are journaled as they
+complete and handed to ``on_record`` in task order while later tasks are
+still running.
 
 Determinism contract: the records (and hence the serialized JSON) depend
 only on the spec — never on the worker count, the chunk size, the schedule
@@ -473,8 +474,9 @@ class SweepExecutor:
     The underlying ``ProcessPoolExecutor`` is created lazily on first use
     and kept alive until :meth:`shutdown` (or context-manager exit), so
     consecutive campaigns — a benchmark's repeats, a driver script's sweep
-    series — pay worker startup and imports once.  A worker keeps no
-    simulation past the group that shares it.
+    series — pay worker startup and imports once.  Each submission is a
+    chunk of whole simulation groups (see :meth:`_chunks`), so a group
+    simulates once, in one worker, which keeps no simulation past it.
     """
 
     def __init__(
@@ -501,19 +503,34 @@ class SweepExecutor:
         return self._pool
 
     def _effective_chunksize(self, n_tasks: int) -> int:
+        """The target tasks per chunk: ``chunksize``, or four chunks per
+        worker, which balances scheduling slack against IPC.  A chunk holds
+        fewer when the next group would overflow it, and more only when one
+        group alone is larger."""
         if self.chunksize is not None:
             return self.chunksize
-        # Four chunks per worker balances scheduling slack against IPC.
-        # Chunks are cut from the schedule, so the tasks that share a
-        # simulation stay in one chunk unless a boundary splits their group.
         return max(1, math.ceil(n_tasks / (self.jobs * 4)))
 
     def _chunks(self, tasks: Sequence[SweepTask]) -> list[list[SweepTask]]:
-        """The pool submissions for ``tasks``: the :func:`schedule` cut
-        every ``chunksize`` tasks."""
-        ordered = schedule(tasks)
-        size = self._effective_chunksize(len(ordered))
-        return [ordered[start : start + size] for start in range(0, len(ordered), size)]
+        """The pool submissions for ``tasks``: whole simulation groups, in
+        :func:`schedule` order, packed into chunks.
+
+        A chunk closes before a group that would push it past the target
+        size, and a group larger than the target is a chunk of its own.
+        Splitting a group would simulate it once per part.
+        """
+        size = self._effective_chunksize(len(tasks))
+        chunks: list[list[SweepTask]] = []
+        chunk: list[SweepTask] = []
+        for _, members in itertools.groupby(schedule(tasks), key=simulation_identity):
+            group = list(members)
+            if chunk and len(chunk) + len(group) > size:
+                chunks.append(chunk)
+                chunk = []
+            chunk.extend(group)
+        if chunk:
+            chunks.append(chunk)
+        return chunks
 
     def completions(
         self, tasks: Sequence[SweepTask], retry: RetryPolicy | None = None
@@ -644,9 +661,12 @@ def run_sweep(
     """Execute every task of the campaign and collect ordered records.
 
     ``jobs=1`` runs inline (no pool, easiest to debug); ``jobs>1`` fans
-    chunked tasks over a :class:`SweepExecutor` — pass ``executor`` to
-    reuse an existing pool across campaigns (its ``jobs``/``chunksize``
-    then apply).  Both paths execute the tasks in :func:`schedule` order.
+    chunks of whole simulation groups over a :class:`SweepExecutor` — pass
+    ``executor`` to reuse an existing pool across campaigns (its
+    ``jobs``/``chunksize`` then apply).  ``chunksize`` is a target: a chunk
+    closes before a group that would overflow it, and a larger group is a
+    chunk of its own.  Both paths execute the tasks in :func:`schedule`
+    order, and each group simulates once.
     ``on_record`` streams records in task order as they complete.  Records
     are always returned sorted by task index and are byte-identical
     regardless of worker count, chunking, schedule or streaming.

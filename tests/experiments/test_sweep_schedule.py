@@ -80,17 +80,34 @@ class TestSchedule:
         assert EXPERIMENTS["figure1"].evaluation_only == ()
         assert schedule(tasks) == tasks
 
-    def test_pool_chunks_split_one_group_per_boundary(self):
-        # The repo benchmark's campaign: 33 threshold-major tasks cut into
-        # chunks of 17 for two workers.
+    def test_pool_chunks_hold_whole_groups(self):
+        # The repo benchmark's campaign: 33 threshold-major tasks, 11 groups
+        # of 3, packed into chunks of at most 17 for two workers.  A cut
+        # every 17 tasks (17 + 16) would split a group and simulate it in
+        # both workers.
         tasks = expand_tasks(threshold_grid(SCENARIOS, n_users=40, rounds=120))
         chunks = SweepExecutor(2, chunksize=17)._chunks(tasks)
         groups = [len({simulation_identity(task) for task in chunk}) for chunk in chunks]
-        assert [len(chunk) for chunk in chunks] == [17, 16]
-        assert groups == [6, 6]
+        assert [len(chunk) for chunk in chunks] == [15, 15, 3]
+        assert groups == [5, 5, 1]
         # Cut in declaration order, each chunk would hold all 11 groups.
         assert len({simulation_identity(task) for task in tasks[:17]}) == 11
         assert len({simulation_identity(task) for task in tasks[17:]}) == 11
+
+    @pytest.mark.parametrize("chunksize", [1, 2, 3, 5, 17, 33])
+    def test_each_group_lands_in_one_chunk_in_schedule_order(self, chunksize):
+        tasks = expand_tasks(threshold_grid(SCENARIOS, n_users=40, rounds=120))
+        chunks = SweepExecutor(2, chunksize=chunksize)._chunks(tasks)
+        assert [task for chunk in chunks for task in chunk] == schedule(tasks)
+        homes: dict[str | int, set[int]] = {}
+        for number, chunk in enumerate(chunks):
+            identities = {simulation_identity(task) for task in chunk}
+            for identity in identities:
+                homes.setdefault(identity, set()).add(number)
+            # Over the target only when one group alone is larger.
+            assert len(chunk) <= chunksize or len(identities) == 1
+        assert len(homes) == len(SCENARIOS)
+        assert all(len(numbers) == 1 for numbers in homes.values())
 
 
 class TestSimulationIdentity:
@@ -145,6 +162,7 @@ class TestScheduledSweeps:
         spec = threshold_grid(["collusion-ring", "sybil-burst"])
         serial = _json(run_sweep(spec, jobs=1))
         assert _json(run_sweep(spec, jobs=2, chunksize=1)) == serial
+        assert _json(run_sweep(spec, jobs=2, chunksize=2)) == serial
         assert _json(run_sweep(spec, jobs=2, chunksize=17)) == serial
 
     @pytest.mark.parametrize("jobs", [1, 2])
