@@ -7,14 +7,18 @@ leaking out — fails CI instead of surfacing in downstream client code.
 
 import importlib
 import inspect
+import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import repro
 import repro.api as api
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestApiAllResolves:
@@ -39,7 +43,11 @@ class TestApiAllResolves:
         # A clean import must succeed with no circular-import landmines.
         code = "import repro.api; print(len(repro.api.__all__))"
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert int(result.stdout.strip()) == len(api.__all__)
 
@@ -106,7 +114,11 @@ class TestLazyPackageForwarding:
             "print('repro.api' in sys.modules, 'repro.serving' in sys.modules)"
         )
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert result.stdout.split() == ["False", "False"]
 
@@ -115,15 +127,17 @@ class TestLazyPackageForwarding:
         # package must not pull the whole facade in.
         code = "import sys, repro; repro.faults; print('repro.api' in sys.modules)"
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert result.stdout.strip() == "False"
 
 
 class TestDocsStayInSync:
     def test_api_doc_mentions_every_export_group(self):
-        from pathlib import Path
-
         doc = (Path(__file__).resolve().parent.parent / "docs" / "API.md").read_text()
         for name in repro._FACADE_EXPORTS:
             if isinstance(getattr(api, name), types.ModuleType):
@@ -131,8 +145,6 @@ class TestDocsStayInSync:
             assert f"`{name}`" in doc, f"docs/API.md does not document {name!r}"
 
     def test_readme_links_api_doc(self):
-        from pathlib import Path
-
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         assert "docs/API.md" in readme
 
