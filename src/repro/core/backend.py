@@ -218,7 +218,7 @@ _Step = Callable[[np.ndarray, np.ndarray], None]
 
 
 def _dense_step(matrix: ArrayLike, restart: np.ndarray, restart_weight: float) -> _Step:
-    """A step through the folded iteration matrix: one matmul, one add."""
+    """A step through the folded iteration matrix: one matvec, one add."""
     matrix = np.asarray(matrix, dtype=float)
     dangling = matrix.sum(axis=1) <= 0.0
     iteration_matrix = np.ascontiguousarray(
@@ -226,12 +226,10 @@ def _dense_step(matrix: ArrayLike, restart: np.ndarray, restart_weight: float) -
         * (matrix.T + np.outer(restart, dangling.astype(float)))
     )
     restart_mass = restart_weight * restart
-    matvec = iteration_matrix.dot
-    add = np.add
 
     def step(trust: np.ndarray, out: np.ndarray) -> None:
-        matvec(trust, out)
-        add(out, restart_mass, out)
+        iteration_matrix.dot(trust, out)
+        np.add(out, restart_mass, out)
 
     return step
 
@@ -243,15 +241,13 @@ def _sparse_step(matrix: TrustMatrix, restart: np.ndarray, restart_weight: float
     any_dangling = bool(dangling.any())
     damping = 1.0 - restart_weight
     restart_mass = restart_weight * restart
-    multiply = np.multiply
-    add = np.add
 
     def step(trust: np.ndarray, out: np.ndarray) -> None:
         updated = transposed @ trust
         if any_dangling:
             updated += float(trust[dangling].sum()) * restart
-        multiply(damping, updated, out)
-        add(out, restart_mass, out)
+        np.multiply(damping, updated, out)
+        np.add(out, restart_mass, out)
 
     return step
 
