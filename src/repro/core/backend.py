@@ -208,9 +208,10 @@ def normalize_dense_raw(raw: np.ndarray, *, copy: bool = True) -> np.ndarray:
     return clipped
 
 
-#: Steps :func:`power_iteration` runs between two convergence checks.  At
-#: scenario sizes most refreshes end at their iteration cap, and a check per
-#: step cost three array dispatches; a check per block costs one reduction.
+#: Steps :func:`power_iteration` runs between two convergence checks.  Most
+#: refreshes at scenario sizes end at their iteration cap, so one reduction
+#: over a block's deltas saves array dispatches on every step; a converged
+#: call computes at most ``POWER_ITERATION_BLOCK - 1`` steps it then drops.
 POWER_ITERATION_BLOCK = 16
 
 #: One step of the recurrence: reads an iterate, writes the next into ``out``.

@@ -100,11 +100,11 @@ class TestEndToEndGate:
         # refresh that runs one step past it is a regression.
         report = copy.deepcopy(self.baseline)
         counters = self._counters(report, "refresh_layer_eigentrust")
-        counters["power_iteration.steps"] += 1
+        steps = counters["power_iteration.steps"]
+        counters["power_iteration.steps"] = steps + 1
         assert self.check(report) == [
             "refresh_layer_eigentrust: power_iteration.steps "
-            f"{counters['power_iteration.steps']} exceeds its baseline "
-            f"{counters['power_iteration.steps'] - 1}"
+            f"{steps + 1} exceeds its baseline {steps}"
         ]
 
     def test_new_fold_site_fails(self):

@@ -5,6 +5,8 @@ kernels replaced.  For any feedback history, any adversary mix and any
 coupling parameterization, the kernels must compute the same numbers:
 raw scores within 1e-9, published (quantized) scores, coupling
 trajectories, interaction counts and whole simulated runs exactly equal.
+The blocked power iteration must return the bytes and the step count of
+the per-step loop it replaced.
 """
 
 from types import SimpleNamespace
