@@ -5,7 +5,7 @@ serve-gate checks)::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --out BENCH_serve.json
 
-Four drills against real ``repro-serve`` subprocesses (stdlib HTTP adapter,
+Four drills against real ``repro serve`` subprocesses (stdlib HTTP adapter,
 zero extra dependencies); ``--drill`` selects a subset:
 
 * **throughput** — a scenario-trace replay from concurrent clients:
@@ -147,7 +147,7 @@ def workload_definition() -> dict[str, object]:
 
 
 class ServerProcess:
-    """One ``repro-serve`` subprocess with port-file coordination."""
+    """One ``repro serve`` subprocess with port-file coordination."""
 
     def __init__(
         self,
@@ -168,7 +168,8 @@ class ServerProcess:
             [
                 sys.executable,
                 "-m",
-                "repro.serving.cli",
+                "repro",
+                "serve",
                 "--port",
                 "0",
                 "--port-file",

@@ -1,4 +1,4 @@
-"""The unified command-line surface: ``python -m repro`` / ``repro``.
+"""The command line: ``repro`` (or ``python -m repro``).
 
 One entry point, five subcommands::
 
@@ -10,13 +10,13 @@ One entry point, five subcommands::
 
 All record-writing subcommands share conventions: ``--out`` for the JSON
 record file, ``--csv`` for the CSV twin and ``--seed`` for the campaign
-seed.
+seed.  A first argument that is not a subcommand is treated as ``run``
+input, so ``repro figure1 --full`` runs one experiment; a bare ``repro``
+prints the overview.
 
-``python -m repro.experiments`` is the deprecated historical spelling: it
-warns once and forwards here, producing byte-identical artifacts (a CI
-check holds the shim to that).  For ergonomic and compatibility reasons a
-first argument that is not a subcommand is treated as ``run`` input, so
-``repro figure1 --full`` and the historical bare invocations keep working.
+The ``repro-serve`` and ``repro-scenario`` console scripts are deprecated
+spellings of ``repro serve`` and ``repro scenario``: each prints one
+notice on stderr and forwards here, with the same flags and output.
 
 Each subcommand imports its own stack when it runs, so ``repro serve``
 never loads the experiment, sweep or scenario code.
@@ -50,11 +50,11 @@ share --out/--csv/--seed conventions.
 """
 
 
-def build_run_parser(prog: str = "repro run") -> argparse.ArgumentParser:
+def build_run_parser() -> argparse.ArgumentParser:
     from repro.experiments.runner import EXPERIMENTS
 
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro run",
         description="Run the paper-reproduction experiments.",
         epilog=(
             "Use the 'sweep' subcommand for parallel parameter campaigns: "
@@ -90,11 +90,11 @@ def build_run_parser(prog: str = "repro run") -> argparse.ArgumentParser:
     return parser
 
 
-def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
+def build_sweep_parser() -> argparse.ArgumentParser:
     from repro.experiments.runner import EXPERIMENTS
 
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro sweep",
         description=(
             "Run a parallel sweep campaign over one registered experiment "
             "and write structured records."
@@ -211,9 +211,9 @@ def build_sweep_parser(prog: str = "repro sweep") -> argparse.ArgumentParser:
     return parser
 
 
-def build_verify_parser(prog: str = "repro verify-records") -> argparse.ArgumentParser:
+def build_verify_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro verify-records",
         description=(
             "Verify the integrity of record artifacts: JSON/CSV files "
             "against their SHA-256 sidecars, sweep journals and serve WALs "
@@ -281,8 +281,8 @@ def _verify_one(path: str) -> tuple[str | None, str | None]:
     return None, None
 
 
-def verify_records_main(argv: list[str], *, prog: str = "repro verify-records") -> int:
-    parser = build_verify_parser(prog)
+def verify_records_main(argv: list[str]) -> int:
+    parser = build_verify_parser()
     args = parser.parse_args(argv)
     failures = 0
     for path in args.paths:
@@ -297,12 +297,12 @@ def verify_records_main(argv: list[str], *, prog: str = "repro verify-records") 
     return 1 if failures else 0
 
 
-def sweep_main(argv: list[str], *, prog: str = "repro sweep") -> int:
+def sweep_main(argv: list[str]) -> int:
     from repro.experiments.reporting import format_sweep_summary
     from repro.experiments.results import ExperimentRecord
     from repro.experiments.sweep import RetryPolicy, run_sweep, spec_from_options
 
-    parser = build_sweep_parser(prog)
+    parser = build_sweep_parser()
     args = parser.parse_args(argv)
     try:
         spec = spec_from_options(
@@ -376,10 +376,10 @@ def sweep_main(argv: list[str], *, prog: str = "repro sweep") -> int:
     return 0
 
 
-def run_main(argv: list[str], *, prog: str = "repro run") -> int:
+def run_main(argv: list[str]) -> int:
     from repro.experiments.runner import EXPERIMENTS, run_experiment
 
-    parser = build_run_parser(prog)
+    parser = build_run_parser()
     args = parser.parse_args(argv)
 
     if args.list:
@@ -408,19 +408,8 @@ def run_main(argv: list[str], *, prog: str = "repro run") -> int:
     return 0
 
 
-def serve_main(argv: list[str], *, prog: str = "repro serve") -> int:
-    from repro.serving.cli import main as serving_main
-
-    return serving_main(argv, prog=prog)
-
-
-def dispatch(argv: list[str], *, empty_runs_all: bool = False) -> int:
-    """Route one invocation.
-
-    ``empty_runs_all`` preserves the historical ``python -m repro.experiments``
-    contract where a bare invocation runs every experiment; the new top
-    level prints the overview instead.
-    """
+def dispatch(argv: list[str]) -> int:
+    """Route one invocation to its subcommand."""
     if argv and argv[0] == "run":
         return run_main(argv[1:])
     if argv and argv[0] == "sweep":
@@ -428,15 +417,14 @@ def dispatch(argv: list[str], *, empty_runs_all: bool = False) -> int:
     if argv and argv[0] == "scenario":
         from repro.scenarios.schema.cli import main as scenario_main
 
-        return scenario_main(argv[1:], prog="repro scenario")
+        return scenario_main(argv[1:])
     if argv and argv[0] == "verify-records":
         return verify_records_main(argv[1:])
     if argv and argv[0] == "serve":
+        from repro.serving.cli import main as serve_main
+
         return serve_main(argv[1:])
-    if not argv and not empty_runs_all:
-        print(_OVERVIEW, end="")
-        return 0
-    if argv and argv[0] in ("help", "--help", "-h"):
+    if not argv or argv[0] in ("help", "--help", "-h"):
         print(_OVERVIEW, end="")
         return 0
     # Anything else is `run` input: experiment names or run flags.
@@ -445,6 +433,24 @@ def dispatch(argv: list[str], *, empty_runs_all: bool = False) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     return dispatch(list(sys.argv[1:] if argv is None else argv))
+
+
+def _deprecated_script(command: str, argv: list[str] | None) -> int:
+    print(
+        f"repro-{command} is deprecated; use repro {command} (same flags, same output)",
+        file=sys.stderr,
+    )
+    return dispatch([command, *(sys.argv[1:] if argv is None else argv)])
+
+
+def serve_script(argv: list[str] | None = None) -> int:
+    """The deprecated ``repro-serve`` console script."""
+    return _deprecated_script("serve", argv)
+
+
+def scenario_script(argv: list[str] | None = None) -> int:
+    """The deprecated ``repro-scenario`` console script."""
+    return _deprecated_script("scenario", argv)
 
 
 if __name__ == "__main__":

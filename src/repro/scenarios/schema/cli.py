@@ -1,9 +1,8 @@
 """``scenario`` CLI subcommands: list, validate, verify and run templates.
 
-Reached as ``python -m repro scenario <command>`` (and the
-``repro-scenario`` console script).  ``validate`` is the CI scenario-gate
-workhorse: it parses every shipped template strictly, checks the
-parse → serialize → parse round-trip, and (with ``--catalog``) checks the
+Reached as ``repro scenario <command>``.  ``validate`` is the CI
+scenario-gate workhorse: it parses every shipped template strictly, checks
+the parse → serialize → parse round-trip, and (with ``--catalog``) checks the
 catalog ⇄ template parity both ways; ``verify`` runs the golden-record
 equivalence check; ``run`` executes one template and writes deterministic
 record files suitable for ``cmp``-based byte comparison across runs.
@@ -186,9 +185,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser(prog: str = "repro-scenario") -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro scenario",
         description="List, validate, verify and run declarative scenario templates.",
     )
     parser.add_argument(
@@ -250,9 +249,8 @@ def build_parser(prog: str = "repro-scenario") -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None, *, prog: str = "repro-scenario") -> int:
-    parser = build_parser(prog)
-    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+def main(argv: list[str]) -> int:
+    args = build_parser().parse_args(argv)
     handler = {
         "list": _cmd_list,
         "validate": _cmd_validate,
@@ -264,7 +262,3 @@ def main(argv: list[str] | None = None, *, prog: str = "repro-scenario") -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""``repro-serve``: boot a live reputation service over HTTP.
+"""``repro serve``: boot a live reputation service over HTTP.
 
 The stdlib adapter — zero dependencies beyond the standard library, so the
 same command works on a laptop, in tier-1 CI and inside the serve-gate
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import signal
-import sys
 import threading
 from types import FrameType
 
@@ -22,10 +21,10 @@ from repro.serving.http import ReputationHTTPServer, create_http_server
 from repro.serving.service import ReputationService, ServiceConfig
 
 
-def build_serve_parser(prog: str = "repro-serve") -> argparse.ArgumentParser:
-    """The ``repro-serve`` argument surface (reused by ``repro serve``)."""
+def build_serve_parser() -> argparse.ArgumentParser:
+    """The ``repro serve`` argument surface."""
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro serve",
         description="Serve live reputation scores over HTTP (stdlib adapter).",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
@@ -181,8 +180,8 @@ def serve(
         server.server_close()
 
 
-def main(argv: list[str] | None = None, *, prog: str = "repro-serve") -> int:
-    args = build_serve_parser(prog).parse_args(argv)
+def main(argv: list[str]) -> int:
+    args = build_serve_parser().parse_args(argv)
     service = build_service(args)
     server = create_http_server(
         service, host=args.host, port=args.port, snapshot_path=args.snapshot
@@ -193,7 +192,3 @@ def main(argv: list[str] | None = None, *, prog: str = "repro-serve") -> int:
         # Flush/stop WAL maintenance; harmless for ephemeral sessions.
         service.close()
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,7 +1,7 @@
 """Serving-layer chaos: SIGKILL mid-window, corrupt WAL lines, read-only flips.
 
 The headline drill — the one the CI chaos-gate also runs end to end — is
-SIGKILL-under-live-traffic: a ``repro-serve`` subprocess with a WAL dies at
+SIGKILL-under-live-traffic: a ``repro serve`` subprocess with a WAL dies at
 a planned ``wal.append`` while a resilient client streams batches at it;
 after restart, *every event the client saw acked* is present and the scores
 are byte-identical to an uninterrupted control session.
@@ -118,7 +118,7 @@ class TestWalAppendFaults:
 
 
 class _Server:
-    """A repro-serve subprocess with an optional fault plan in its env."""
+    """A repro serve subprocess with an optional fault plan in its env."""
 
     def __init__(self, tmp_path: Path, tag: str, *extra: str, env_extra=None) -> None:
         self.port_file = tmp_path / f"port-{tag}"
@@ -132,7 +132,8 @@ class _Server:
             [
                 sys.executable,
                 "-m",
-                "repro.serving.cli",
+                "repro",
+                "serve",
                 "--port",
                 "0",
                 "--port-file",
@@ -151,10 +152,10 @@ class _Server:
                 self.port = int(self.port_file.read_text().strip())
                 return
             if self.process.poll() is not None:
-                raise RuntimeError("repro-serve exited before binding a port")
+                raise RuntimeError("repro serve exited before binding a port")
             time.sleep(0.05)
         self.process.kill()
-        raise RuntimeError("repro-serve did not report a port within 30s")
+        raise RuntimeError("repro serve did not report a port within 30s")
 
     def kill(self) -> None:
         if self.process.poll() is None:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.__main__ import build_sweep_parser, main
+from repro.cli import build_sweep_parser, main
 
 
 class TestLegacyCli:

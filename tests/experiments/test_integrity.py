@@ -8,8 +8,8 @@ import types
 
 import pytest
 
+from repro.cli import main
 from repro.errors import CheckpointError, IntegrityError
-from repro.experiments.__main__ import main
 from repro.experiments.results import (
     ExperimentRecord,
     checksum_sidecar_path,

@@ -246,7 +246,8 @@ def _spawn_server(tmp_path: Path, tag: str, port: int, wal: Path, faults: str | 
         [
             sys.executable,
             "-m",
-            "repro.serving.cli",
+            "repro",
+            "serve",
             "--port",
             str(port),
             "--port-file",
@@ -265,10 +266,10 @@ def _spawn_server(tmp_path: Path, tag: str, port: int, wal: Path, faults: str | 
         if port_file.exists() and port_file.read_text().strip():
             return process
         if process.poll() is not None:
-            raise RuntimeError("repro-serve exited before binding its port")
+            raise RuntimeError("repro serve exited before binding its port")
         time.sleep(0.05)
     process.kill()
-    raise RuntimeError("repro-serve did not bind its port within 30s")
+    raise RuntimeError("repro serve did not bind its port within 30s")
 
 
 class TestServerKilledMidConnection:

@@ -3,7 +3,7 @@
 A service snapshotted mid-stream, destroyed, restored from the checkpoint
 and fed the remaining events must publish *byte-identical* scores to a
 session that was never interrupted.  Proven twice here: in-process against
-the session object, and end-to-end through the ``repro-serve`` subprocess
+the session object, and end-to-end through the ``repro serve`` subprocess
 (SIGKILL included) exactly like the CI serve-gate's restart drill.
 """
 
@@ -129,7 +129,7 @@ class TestWalRecovery:
 
 
 class _Server:
-    """A repro-serve subprocess bound to a free port."""
+    """A repro serve subprocess bound to a free port."""
 
     def __init__(self, tmp_path: Path, tag: str, *extra: str) -> None:
         self.port_file = tmp_path / f"port-{tag}"
@@ -141,7 +141,8 @@ class _Server:
             [
                 sys.executable,
                 "-m",
-                "repro.serving.cli",
+                "repro",
+                "serve",
                 "--port",
                 "0",
                 "--port-file",
@@ -160,10 +161,10 @@ class _Server:
                 self.port = int(self.port_file.read_text().strip())
                 return
             if self.process.poll() is not None:
-                raise RuntimeError("repro-serve exited before binding a port")
+                raise RuntimeError("repro serve exited before binding a port")
             time.sleep(0.05)
         self.process.kill()
-        raise RuntimeError("repro-serve did not report a port within 30s")
+        raise RuntimeError("repro serve did not report a port within 30s")
 
     def kill(self) -> None:
         if self.process.poll() is None:

@@ -1,18 +1,10 @@
-"""The unified ``repro`` CLI and the byte-equivalence of the legacy shim.
+"""The ``repro`` command line: dispatch, usage lines and deprecated scripts."""
 
-``python -m repro.experiments`` must remain a perfect alias of the new
-``python -m repro`` surface: same records, byte for byte, plus exactly one
-deprecation warning.  These tests are the contract the CI shim-equivalence
-check enforces.
-"""
-
-import json
-import warnings
+from pathlib import Path
 
 import pytest
 
 from repro import cli
-from repro.experiments import __main__ as legacy
 
 SWEEP_ARGS = [
     "sweep",
@@ -84,55 +76,26 @@ class TestDispatch:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("usage: repro scenario ")
 
-    def test_console_scripts_keep_their_own_names(self):
-        from repro.scenarios.schema.cli import build_parser
-        from repro.serving.cli import build_serve_parser
-
-        assert build_parser().prog == "repro-scenario"
-        assert build_serve_parser().prog == "repro-serve"
+    @pytest.mark.parametrize("command", ["scenario", "serve"])
+    def test_deprecated_script_prints_one_notice_and_forwards(self, command, capsys):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert f'repro-{command} = "repro.cli:{command}_script"' in pyproject.read_text()
+        script = getattr(cli, f"{command}_script")
+        with pytest.raises(SystemExit) as excinfo:
+            script(["--help"])
+        assert excinfo.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro-{command} is deprecated; use repro {command} (same flags, same output)\n"
+        )
+        assert captured.out.startswith(f"usage: repro {command} ")
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert capsys.readouterr().err == ""
 
 
 class TestLegacyShimEquivalence:
-    def test_sweep_records_byte_identical(self, tmp_path, capsys):
-        new_out = tmp_path / "new.json"
-        old_out = tmp_path / "old.json"
-        assert cli.main([*SWEEP_ARGS, "--out", str(new_out)]) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert legacy.main([*SWEEP_ARGS, "--out", str(old_out)]) == 0
-        assert new_out.read_bytes() == old_out.read_bytes()
-        payload = json.loads(new_out.read_text())
-        assert len(payload["records"]) == 2
-
-    def test_shim_warns_once(self, capsys):
-        legacy._warned = False
-        try:
-            with pytest.warns(DeprecationWarning, match="python -m repro"):
-                assert legacy.main(["run", "--list"]) == 0
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                assert legacy.main(["run", "--list"]) == 0  # second call: silent
-        finally:
-            legacy._warned = False
-
-    def test_shim_reexports_parsers(self):
-        assert legacy.build_sweep_parser is cli.build_sweep_parser
-        assert legacy.build_parser().prog == "python -m repro.experiments"
-
-    def test_shim_bare_invocation_still_runs_everything(self, monkeypatch, capsys):
-        # The historical contract: no args = run every experiment.  Patch the
-        # runner so the test stays fast; the point is the dispatch path.
-        ran = []
-        monkeypatch.setattr(
-            "repro.experiments.runner.run_experiment",
-            lambda name, quick: ran.append(name) or f"<{name}>",
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert legacy.main([]) == 0
-        from repro.experiments.runner import EXPERIMENTS
-
-        assert ran == sorted(EXPERIMENTS)
+    """A bare invocation prints the overview; the removed shim ran everything."""
 
     def test_new_cli_bare_invocation_does_not_run_everything(self, monkeypatch, capsys):
         ran = []
