@@ -56,6 +56,11 @@ class TestFigure2Left:
         loose = figure2_left.run(threshold=0.4)
         strict = figure2_left.run(threshold=0.65)
         assert len(strict.area_a_points) < len(loose.area_a_points)
+        sizes = [
+            len(figure2_left.run(threshold=threshold).area_a_points)
+            for threshold in (0.4, 0.5, 0.6, 0.7)
+        ]
+        assert all(a >= b for a, b in zip(sizes, sizes[1:], strict=False))
 
     def test_extreme_sharing_levels_are_outside_area_a(self):
         result = figure2_left.run(threshold=0.5)
@@ -111,6 +116,7 @@ class TestAblations:
     def test_minimum_aggregator_penalizes_unbalanced_profiles_most(self, ablation_result):
         by_name = ablation_result.aggregator_by_name()
         assert by_name["minimum"].unbalanced_penalty >= by_name["weighted"].unbalanced_penalty
+        assert by_name["minimum"].unbalanced_penalty >= by_name["geometric"].unbalanced_penalty
         assert by_name["geometric"].unbalanced_penalty > by_name["weighted"].unbalanced_penalty
 
     def test_every_aggregator_finds_an_interior_optimum_in_area_a(self, ablation_result):
@@ -124,6 +130,7 @@ class TestAblations:
         anonymous = modes["anonymous-eigentrust"]
         assert anonymous.privacy_facet > identified.privacy_facet
         assert anonymous.reputation_facet <= identified.reputation_facet
+        assert modes["anonymous-beta"].privacy_facet > modes["identified-beta"].privacy_facet
 
     def test_beta_survives_anonymity_better_than_eigentrust(self, ablation_result):
         modes = ablation_result.anonymity_by_mode()
