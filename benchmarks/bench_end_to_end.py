@@ -30,12 +30,14 @@ Counters are deterministic, so the gate has no noise to allow for.
 ``--check-baseline PATH`` exits non-zero when the report's workload
 definition or size mode differs from the baseline's (a gate compares like
 with like, so a change to a workload regenerates the baseline in the same
-change), when a workload is missing, or when any counter exceeds its
-committed value.  Wall seconds are reported and never gated; absolute
-speed is gated by ``bench_core_kernels.py`` and by the repository
-benchmark.  ``benchmarks/baselines/BENCH_e2e_baseline.json`` is the
-``--quick`` baseline CI checks; ``BENCH_e2e_full_baseline.json`` is the
-full-size one the nightly workflow checks.
+change), when a workload is missing, or unless every counter is equal to
+its committed value: a counter above or below it, or missing on either
+side, is a finding, so a power iteration that stops a step early fails
+like one that runs a step late.  Wall seconds are reported and never
+gated; absolute speed is gated by ``bench_core_kernels.py`` and by the
+repository benchmark.  ``benchmarks/baselines/BENCH_e2e_baseline.json``
+is the ``--quick`` baseline CI checks; ``BENCH_e2e_full_baseline.json`` is
+the full-size one the nightly workflow checks.
 """
 
 from __future__ import annotations
@@ -232,11 +234,23 @@ def check_against_baseline(report: dict[str, object], baseline: dict[str, object
         if entry is None:
             problems.append(f"{name}: workload missing from the report")
             continue
-        allowed = base_entry["counters"]
-        for counter, value in sorted(entry["counters"].items()):
-            limit = allowed.get(counter, 0)
-            if value > limit:
-                problems.append(f"{name}: {counter} {value} exceeds its baseline {limit}")
+        expected = base_entry["counters"]
+        counters = entry["counters"]
+        for counter in sorted(expected.keys() | counters.keys()):
+            if counter not in counters:
+                problems.append(
+                    f"{name}: {counter} is missing from the report "
+                    f"(baseline {expected[counter]})"
+                )
+                continue
+            value = counters[counter]
+            base = expected.get(counter, 0)
+            if value > base:
+                problems.append(f"{name}: {counter} {value} exceeds its baseline {base}")
+            elif value < base:
+                problems.append(f"{name}: {counter} {value} is below its baseline {base}")
+            elif counter not in expected:
+                problems.append(f"{name}: {counter} {value} is missing from the baseline")
     return problems
 
 
@@ -247,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-baseline",
         metavar="PATH",
-        help="fail when a work counter exceeds this committed baseline",
+        help="fail unless every work counter is equal to this committed baseline's",
     )
     args = parser.parse_args(argv)
 
@@ -270,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
             for problem in problems:
                 print(f"REGRESSION: {problem}", file=sys.stderr)
             return 1
-        print("benchmark gate passed (every work counter within its baseline)")
+        print("benchmark gate passed (every work counter equal to its baseline)")
     return 0
 
 

@@ -107,6 +107,26 @@ class TestEndToEndGate:
             f"{steps + 1} exceeds its baseline {steps}"
         ]
 
+    def test_one_power_iteration_step_fewer_fails(self):
+        # Stopping a step early returns a different iterate: the counters are
+        # exact, so the gate holds them equal, not merely under a ceiling.
+        report = copy.deepcopy(self.baseline)
+        counters = self._counters(report, "refresh_layer_eigentrust")
+        steps = counters["power_iteration.steps"]
+        counters["power_iteration.steps"] = steps - 1
+        assert self.check(report) == [
+            "refresh_layer_eigentrust: power_iteration.steps "
+            f"{steps - 1} is below its baseline {steps}"
+        ]
+
+    def test_fold_site_that_stops_reporting_fails(self):
+        report = copy.deepcopy(self.baseline)
+        counters = self._counters(report, "refresh_layer_beta")
+        folded = counters.pop("folded.beta")
+        assert self.check(report) == [
+            f"refresh_layer_beta: folded.beta is missing from the report (baseline {folded})"
+        ]
+
     def test_new_fold_site_fails(self):
         report = copy.deepcopy(self.baseline)
         self._counters(report, "refresh_layer_eigentrust")["folded.beta"] = 1
