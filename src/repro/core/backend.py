@@ -27,35 +27,26 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sparse
 
 from repro import _profiling
 from repro.errors import ConfigurationError
-
-try:
-    import scipy.sparse as sparse
-except ImportError:  # pragma: no cover - scipy is an optional accelerator
-    sparse = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:
     #: Anything the kernels coerce through ``np.asarray``: an existing
     #: array or a (possibly nested) sequence of numbers.
     ArrayLike = np.ndarray | Sequence[float] | Sequence[Sequence[float]]
-    #: A local-trust matrix: dense array, or CSR-sparse when scipy is present.
+    #: A local-trust matrix: a dense array, or CSR-sparse from
+    #: :data:`DENSE_TRUST_THRESHOLD` peers up.
     TrustMatrix = np.ndarray | sparse.csr_matrix
-
-#: Whether sparse kernels are available.  The local-trust matrix is a
-#: percent-dense object at realistic peer counts, so CSR storage turns the
-#: power iteration from O(n^2) memory traffic into O(nnz); without scipy the
-#: kernels silently use dense arrays (same results, slower).
-HAS_SCIPY = sparse is not None
 
 #: Spread below which a min-max rescale treats all values as equal.  Kept
 #: well above float noise (1e-16-ish) so that near-degenerate spreads do not
 #: amplify summation-order rounding into visible score differences.
 FLAT_SPREAD = 1e-12
 
-#: Below this peer count the local-trust matrix is built dense even when
-#: scipy is available.  A CSR matvec costs ~15µs of per-call dispatch
+#: Below this peer count the local-trust matrix is built dense, from it up
+#: as CSR.  A CSR matvec costs ~15µs of per-call dispatch
 #: overhead regardless of size, which dominates the power iteration at the
 #: population sizes the scenario experiments run (tens of peers, ~100
 #: iterations per refresh); a dense matvec at n=128 is ~2µs.  The crossover
@@ -143,14 +134,14 @@ def local_trust_matrix(
     rows without positive evidence stay all-zero (dangling) and are handled
     by :func:`power_iteration`'s restart redistribution.
 
-    Returns a CSR matrix when scipy is available and the population is
-    large (the trust graph is a few percent dense at realistic peer counts,
-    so sparse storage keeps both the build and every matrix-vector product
-    O(nnz)); below :data:`DENSE_TRUST_THRESHOLD` peers — or without scipy —
-    a dense array via :func:`dense_local_trust_matrix`, where the fixed CSR
-    dispatch overhead would dominate.  Same values either way.
+    Returns a CSR matrix when the population is large (the trust graph is
+    a few percent dense at realistic peer counts, so sparse storage keeps
+    both the build and every matrix-vector product O(nnz)); below
+    :data:`DENSE_TRUST_THRESHOLD` peers a dense array via
+    :func:`dense_local_trust_matrix`, where the fixed CSR dispatch overhead
+    would dominate.  Same values either way.
     """
-    if sparse is None or n < DENSE_TRUST_THRESHOLD:
+    if n < DENSE_TRUST_THRESHOLD:
         return dense_local_trust_matrix(n, rater_positions, subject_positions, deltas)
     rater_positions = np.asarray(rater_positions, dtype=np.intp)
     subject_positions = np.asarray(subject_positions, dtype=np.intp)
@@ -172,7 +163,7 @@ def dense_local_trust_matrix(
     subject_positions: ArrayLike,
     deltas: ArrayLike,
 ) -> np.ndarray:
-    """The dense fallback of :func:`local_trust_matrix` (no scipy needed).
+    """The dense branch of :func:`local_trust_matrix`.
 
     The scatter-add goes through ``bincount`` on flattened ``(rater,
     subject)`` positions, which is far faster than ``np.add.at``.
@@ -290,7 +281,7 @@ def power_iteration(
     and, when the tolerance was never met, one to ``power_iteration.capped``.
     """
     restart = np.asarray(restart, dtype=float)
-    if sparse is not None and sparse.issparse(matrix):
+    if sparse.issparse(matrix):
         step = _sparse_step(matrix, restart, restart_weight)
     else:
         step = _dense_step(matrix, restart, restart_weight)
@@ -487,7 +478,6 @@ __all__ = [
     "DENSE_TRUST_THRESHOLD",
     "FLAT_SPREAD",
     "PeerIndex",
-    "HAS_SCIPY",
     "POWER_ITERATION_BLOCK",
     "coupling_equilibria",
     "coupling_run",

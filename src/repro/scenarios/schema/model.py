@@ -629,13 +629,8 @@ def parse_template(data: Mapping[str, object]) -> ScenarioTemplate:
 
 
 def _load_yaml(text: str) -> object:
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - exercised only without PyYAML
-        raise TemplateError(
-            "",
-            "PyYAML is not installed; write the template as JSON or install pyyaml",
-        ) from None
+    import yaml
+
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as error:

@@ -57,12 +57,11 @@ class TestLocalTrustMatrix:
         assert dense[1].tolist() == [0.0, 0.0, 0.0]  # dangling row stays zero
 
     def test_small_populations_use_dense_storage(self):
-        # Below the threshold the builder returns a plain array even with
-        # scipy installed: CSR dispatch overhead dominates tiny matvecs.
+        # Below the threshold the builder returns a plain array: CSR
+        # dispatch overhead dominates tiny matvecs.
         small = bk.local_trust_matrix(3, [0], [1], [1.0])
         assert isinstance(small, numpy.ndarray)
 
-    @pytest.mark.skipif(not bk.HAS_SCIPY, reason="sparse storage needs scipy")
     def test_large_populations_use_sparse_storage(self):
         n = bk.DENSE_TRUST_THRESHOLD
         big = bk.local_trust_matrix(n, [0], [1], [1.0])

@@ -94,11 +94,10 @@ def stepwise_power_iteration(
 ) -> tuple[np.ndarray, int]:
     """:func:`repro.core.backend.power_iteration` checking convergence after
     every step; the blocked kernel must return the same bytes and count."""
-    sparse = backend.sparse
     restart = np.asarray(restart, dtype=float)
     trust = restart.copy()
     iterations = 0
-    if sparse is not None and sparse.issparse(matrix):
+    if backend.sparse.issparse(matrix):
         dangling = np.asarray(matrix.sum(axis=1)).ravel() <= 0.0
         transposed = matrix.T.tocsr()
         any_dangling = bool(dangling.any())
