@@ -164,7 +164,7 @@ class ReputationSystem(abc.ABC):
         return sorted(current, key=lambda peer: (-current[peer], peer))
 
     def known_peers(self) -> list[str]:
-        return sorted(self.store.participants())
+        return list(self.store.sorted_participants())
 
     # -- lifecycle -----------------------------------------------------------
 

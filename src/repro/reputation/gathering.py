@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,11 +70,10 @@ class FeedbackColumns:
 
 @dataclass
 class FeedbackStore:
-    """Append-only store of disclosed feedback, indexed by subject and rater."""
+    """Append-only store of disclosed feedback, indexed by subject."""
 
     max_per_subject: int | None = None
     _by_subject: dict[str, list[Feedback]] = field(default_factory=lambda: defaultdict(list))
-    _by_rater: dict[str, list[Feedback]] = field(default_factory=lambda: defaultdict(list))
     _count: int = 0
     _columns: FeedbackColumns = field(default_factory=FeedbackColumns)
     _columns_stale: bool = False
@@ -88,8 +87,10 @@ class FeedbackStore:
     # The participant set is derived from the buckets, and a set pickles in
     # hash order: snapshots and checkpoints leave both fields out, so their
     # bytes do not depend on PYTHONHASHSEED, and the first read rebuilds them.
+    # Only declared fields are written: a store restored from an older
+    # snapshot may carry an index the store no longer keeps.
     def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
+        state = {item.name: getattr(self, item.name) for item in fields(self)}
         state["_participants_state"] = None
         state["_participants_sorted"] = None
         return state
@@ -117,17 +118,11 @@ class FeedbackStore:
         bucket = self._by_subject[feedback.subject]
         bucket.append(feedback)
         if self.max_per_subject is not None and len(bucket) > self.max_per_subject:
-            removed = bucket.pop(0)
-            if removed.rater is not None:
-                rater_bucket = self._by_rater.get(removed.rater)
-                if rater_bucket and removed in rater_bucket:
-                    rater_bucket.remove(removed)
+            bucket.pop(0)
             # The incremental column log cannot cheaply delete; rebuild it on
             # the next columnar access instead (evictions are the rare path).
             self._columns_stale = True
             self._epoch += 1
-        if feedback.rater is not None:
-            self._by_rater[feedback.rater].append(feedback)
         if not self._columns_stale:
             self._columns.append(feedback)
         state = self._participants_state
@@ -162,19 +157,21 @@ class FeedbackStore:
     def subjects(self) -> list[str]:
         return [subject for subject, items in self._by_subject.items() if items]
 
-    def raters(self) -> list[str]:
-        return [rater for rater, items in self._by_rater.items() if items]
-
     def about(self, subject: str) -> list[Feedback]:
         return list(self._by_subject.get(subject, []))
 
-    def by(self, rater: str) -> list[Feedback]:
-        return list(self._by_rater.get(rater, []))
-
     def participants(self) -> set[str]:
-        """All peer identifiers seen either as subject or as rater."""
-        ids: set[str] = set(self.subjects())
-        ids.update(self.raters())
+        """All peer identifiers seen either as subject or as rater.
+
+        A scan of every stored report: :meth:`sorted_participants` calls it
+        only to rebuild its set, on the first read and after a history
+        rewrite.
+        """
+        ids: set[str] = set()
+        for subject, items in self._by_subject.items():
+            if items:
+                ids.add(subject)
+                ids.update(feedback.rater for feedback in items if feedback.rater is not None)
         return ids
 
     def sorted_participants(self) -> list[str]:
@@ -197,21 +194,8 @@ class FeedbackStore:
             self._participants_sorted = sorted(self._participants_state[1])
         return self._participants_sorted
 
-    def anonymous_fraction(self) -> float:
-        """Fraction of stored feedback submitted without a rater identity."""
-        if self._count == 0:
-            return 0.0
-        anonymous = sum(
-            1
-            for items in self._by_subject.values()
-            for feedback in items
-            if feedback.is_anonymous
-        )
-        return anonymous / self._count
-
     def clear(self) -> None:
         self._by_subject.clear()
-        self._by_rater.clear()
         self._count = 0
         self._columns = FeedbackColumns()
         self._columns_stale = False
@@ -410,14 +394,3 @@ class LocalTrustBuilder:
             raw[rows, cols] = sums
         self._dense_state = (key, epoch, total, raw)
         return raw
-
-    def positive_negative_counts(self, subject: str) -> tuple[int, int]:
-        """Counts of positive and negative reports about ``subject``."""
-        positives = 0
-        negatives = 0
-        for feedback in self._store.about(subject):
-            if feedback.positive:
-                positives += 1
-            else:
-                negatives += 1
-        return positives, negatives

@@ -45,21 +45,21 @@ class TrustOverlayNetwork:
         version = self._store.version
         if self._centrality_cache is not None and self._centrality_cache[0] == version:
             return self._centrality_cache[1]
-        nodes = set(self._store.subjects())
-        nodes.update(self._store.raters())
+        # The store's sorted participants are the overlay's nodes; the sorted
+        # order fixes the result dict's insertion order: consumers re-sort
+        # with a total tiebreak today, but a deterministic key order keeps
+        # any future iteration over the dict safe too.
+        nodes = self._store.sorted_participants()
         if not nodes:
             centrality: dict[str, float] = {}
         elif len(nodes) == 1:
             # nx.in_degree_centrality returns 1 for every node of a
             # singleton graph (the n-1 normalization is undefined).
-            centrality = {node: 1.0 for node in sorted(nodes)}
+            centrality = {node: 1.0 for node in nodes}
         else:
-            # sorted() fixes the result dict's insertion order: consumers
-            # re-sort with a total tiebreak today, but a deterministic key
-            # order keeps any future iteration over the dict safe too.
             scale = 1.0 / (len(nodes) - 1.0)
             raters = self._builder.raters_per_subject()
-            centrality = {node: raters.get(node, 0) * scale for node in sorted(nodes)}
+            centrality = {node: raters.get(node, 0) * scale for node in nodes}
         self._centrality_cache = (version, centrality)
         return centrality
 

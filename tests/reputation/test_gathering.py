@@ -14,9 +14,8 @@ class TestFeedbackStore:
         store.add(make_feedback("bob", 0.0, rater="carol", transaction_id=2))
         assert len(store) == 2
         assert store.subjects() == ["bob"]
-        assert set(store.raters()) == {"alice", "carol"}
-        assert len(store.about("bob")) == 2
-        assert len(store.by("alice")) == 1
+        assert store.participants() == {"alice", "bob", "carol"}
+        assert [feedback.rater for feedback in store.about("bob")] == ["alice", "carol"]
 
     def test_participants_include_both_sides(self):
         store = FeedbackStore()
@@ -26,14 +25,8 @@ class TestFeedbackStore:
     def test_anonymous_feedback_has_no_rater_index(self):
         store = FeedbackStore()
         store.add(make_feedback("bob", 1.0, rater=None))
-        assert store.raters() == []
-        assert store.anonymous_fraction() == 1.0
-
-    def test_anonymous_fraction_mixed(self):
-        store = FeedbackStore()
-        store.add(make_feedback("bob", 1.0, rater="alice", transaction_id=1))
-        store.add(make_feedback("bob", 1.0, rater=None, transaction_id=2))
-        assert store.anonymous_fraction() == 0.5
+        assert store.participants() == {"bob"}
+        assert [feedback.is_anonymous for feedback in store.about("bob")] == [True]
 
     def test_max_per_subject_evicts_oldest(self):
         store = FeedbackStore(max_per_subject=2)
@@ -42,6 +35,7 @@ class TestFeedbackStore:
         assert len(store.about("bob")) == 2
         remaining_raters = {feedback.rater for feedback in store.about("bob")}
         assert remaining_raters == {"r2", "r3"}
+        assert store.participants() == {"bob", "r2", "r3"}
 
     def test_clear(self):
         store = FeedbackStore()
@@ -103,9 +97,3 @@ class TestLocalTrustBuilder:
         normalized = normalized_local_trust(builder, peers=["alice", "carol"])
         # bob excluded: alice's only surviving target is carol with zero trust.
         assert normalized["alice"] == {}
-
-    def test_positive_negative_counts(self):
-        builder = LocalTrustBuilder(self.build_store())
-        assert builder.positive_negative_counts("bob") == (2, 1)
-        assert builder.positive_negative_counts("carol") == (0, 1)
-        assert builder.positive_negative_counts("unknown") == (0, 0)
