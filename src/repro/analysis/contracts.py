@@ -80,13 +80,6 @@ class LintConfig:
     #: or the ``repro.api`` facade — never a dotted internal module).
     api_allowed_imports: tuple[str, ...] = ()
 
-    def contracts_by_class(self) -> dict[str, tuple[CacheContract, ...]]:
-        table: dict[str, tuple[CacheContract, ...]] = {}
-        for contract in self.cache_contracts:
-            table[contract.class_name] = table.get(contract.class_name, ()) + (contract,)
-        return table
-
-
 #: The live tree's cache-discipline contracts.  Adding a cached/derived
 #: field to one of these classes?  Extend the contract, or R3 will not see
 #: it; adding a *new* cached class?  Register it here.

@@ -31,10 +31,6 @@ class AccessDeniedError(PrivacyViolationError):
     """The privacy service denied a request (normal, policy-driven denial)."""
 
 
-class NegotiationFailedError(ReproError):
-    """Requester and owner could not agree on access terms."""
-
-
 class AllocationError(ReproError):
     """The query mediator could not allocate a query to any provider."""
 
@@ -76,10 +72,6 @@ class InjectedFault(ReproError):
     :class:`~repro.faults.FaultPlan` says so; seeing one outside a chaos
     test means a plan leaked into the environment (``REPRO_FAULTS``).
     """
-
-
-class ReputationError(ReproError):
-    """A reputation mechanism was fed inconsistent evidence."""
 
 
 class OverloadError(ReproError):

@@ -35,18 +35,6 @@ class Figure2RightResult:
     best_analytic: TradeoffPoint
     best_simulated: TradeoffPoint | None
 
-    def analytic_series(self) -> list[tuple]:
-        return [
-            (
-                point.sharing_level,
-                point.facets.privacy,
-                point.facets.reputation,
-                point.facets.satisfaction,
-                point.trust,
-            )
-            for point in self.analytic_points
-        ]
-
 
 def _simulate_point(
     settings: SystemSettings, *, n_users: int, rounds: int, seed: int

@@ -96,9 +96,3 @@ def format_sweep_summary(
         header_line += f" ({hidden} more metric(s) in the structured output)"
     table = format_table(headers, rows, precision=precision)
     return header_line + "\n" + table
-
-
-def print_report(text: str) -> None:
-    """Print a report block with a trailing blank line (single choke point)."""
-    print(text)
-    print()

@@ -46,9 +46,6 @@ class MechanismOutcome:
 class ReputationEvalResult:
     outcomes: list[MechanismOutcome]
 
-    def for_mechanism(self, mechanism: str) -> list[MechanismOutcome]:
-        return [o for o in self.outcomes if o.mechanism == mechanism]
-
     def baseline_rate(self, malicious_fraction: float) -> float | None:
         for outcome in self.outcomes:
             if (

@@ -224,11 +224,6 @@ def write_records_json(
         write_checksum_sidecar(path)
 
 
-def read_records_json(path: str) -> list[ExperimentRecord]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return records_from_json(handle.read())
-
-
 def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
     """Render records as CSV with ``param_*`` and ``metric_*`` columns.
 

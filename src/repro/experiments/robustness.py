@@ -55,12 +55,6 @@ class ScenarioOutcome:
 class RobustnessResult:
     outcomes: list[ScenarioOutcome]
 
-    def for_scenario(self, scenario: str) -> list[ScenarioOutcome]:
-        return [o for o in self.outcomes if o.scenario == scenario]
-
-    def for_mechanism(self, mechanism: str) -> list[ScenarioOutcome]:
-        return [o for o in self.outcomes if o.mechanism == mechanism]
-
     def resistance_by_mechanism(self) -> dict[str, float]:
         """Mean attack-window separation per mechanism over attack scenarios.
 

@@ -63,10 +63,6 @@ class PseudonymManager:
         self._forward.clear()
         self._reverse.clear()
 
-    def known_pseudonyms(self) -> list[str]:
-        return sorted(self._reverse)
-
-
 def generalize_age(age: int, bucket_size: int = 10) -> str:
     """Generalize an exact age into a range label, e.g. ``"30-39"``."""
     if bucket_size < 1:

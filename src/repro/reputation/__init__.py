@@ -19,7 +19,7 @@ implements that architecture and the concrete mechanisms the paper cites:
 
 :mod:`repro.reputation.accuracy` provides the evaluation measures used to
 quantify "reputation power" (consistency with reality),
-:mod:`repro.reputation.response` the response policies peers use to act on
+:mod:`repro.reputation.response` response policies that act on
 scores, and :mod:`repro.reputation.registry` the name-to-mechanism registry
 (``REPUTATION_FACTORIES``, ``make_reputation_system``).
 """

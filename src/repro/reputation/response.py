@@ -1,9 +1,10 @@
 """The *response* block: acting on reputation scores.
 
 Scores only help users if they change behaviour — which partner to pick,
-whom to refuse.  Three standard policies are provided; the simulator's
-provider selection and the query-allocation mediator both accept any of
-them.
+whom to refuse.  Three standard policies are provided.  Nothing in the
+library calls them yet: the simulator and the query-allocation mediator
+choose partners with their own rules, and only the tests exercise this
+module.
 """
 
 from __future__ import annotations

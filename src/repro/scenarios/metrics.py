@@ -148,9 +148,6 @@ class ScenarioTrace:
         self._final_correlation = (final.round_index, value)
         return value
 
-    def separation_series(self) -> list[float]:
-        return [observation.separation for observation in self.observations]
-
     # -- checkpoint protocol ------------------------------------------------
 
     def checkpoint_state(self) -> dict[str, object]:

@@ -373,9 +373,6 @@ class InteractionSimulator:
                 best_index = position
         return candidates[best_index]
 
-    def _select_provider(self, consumer: Peer, candidates: list[Peer]) -> Peer:
-        return self._select_from(candidates, self._candidate_scores(consumer, candidates))
-
     # -- one round -----------------------------------------------------------
 
     def _execute_transaction(self, consumer: Peer, provider: Peer, round_index: int) -> None:

@@ -1,9 +1,10 @@
 """Community structure helpers.
 
-Communities matter for two experiments: interaction traces are denser inside
+Communities could matter in two places: interaction traces denser inside
 communities (which biases who learns whose reputation locally), and the
 "global vision" versus "local vision" of satisfaction discussed in Section 3
-is operationalized as community-local versus network-global aggregation.
+as community-local versus network-global aggregation.  No experiment uses
+them yet; only the tests exercise this module.
 """
 
 from __future__ import annotations

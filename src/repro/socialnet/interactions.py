@@ -3,8 +3,9 @@
 Reputation "is constructed from the interaction and feedback of users"
 (paper, Section 3).  The trace generator produces a stream of typed
 interactions (messages, content shares, service requests, ratings) between
-connected users, biased by tie strength and user activity, which the
-simulation and the reputation mechanisms consume as their workload.
+connected users, biased by tie strength and user activity.  The simulation
+does not consume these traces (it draws its own transactions); only the
+tests exercise this module.
 """
 
 from __future__ import annotations
