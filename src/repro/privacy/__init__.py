@@ -14,8 +14,6 @@ systems.  This subpackage implements that stack:
   every piece of personal information that left its owner;
 * :mod:`repro.privacy.oecd` — compliance checking against the eight OECD
   principles;
-* :mod:`repro.privacy.anonymization` — pseudonyms and attribute
-  generalization;
 * :mod:`repro.privacy.negotiation` — requester/owner negotiation over access
   terms;
 * :mod:`repro.privacy.metrics` — exposure and privacy-satisfaction measures

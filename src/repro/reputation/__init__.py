@@ -17,9 +17,10 @@ implements that architecture and the concrete mechanisms the paper cites:
   privacy-preserving wrapper implementing blinded, randomized-response
   feedback in the spirit of reputation systems for anonymous networks.
 
-:mod:`repro.reputation.accuracy` provides the evaluation measures used to
-quantify "reputation power" (consistency with reality),
-:mod:`repro.reputation.response` response policies that act on
-scores, and :mod:`repro.reputation.registry` the name-to-mechanism registry
+The *response* block is the simulator's provider selection
+(:meth:`~repro.simulation.engine.InteractionSimulator._select_from`), which
+acts on the published scores.  :mod:`repro.reputation.accuracy` provides the
+evaluation measures used to quantify "reputation power" (consistency with
+reality), and :mod:`repro.reputation.registry` the name-to-mechanism registry
 (``REPUTATION_FACTORIES``, ``make_reputation_system``).
 """

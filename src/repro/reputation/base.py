@@ -6,8 +6,9 @@ A reputation system is decomposed, following Marti & Garcia-Molina, into
   :class:`~repro.reputation.gathering.FeedbackStore`;
 * *scoring and ranking* — the :meth:`ReputationSystem.compute_scores` hook
   each mechanism implements;
-* *response* — the policies of :mod:`repro.reputation.response`, which act on
-  the scores.
+* *response* — the simulator's provider selection
+  (:meth:`~repro.simulation.engine.InteractionSimulator._select_from`), which
+  acts on the scores.
 
 Scores are cached between :meth:`refresh` calls so the simulator can query
 ``score()`` cheaply inside a round; recomputation happens once per round.

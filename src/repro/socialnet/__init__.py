@@ -1,4 +1,4 @@
-"""Synthetic social networks: users, profiles, graphs and interaction traces.
+"""Synthetic social networks: users, profiles, graphs and presets.
 
 The paper studies decentralized social-networking systems but provides no
 dataset; this subpackage provides the laptop-scale synthetic substitute used
@@ -9,7 +9,5 @@ by every experiment.  It covers:
   :mod:`networkx` exposing the operations the rest of the library needs;
 * :mod:`repro.socialnet.generators` — Erdős–Rényi, Barabási–Albert,
   Watts–Strogatz and stochastic-block-model topologies with populated users;
-* :mod:`repro.socialnet.interactions` — interaction-trace generation between
-  connected users;
-* :mod:`repro.socialnet.communities` — community extraction helpers.
+* :mod:`repro.socialnet.presets` — named network shapes at laptop scale.
 """

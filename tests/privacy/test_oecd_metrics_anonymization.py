@@ -1,14 +1,7 @@
-"""Unit tests for OECD compliance, privacy metrics and anonymization."""
+"""Unit tests for OECD compliance and privacy metrics."""
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.privacy.anonymization import (
-    PseudonymManager,
-    anonymize_feedback,
-    generalize_age,
-    k_anonymous_groups,
-)
 from repro.privacy.disclosure import DisclosureLedger, DisclosureRecord
 from repro.privacy.metrics import (
     exposure_level,
@@ -21,7 +14,6 @@ from repro.privacy.oecd import OECD_PRINCIPLES, OecdPrinciple, check_compliance
 from repro.privacy.policy import permissive_policy
 from repro.privacy.priserv import PriServService
 from repro.privacy.purposes import Purpose
-from tests.conftest import make_feedback
 
 
 def make_record(sensitivity=0.5, compliant=True, purpose=Purpose.SOCIAL_INTERACTION, owner="alice"):
@@ -117,48 +109,3 @@ class TestOecdCompliance:
     def test_empty_service_is_compliant(self):
         service = PriServService(peer_ids=["alice"])
         assert check_compliance(service).overall == pytest.approx(1.0)
-
-
-class TestAnonymization:
-    def test_pseudonyms_are_stable_within_epoch(self):
-        manager = PseudonymManager()
-        assert manager.pseudonym("alice") == manager.pseudonym("alice")
-        assert manager.pseudonym("alice") != manager.pseudonym("bob")
-
-    def test_resolve_reverses_mapping(self):
-        manager = PseudonymManager()
-        pseudonym = manager.pseudonym("alice")
-        assert manager.resolve(pseudonym) == "alice"
-        with pytest.raises(ConfigurationError):
-            manager.resolve("p-unknown")
-
-    def test_rotation_unlinks_epochs(self):
-        manager = PseudonymManager()
-        before = manager.pseudonym("alice")
-        manager.rotate()
-        after = manager.pseudonym("alice")
-        assert before != after
-        assert manager.epoch == 1
-
-    def test_generalize_age(self):
-        assert generalize_age(34) == "30-39"
-        assert generalize_age(34, bucket_size=5) == "30-34"
-        with pytest.raises(ConfigurationError):
-            generalize_age(-1)
-        with pytest.raises(ConfigurationError):
-            generalize_age(30, bucket_size=0)
-
-    def test_k_anonymous_groups(self):
-        values = ["30-39", "30-39", "40-49", "30-39"]
-        groups = k_anonymous_groups(values, k=2)
-        assert list(groups) == ["30-39"]
-        assert groups["30-39"] == [0, 1, 3]
-        with pytest.raises(ConfigurationError):
-            k_anonymous_groups(values, k=0)
-
-    def test_anonymize_feedback_strips_raters_only(self):
-        original = [make_feedback("bob", 1.0, rater="alice", transaction_id=1)]
-        anonymized = anonymize_feedback(original)
-        assert anonymized[0].rater is None
-        assert anonymized[0].rating == 1.0
-        assert anonymized[0].subject == "bob"

@@ -1,5 +1,6 @@
 """Unit tests for synthetic social-network generation."""
 
+import networkx as nx
 import pytest
 
 from repro.errors import ConfigurationError
@@ -89,6 +90,26 @@ class TestDeterminismAndMix:
         labels = {user.community for user in graph.users()}
         assert len(labels) >= 2
         assert all(label is not None for label in labels)
+
+    def test_sbm_communities_are_cohesive(self):
+        graph = generate_social_network(
+            SocialNetworkSpec(
+                n_users=60,
+                topology="sbm",
+                n_communities=3,
+                inter_community_probability=0.01,
+                seed=2,
+            )
+        )
+        label = {user.user_id: user.community for user in graph.users()}
+        nx_graph = graph.to_networkx()
+        edges = list(nx_graph.edges())
+        intra = sum(1 for a, b in edges if label[a] == label[b])
+        assert intra / len(edges) > 0.6
+        blocks: dict[int, set[str]] = {}
+        for user_id, community in label.items():
+            blocks.setdefault(community, set()).add(user_id)
+        assert nx.algorithms.community.modularity(nx_graph, list(blocks.values())) > 0.2
 
     def test_mean_degree_roughly_respected(self):
         graph = generate_social_network(
