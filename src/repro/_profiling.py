@@ -4,9 +4,8 @@ The experiments CLI exposes ``--profile``, which wraps each experiment run
 in :func:`profiled` and prints the accumulated phase table afterwards.  The
 instrumented layers — scenario setup, the simulation engine, metric
 evaluation — report into the active :class:`PhaseTimer` through
-:func:`add_seconds`/:func:`phase`; when no timer is active (the default)
-the instrumentation short-circuits on a single ``None`` check, so the hot
-paths pay nothing.
+:func:`phase`; when no timer is active (the default) the instrumentation
+short-circuits on a single ``None`` check, so the hot paths pay nothing.
 
 Phases are free-form names; the pipeline uses four: ``setup`` (graph,
 campaign and mechanism construction), ``simulate`` (the engine round loop),
@@ -111,12 +110,6 @@ def clock() -> float:
     return time.perf_counter()
 
 
-def add_seconds(name: str, seconds: float, *, count: int = 1) -> None:
-    """Report into the active timer; no-op when profiling is off."""
-    if _ACTIVE is not None:
-        _ACTIVE.add(name, seconds, count=count)
-
-
 def add_work(name: str, amount: int) -> None:
     """Count ``amount`` units of work into the active timer; no-op when
     profiling is off.  Callers add once per operation (a fold call), never
@@ -148,4 +141,4 @@ def profiled() -> Iterator[PhaseTimer]:
         _ACTIVE = previous
 
 
-__all__ = ["PhaseTimer", "active", "add_seconds", "add_work", "clock", "phase", "profiled"]
+__all__ = ["PhaseTimer", "active", "add_work", "clock", "phase", "profiled"]

@@ -1,9 +1,9 @@
 """Small shared helpers used across subpackages.
 
 These utilities are intentionally tiny and dependency-free: value clamping,
-normalization, exponentially-weighted averaging and validation helpers that
-many models (satisfaction, reputation, trust facets) need.  File
-durability (fsync, atomic replacement) lives in :mod:`repro.durable`.
+normalization, means, correlation and validation helpers that many models
+(satisfaction, reputation, trust facets) need.  File durability (fsync,
+atomic replacement) lives in :mod:`repro.durable`.
 """
 
 from __future__ import annotations
@@ -79,17 +79,6 @@ def normalize_distribution(values: Mapping[object, float]) -> dict[object, float
         uniform = 1.0 / len(values)
         return {key: uniform for key in values}
     return {key: float(v) / total for key, v in values.items()}
-
-
-def ewma(previous: float, observation: float, alpha: float) -> float:
-    """Exponentially-weighted moving average step.
-
-    ``alpha`` is the weight of the new observation; the paper's satisfaction
-    notion is a *long run* quantity, which every facet tracks with this
-    update.
-    """
-    require_unit_interval(alpha, "alpha")
-    return (1.0 - alpha) * previous + alpha * observation
 
 
 def mean(values: Iterable[float], default: float = 0.0) -> float:

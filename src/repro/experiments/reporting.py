@@ -51,14 +51,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    name: str, xs: Sequence[float], ys: Sequence[float], *, precision: int = 3
-) -> str:
-    """Render an (x, y) series as two aligned columns."""
-    rows = list(zip(xs, ys, strict=True))
-    return format_table(["x", name], rows, precision=precision)
-
-
 def format_sweep_summary(
     records: Sequence[ExperimentRecord],
     *,

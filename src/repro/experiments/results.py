@@ -156,11 +156,6 @@ def records_from_json(text: str) -> list[ExperimentRecord]:
     return [ExperimentRecord.from_dict(entry) for entry in payload.get("records", [])]
 
 
-def campaign_from_json(text: str) -> dict[str, object]:
-    """The campaign metadata block of a serialized result file."""
-    return json.loads(text).get("campaign", {})
-
-
 def file_sha256(path: str) -> str:
     """SHA-256 hex digest of a file's bytes (streamed, any size)."""
     digest = hashlib.sha256()

@@ -10,43 +10,9 @@ satisfaction, while per-user trust uses the local one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
 from repro._util import mean, require_unit_interval
-
-
-@dataclass(frozen=True)
-class SatisfactionSummary:
-    """Distribution summary of a satisfaction mapping."""
-
-    mean: float
-    minimum: float
-    maximum: float
-    below_threshold_fraction: float
-    count: int
-
-    @property
-    def spread(self) -> float:
-        return self.maximum - self.minimum
-
-
-def summarize(satisfactions: Mapping[str, float], *, threshold: float = 0.4) -> SatisfactionSummary:
-    """Summarize a satisfaction mapping (mean, extremes, dissatisfied share)."""
-    require_unit_interval(threshold, "threshold")
-    values = list(satisfactions.values())
-    if not values:
-        return SatisfactionSummary(
-            mean=0.0, minimum=0.0, maximum=0.0, below_threshold_fraction=0.0, count=0
-        )
-    below = sum(1 for value in values if value < threshold)
-    return SatisfactionSummary(
-        mean=mean(values),
-        minimum=min(values),
-        maximum=max(values),
-        below_threshold_fraction=below / len(values),
-        count=len(values),
-    )
 
 
 def global_satisfaction(
@@ -91,16 +57,3 @@ def local_satisfaction(
     if not values:
         return satisfactions.get(user, 0.5)
     return mean(values)
-
-
-def per_community_satisfaction(
-    satisfactions: Mapping[str, float], partition: Mapping[str, int]
-) -> dict[int, float]:
-    """Mean satisfaction per community label."""
-    buckets: dict[int, list] = {}
-    for user, value in satisfactions.items():
-        label = partition.get(user)
-        if label is None:
-            continue
-        buckets.setdefault(label, []).append(value)
-    return {label: mean(values) for label, values in buckets.items()}

@@ -15,7 +15,6 @@ paper builds on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable
 
 from repro._util import clamp, normalize_distribution, require_unit_interval
 from repro.errors import ConfigurationError
@@ -93,26 +92,3 @@ class ProviderIntention:
 
     def set_consumer_affinity(self, consumer: str, value: float) -> None:
         self.consumer_affinity[consumer] = require_unit_interval(value, "affinity")
-
-
-def uniform_consumer_intention(
-    consumer: str, providers: Iterable[str], preference: float = 0.5
-) -> ConsumerIntention:
-    """A consumer intention giving every provider the same preference."""
-    return ConsumerIntention(
-        consumer=consumer,
-        preferences={provider: preference for provider in providers},
-        default_preference=preference,
-    )
-
-
-def uniform_provider_intention(
-    provider: str, topics: Iterable[str], interest: float = 0.5, capacity: int = 5
-) -> ProviderIntention:
-    """A provider intention with identical interest in every topic."""
-    return ProviderIntention(
-        provider=provider,
-        topic_interest={topic: interest for topic in topics},
-        default_interest=interest,
-        capacity=capacity,
-    )

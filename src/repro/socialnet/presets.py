@@ -1,20 +1,14 @@
-"""Named social-network presets and graph (de)serialization.
+"""Named social-network presets.
 
 Presets give the examples and experiments recognizable starting points —
 "a Facebook-like friendship network", "a P2P file-sharing swarm", "a
 professional network" — without repeating parameter blocks everywhere.
-Serialization lets a generated network be saved and re-loaded so that
-experiments can be re-run on exactly the same population.
 """
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import ConfigurationError
-from repro.socialnet.generators import SocialNetworkSpec, generate_social_network
-from repro.socialnet.graph import SocialGraph
-from repro.socialnet.user import AttributeSensitivity, ProfileAttribute, User, UserProfile
+from repro.socialnet.generators import SocialNetworkSpec
 
 #: Named presets: recognisable social-network shapes at laptop scale.
 NETWORK_PRESETS: dict[str, SocialNetworkSpec] = {
@@ -86,92 +80,3 @@ def preset_spec(name: str, *, seed: int = 0) -> SocialNetworkSpec:
         privacy_concern_range=base.privacy_concern_range,
         seed=seed,
     )
-
-
-def generate_preset(name: str, *, seed: int = 0) -> SocialGraph:
-    """Generate the named preset network."""
-    return generate_social_network(preset_spec(name, seed=seed))
-
-
-# -- graph (de)serialization ----------------------------------------------------
-
-
-def graph_to_dict(graph: SocialGraph) -> dict[str, object]:
-    """Serialize a social graph (users, profiles, relationships) to plain data."""
-    users = []
-    for user in graph.users():
-        users.append(
-            {
-                "user_id": user.user_id,
-                "honesty": user.honesty,
-                "competence": user.competence,
-                "activity": user.activity,
-                "privacy_concern": user.privacy_concern,
-                "community": user.community,
-                "profile": [
-                    {
-                        "name": attribute.name,
-                        "value": attribute.value,
-                        "sensitivity": attribute.sensitivity.name,
-                    }
-                    for attribute in user.profile
-                ],
-            }
-        )
-    nx_graph = graph.to_networkx()
-    edges = [
-        {"a": a, "b": b, "strength": data.get("strength", 1.0)}
-        for a, b, data in nx_graph.edges(data=True)
-    ]
-    return {"users": users, "edges": edges}
-
-
-def graph_from_dict(data: dict[str, object]) -> SocialGraph:
-    """Rebuild a social graph serialized by :func:`graph_to_dict`."""
-    users_data = data.get("users")
-    if not isinstance(users_data, list):
-        raise ConfigurationError("graph document has no user list")
-    users = []
-    for entry in users_data:
-        profile = UserProfile()
-        for attribute in entry.get("profile", []):
-            try:
-                sensitivity = AttributeSensitivity[attribute["sensitivity"]]
-            except KeyError as error:
-                raise ConfigurationError(
-                    f"unknown sensitivity {attribute.get('sensitivity')!r}"
-                ) from error
-            profile.add(
-                ProfileAttribute(
-                    name=attribute["name"],
-                    value=attribute["value"],
-                    sensitivity=sensitivity,
-                )
-            )
-        users.append(
-            User(
-                user_id=entry["user_id"],
-                profile=profile,
-                honesty=entry.get("honesty", 1.0),
-                competence=entry.get("competence", 0.8),
-                activity=entry.get("activity", 0.5),
-                privacy_concern=entry.get("privacy_concern", 0.5),
-                community=entry.get("community"),
-            )
-        )
-    graph = SocialGraph(users)
-    for edge in data.get("edges", []):
-        graph.add_relationship(edge["a"], edge["b"], strength=edge.get("strength", 1.0))
-    return graph
-
-
-def graph_to_json(graph: SocialGraph, *, indent: int | None = None) -> str:
-    return json.dumps(graph_to_dict(graph), indent=indent, sort_keys=True)
-
-
-def graph_from_json(document: str) -> SocialGraph:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(f"malformed graph JSON: {error}") from error
-    return graph_from_dict(data)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_run_parser, main
-from repro.experiments.reporting import format_series, format_table, format_value
+from repro.experiments.reporting import format_table, format_value
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 
@@ -26,11 +26,6 @@ class TestFormatting:
     def test_format_table_empty_rows(self):
         table = format_table(["a", "b"], [])
         assert "a" in table
-
-    def test_format_series(self):
-        series = format_series("y", [0.0, 1.0], [0.5, 0.6])
-        assert "y" in series
-        assert "0.500" in series
 
 
 class TestRegistry:

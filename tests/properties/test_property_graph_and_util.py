@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._util import clamp, ewma, normalize_distribution, normalize_weights
+from repro._util import clamp, normalize_distribution, normalize_weights
 from repro.allocation.workload import WorkloadGenerator, WorkloadSpec
 from repro.socialnet.generators import (
     TOPOLOGIES,
@@ -66,13 +66,6 @@ def test_workload_ids_unique_and_topics_valid(skew, queries, seed, rounds):
 @given(value=st.floats(allow_nan=False, allow_infinity=False))
 def test_clamp_always_lands_in_the_interval(value):
     assert 0.0 <= clamp(value) <= 1.0
-
-
-@given(previous=unit, observation=unit, alpha=unit)
-def test_ewma_stays_between_previous_and_observation(previous, observation, alpha):
-    result = ewma(previous, observation, alpha)
-    low, high = sorted((previous, observation))
-    assert low - 1e-12 <= result <= high + 1e-12
 
 
 @given(weights=st.lists(st.floats(min_value=0.001, max_value=100.0), min_size=1, max_size=10))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.privacy.disclosure import DisclosureLedger, DisclosureRecord
 from repro.privacy.metrics import exposure_level, policy_respect_rate
 from repro.privacy.purposes import Purpose
-from repro.satisfaction.aggregate import global_satisfaction, summarize
+from repro.satisfaction.aggregate import global_satisfaction
 from repro.satisfaction.tracker import SatisfactionTracker
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -47,8 +47,6 @@ def test_allocation_satisfaction_only_reflects_imposed_observations(observations
 def test_global_satisfaction_bounded_by_extremes(values):
     value = global_satisfaction(values)
     assert min(values.values()) - 1e-9 <= value <= max(values.values()) + 1e-9
-    summary = summarize(values)
-    assert summary.minimum - 1e-9 <= summary.mean <= summary.maximum + 1e-9
 
 
 @st.composite

@@ -8,12 +8,7 @@ from repro.satisfaction.adequacy import (
     interaction_adequacy,
     provider_adequacy,
 )
-from repro.satisfaction.intentions import (
-    ConsumerIntention,
-    ProviderIntention,
-    uniform_consumer_intention,
-    uniform_provider_intention,
-)
+from repro.satisfaction.intentions import ConsumerIntention, ProviderIntention
 
 
 class TestConsumerIntention:
@@ -48,11 +43,6 @@ class TestConsumerIntention:
         distribution = intention.as_distribution()
         assert sum(distribution.values()) == pytest.approx(1.0)
 
-    def test_uniform_factory(self):
-        intention = uniform_consumer_intention("c", ["a", "b"], preference=0.7)
-        assert intention.preference("a") == 0.7
-        assert intention.preference("zz") == 0.7
-
 
 class TestProviderIntention:
     def test_validation(self):
@@ -79,11 +69,6 @@ class TestProviderIntention:
         intention.set_consumer_affinity("alice", 0.3)
         assert intention.topic_interest["music"] == 0.8
         assert intention.consumer_affinity["alice"] == 0.3
-
-    def test_uniform_factory(self):
-        intention = uniform_provider_intention("p", ["a", "b"], interest=0.6, capacity=3)
-        assert intention.intention_for("a") == 0.6
-        assert intention.capacity == 3
 
 
 class TestAdequacy:

@@ -5,12 +5,7 @@ from typing import ClassVar
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.satisfaction.aggregate import (
-    global_satisfaction,
-    local_satisfaction,
-    per_community_satisfaction,
-    summarize,
-)
+from repro.satisfaction.aggregate import global_satisfaction, local_satisfaction
 from repro.satisfaction.tracker import SatisfactionTracker
 
 
@@ -93,20 +88,6 @@ class TestSatisfactionTracker:
 class TestAggregation:
     SATISFACTIONS: ClassVar[dict[str, float]] = {"a": 0.9, "b": 0.7, "c": 0.2}
 
-    def test_summary(self):
-        summary = summarize(self.SATISFACTIONS, threshold=0.4)
-        assert summary.mean == pytest.approx(0.6)
-        assert summary.minimum == 0.2
-        assert summary.maximum == 0.9
-        assert summary.spread == pytest.approx(0.7)
-        assert summary.below_threshold_fraction == pytest.approx(1 / 3)
-        assert summary.count == 3
-
-    def test_summary_empty(self):
-        summary = summarize({})
-        assert summary.count == 0
-        assert summary.mean == 0.0
-
     def test_global_satisfaction_blends_mean_and_minimum(self):
         value = global_satisfaction(self.SATISFACTIONS, fairness_weight=0.5)
         assert value == pytest.approx(0.5 * 0.6 + 0.5 * 0.2)
@@ -136,9 +117,3 @@ class TestAggregation:
 
     def test_local_satisfaction_unknown_user(self):
         assert local_satisfaction("zz", {}, ["a"]) == 0.5
-
-    def test_per_community_satisfaction(self):
-        partition = {"a": 0, "b": 0, "c": 1}
-        per_community = per_community_satisfaction(self.SATISFACTIONS, partition)
-        assert per_community[0] == pytest.approx(0.8)
-        assert per_community[1] == pytest.approx(0.2)

@@ -1,23 +1,16 @@
-"""Unit tests for network presets and graph serialization."""
+"""Unit tests for network presets."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.socialnet.presets import (
-    NETWORK_PRESETS,
-    generate_preset,
-    graph_from_dict,
-    graph_from_json,
-    graph_to_dict,
-    graph_to_json,
-    preset_spec,
-)
+from repro.socialnet.generators import generate_social_network
+from repro.socialnet.presets import NETWORK_PRESETS, preset_spec
 
 
 class TestPresets:
     def test_every_preset_generates_a_connected_network(self):
         for name in NETWORK_PRESETS:
-            graph = generate_preset(name, seed=1)
+            graph = generate_social_network(preset_spec(name, seed=1))
             assert len(graph) == NETWORK_PRESETS[name].n_users
             assert graph.is_connected()
 
@@ -31,58 +24,10 @@ class TestPresets:
         assert NETWORK_PRESETS["village"].seed == 0
 
     def test_file_sharing_preset_is_more_adversarial_than_friendship(self):
-        file_sharing = generate_preset("file-sharing", seed=2)
-        friendship = generate_preset("friendship", seed=2)
+        file_sharing = generate_social_network(preset_spec("file-sharing", seed=2))
+        friendship = generate_social_network(preset_spec("friendship", seed=2))
         assert file_sharing.honest_fraction() < friendship.honest_fraction()
 
     def test_friendship_preset_has_communities(self):
-        graph = generate_preset("friendship", seed=3)
+        graph = generate_social_network(preset_spec("friendship", seed=3))
         assert any(user.community is not None for user in graph.users())
-
-
-class TestGraphSerialization:
-    def test_dict_round_trip_preserves_structure(self, tiny_graph):
-        restored = graph_from_dict(graph_to_dict(tiny_graph))
-        assert set(restored.user_ids()) == set(tiny_graph.user_ids())
-        assert restored.number_of_edges() == tiny_graph.number_of_edges()
-        for a in tiny_graph.user_ids():
-            for b in tiny_graph.user_ids():
-                if a >= b:
-                    continue
-                assert restored.are_connected(a, b) == tiny_graph.are_connected(a, b)
-                assert restored.tie_strength(a, b) == pytest.approx(tiny_graph.tie_strength(a, b))
-
-    def test_round_trip_preserves_users_and_profiles(self, tiny_graph):
-        restored = graph_from_dict(graph_to_dict(tiny_graph))
-        original = tiny_graph.user("carol")
-        copy = restored.user("carol")
-        assert copy.honesty == original.honesty
-        assert copy.privacy_concern == original.privacy_concern
-        assert len(copy.profile) == len(original.profile)
-        assert copy.profile.get("health_record").sensitivity.name == "CRITICAL"
-
-    def test_json_round_trip(self, small_graph):
-        restored = graph_from_json(graph_to_json(small_graph))
-        assert len(restored) == len(small_graph)
-        assert restored.number_of_edges() == small_graph.number_of_edges()
-        assert restored.honest_fraction() == pytest.approx(small_graph.honest_fraction())
-
-    def test_malformed_documents_rejected(self):
-        with pytest.raises(ConfigurationError):
-            graph_from_json("{broken")
-        with pytest.raises(ConfigurationError):
-            graph_from_dict({"edges": []})
-        with pytest.raises(ConfigurationError):
-            graph_from_dict(
-                {
-                    "users": [
-                        {
-                            "user_id": "a",
-                            "profile": [
-                                {"name": "x", "value": 1, "sensitivity": "ULTRA"}
-                            ],
-                        }
-                    ],
-                    "edges": [],
-                }
-            )

@@ -4,7 +4,6 @@ import pytest
 
 from repro._util import (
     clamp,
-    ewma,
     mean,
     normalize_distribution,
     normalize_weights,
@@ -106,21 +105,6 @@ class TestNormalizeDistribution:
     def test_rejects_negative_scores(self):
         with pytest.raises(ConfigurationError):
             normalize_distribution({"a": -1.0})
-
-
-class TestEwma:
-    def test_moves_towards_observation(self):
-        assert ewma(0.0, 1.0, 0.25) == 0.25
-
-    def test_alpha_one_replaces(self):
-        assert ewma(0.3, 0.9, 1.0) == 0.9
-
-    def test_alpha_zero_keeps_previous(self):
-        assert ewma(0.3, 0.9, 0.0) == 0.3
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ewma(0.3, 0.9, 1.5)
 
 
 class TestMean:
