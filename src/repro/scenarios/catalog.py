@@ -8,6 +8,11 @@ between the simulation substrate and the robustness experiment: every
 mechanism is evaluated against every entry, and sweeps/benchmarks reference
 entries by name instead of re-assembling parameter tuples.
 
+:data:`CATALOG` holds exactly the built-in entries below, in every process.
+A declarative template's campaign is not added to it: the run config
+carries the template's campaign section, and :func:`compile_campaign`
+materializes it per run.
+
 Scenarios
 ---------
 ``baseline``
@@ -52,8 +57,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TemplateError
 from repro.scenarios.campaign import (
     AttackCampaign,
     BehaviorFactory,
@@ -79,6 +85,9 @@ from repro.simulation.churn import ChurnPhase, PhasedChurnModel
 from repro.simulation.peer import Peer
 from repro.socialnet.graph import SocialGraph
 from repro.socialnet.user import User, standard_profile
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the schema layers on top
+    from repro.scenarios.schema.model import CampaignSection
 
 #: Base-id prefix identifying injected sybil identities.
 SYBIL_PREFIX = "sybil-"
@@ -542,6 +551,102 @@ def long_horizon_drift(
     )
 
 
+# -- template campaigns ----------------------------------------------------------
+
+
+def resolve_round(value: int | float, rounds: int) -> int:
+    """Resolve a template round position: ints pass through, fractions scale."""
+    if isinstance(value, int):
+        return value
+    return int(round(value * rounds))
+
+
+def _event_round(value: int | float, rounds: int, path: str) -> int:
+    resolved = resolve_round(value, rounds)
+    if isinstance(value, float):
+        return min(resolved, rounds - 1)
+    if resolved >= rounds:
+        raise TemplateError(
+            path, f"event round {resolved} never fires within {rounds} rounds"
+        )
+    return resolved
+
+
+def compile_campaign(name: str, section: CampaignSection, rounds: int) -> AttackCampaign:
+    """Materialize a declarative template campaign section for a round budget.
+
+    Fractional round positions (floats in ``[0, 1]``) resolve against the
+    round budget via round-half-even on ``value * rounds``; event rounds
+    additionally clamp to the final round so ``1.0`` means "last round".
+    Nothing here draws randomness, so the campaign is a pure function of
+    the section and the budget.
+    """
+    events: list[CampaignEvent] = []
+    for index, spec in enumerate(section.events):
+        path = f"campaign.events[{index}]"
+        round_index = _event_round(spec.round, rounds, f"{path}.round")
+        if spec.action == "select":
+            group = section.groups[spec.group]
+            selector = PeerSelector(
+                population=group.population,
+                prefix=group.prefix,
+                fraction=group.fraction,
+                count=group.count,
+                minimum=group.minimum,
+            )
+            events.append(SelectGroup(round_index, spec.group, selector))
+        elif spec.action == "switch":
+            if spec.behavior is None:  # unreachable after validation
+                raise TemplateError(f"{path}.behavior", "switch events need a behavior name")
+            try:
+                factory = behavior_factory(spec.behavior, **dict(spec.args))
+            except ConfigurationError as error:
+                raise TemplateError(f"{path}.behavior", str(error)) from error
+            events.append(SwitchBehavior(round_index, spec.group, factory))
+        elif spec.action == "set-online":
+            events.append(SetOnline(round_index, spec.group, spec.online, spec.pin))
+        else:
+            events.append(Whitewash(round_index, spec.group))
+
+    window = (
+        resolve_round(section.window[0], rounds),
+        resolve_round(section.window[1], rounds),
+    )
+    if not 0 <= window[0] <= window[1] <= rounds:
+        raise TemplateError(
+            "campaign.window",
+            f"window resolves to [{window[0]}, {window[1]}) outside 0..{rounds}",
+        )
+
+    churn: PhasedChurnModel | None = None
+    if section.churn is not None:
+        phases: list[ChurnPhase] = []
+        for index, phase in enumerate(section.churn.phases):
+            start = resolve_round(phase.start, rounds)
+            end = resolve_round(phase.end, rounds)
+            if end <= start:
+                raise TemplateError(
+                    f"campaign.churn.phases[{index}]",
+                    f"phase collapses to [{start}, {end}) at rounds={rounds}",
+                )
+            phases.append(
+                ChurnPhase(start, end, phase.leave_probability, phase.return_probability)
+            )
+        churn = PhasedChurnModel(
+            leave_probability=section.churn.leave_probability,
+            return_probability=section.churn.return_probability,
+            phases=phases,
+        )
+
+    return AttackCampaign(
+        name=name,
+        events=events,
+        window=window,
+        churn=churn,
+        description=f"template-defined campaign {name!r}",
+    )
+
+
 # -- graph setup (population-changing scenarios) ---------------------------------
 
 
@@ -613,6 +718,22 @@ class ScenarioSpec:
         merged = dict(self.knobs)
         merged.update(overrides)
         return merged
+
+    def campaign(self, *, rounds: int, **overrides: object) -> AttackCampaign:
+        """Build the campaign for a round budget.
+
+        ``overrides`` replace knob defaults; unknown knobs raise.  Graph
+        knobs (e.g. sybil counts) are accepted here for validation but
+        consumed by :meth:`prepare_graph`.
+        """
+        return self.build(rounds=rounds, **self.merged_knobs(overrides))
+
+    def prepare_graph(self, graph: SocialGraph, rng: random.Random, **overrides: object) -> None:
+        """Apply the scenario's population changes (if any) to a fresh graph."""
+        if self.setup_graph is None:
+            return
+        knobs = self.merged_knobs(overrides)
+        self.setup_graph(graph, rng, **{key: knobs[key] for key in self.graph_knobs})
 
 
 CATALOG: dict[str, ScenarioSpec] = {
@@ -742,10 +863,6 @@ CATALOG: dict[str, ScenarioSpec] = {
     ),
 }
 
-#: Names shipped by the module itself; :func:`register_scenario` protects
-#: them from being shadowed by template-defined scenarios.
-BUILTIN_SCENARIOS = frozenset(CATALOG)
-
 
 def scenario_names() -> list[str]:
     """Catalog entry names in declaration order."""
@@ -759,50 +876,3 @@ def get_scenario(name: str) -> ScenarioSpec:
         raise ConfigurationError(
             f"unknown scenario {name!r}; available: {sorted(CATALOG)}"
         ) from None
-
-
-def register_scenario(spec: ScenarioSpec, *, replace: bool = False) -> None:
-    """Add a scenario to the catalog at runtime (template-defined workloads).
-
-    Built-in names can never be shadowed.  Re-registering a non-builtin name
-    requires ``replace=True``.  Campaigns are built per run from the
-    registered spec, so none outlives a replacement.
-    """
-    if spec.name in BUILTIN_SCENARIOS:
-        raise ConfigurationError(
-            f"scenario {spec.name!r} is a built-in catalog entry and cannot be replaced"
-        )
-    if spec.name in CATALOG and not replace:
-        raise ConfigurationError(
-            f"scenario {spec.name!r} is already registered (pass replace=True to update)"
-        )
-    CATALOG[spec.name] = spec
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove a runtime-registered scenario (no-op for unknown names)."""
-    if name in BUILTIN_SCENARIOS:
-        raise ConfigurationError(f"scenario {name!r} is built-in and cannot be unregistered")
-    CATALOG.pop(name, None)
-
-
-def build_campaign(name: str, *, rounds: int, **overrides: object) -> AttackCampaign:
-    """Build the named scenario's campaign for a round budget.
-
-    ``overrides`` replace catalog knob defaults; unknown knobs raise.  Graph
-    knobs (e.g. sybil counts) are accepted here for validation but consumed
-    by :func:`setup_scenario_graph`.
-    """
-    spec = get_scenario(name)
-    return spec.build(rounds=rounds, **spec.merged_knobs(overrides))
-
-
-def setup_scenario_graph(
-    name: str, graph: SocialGraph, rng: random.Random, **overrides: object
-) -> None:
-    """Apply the scenario's population changes (if any) to a fresh graph."""
-    spec = get_scenario(name)
-    if spec.setup_graph is None:
-        return
-    knobs = spec.merged_knobs(overrides)
-    spec.setup_graph(graph, rng, **{key: knobs[key] for key in spec.graph_knobs})

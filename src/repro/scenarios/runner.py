@@ -1,11 +1,14 @@
-"""Running one catalog scenario end to end.
+"""Running one scenario end to end.
 
 :func:`run_scenario` assembles the pieces — social graph (optionally
 preset-based), reputation mechanism, attack campaign, trace hook — runs the
 interaction simulation and condenses the trace into
 :class:`~repro.scenarios.metrics.RobustnessMetrics`.  It is the unit of work
 the robustness experiment (and any sweep over it) repeats per
-(scenario, mechanism) cell.
+(scenario, mechanism) cell.  The scenario is a catalog entry, or a
+declarative template's campaign section that the run config carries
+(:func:`scenario_spec` resolves either), so a config — and a checkpoint of
+its run — holds everything the run needs in any process.
 
 Each run sets itself up: it takes its graph from the network cache
 (:func:`~repro.socialnet.generators.cached_social_network`), or generates a
@@ -26,9 +29,11 @@ end-to-end :class:`~repro.experiments.scenario.Scenario`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 from repro import _profiling
 from repro.errors import CheckpointError, ConfigurationError
@@ -36,7 +41,7 @@ from repro.reputation.anonymous import AnonymousFeedbackReputation
 from repro.reputation.base import ReputationSystem
 from repro.reputation.registry import make_reputation_system
 from repro.scenarios.campaign import AttackCampaign, CampaignDriver
-from repro.scenarios.catalog import build_campaign, get_scenario, setup_scenario_graph
+from repro.scenarios.catalog import ScenarioSpec, compile_campaign, get_scenario
 from repro.scenarios.metrics import RobustnessMetrics, ScenarioTrace, evaluate_trace
 from repro.simulation.checkpoint import read_checkpoint, write_checkpoint
 from repro.simulation.engine import (
@@ -52,6 +57,9 @@ from repro.socialnet.generators import (
 )
 from repro.socialnet.graph import SocialGraph
 from repro.socialnet.presets import preset_spec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the schema layers on top
+    from repro.scenarios.schema.model import CampaignSection
 
 
 def reputation_for_graph(
@@ -109,13 +117,18 @@ class ScenarioRunConfig:
     knobs: dict[str, object] = field(default_factory=dict)
     detect_threshold: float = 0.1
     recovery_fraction: float = 0.8
+    #: A declarative template's campaign section, which the run executes
+    #: under the name ``scenario``; ``None`` runs the catalog entry of that
+    #: name.  A default of ``None`` keeps checkpoints written before the
+    #: field existed loadable.
+    campaign: CampaignSection | None = None
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ConfigurationError("rounds must be at least 1")
         if self.n_users < 2:
             raise ConfigurationError("n_users must be at least 2")
-        get_scenario(self.scenario)  # fail fast on unknown scenario names
+        scenario_spec(self)  # fail fast on unknown scenario names
 
     def simulation_key(self) -> tuple | None:
         """Identity of everything that shapes the *simulation*: every field
@@ -127,12 +140,26 @@ class ScenarioRunConfig:
             if item.name not in EVALUATION_FIELDS
         }
         values["knobs"] = tuple(sorted(self.knobs.items()))
+        # The section holds dicts; its repr is equal for equal sections.
+        values["campaign"] = repr(self.campaign)
         key = tuple(values.values())
         try:
             hash(key)
         except TypeError:
             return None
         return key
+
+
+def scenario_spec(config: ScenarioRunConfig) -> ScenarioSpec:
+    """The scenario a run executes: built from the template campaign section
+    the config carries, or else the catalog entry of its name."""
+    if config.campaign is None:
+        return get_scenario(config.scenario)
+    return ScenarioSpec(
+        name=config.scenario,
+        description=f"template-defined campaign {config.scenario!r}",
+        build=functools.partial(compile_campaign, config.scenario, config.campaign),
+    )
 
 
 def _scenario_graph(config: ScenarioRunConfig) -> SocialGraph:
@@ -148,11 +175,12 @@ def _scenario_graph(config: ScenarioRunConfig) -> SocialGraph:
             malicious_fraction=config.malicious_fraction,
             seed=config.seed,
         )
-    if get_scenario(config.scenario).setup_graph is None:
+    scenario = scenario_spec(config)
+    if scenario.setup_graph is None:
         return cached_social_network(spec)
     graph = generate_social_network(spec)
     setup_rng = RandomStreams(config.seed).stream("scenario-setup")
-    setup_scenario_graph(config.scenario, graph, setup_rng, **config.knobs)
+    scenario.prepare_graph(graph, setup_rng, **config.knobs)
     return graph
 
 
@@ -224,7 +252,7 @@ class ScenarioCheckpoint:
 
     The run config travels with the pickled simulator so resume can rebuild
     the unpicklable configuration layer (campaign closures, trace hooks)
-    from the catalog and reattach it, which hands the hooks their cursors.
+    from it and reattach it, which hands the hooks their cursors.
     """
 
     config: ScenarioRunConfig
@@ -309,7 +337,7 @@ def run_scenario(
     checkpoint_path: str | None = None,
     **overrides: object,
 ) -> ScenarioRunResult:
-    """Run one catalog scenario against one mechanism.
+    """Run one scenario against one mechanism.
 
     Keyword overrides build a :class:`ScenarioRunConfig` when none is given.
     The whole pipeline draws only from seed-derived named streams, and the
@@ -336,7 +364,7 @@ def run_scenario(
 
     with _profiling.phase("setup"):
         graph = _scenario_graph(config)
-        campaign = build_campaign(config.scenario, rounds=config.rounds, **config.knobs)
+        campaign = scenario_spec(config).campaign(rounds=config.rounds, **config.knobs)
         reputation = reputation_for_graph(graph, config.mechanism, seed=config.seed)
         driver = CampaignDriver(campaign)
         trace = ScenarioTrace()
@@ -373,7 +401,7 @@ def resume_scenario(
     """Finish a checkpointed scenario run and return its full result.
 
     Reads a checkpoint written by ``run_scenario(..., checkpoint_every=N)``,
-    rebuilds the configuration layer (campaign, hooks) from the catalog,
+    rebuilds the configuration layer (campaign, hooks) from the run config,
     rehydrates every piece of runtime state and runs the remaining rounds.
     The returned result — and any record derived from it — is byte-identical
     to the uninterrupted run's.
@@ -391,7 +419,7 @@ def resume_scenario(
     _check_checkpoint_args(checkpoint_every, checkpoint_path)
 
     with _profiling.phase("setup"):
-        campaign = build_campaign(config.scenario, rounds=config.rounds, **config.knobs)
+        campaign = scenario_spec(config).campaign(rounds=config.rounds, **config.knobs)
         driver = CampaignDriver(campaign)
         trace = ScenarioTrace()
         simulator = payload.simulator

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError, ReproError, TemplateError
 from repro.experiments.results import records_from_json, write_records_csv, write_records_json
-from repro.scenarios.catalog import BUILTIN_SCENARIOS
+from repro.scenarios.catalog import CATALOG
 from repro.scenarios.runner import resume_scenario
 from repro.scenarios.schema.compile import compile_template
 from repro.scenarios.schema.library import (
@@ -96,7 +96,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     parity_errors: list[str] = []
     if args.catalog and not args.paths:
         names = {entry.get("name") for entry in entries if entry["ok"]}
-        missing = sorted(BUILTIN_SCENARIOS - names)
+        missing = sorted(set(CATALOG) - names)
         if missing:
             parity_errors.append(f"catalog scenarios without a template: {missing}")
     report = {

@@ -3,46 +3,29 @@
 :func:`compile_template` turns a :class:`~repro.scenarios.schema.model.ScenarioTemplate`
 plus an optional size tier into a ready-to-run
 :class:`~repro.scenarios.runner.ScenarioRunConfig`.  Catalog-reference
-templates resolve to the referenced catalog entry with the template's knobs;
-fully declarative campaign templates are materialized into
-:class:`~repro.scenarios.campaign.AttackCampaign` events (and, when churn is
-declared, a :class:`~repro.simulation.churn.PhasedChurnModel`) and
-registered in the catalog under the template's name, so the normal
-``run_scenario`` pipeline — network cache, shared simulations, sweeps — executes
-them exactly like built-in scenarios.  Nothing here draws randomness or
-reads the clock: a compiled template is a pure function of the document, so
-a template run is byte-identical to the equivalent Python-constructed run.
-
-Fractional round positions (floats in ``[0, 1]``) resolve against the
-tier's round budget via round-half-even on ``value * rounds``; event rounds
-additionally clamp to the final round so ``1.0`` means "last round".
+templates resolve to the referenced catalog entry with the template's knobs.
+A fully declarative campaign template's config carries the template's
+campaign section, which :func:`~repro.scenarios.catalog.compile_campaign`
+materializes into :class:`~repro.scenarios.campaign.AttackCampaign` events
+(and, when churn is declared, a
+:class:`~repro.simulation.churn.PhasedChurnModel`) at run time.  So the
+normal ``run_scenario`` pipeline — network cache, shared simulations,
+sweeps, checkpoints and resumes in a fresh process — executes it exactly
+like a built-in scenario, and nothing is added to
+:data:`~repro.scenarios.catalog.CATALOG`.  Nothing here draws randomness
+or reads the clock: a compiled template is a pure function of the
+document, so a template run is byte-identical to the equivalent
+Python-constructed run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
 
 from repro.errors import ConfigurationError, TemplateError
-from repro.scenarios.campaign import (
-    AttackCampaign,
-    CampaignEvent,
-    PeerSelector,
-    SelectGroup,
-    SetOnline,
-    SwitchBehavior,
-    Whitewash,
-)
-from repro.scenarios.catalog import (
-    BUILTIN_SCENARIOS,
-    ScenarioSpec,
-    behavior_factory,
-    get_scenario,
-    register_scenario,
-)
+from repro.scenarios.catalog import CATALOG, compile_campaign, get_scenario
 from repro.scenarios.runner import ScenarioRunConfig
-from repro.scenarios.schema.model import CampaignSection, ScenarioTemplate, TierSpec
-from repro.simulation.churn import ChurnPhase, PhasedChurnModel
+from repro.scenarios.schema.model import ScenarioTemplate, TierSpec
 
 
 @dataclass(frozen=True)
@@ -59,106 +42,8 @@ class CompiledScenario:
 
     @property
     def scenario(self) -> str:
-        """The catalog scenario name the run executes under."""
+        """The scenario name the run's records carry."""
         return self.config.scenario
-
-
-def resolve_round(value: int | float, rounds: int) -> int:
-    """Resolve a round position: ints pass through, fractions scale."""
-    if isinstance(value, int):
-        return value
-    return int(round(value * rounds))
-
-
-def _event_round(value: int | float, rounds: int, path: str) -> int:
-    resolved = resolve_round(value, rounds)
-    if isinstance(value, float):
-        return min(resolved, rounds - 1)
-    if resolved >= rounds:
-        raise TemplateError(
-            path, f"event round {resolved} never fires within {rounds} rounds"
-        )
-    return resolved
-
-
-def compile_campaign(name: str, section: CampaignSection, rounds: int) -> AttackCampaign:
-    """Materialize a declarative campaign section for a round budget."""
-    events: list[CampaignEvent] = []
-    for index, spec in enumerate(section.events):
-        path = f"campaign.events[{index}]"
-        round_index = _event_round(spec.round, rounds, f"{path}.round")
-        if spec.action == "select":
-            group = section.groups[spec.group]
-            selector = PeerSelector(
-                population=group.population,
-                prefix=group.prefix,
-                fraction=group.fraction,
-                count=group.count,
-                minimum=group.minimum,
-            )
-            events.append(SelectGroup(round_index, spec.group, selector))
-        elif spec.action == "switch":
-            if spec.behavior is None:  # unreachable after validation
-                raise TemplateError(f"{path}.behavior", "switch events need a behavior name")
-            try:
-                factory = behavior_factory(spec.behavior, **dict(spec.args))
-            except ConfigurationError as error:
-                raise TemplateError(f"{path}.behavior", str(error)) from error
-            events.append(SwitchBehavior(round_index, spec.group, factory))
-        elif spec.action == "set-online":
-            events.append(SetOnline(round_index, spec.group, spec.online, spec.pin))
-        else:
-            events.append(Whitewash(round_index, spec.group))
-
-    window = (
-        resolve_round(section.window[0], rounds),
-        resolve_round(section.window[1], rounds),
-    )
-    if not 0 <= window[0] <= window[1] <= rounds:
-        raise TemplateError(
-            "campaign.window",
-            f"window resolves to [{window[0]}, {window[1]}) outside 0..{rounds}",
-        )
-
-    churn: PhasedChurnModel | None = None
-    if section.churn is not None:
-        phases: list[ChurnPhase] = []
-        for index, phase in enumerate(section.churn.phases):
-            start = resolve_round(phase.start, rounds)
-            end = resolve_round(phase.end, rounds)
-            if end <= start:
-                raise TemplateError(
-                    f"campaign.churn.phases[{index}]",
-                    f"phase collapses to [{start}, {end}) at rounds={rounds}",
-                )
-            phases.append(
-                ChurnPhase(start, end, phase.leave_probability, phase.return_probability)
-            )
-        churn = PhasedChurnModel(
-            leave_probability=section.churn.leave_probability,
-            return_probability=section.churn.return_probability,
-            phases=phases,
-        )
-
-    return AttackCampaign(
-        name=name,
-        events=events,
-        window=window,
-        churn=churn,
-        description=f"template-defined campaign {name!r}",
-    )
-
-
-def _campaign_builder(template: ScenarioTemplate) -> Callable[..., AttackCampaign]:
-    section = template.campaign
-    if section is None:  # unreachable after validation
-        raise TemplateError("campaign", "template has no campaign section")
-    name = template.name
-
-    def build(*, rounds: int) -> AttackCampaign:
-        return compile_campaign(name, section, rounds)
-
-    return build
 
 
 def _resolve_tier(template: ScenarioTemplate, tier: str | None) -> TierSpec:
@@ -184,9 +69,8 @@ def compile_template(
 
     ``mechanism`` overrides the template's run section — the CLI and the
     experiment layer use it to sweep one template across the mechanism
-    matrix.  Campaign templates are registered in the catalog
-    (``replace=True``: recompiling an edited template in the same process
-    must not serve the stale campaign).
+    matrix.  A campaign template's config carries its campaign section, so
+    recompiling an edited template never serves a stale campaign.
     """
     tier_spec = _resolve_tier(template, tier)
     tier_path = f"tiers.{tier}" if tier is not None else "run"
@@ -218,7 +102,7 @@ def compile_template(
                 f"{tier_path}.knobs", "campaign templates take no scenario knobs"
             )
         scenario_name = template.name
-        if scenario_name in BUILTIN_SCENARIOS:
+        if scenario_name in CATALOG:
             raise TemplateError(
                 "name",
                 f"campaign template name {scenario_name!r} collides with a "
@@ -229,14 +113,6 @@ def compile_template(
             raise TemplateError("campaign", "template has no campaign section")
         # Surface campaign materialization errors now, with document paths.
         compile_campaign(scenario_name, section, rounds)
-        register_scenario(
-            ScenarioSpec(
-                name=scenario_name,
-                description=template.description or f"template scenario {scenario_name!r}",
-                build=_campaign_builder(template),
-            ),
-            replace=True,
-        )
 
     try:
         config = ScenarioRunConfig(
@@ -253,6 +129,7 @@ def compile_template(
             knobs=knobs,
             detect_threshold=template.metrics.detect_threshold,
             recovery_fraction=template.metrics.recovery_fraction,
+            campaign=template.campaign,
         )
     except ConfigurationError as error:
         raise TemplateError("run", str(error)) from error

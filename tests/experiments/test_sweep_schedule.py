@@ -25,6 +25,7 @@ from repro.experiments.sweep import (
     simulation_identity,
 )
 from repro.scenarios.runner import EVALUATION_FIELDS, ScenarioRunConfig
+from repro.scenarios.schema.model import CampaignSection
 
 #: The 11 catalog scenarios, pinned so catalog growth cannot resize the grid.
 SCENARIOS = [
@@ -134,6 +135,7 @@ class TestSimulationIdentity:
             "knobs": {"density": 0.5},
             "detect_threshold": 0.2,
             "recovery_fraction": 0.5,
+            "campaign": CampaignSection(window=(0.25, 0.75)),
         }
         base = ScenarioRunConfig()
         assert set(changed) == {item.name for item in dataclasses.fields(base)}

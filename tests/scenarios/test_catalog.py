@@ -9,11 +9,9 @@ from repro.scenarios.campaign import SetOnline, SwitchBehavior, Whitewash
 from repro.scenarios.catalog import (
     SYBIL_PREFIX,
     attack_window,
-    build_campaign,
     get_scenario,
     inject_sybils,
     scenario_names,
-    setup_scenario_graph,
 )
 from repro.scenarios.runner import ScenarioRunConfig, run_scenario
 from repro.simulation.churn import PhasedChurnModel
@@ -57,31 +55,33 @@ class TestCatalog:
 
     def test_unknown_knob_raises(self):
         with pytest.raises(ConfigurationError):
-            build_campaign("collusion-ring", rounds=12, warp_factor=9)
+            get_scenario("collusion-ring").campaign(rounds=12, warp_factor=9)
 
     @pytest.mark.parametrize("name", scenario_names())
     @pytest.mark.parametrize("rounds", (4, 12, 30))
     def test_every_entry_builds_within_budget(self, name, rounds):
-        campaign = build_campaign(name, rounds=rounds)
+        campaign = get_scenario(name).campaign(rounds=rounds)
         start, end = campaign.window
         assert 0 <= start <= end <= rounds
         for event in campaign.events:
             assert 0 <= event.round_index <= rounds
 
     def test_knob_overrides_reach_the_campaign(self):
-        short = build_campaign("whitewash-wave", rounds=20, wave_period=1)
-        long = build_campaign("whitewash-wave", rounds=20, wave_period=10)
+        short = get_scenario("whitewash-wave").campaign(rounds=20, wave_period=1)
+        long = get_scenario("whitewash-wave").campaign(rounds=20, wave_period=10)
         short_waves = [e for e in short.events if isinstance(e, Whitewash)]
         long_waves = [e for e in long.events if isinstance(e, Whitewash)]
         assert len(short_waves) > len(long_waves) >= 1
 
     def test_traitor_oscillation_alternates(self):
-        campaign = build_campaign("traitor-oscillation", rounds=20, build_rounds=2, betray_rounds=2)
+        campaign = get_scenario("traitor-oscillation").campaign(
+            rounds=20, build_rounds=2, betray_rounds=2
+        )
         switches = [e for e in campaign.events if isinstance(e, SwitchBehavior)]
         assert len(switches) >= 4  # initial grooming + several phase flips
 
     def test_collusion_under_churn_carries_phased_churn(self):
-        campaign = build_campaign("collusion-under-churn", rounds=20)
+        campaign = get_scenario("collusion-under-churn").campaign(rounds=20)
         assert isinstance(campaign.churn, PhasedChurnModel)
         assert campaign.churn.phases
         start, end = campaign.window
@@ -89,7 +89,7 @@ class TestCatalog:
         assert campaign.churn.phases[0].end == end
 
     def test_sybil_burst_keeps_cohort_dormant_then_bursts(self):
-        campaign = build_campaign("sybil-burst", rounds=20)
+        campaign = get_scenario("sybil-burst").campaign(rounds=20)
         online_events = [e for e in campaign.events if isinstance(e, SetOnline)]
         assert online_events[0].round_index == 0 and not online_events[0].online
         assert any(e.online for e in online_events)
@@ -111,7 +111,7 @@ class TestSybilInjection:
 
     def test_setup_scenario_graph_noop_for_plain_scenarios(self):
         graph = generate_social_network(SocialNetworkSpec(n_users=10, seed=1))
-        setup_scenario_graph("collusion-ring", graph, random.Random(0))
+        get_scenario("collusion-ring").prepare_graph(graph, random.Random(0))
         assert len(graph) == 10
 
     def test_invalid_counts_rejected(self):

@@ -1,31 +1,32 @@
 """Tests for template → runnable-config compilation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.errors import TemplateError
+from repro import faults
+from repro.errors import InjectedFault, TemplateError
+from repro.faults import FaultPlan, FaultRule
 from repro.scenarios.campaign import SelectGroup, SetOnline, SwitchBehavior, Whitewash
-from repro.scenarios.catalog import (
-    CATALOG,
-    build_campaign,
-    register_scenario,
-    unregister_scenario,
-)
-from repro.scenarios.runner import run_scenario
-from repro.scenarios.schema.compile import (
-    compile_campaign,
-    compile_template,
-    resolve_round,
-)
+from repro.scenarios.catalog import CATALOG, compile_campaign, resolve_round
+from repro.scenarios.runner import run_scenario, scenario_spec
+from repro.scenarios.schema.compile import compile_template
+from repro.scenarios.schema.library import template_record_json
 from repro.scenarios.schema.model import parse_template
 from test_schema_model import campaign_doc, minimal_doc
 
+SRC = Path(__file__).resolve().parents[2] / "src"
 
-@pytest.fixture(autouse=True)
-def _clean_registered_scenarios():
-    before = set(CATALOG)
-    yield
-    for name in set(CATALOG) - before:
-        unregister_scenario(name)
+#: Finish a checkpointed run in this interpreter and print its record.
+_RESUME = """
+import sys
+from repro.scenarios.runner import resume_scenario
+from repro.scenarios.schema.library import scenario_record_json
+sys.stdout.write(scenario_record_json(resume_scenario(sys.argv[1])))
+"""
 
 
 class TestRoundResolution:
@@ -159,18 +160,18 @@ class TestCampaignRegistration:
     def test_compile_registers_and_runs(self):
         compiled = compile_template(parse_template(campaign_doc()), "small")
         assert compiled.config.scenario == "example-campaign"
-        assert "example-campaign" in CATALOG
+        assert "example-campaign" not in CATALOG
         result = run_scenario(compiled.config)
         assert result.campaign.name == "example-campaign"
         assert result.robustness is not None
 
     def test_recompile_replaces_stale_campaign(self):
         doc = campaign_doc()
-        compile_template(parse_template(doc))
-        assert build_campaign("example-campaign", rounds=20).window == (5, 15)
+        config = compile_template(parse_template(doc)).config
+        assert scenario_spec(config).campaign(rounds=20).window == (5, 15)
         doc["campaign"]["window"] = {"start": 0.5, "end": 1.0}
-        compile_template(parse_template(doc))
-        assert build_campaign("example-campaign", rounds=20).window == (10, 20)
+        config = compile_template(parse_template(doc)).config
+        assert scenario_spec(config).campaign(rounds=20).window == (10, 20)
 
     def test_builtin_name_collision_rejected(self):
         doc = campaign_doc(name="baseline")
@@ -186,20 +187,26 @@ class TestCampaignRegistration:
         assert excinfo.value.path == "tiers.small.knobs"
 
     def test_campaigns_with_churn_build_fresh_models(self):
-        compile_template(parse_template(campaign_doc()))
-        first = build_campaign("example-campaign", rounds=20)
-        second = build_campaign("example-campaign", rounds=20)
+        spec = scenario_spec(compile_template(parse_template(campaign_doc())).config)
+        first = spec.campaign(rounds=20)
+        second = spec.campaign(rounds=20)
         assert first.churn is not second.churn
 
-    def test_register_scenario_api_guards(self):
-        from repro.scenarios.catalog import ScenarioSpec, baseline
-
-        spec = ScenarioSpec(name="transient", description="", build=baseline)
-        register_scenario(spec)
-        with pytest.raises(Exception):
-            register_scenario(spec)
-        register_scenario(spec, replace=True)
-        unregister_scenario("transient")
-        assert "transient" not in CATALOG
-        with pytest.raises(Exception):
-            unregister_scenario("baseline")
+    def test_checkpointed_run_resumes_in_a_fresh_process(self, tmp_path):
+        compiled = compile_template(parse_template(campaign_doc()), "small")
+        direct = template_record_json(compiled)
+        path = str(tmp_path / "campaign.ckpt")
+        # Crash at the final save: the file keeps the round-4 state.
+        crash_at_end = FaultPlan(
+            rules=(FaultRule(site="checkpoint.save", action="raise", match=(("round_index", 8),)),)
+        )
+        with faults.active(crash_at_end), pytest.raises(InjectedFault):
+            template_record_json(compiled, checkpoint_every=4, checkpoint_path=path)
+        resumed = subprocess.run(
+            [sys.executable, "-c", _RESUME, path],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert resumed.stdout == direct

@@ -4,7 +4,7 @@ import pytest
 
 from repro import _profiling
 from repro.scenarios import runner
-from repro.scenarios.catalog import build_campaign
+from repro.scenarios.catalog import get_scenario
 from repro.scenarios.runner import ScenarioRunConfig, run_scenario
 from repro.socialnet.generators import (
     SocialNetworkSpec,
@@ -102,16 +102,16 @@ class TestScenarioSetupCache:
 
 class TestCampaignMemo:
     def test_different_knobs_build_different_campaigns(self):
-        base = build_campaign("collusion-ring", rounds=12)
-        dense = build_campaign("collusion-ring", rounds=12, density=0.5)
+        base = get_scenario("collusion-ring").campaign(rounds=12)
+        dense = get_scenario("collusion-ring").campaign(rounds=12, density=0.5)
         assert base is not dense
 
     def test_churn_carrying_campaigns_are_never_shared(self):
         # A PhasedChurnModel counts rounds; two simulators constructed
         # before either runs would corrupt a shared counter, so campaigns
         # with a churn override must be fresh per build.
-        first = build_campaign("collusion-under-churn", rounds=12)
-        second = build_campaign("collusion-under-churn", rounds=12)
+        first = get_scenario("collusion-under-churn").campaign(rounds=12)
+        second = get_scenario("collusion-under-churn").campaign(rounds=12)
         assert first is not second
         assert first.churn is not second.churn
 
@@ -126,7 +126,7 @@ class TestCampaignMemo:
         config_b = ScenarioRunConfig(**kwargs)
         # run_scenario builds simulators internally; emulate interleaving by
         # building both campaigns first, then running both configs.
-        build_campaign("collusion-under-churn", rounds=10)
+        get_scenario("collusion-under-churn").campaign(rounds=10)
         first = run_scenario(config_a)
         second = run_scenario(config_b)
         online_series = [

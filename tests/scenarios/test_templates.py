@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.scenarios.catalog import BUILTIN_SCENARIOS
+from repro.scenarios.catalog import CATALOG
 from repro.scenarios.schema.compile import compile_template
 from repro.scenarios.schema.library import (
     discover_templates,
@@ -20,7 +20,7 @@ TEMPLATES = {
 
 class TestLibraryShape:
     def test_every_catalog_scenario_has_a_template(self):
-        assert BUILTIN_SCENARIOS <= set(TEMPLATES)
+        assert set(CATALOG) <= set(TEMPLATES)
 
     def test_library_ships_a_campaign_example(self):
         assert any(t.campaign is not None for t in TEMPLATES.values())
@@ -61,7 +61,7 @@ class TestCompilation:
 
 
 class TestGoldenRecords:
-    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_catalog_templates_byte_identical_to_programmatic_path(self, name):
         result = verify_template(TEMPLATES[name], "small")
         assert result.mode == "catalog-equivalence"
