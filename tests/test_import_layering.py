@@ -5,7 +5,9 @@ module that defines it.  So a subpackage ``__init__`` holds only its
 docstring, and importing one module loads that module's own imports, not
 its package's whole subtree.  The fresh-interpreter checks pin what the
 light entry points load, and that a serving process never loads the
-simulator stack, not even for a moment during a whole session.
+simulator stack, not even for a moment during a whole session.  A static
+walk of the import statements holds every module to being reached from an
+entry point, so no module lives on only through its own tests.
 """
 
 import ast
@@ -34,6 +36,77 @@ def test_package_init_is_docstring_only(init):
     tree = ast.parse((SRC / init).read_text(encoding="utf-8"))
     assert ast.get_docstring(tree), f"{init} has no docstring"
     assert len(tree.body) == 1, f"{init} holds code besides its docstring"
+
+
+#: Where the reachability walk starts, beside the console-script modules:
+#: the package, its facade and the ``python -m`` entry modules.
+ENTRY_MODULES = ("repro", "repro.api", "repro.__main__", "repro.analysis.__main__")
+
+
+def _script_modules():
+    """The modules pyproject's ``[project.scripts]`` entries point at, read
+    line by line (Python 3.10 has no ``tomllib``)."""
+    modules = set()
+    section = None
+    for line in (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line and not line.startswith("#"):
+            target = line.split("=", 1)[1].strip().strip('"')
+            modules.add(target.split(":", 1)[0])
+    return modules
+
+
+def _module_path(name):
+    """The source file of a module under ``src``, or ``None``."""
+    base = SRC.joinpath(*name.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _imports_of(name):
+    """The ``repro`` modules that the import statements of module ``name``
+    load: function-local and relative imports included, the parent
+    packages of each, and ``from pkg import name`` as the submodule
+    ``pkg.name`` when one exists."""
+    path = _module_path(name)
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            named.add(base)
+            named.update(f"{base}.{alias.name}" for alias in node.names)
+    loaded = set()
+    for module in named:
+        parts = module.split(".")
+        loaded.update(".".join(parts[:end]) for end in range(1, len(parts) + 1))
+    return {module for module in loaded if _module_path(module) is not None}
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    scripts = _script_modules()
+    assert {"repro.cli", "repro.analysis.cli"} <= scripts
+    reached = set()
+    pending = [*ENTRY_MODULES, *scripts]
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending.extend(_imports_of(name) - reached)
+    every = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+        for path in (SRC / "repro").rglob("*.py")
+    }
+    assert sorted(every - reached) == []
 
 
 #: What only the offline simulation needs: a serving process never loads it.
