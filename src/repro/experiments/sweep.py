@@ -49,6 +49,7 @@ import math
 import random
 import time
 import traceback
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -576,11 +577,17 @@ class SweepExecutor:
     ) -> list[ExperimentRecord]:
         """Execute tasks on the pool; return and stream records in task order.
 
-        ``on_record`` (when given) is invoked for every record as soon as
-        the ordered prefix up to it has completed — long campaigns surface
-        results while later chunks still run.  Worker deaths are recovered
-        as in :meth:`completions`.
+        Deprecated: use ``run_sweep(..., executor=..., on_record=...)``,
+        which returns the same records.  ``on_record`` (when given) is
+        invoked for every record as soon as the ordered prefix up to it has
+        completed.  Worker deaths are recovered as in :meth:`completions`.
         """
+        warnings.warn(
+            "SweepExecutor.map_records is deprecated; use "
+            "run_sweep(..., executor=..., on_record=...) instead",
+            DeprecationWarning,
+            stacklevel=2,
+        )
         return _in_task_order(tasks, self.completions(tasks, retry), on_record)
 
     def shutdown(self) -> None:
