@@ -68,7 +68,7 @@ SCHEMA_VERSION = 3
 
 def figure1_kwargs(quick: bool) -> dict[str, object]:
     if quick:
-        return dict(n_users=25, rounds=10, sharing_levels=[0.3, 0.7])
+        return dict(n_users=25, rounds=10)
     return dict(n_users=40, rounds=20)
 
 

@@ -59,14 +59,6 @@ class LintConfig:
     #: Function names that may compare floats exactly (R5): quantizers that
     #: snap values to a grid before comparing.
     float_eq_helpers: tuple[str, ...] = ()
-    #: Directory (relative to the lint root) holding the shipped scenario
-    #: templates (R7); empty disables the parity check.
-    template_dir: str = ""
-    #: Module suffix of the scenario catalog whose ``CATALOG`` dict literal
-    #: R7 cross-references against the template library.
-    catalog_module: str = ""
-    #: ``schema_version`` values a shipped template may declare (R7).
-    template_schema_versions: tuple[int, ...] = ()
     #: Function names recognised as structured-error-record emitters (R8): a
     #: broad ``except Exception`` handler is disciplined if it re-raises or
     #: calls one of these.
@@ -132,15 +124,11 @@ def default_config() -> LintConfig:
         set_returning=("participants",),
         cache_contracts=DEFAULT_CACHE_CONTRACTS,
         float_eq_helpers=("_quantized",),
-        template_dir="templates",
-        catalog_module="repro/scenarios/catalog.py",
-        template_schema_versions=(1, 2),
         # ``request_failure_record`` is the serving layer's emitter: broad
         # excepts in ``serving/`` must surface a structured 500 record.
         error_record_calls=(
             "task_failure_record",
             "finding",
-            "_file_finding",
             "request_failure_record",
         ),
         api_client_dirs=("examples", "benchmarks"),

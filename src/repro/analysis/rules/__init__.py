@@ -9,6 +9,5 @@ from repro.analysis.rules import (  # noqa: F401
     error_discipline,
     float_equality,
     ordering,
-    template_parity,
     typing_discipline,
 )

@@ -17,7 +17,6 @@ disclosure→privacy is negative, and privacy→satisfaction is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 from repro.core.config import SystemSettings
 from repro.core.coupling import CouplingDynamics, coupling_matrix
@@ -192,19 +191,8 @@ def _empirical_contrasts(
     return contrasts
 
 
-def run(
-    *,
-    sharing_levels: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
-    n_users: int = 40,
-    rounds: int = 20,
-    seed: int = 0,
-) -> Figure1Result:
-    """Run E-F1 and return its result.
-
-    ``sharing_levels`` is kept for API compatibility with older callers and
-    the quick-mode presets; the empirical part now uses targeted contrasts
-    rather than a correlation over that sweep.
-    """
+def run(*, n_users: int = 40, rounds: int = 20, seed: int = 0) -> Figure1Result:
+    """Run E-F1 and return its result."""
     dynamics = CouplingDynamics()
     sensitivities = coupling_matrix(dynamics)
 

@@ -104,7 +104,7 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
         run=figure1.run,
         report=figure1.report,
         summarize=figure1.summarize,
-        quick_kwargs={"sharing_levels": [0.3, 0.7], "n_users": 25, "rounds": 10},
+        quick_kwargs={"n_users": 25, "rounds": 10},
     ),
     "figure2-left": ExperimentEntry(
         name="figure2-left",

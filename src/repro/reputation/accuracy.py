@@ -7,8 +7,6 @@ all, consistency with the reality".  The simulator knows the ground truth
 
 * :func:`pairwise_ranking_accuracy` — probability that the mechanism orders a
   random honest/dishonest pair correctly (an AUC-like measure);
-* :func:`classification_accuracy` — accuracy of the induced good/bad
-  classification at a threshold;
 * :func:`mean_absolute_error` — distance between scores and honesty;
 * :func:`reputation_power` — the composite in ``[0, 1]`` used as the
   reputation facet input;
@@ -51,24 +49,6 @@ def pairwise_ranking_accuracy(
             elif aligned[good] == aligned[bad]:
                 correct += 0.5
     return correct / (len(honest) * len(dishonest))
-
-
-def classification_accuracy(
-    scores: Mapping[str, float],
-    ground_truth: Mapping[str, float],
-    *,
-    threshold: float = 0.5,
-) -> float:
-    """Accuracy of classifying peers as honest when their score ≥ threshold."""
-    aligned = _aligned(scores, ground_truth)
-    if not aligned:
-        return 0.0
-    correct = sum(
-        1
-        for peer, score in aligned.items()
-        if (score >= threshold) == (ground_truth[peer] >= 0.5)
-    )
-    return correct / len(aligned)
 
 
 def mean_absolute_error(scores: Mapping[str, float], ground_truth: Mapping[str, float]) -> float:

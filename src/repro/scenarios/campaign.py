@@ -201,7 +201,6 @@ class AttackCampaign:
     events: list[CampaignEvent] = field(default_factory=list)
     window: tuple[int, int] = (0, 0)
     churn: ChurnModel | None = None
-    description: str = ""
 
     def __post_init__(self) -> None:
         start, end = self.window
@@ -248,13 +247,7 @@ def combine(name: str, *campaigns: AttackCampaign) -> AttackCampaign:
             churn = campaign.churn
     starts = [c.attack_start for c in campaigns]
     ends = [c.attack_end for c in campaigns]
-    return AttackCampaign(
-        name=name,
-        events=events,
-        window=(min(starts), max(ends)),
-        churn=churn,
-        description=" + ".join(c.name for c in campaigns),
-    )
+    return AttackCampaign(name=name, events=events, window=(min(starts), max(ends)), churn=churn)
 
 
 def _namespaced(event: CampaignEvent, namespace: str) -> CampaignEvent:

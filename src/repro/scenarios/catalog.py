@@ -1,12 +1,14 @@
 """The named attack-scenario catalog.
 
-Each entry is a :class:`ScenarioSpec`: a name, a knob set with defaults, a
-builder producing the :class:`~repro.scenarios.campaign.AttackCampaign` for
-a given round budget, and (for scenarios that change the population, like
-sybil influx) a graph-setup step.  The catalog is the declarative contract
-between the simulation substrate and the robustness experiment: every
-mechanism is evaluated against every entry, and sweeps/benchmarks reference
-entries by name instead of re-assembling parameter tuples.
+Each entry is a :class:`ScenarioSpec`: a name, a builder producing the
+:class:`~repro.scenarios.campaign.AttackCampaign` for a given round budget,
+and (for scenarios that change the population, like sybil influx) a
+graph-setup step.  The knobs and their defaults are those steps'
+keyword-only parameters, stated once in their signatures.  The catalog is
+the declarative contract between the simulation substrate and the
+robustness experiment: every mechanism is evaluated against every entry,
+and sweeps/benchmarks reference entries by name instead of re-assembling
+parameter tuples.
 
 :data:`CATALOG` holds exactly the built-in entries below, in every process.
 A declarative template's campaign is not added to it: the run config
@@ -54,8 +56,9 @@ Scenarios
 
 from __future__ import annotations
 
+import inspect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
@@ -205,12 +208,7 @@ def behavior_factory(name: str, **args: object) -> BehaviorFactory:
 
 def baseline(*, rounds: int) -> AttackCampaign:
     """No attack: the control scenario (window collapses to the run's end)."""
-    return AttackCampaign(
-        name="baseline",
-        events=[],
-        window=(rounds, rounds),
-        description="no attack; control row for recovery metrics",
-    )
+    return AttackCampaign(name="baseline", events=[], window=(rounds, rounds))
 
 
 def collusion_ring(
@@ -232,12 +230,7 @@ def collusion_ring(
         SwitchBehavior(start, "ring", _collusive_factory(density)),
         SwitchBehavior(end, "ring", _malicious_factory),
     ]
-    return AttackCampaign(
-        name="collusion-ring",
-        events=events,
-        window=(start, end),
-        description=f"ring of {ring_fraction:.0%} of dishonest peers, density {density}",
-    )
+    return AttackCampaign(name="collusion-ring", events=events, window=(start, end))
 
 
 def whitewash_wave(
@@ -257,12 +250,7 @@ def whitewash_wave(
     ]
     for wave_round in range(start, end, wave_period):
         events.append(Whitewash(wave_round, "washers"))
-    return AttackCampaign(
-        name="whitewash-wave",
-        events=events,
-        window=(start, end),
-        description=f"identity reset every {wave_period} rounds during the window",
-    )
+    return AttackCampaign(name="whitewash-wave", events=events, window=(start, end))
 
 
 def traitor_oscillation(
@@ -293,12 +281,7 @@ def traitor_oscillation(
         # After the window the traitors stay defected, so recovery measures
         # how fast the mechanism re-marks them down.
         events.append(SwitchBehavior(end, "traitors", _malicious_factory))
-    return AttackCampaign(
-        name="traitor-oscillation",
-        events=events,
-        window=(start, end),
-        description=f"betray {betray_rounds} rounds / groom {build_rounds} rounds",
-    )
+    return AttackCampaign(name="traitor-oscillation", events=events, window=(start, end))
 
 
 def slander(
@@ -319,20 +302,12 @@ def slander(
         SwitchBehavior(start, "slanderers", _slander_factory(ballot_stuffing, slander_probability)),
         SwitchBehavior(end, "slanderers", _malicious_factory),
     ]
-    stuffing = "with" if ballot_stuffing else "without"
-    return AttackCampaign(
-        name="slander",
-        events=events,
-        window=(start, end),
-        description=f"bad-mouthing {stuffing} ballot stuffing",
-    )
+    return AttackCampaign(name="slander", events=events, window=(start, end))
 
 
 def sybil_burst(
     *,
     rounds: int,
-    n_sybils: int = 8,
-    attach_degree: int = 3,
     lead_fraction: float = 0.3,
     attack_fraction: float = 0.45,
 ) -> AttackCampaign:
@@ -345,12 +320,7 @@ def sybil_burst(
         SwitchBehavior(start, "sybils", _collusive_factory(1.0)),
         SetOnline(end, "sybils", online=False, pin=True),
     ]
-    return AttackCampaign(
-        name="sybil-burst",
-        events=events,
-        window=(start, end),
-        description=f"{n_sybils} colluding sybils online only during the window",
-    )
+    return AttackCampaign(name="sybil-burst", events=events, window=(start, end))
 
 
 def collusion_under_churn(
@@ -387,14 +357,8 @@ def collusion_under_churn(
                 )
             ],
         ),
-        description="churn spike during the attack window",
     )
-    campaign = combine("collusion-under-churn", ring, churn_spike)
-    campaign.description = (
-        f"collusion ring plus churn spike (leave {churn_leave_probability} "
-        f"during [{start}, {end}))"
-    )
-    return campaign
+    return combine("collusion-under-churn", ring, churn_spike)
 
 
 def marketplace(
@@ -423,15 +387,7 @@ def marketplace(
         SwitchBehavior(start, "fraud-ring", _collusive_factory(density)),
         SwitchBehavior(end, "fraud-ring", _malicious_factory),
     ]
-    return AttackCampaign(
-        name="marketplace",
-        events=events,
-        window=(start, end),
-        description=(
-            f"fraud ring of {fraud_fraction:.0%} of dishonest sellers, "
-            f"{freeride_fraction:.0%} of honest users free-riding"
-        ),
-    )
+    return AttackCampaign(name="marketplace", events=events, window=(start, end))
 
 
 def flash_crowd(
@@ -471,13 +427,7 @@ def flash_crowd(
             )
         ],
     )
-    return AttackCampaign(
-        name="flash-crowd",
-        events=events,
-        window=(start, end),
-        churn=churn,
-        description=f"{crowd_fraction:.0%} of peers flood in at round {start}",
-    )
+    return AttackCampaign(name="flash-crowd", events=events, window=(start, end), churn=churn)
 
 
 def regional_partition(
@@ -499,12 +449,7 @@ def regional_partition(
         SetOnline(start, "region", online=False, pin=True),
         SetOnline(end, "region", online=True),
     ]
-    return AttackCampaign(
-        name="regional-partition",
-        events=events,
-        window=(start, end),
-        description=f"{region_fraction:.0%} of peers partitioned during [{start}, {end})",
-    )
+    return AttackCampaign(name="regional-partition", events=events, window=(start, end))
 
 
 def long_horizon_drift(
@@ -543,12 +488,7 @@ def long_horizon_drift(
         if groom_from < stage_end:
             events.append(SwitchBehavior(groom_from, "drifters", _grooming_factory))
     events.append(SwitchBehavior(end, "drifters", _malicious_factory))
-    return AttackCampaign(
-        name="long-horizon-drift",
-        events=events,
-        window=(start, end),
-        description=f"betrayal duty cycle lengthening over {n_stages} stages",
-    )
+    return AttackCampaign(name="long-horizon-drift", events=events, window=(start, end))
 
 
 # -- template campaigns ----------------------------------------------------------
@@ -638,13 +578,7 @@ def compile_campaign(name: str, section: CampaignSection, rounds: int) -> Attack
             phases=phases,
         )
 
-    return AttackCampaign(
-        name=name,
-        events=events,
-        window=window,
-        churn=churn,
-        description=f"template-defined campaign {name!r}",
-    )
+    return AttackCampaign(name=name, events=events, window=window, churn=churn)
 
 
 # -- graph setup (population-changing scenarios) ---------------------------------
@@ -656,7 +590,6 @@ def inject_sybils(
     *,
     n_sybils: int = 8,
     attach_degree: int = 3,
-    **_ignored: object,
 ) -> list[User]:
     """Add a dormant sybil cohort to the graph before the run starts.
 
@@ -696,44 +629,66 @@ def inject_sybils(
 # -- the catalog -----------------------------------------------------------------
 
 
+def _knob_defaults(step: Callable[..., object] | None) -> dict[str, object]:
+    """A scenario step's knobs: its keyword-only parameters with defaults."""
+    if step is None:
+        return {}
+    return {
+        name: parameter.default
+        for name, parameter in inspect.signature(step).parameters.items()
+        if parameter.kind is parameter.KEYWORD_ONLY and parameter.default is not parameter.empty
+    }
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One catalog entry: name, knobs, campaign builder, optional graph setup."""
+    """One catalog entry: name, campaign builder, optional graph setup.
+
+    The steps' signatures declare the knobs: each keyword-only parameter
+    with a default is a knob, and its default is the knob's default.
+    """
 
     name: str
     description: str
     build: Callable[..., AttackCampaign]
-    knobs: Mapping[str, object] = field(default_factory=dict)
     setup_graph: Callable[..., object] | None = None
-    #: Knobs consumed by ``setup_graph`` instead of the campaign builder.
-    graph_knobs: tuple[str, ...] = ()
+
+    @property
+    def knobs(self) -> dict[str, object]:
+        """Every knob and its default: ``setup_graph``'s first, then ``build``'s."""
+        return {**_knob_defaults(self.setup_graph), **_knob_defaults(self.build)}
 
     def merged_knobs(self, overrides: Mapping[str, object]) -> dict[str, object]:
-        unknown = sorted(set(overrides) - set(self.knobs))
+        knobs = self.knobs
+        unknown = sorted(set(overrides) - set(knobs))
         if unknown:
             raise ConfigurationError(
                 f"scenario {self.name!r} has no knobs {unknown}; "
-                f"available: {sorted(self.knobs)}"
+                f"available: {sorted(knobs)}"
             )
-        merged = dict(self.knobs)
-        merged.update(overrides)
-        return merged
+        knobs.update(overrides)
+        return knobs
+
+    def _own_knobs(
+        self, step: Callable[..., object], overrides: Mapping[str, object]
+    ) -> dict[str, object]:
+        """The merged values of the knobs ``step`` declares; unknown knobs raise."""
+        merged = self.merged_knobs(overrides)
+        return {name: merged[name] for name in _knob_defaults(step)}
 
     def campaign(self, *, rounds: int, **overrides: object) -> AttackCampaign:
         """Build the campaign for a round budget.
 
-        ``overrides`` replace knob defaults; unknown knobs raise.  Graph
-        knobs (e.g. sybil counts) are accepted here for validation but
-        consumed by :meth:`prepare_graph`.
+        ``overrides`` replace knob defaults; unknown knobs raise.  The
+        builder receives only its own knobs: graph knobs (e.g. sybil
+        counts) are accepted here and consumed by :meth:`prepare_graph`.
         """
-        return self.build(rounds=rounds, **self.merged_knobs(overrides))
+        return self.build(rounds=rounds, **self._own_knobs(self.build, overrides))
 
     def prepare_graph(self, graph: SocialGraph, rng: random.Random, **overrides: object) -> None:
         """Apply the scenario's population changes (if any) to a fresh graph."""
-        if self.setup_graph is None:
-            return
-        knobs = self.merged_knobs(overrides)
-        self.setup_graph(graph, rng, **{key: knobs[key] for key in self.graph_knobs})
+        if self.setup_graph is not None:
+            self.setup_graph(graph, rng, **self._own_knobs(self.setup_graph, overrides))
 
 
 CATALOG: dict[str, ScenarioSpec] = {
@@ -746,120 +701,52 @@ CATALOG: dict[str, ScenarioSpec] = {
         name="collusion-ring",
         description="dishonest ring inflates accomplices, deflates everyone else",
         build=collusion_ring,
-        knobs={
-            "ring_fraction": 0.6,
-            "density": 1.0,
-            "lead_fraction": 0.25,
-            "attack_fraction": 0.5,
-        },
     ),
     "whitewash-wave": ScenarioSpec(
         name="whitewash-wave",
         description="periodic identity resets erase the mechanism's evidence",
         build=whitewash_wave,
-        knobs={
-            "fraction": 0.8,
-            "wave_period": 3,
-            "lead_fraction": 0.25,
-            "attack_fraction": 0.5,
-        },
     ),
     "traitor-oscillation": ScenarioSpec(
         name="traitor-oscillation",
         description="groom/betray duty cycle of on-off traitors",
         build=traitor_oscillation,
-        knobs={
-            "fraction": 0.6,
-            "build_rounds": 4,
-            "betray_rounds": 3,
-            "lead_fraction": 0.25,
-            "attack_fraction": 0.5,
-        },
     ),
     "slander": ScenarioSpec(
         name="slander",
         description="honest service, poisoned ratings (bad-mouth + ballot-stuff)",
         build=slander,
-        knobs={
-            "fraction": 0.7,
-            "ballot_stuffing": True,
-            "slander_probability": 1.0,
-            "lead_fraction": 0.25,
-            "attack_fraction": 0.5,
-        },
     ),
     "sybil-burst": ScenarioSpec(
         name="sybil-burst",
         description="dormant colluding sybil cohort floods in mid-run",
         build=sybil_burst,
-        knobs={
-            "n_sybils": 8,
-            "attach_degree": 3,
-            "lead_fraction": 0.3,
-            "attack_fraction": 0.45,
-        },
         setup_graph=inject_sybils,
-        graph_knobs=("n_sybils", "attach_degree"),
     ),
     "collusion-under-churn": ScenarioSpec(
         name="collusion-under-churn",
         description="collusion ring layered on a churn spike",
         build=collusion_under_churn,
-        knobs={
-            "ring_fraction": 0.6,
-            "density": 1.0,
-            "churn_leave_probability": 0.25,
-            "churn_return_probability": 0.6,
-            "lead_fraction": 0.25,
-            "attack_fraction": 0.5,
-        },
     ),
     "marketplace": ScenarioSpec(
         name="marketplace",
         description="grooming fraud ring of sellers plus free-riding buyers",
         build=marketplace,
-        knobs={
-            "fraud_fraction": 0.5,
-            "freeride_fraction": 0.15,
-            "density": 1.0,
-            "lead_fraction": 0.25,
-            "attack_fraction": 0.5,
-        },
     ),
     "flash-crowd": ScenarioSpec(
         name="flash-crowd",
         description="dormant crowd floods in under surging churn (load spike)",
         build=flash_crowd,
-        knobs={
-            "crowd_fraction": 0.4,
-            "surge_return_probability": 0.95,
-            "surge_leave_probability": 0.02,
-            "base_leave_probability": 0.05,
-            "base_return_probability": 0.5,
-            "lead_fraction": 0.3,
-            "attack_fraction": 0.4,
-        },
     ),
     "regional-partition": ScenarioSpec(
         name="regional-partition",
         description="a random region drops offline for the window, then returns",
         build=regional_partition,
-        knobs={
-            "region_fraction": 0.3,
-            "lead_fraction": 0.25,
-            "attack_fraction": 0.4,
-        },
     ),
     "long-horizon-drift": ScenarioSpec(
         name="long-horizon-drift",
         description="betrayal duty cycle lengthening toward permanent defection",
         build=long_horizon_drift,
-        knobs={
-            "fraction": 0.8,
-            "n_stages": 5,
-            "lead_fraction": 0.1,
-            "attack_fraction": 0.8,
-        },
     ),
 }
 

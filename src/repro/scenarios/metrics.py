@@ -2,10 +2,11 @@
 
 A :class:`ScenarioTrace` rides the engine's round hooks and snapshots, every
 round, how well the reputation mechanism is holding up: the good-vs-bad
-score separation, the rank correlation of published scores against
-ground-truth service quality, and the round's malicious-transaction rate.
-:func:`evaluate_trace` then condenses the per-round series against the
-campaign's attack window into the headline robustness numbers:
+score separation and the round's malicious-transaction rate.  It computes
+the rank correlation of published scores against ground-truth service
+quality for the final round only.  :func:`evaluate_trace` then condenses
+the per-round series against the campaign's attack window into the
+headline robustness numbers:
 
 * **separation** before / during / after the attack — the gap the attack
   tries to collapse;
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import cast
 
 from repro._util import mean
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError
 from repro.reputation.accuracy import score_separation, spearman_rank_correlation
 from repro.simulation.engine import InteractionSimulator
 
@@ -38,19 +39,15 @@ NEVER = -1
 class RoundObservation:
     """One round's robustness snapshot.
 
-    ``rank_correlation`` is ``None`` when the trace runs in its default
-    ``correlation="final"`` mode, where only the last round's correlation —
-    the one the robustness metrics report — is computed (rank correlation
-    is the most expensive per-round statistic, and intermediate values were
-    never consumed).  Construct the trace with ``correlation="all"`` to get
-    the per-round series.
+    The rank correlation, the most expensive statistic of a round, is
+    reported for the last round only
+    (:meth:`ScenarioTrace.final_rank_correlation`).
     """
 
     round_index: int
     honest_mean: float
     attacker_mean: float
     separation: float
-    rank_correlation: float | None
     malicious_rate: float
     online_peers: int
 
@@ -65,13 +62,8 @@ class ScenarioTrace:
     snapping back toward the default.
     """
 
-    def __init__(self, *, correlation: str = "final") -> None:
-        if correlation not in ("final", "all"):
-            raise ConfigurationError(
-                f"correlation must be 'final' or 'all', got {correlation!r}"
-            )
+    def __init__(self) -> None:
         self.observations: list[RoundObservation] = []
-        self._correlation_mode = correlation
         #: (scores, quality truth) of the latest round, for the lazy final
         #: correlation; replaced wholesale every round, never mutated.
         self._final_inputs: tuple[dict[str, float], dict[str, float]] | None = None
@@ -107,13 +99,7 @@ class ScenarioTrace:
         # User.is_honest, so it equals honest_mean - attacker_mean whenever
         # both classes are populated.
         separation = score_separation(current_scores, honesty_truth)
-        if self._correlation_mode == "all":
-            rank_correlation: float | None = spearman_rank_correlation(
-                current_scores, quality_truth
-            )
-        else:
-            rank_correlation = None
-            self._final_inputs = (current_scores, quality_truth)
+        self._final_inputs = (current_scores, quality_truth)
         last_round = simulator.metrics.rounds[-1]
         self.observations.append(
             RoundObservation(
@@ -121,24 +107,17 @@ class ScenarioTrace:
                 honest_mean=honest_mean,
                 attacker_mean=attacker_mean,
                 separation=separation,
-                rank_correlation=rank_correlation,
                 malicious_rate=last_round.malicious_rate,
                 online_peers=last_round.online_peers,
             )
         )
 
     def final_rank_correlation(self) -> float:
-        """Rank correlation of the last recorded round (0.0 with no rounds).
-
-        In ``correlation="final"`` mode this is where the (single) Spearman
-        computation happens — identical input, identical value to what the
-        per-round mode records for the last round.
-        """
+        """Rank correlation of the last recorded round (0.0 with no rounds):
+        the trace's only Spearman computation, cached per round."""
         if not self.observations:
             return 0.0
         final = self.observations[-1]
-        if final.rank_correlation is not None:
-            return final.rank_correlation
         if self._final_inputs is None:  # pragma: no cover - defensive
             return 0.0
         cached = self._final_correlation
@@ -155,7 +134,6 @@ class ScenarioTrace:
         picklable; the lazy-correlation inputs are plain dicts)."""
         return {
             "observations": list(self.observations),
-            "correlation_mode": self._correlation_mode,
             "final_inputs": self._final_inputs,
             "final_correlation": self._final_correlation,
         }
@@ -163,12 +141,13 @@ class ScenarioTrace:
     def restore_checkpoint_state(
         self, state: dict[str, object], simulator: InteractionSimulator
     ) -> None:
+        # Checkpoints written while the trace still had a per-round
+        # correlation mode carry one more key, naming that mode; it is
+        # ignored, as are the observations' then-unset correlations.
         observations = state.get("observations")
-        mode = state.get("correlation_mode")
-        if not isinstance(observations, list) or mode not in ("final", "all"):
+        if not isinstance(observations, list):
             raise CheckpointError("malformed scenario-trace checkpoint state")
         self.observations = observations
-        self._correlation_mode = mode
         self._final_inputs = cast(
             "tuple[dict[str, float], dict[str, float]] | None", state.get("final_inputs")
         )
@@ -206,7 +185,7 @@ def evaluate_trace(
     *,
     detect_threshold: float = 0.1,
     recovery_fraction: float = 0.8,
-    final_rank_correlation: float | None = None,
+    final_rank_correlation: float,
 ) -> RobustnessMetrics:
     """Condense a per-round trace into :class:`RobustnessMetrics`.
 
@@ -219,10 +198,8 @@ def evaluate_trace(
     "recover" trivially).  Both are :data:`NEVER` (-1) when the run ends
     first.
 
-    ``final_rank_correlation`` supplies the last round's correlation when
-    the trace ran in lazy ``correlation="final"`` mode (pass
-    ``trace.final_rank_correlation()``); omitted, it is read off the final
-    observation (0.0 when that was not computed).
+    ``final_rank_correlation`` is the last round's correlation (pass
+    ``trace.final_rank_correlation()``).
     """
     if not observations:
         return RobustnessMetrics(
@@ -256,10 +233,6 @@ def evaluate_trace(
             break
 
     final = observations[-1]
-    if final_rank_correlation is None:
-        final_rank_correlation = (
-            final.rank_correlation if final.rank_correlation is not None else 0.0
-        )
     return RobustnessMetrics(
         baseline_separation=baseline,
         attack_separation=mean([o.separation for o in attack]) if attack else 0.0,

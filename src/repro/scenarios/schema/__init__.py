@@ -11,7 +11,7 @@ objects — :class:`~repro.scenarios.runner.ScenarioRunConfig`,
 byte-identical to the equivalent Python-constructed run.
 
 * :mod:`repro.scenarios.schema.model` — document model, strict parser,
-  serializer, version migration hook;
+  version migration hook;
 * :mod:`repro.scenarios.schema.compile` — template → runnable config
   (catalog references and fully declarative campaigns);
 * :mod:`repro.scenarios.schema.library` — the shipped ``templates/``

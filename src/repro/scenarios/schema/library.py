@@ -7,8 +7,7 @@ golden-record equivalence check: a catalog-reference template whose knobs
 are all defaults must produce an experiment record *byte-identical* to the
 one the programmatic robustness experiment produces for the same
 parameters; any other template must reproduce its own record byte-for-byte
-when it runs again.  The CI scenario-gate and the repro-lint
-template-parity rule are both built on these helpers.
+when it runs again.  The CI scenario-gate is built on these helpers.
 """
 
 from __future__ import annotations

@@ -651,108 +651,3 @@ def template_from_text(text: str, *, format: str = "yaml") -> ScenarioTemplate:
     if not isinstance(data, Mapping):
         raise TemplateError("", f"template document must be a mapping, got {type(data).__name__}")
     return parse_template(data)
-
-
-# -- serialization (round-trip) --------------------------------------------------
-
-
-def _tier_to_dict(tier: TierSpec) -> dict[str, object]:
-    data: dict[str, object] = {}
-    if tier.n_users is not None:
-        data["n_users"] = tier.n_users
-    if tier.rounds is not None:
-        data["rounds"] = tier.rounds
-    if tier.interactions_per_peer is not None:
-        data["interactions_per_peer"] = tier.interactions_per_peer
-    if tier.knobs:
-        data["knobs"] = dict(tier.knobs)
-    return data
-
-
-def _campaign_to_dict(campaign: CampaignSection) -> dict[str, object]:
-    data: dict[str, object] = {
-        "window": {"start": campaign.window[0], "end": campaign.window[1]},
-        "groups": {
-            name: {
-                "population": group.population,
-                **({"prefix": group.prefix} if group.prefix is not None else {}),
-                **({"fraction": group.fraction} if group.fraction is not None else {}),
-                **({"count": group.count} if group.count is not None else {}),
-                "minimum": group.minimum,
-            }
-            for name, group in campaign.groups.items()
-        },
-        "events": [
-            {
-                "round": event.round,
-                "action": event.action,
-                "group": event.group,
-                **({"behavior": event.behavior} if event.behavior is not None else {}),
-                **({"args": dict(event.args)} if event.args else {}),
-                **(
-                    {"online": event.online, "pin": event.pin}
-                    if event.action == "set-online"
-                    else {}
-                ),
-            }
-            for event in campaign.events
-        ],
-    }
-    if campaign.churn is not None:
-        data["churn"] = {
-            "leave_probability": campaign.churn.leave_probability,
-            "return_probability": campaign.churn.return_probability,
-            "phases": [
-                {
-                    "start": phase.start,
-                    "end": phase.end,
-                    "leave_probability": phase.leave_probability,
-                    "return_probability": phase.return_probability,
-                }
-                for phase in campaign.churn.phases
-            ],
-        }
-    return data
-
-
-def template_to_dict(template: ScenarioTemplate) -> dict[str, object]:
-    """Serialize a template back to canonical plain data.
-
-    Round-trip contract: ``parse_template(template_to_dict(t)) == t`` for
-    every valid template ``t``.
-    """
-    network: dict[str, object]
-    if template.network.preset is not None:
-        network = {"preset": template.network.preset}
-    else:
-        network = {
-            "n_users": template.network.n_users,
-            "topology": template.network.topology,
-            "malicious_fraction": template.network.malicious_fraction,
-        }
-    data: dict[str, object] = {
-        "schema_version": template.schema_version,
-        "name": template.name,
-        "description": template.description,
-        "network": network,
-        "run": {
-            "mechanism": template.run.mechanism,
-            "seed": template.run.seed,
-            "rounds": template.run.rounds,
-            "interactions_per_peer": template.run.interactions_per_peer,
-            "sharing_level": template.run.sharing_level,
-        },
-        "metrics": {
-            "detect_threshold": template.metrics.detect_threshold,
-            "recovery_fraction": template.metrics.recovery_fraction,
-        },
-        "tiers": {name: _tier_to_dict(template.tiers[name]) for name in template.tier_names()},
-    }
-    if template.catalog is not None:
-        data["scenario"] = {
-            "catalog": template.catalog.name,
-            **({"knobs": dict(template.catalog.knobs)} if template.catalog.knobs else {}),
-        }
-    if template.campaign is not None:
-        data["campaign"] = _campaign_to_dict(template.campaign)
-    return data

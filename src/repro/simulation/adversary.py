@@ -56,7 +56,7 @@ class BehaviorModel:
         towards the system, the less she discloses information" lever.
         ``base_sharing`` is validated where it is configured
         (:class:`~repro.simulation.engine.SimulationConfig`), not here —
-        this runs once per consumer per round.
+        this runs once per feedback.
         """
         probability = base_sharing * (1.0 - 0.5 * user.privacy_concern)
         return 0.0 if probability < 0.0 else (1.0 if probability > 1.0 else probability)

@@ -151,9 +151,7 @@ class SimulationResult:
 #: Attributes a pickled simulator leaves out: configuration the resuming
 #: caller passes again (:meth:`InteractionSimulator.reattach`) and caches
 #: that refill with the same values.
-_NOT_PICKLED = frozenset(
-    {"_hooks", "_disclosure_observer", "_disclosure_cache", "_neighbor_peers_cache"}
-)
+_NOT_PICKLED = frozenset({"_hooks", "_disclosure_observer", "_neighbor_peers_cache"})
 
 
 class InteractionSimulator:
@@ -201,12 +199,6 @@ class InteractionSimulator:
         #: mechanism per transaction (peers act on the scores published at
         #: the start of the round, and recomputation happens once per round).
         self._round_scores: dict[str, float] = {}
-        #: Disclosure probabilities are static within a round (behaviour
-        #: switches happen at round boundaries), so they are computed once
-        #: per consumer per round; cleared by :meth:`_begin_round_caches`.
-        #: Candidates and score vectors are hoisted per consumer directly in
-        #: the round loop — each consumer is visited exactly once per round.
-        self._disclosure_cache: dict[str, float] = {}
         #: Whole-run neighbour→Peer resolution (see :meth:`_neighbor_peers`).
         self._neighbor_peers_cache: dict[str, list[Peer]] = {}
 
@@ -236,7 +228,6 @@ class InteractionSimulator:
         self.__dict__.update(state)
         self._hooks = ()
         self._disclosure_observer = None
-        self._disclosure_cache = {}
         self._neighbor_peers_cache = {}
 
     def reattach(
@@ -330,9 +321,6 @@ class InteractionSimulator:
             if peer.online and peer.base_id != consumer.base_id
         ]
 
-    def _begin_round_caches(self) -> None:
-        self._disclosure_cache.clear()
-
     def _candidate_scores(self, consumer: Peer, candidates: list[Peer]) -> list[float] | None:
         """Round-start scores of a consumer's candidates, in candidate order.
 
@@ -415,12 +403,9 @@ class InteractionSimulator:
         )
         self._feedbacks.append(feedback)
 
-        disclose_probability = self._disclosure_cache.get(consumer.base_id)
-        if disclose_probability is None:
-            disclose_probability = consumer.behavior.disclosure_probability(
-                consumer.user, self.config.sharing_level
-            )
-            self._disclosure_cache[consumer.base_id] = disclose_probability
+        disclose_probability = consumer.behavior.disclosure_probability(
+            consumer.user, self.config.sharing_level
+        )
         disclosed = rng.random() < disclose_probability
         self.metrics.record_feedback(feedback, disclosed)
         if not disclosed:
@@ -486,8 +471,6 @@ class InteractionSimulator:
         self.metrics.start_round(round_index, online_peers=len(online))
 
         self._refresh_round_scores()
-
-        self._begin_round_caches()
 
         # The whole round's activity draws come out of the stream as one
         # vector (same draws, same order as the historical per-peer calls).

@@ -74,7 +74,7 @@ class TestRegistry:
     def test_all_rules_registered_in_order(self) -> None:
         rules = registered_rules()
         assert [rule.rule_id for rule in rules] == [
-            "R1", "R2", "R3", "R5", "R6", "R7", "R8", "R9",
+            "R1", "R2", "R3", "R5", "R6", "R8", "R9",
         ]
         assert all(rule.name and rule.description for rule in rules)
 

@@ -5,7 +5,6 @@ from typing import ClassVar
 import pytest
 
 from repro.reputation.accuracy import (
-    classification_accuracy,
     mean_absolute_error,
     pairwise_ranking_accuracy,
     reputation_power,
@@ -32,12 +31,6 @@ class TestAccuracyMeasures:
 
     def test_single_class_returns_chance(self):
         assert pairwise_ranking_accuracy({"good": 0.9}, {"good": 0.9}) == 0.5
-
-    def test_classification_accuracy(self):
-        assert classification_accuracy(SCORES, self.GROUND_TRUTH) == 1.0
-        assert classification_accuracy(
-            {"good": 0.2, "ok": 0.2, "bad": 0.2}, self.GROUND_TRUTH
-        ) == pytest.approx(1 / 3)
 
     def test_mean_absolute_error(self):
         assert mean_absolute_error(self.GROUND_TRUTH, self.GROUND_TRUTH) == 0.0

@@ -174,6 +174,34 @@ class TestRunScenario:
         assert sybil_rounds  # the burst did happen
         assert all(start <= r < end for r in sybil_rounds)
 
+    def test_run_knobs_reach_the_graph_setup_and_the_campaign(self):
+        # n_sybils is inject_sybils' knob, lead_fraction sybil_burst's.
+        rounds = 12
+        result = run_scenario(
+            scenario="sybil-burst",
+            mechanism="average",
+            n_users=18,
+            rounds=rounds,
+            seed=5,
+            knobs={"n_sybils": 4, "lead_fraction": 0.2},
+        )
+        sybils = [uid for uid in result.graph.user_ids() if uid.startswith(SYBIL_PREFIX)]
+        assert len(sybils) == 4
+        assert result.campaign.window == attack_window(rounds, 0.2, 0.45)
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_scenario(
+                scenario="sybil-burst",
+                mechanism="average",
+                n_users=18,
+                rounds=rounds,
+                seed=5,
+                knobs={"n_sybils": 4, "warp_factor": 9},
+            )
+        assert str(excinfo.value) == (
+            "scenario 'sybil-burst' has no knobs ['warp_factor']; available: "
+            "['attach_degree', 'attack_fraction', 'lead_fraction', 'n_sybils']"
+        )
+
     def test_preset_overrides_population(self):
         result = run_scenario(
             ScenarioRunConfig(

@@ -12,7 +12,6 @@ def observation(round_index, separation, malicious_rate=0.2):
         honest_mean=0.5 + separation / 2,
         attacker_mean=0.5 - separation / 2,
         separation=separation,
-        rank_correlation=separation,
         malicious_rate=malicious_rate,
         online_peers=10,
     )
@@ -64,7 +63,7 @@ class TestScoreSeparation:
 
 class TestEvaluateTrace:
     def test_empty_trace(self):
-        metrics = evaluate_trace([], (0, 0))
+        metrics = evaluate_trace([], (0, 0), final_rank_correlation=0.0)
         assert metrics.time_to_detect == NEVER
         assert metrics.time_to_recover == NEVER
         assert metrics.final_separation == 0.0
@@ -82,18 +81,23 @@ class TestEvaluateTrace:
             observation(6, 0.25),
             observation(7, 0.3),
         ]
-        metrics = evaluate_trace(observations, (2, 5), detect_threshold=0.1)
+        metrics = evaluate_trace(
+            observations, (2, 5), detect_threshold=0.1, final_rank_correlation=0.6
+        )
         assert metrics.baseline_separation == pytest.approx(0.3)
         assert metrics.time_to_detect == 2  # round 4 is 2 rounds after start
         assert metrics.time_to_recover == 1  # round 6 is 1 round after end
         assert metrics.attack_separation == pytest.approx((0.0 + 0.05 + 0.15) / 3)
         assert metrics.post_separation == pytest.approx((0.1 + 0.25 + 0.3) / 3)
         assert metrics.final_separation == pytest.approx(0.3)
+        assert metrics.final_rank_correlation == 0.6
         assert metrics.detected and metrics.recovered
 
     def test_never_detected_or_recovered(self):
         observations = [observation(i, 0.01) for i in range(8)]
-        metrics = evaluate_trace(observations, (2, 5), detect_threshold=0.1)
+        metrics = evaluate_trace(
+            observations, (2, 5), detect_threshold=0.1, final_rank_correlation=0.0
+        )
         assert metrics.time_to_detect == NEVER
         assert metrics.time_to_recover == NEVER
         assert not metrics.detected and not metrics.recovered
@@ -101,13 +105,15 @@ class TestEvaluateTrace:
     def test_recovery_target_never_below_detect_threshold(self):
         # No pre-attack baseline: recovery still requires the detect level.
         observations = [observation(0, 0.0), observation(1, 0.05), observation(2, 0.2)]
-        metrics = evaluate_trace(observations, (0, 1), detect_threshold=0.1)
+        metrics = evaluate_trace(
+            observations, (0, 1), detect_threshold=0.1, final_rank_correlation=0.0
+        )
         assert metrics.baseline_separation == 0.0
         assert metrics.time_to_recover == 1  # round 2, not the trivial round 1
 
     def test_window_after_run_end_means_never(self):
         observations = [observation(i, 0.5) for i in range(4)]
-        metrics = evaluate_trace(observations, (10, 12))
+        metrics = evaluate_trace(observations, (10, 12), final_rank_correlation=0.0)
         # Detection anchors at round >= 10, which the run never reached.
         assert metrics.time_to_detect == NEVER
         assert metrics.time_to_recover == NEVER

@@ -12,7 +12,6 @@ from repro.scenarios.schema.model import (
     migrate_document,
     parse_template,
     template_from_text,
-    template_to_dict,
 )
 
 
@@ -88,19 +87,6 @@ class TestDefaults:
         assert template.campaign.churn is not None
         assert template.campaign.churn.phases[0].leave_probability == 0.3
         assert template.tier_names() == ["small", "medium"]
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("doc_builder", (minimal_doc, campaign_doc))
-    def test_parse_serialize_parse_is_identity(self, doc_builder):
-        template = parse_template(doc_builder())
-        serialized = template_to_dict(template)
-        assert parse_template(serialized) == template
-
-    def test_serialized_form_is_json_safe(self):
-        serialized = template_to_dict(parse_template(campaign_doc()))
-        reparsed = json.loads(json.dumps(serialized))
-        assert parse_template(reparsed) == parse_template(campaign_doc())
 
 
 class TestStrictness:
@@ -265,9 +251,7 @@ class TestVersioning:
             "  catalog: collusion-ring\n"
         )
         template = template_from_text(text)
-        assert template_to_dict(template)["run"] == template_to_dict(
-            template_from_text(text.replace("  backend: auto\n", ""))
-        )["run"]
+        assert template.run == template_from_text(text.replace("  backend: auto\n", "")).run
 
     def test_current_version_rejects_run_backend(self):
         with pytest.raises(TemplateError) as excinfo:
