@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass, field
 
 from repro._util import clamp, require_unit_interval
-from repro.simulation.transaction import Transaction
 from repro.socialnet.user import User
 
 
@@ -29,7 +28,8 @@ class BehaviorModel:
     """Base behaviour: honest service and truthful ratings.
 
     Subclasses override the three decision hooks.  ``name`` identifies the
-    behaviour in metrics and reports.
+    behaviour in metrics and reports.  A rating is what the consumer claims
+    about a transaction: 1.0 for a success, 0.0 for a failure.
     """
 
     name: str = "base"
@@ -40,13 +40,13 @@ class BehaviorModel:
         return clamp(base + rng.gauss(0.0, 0.05))
 
     def rate_transaction(
-        self, user: User, transaction: Transaction, rng: random.Random
+        self, user: User, provider_id: str, succeeded: bool, rng: random.Random
     ) -> tuple[float, bool]:
-        """Return ``(claimed rating, truthful?)`` for a finished transaction."""
+        """Return ``(claimed rating, truthful?)`` for a finished transaction
+        with the provider known as ``provider_id``."""
         truthful = rng.random() < user.honesty
-        actual = transaction.outcome.as_score
-        rating = actual if truthful else 1.0 - actual
-        return rating, truthful or rating == actual
+        # A truthful rater reports the outcome, a lying one its opposite.
+        return (1.0 if succeeded == truthful else 0.0), truthful
 
     def disclosure_probability(self, user: User, base_sharing: float) -> float:
         """Probability of reporting evidence, given the system sharing level.
@@ -73,9 +73,9 @@ class HonestBehavior(BehaviorModel):
     name: str = "honest"
 
     def rate_transaction(
-        self, user: User, transaction: Transaction, rng: random.Random
+        self, user: User, provider_id: str, succeeded: bool, rng: random.Random
     ) -> tuple[float, bool]:
-        return transaction.outcome.as_score, True
+        return (1.0 if succeeded else 0.0), True
 
 
 @dataclass
@@ -92,12 +92,11 @@ class MaliciousBehavior(BehaviorModel):
         return clamp(user.competence)
 
     def rate_transaction(
-        self, user: User, transaction: Transaction, rng: random.Random
+        self, user: User, provider_id: str, succeeded: bool, rng: random.Random
     ) -> tuple[float, bool]:
-        actual = transaction.outcome.as_score
         if rng.random() < self.lie_probability:
-            return 1.0 - actual, False
-        return actual, True
+            return (0.0 if succeeded else 1.0), False
+        return (1.0 if succeeded else 0.0), True
 
 
 @dataclass
@@ -175,9 +174,9 @@ class GroomingBehavior(BehaviorModel):
         return clamp(max(user.competence, self.floor_quality) + rng.gauss(0.0, 0.03))
 
     def rate_transaction(
-        self, user: User, transaction: Transaction, rng: random.Random
+        self, user: User, provider_id: str, succeeded: bool, rng: random.Random
     ) -> tuple[float, bool]:
-        return transaction.outcome.as_score, True
+        return (1.0 if succeeded else 0.0), True
 
 
 @dataclass
@@ -196,16 +195,13 @@ class SlanderBehavior(BehaviorModel):
     slander_probability: float = 1.0
 
     def rate_transaction(
-        self, user: User, transaction: Transaction, rng: random.Random
+        self, user: User, provider_id: str, succeeded: bool, rng: random.Random
     ) -> tuple[float, bool]:
-        actual = transaction.outcome.as_score
-        if transaction.provider in self.accomplices:
-            # repro-lint: ignore[R5] outcome scores are the discrete
-            # constants 0.0/1.0, so the honesty check is exact
-            return 1.0, actual == 1.0
+        if provider_id in self.accomplices:
+            return 1.0, succeeded
         if rng.random() < self.slander_probability:
-            return 0.0, actual == 0.0  # repro-lint: ignore[R5] discrete outcome
-        return actual, True
+            return 0.0, not succeeded
+        return (1.0 if succeeded else 0.0), True
 
 
 @dataclass
@@ -216,14 +212,11 @@ class CollusiveBehavior(MaliciousBehavior):
     ring: set[str] = field(default_factory=set)
 
     def rate_transaction(
-        self, user: User, transaction: Transaction, rng: random.Random
+        self, user: User, provider_id: str, succeeded: bool, rng: random.Random
     ) -> tuple[float, bool]:
-        actual = transaction.outcome.as_score
-        if transaction.provider in self.ring:
-            # repro-lint: ignore[R5] outcome scores are the discrete
-            # constants 0.0/1.0, so the honesty check is exact
-            return 1.0, actual == 1.0
-        return 0.0, actual == 0.0  # repro-lint: ignore[R5] discrete outcome
+        if provider_id in self.ring:
+            return 1.0, succeeded
+        return 0.0, not succeeded
 
 
 def behavior_for_user(

@@ -12,6 +12,12 @@ Disclosed feedback is what the reputation mechanism sees and what the privacy
 ledger accounts for — this is the concrete coupling knob between the paper's
 reputation and privacy facets.
 
+The run keeps its transactions as columns (:class:`TransactionLog`), one row
+per transaction.  A :class:`~repro.simulation.transaction.Feedback` object is
+built per transaction only when a disclosed report goes to the mechanism or
+the disclosure observer; :class:`SimulationResult` builds its object lists on
+first read.
+
 A paused simulator pickles itself: its ``__dict__`` is the checkpoint
 payload, minus the configuration the resuming caller supplies again
 (:meth:`InteractionSimulator.reattach`) and caches that refill with the same
@@ -20,8 +26,10 @@ values.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
+from functools import cached_property
 from typing import Protocol
 
 from repro import _profiling
@@ -128,24 +136,102 @@ class SimulationConfig:
             raise ConfigurationError("interactions_per_peer must be non-negative")
 
 
+class TransactionLog:
+    """A run's transactions as columns, one row per transaction.
+
+    Row ``i`` holds the transaction with id ``i + 1``: its round, the
+    consumer's and the provider's identities when it ran, the delivered
+    quality (a success from 0.5 up), the consumer's rating, whether that
+    rating was truthful and whether the consumer disclosed it.  Numbers and
+    flags are ``array`` columns; identities are lists of id strings.
+    """
+
+    def __init__(self) -> None:
+        self.rounds = array("l")
+        self.consumers: list[str] = []
+        self.providers: list[str] = []
+        self.qualities = array("d")
+        self.ratings = array("d")
+        self.truthful = array("b")
+        self.disclosed = array("b")
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def copy(self) -> TransactionLog:
+        clone = TransactionLog()
+        clone.rounds = self.rounds[:]
+        clone.consumers = self.consumers[:]
+        clone.providers = self.providers[:]
+        clone.qualities = self.qualities[:]
+        clone.ratings = self.ratings[:]
+        clone.truthful = self.truthful[:]
+        clone.disclosed = self.disclosed[:]
+        return clone
+
+    def transaction(self, row: int) -> Transaction:
+        quality = self.qualities[row]
+        return Transaction(
+            transaction_id=row + 1,
+            time=self.rounds[row],
+            consumer=self.consumers[row],
+            provider=self.providers[row],
+            outcome=TransactionOutcome.SUCCESS if quality >= 0.5 else TransactionOutcome.FAILURE,
+            quality=quality,
+        )
+
+    def feedback(self, row: int, *, anonymous: bool) -> Feedback:
+        return Feedback(
+            transaction_id=row + 1,
+            time=self.rounds[row],
+            subject=self.providers[row],
+            rating=self.ratings[row],
+            rater=None if anonymous else self.consumers[row],
+            truthful=bool(self.truthful[row]),
+        )
+
+
 @dataclass
 class SimulationResult:
-    """Everything a run produced, for downstream facet evaluation."""
+    """Everything a run produced, for downstream facet evaluation.
+
+    ``log`` is a copy of the run's columns, taken by
+    :meth:`InteractionSimulator.result`.  ``transactions``, ``feedbacks`` and
+    ``disclosed_feedbacks`` are built from it on first read, in transaction
+    order, so a caller that never reads them never pays for the objects.
+    """
 
     config: SimulationConfig
     directory: PeerDirectory
     graph: SocialGraph
-    transactions: list[Transaction]
-    feedbacks: list[Feedback]
-    disclosed_feedbacks: list[Feedback]
+    log: TransactionLog
     metrics: MetricsCollector
     ground_truth_honesty: dict[str, float]
 
+    @cached_property
+    def transactions(self) -> list[Transaction]:
+        return [self.log.transaction(row) for row in range(len(self.log))]
+
+    @cached_property
+    def feedbacks(self) -> list[Feedback]:
+        anonymous = self.config.anonymous_feedback
+        return [self.log.feedback(row, anonymous=anonymous) for row in range(len(self.log))]
+
+    @cached_property
+    def disclosed_feedbacks(self) -> list[Feedback]:
+        anonymous = self.config.anonymous_feedback
+        return [
+            self.log.feedback(row, anonymous=anonymous)
+            for row, disclosed in enumerate(self.log.disclosed)
+            if disclosed
+        ]
+
     @property
     def disclosure_rate(self) -> float:
-        if not self.feedbacks:
+        disclosed = self.log.disclosed
+        if not disclosed:
             return 0.0
-        return len(self.disclosed_feedbacks) / len(self.feedbacks)
+        return disclosed.count(1) / len(disclosed)
 
 
 #: Attributes a pickled simulator leaves out: configuration the resuming
@@ -185,10 +271,7 @@ class InteractionSimulator:
         self._rng_feedback = self._streams.stream("feedback")
         self.directory = self._build_directory()
         self.metrics = MetricsCollector()
-        self._transactions: list[Transaction] = []
-        self._feedbacks: list[Feedback] = []
-        self._disclosed: list[Feedback] = []
-        self._transaction_counter = 0
+        self._log = TransactionLog()
         #: First round the next :meth:`run_until` segment will execute.
         self._next_round = 0
         # Stateful churn models (PhasedChurnModel) rewind here so a config
@@ -223,6 +306,10 @@ class InteractionSimulator:
         return state
 
     def __setstate__(self, state: dict[str, object]) -> None:
+        if "_log" not in state:
+            # Checkpoints written while the log was three object lists
+            # carry _transactions instead; refuse them here, not mid-run.
+            raise CheckpointError("checkpoint predates the columnar transaction log")
         # The churn cursor lives inside config.churn and was pickled in
         # place, so unlike __init__ this must not reset it.
         self.__dict__.update(state)
@@ -363,58 +450,81 @@ class InteractionSimulator:
 
     # -- one round -----------------------------------------------------------
 
-    def _execute_transaction(self, consumer: Peer, provider: Peer, round_index: int) -> None:
-        rng = self._rng_transactions
-        self._transaction_counter += 1
+    def _transaction_step(self, round_index: int) -> Callable[[Peer, Peer], None]:
+        """The round's per-transaction step: serve, rate, disclose, and append
+        one row to the log.
 
-        if not provider.behavior.provides_service(provider.user, rng):
-            quality = 0.0
-        else:
-            quality = provider.behavior.serve_quality(provider.user, rng)
-        outcome = TransactionOutcome.SUCCESS if quality >= 0.5 else TransactionOutcome.FAILURE
-        transaction = Transaction(
-            transaction_id=self._transaction_counter,
-            time=round_index,
-            consumer=consumer.peer_id,
-            provider=provider.peer_id,
-            outcome=outcome,
-            quality=quality,
-        )
-        provider.served_count += 1
-        consumer.record_received(transaction.succeeded)
-        self._transactions.append(transaction)
-        self.metrics.record_transaction(transaction, provider.user.is_honest)
+        Values that hold for the whole round are read here, once.  Each
+        step draws the provider's ``provides_service`` and ``serve_quality``
+        from the "transactions" stream, then the consumer's
+        ``rate_transaction`` and one disclosure uniform from the "feedback"
+        stream.  A disclosed report becomes a :class:`Feedback` only when
+        the mechanism or the disclosure observer receives it.
+        """
+        log = self._log
+        append_round = log.rounds.append
+        append_consumer = log.consumers.append
+        append_provider = log.providers.append
+        append_quality = log.qualities.append
+        append_rating = log.ratings.append
+        append_truthful = log.truthful.append
+        append_disclosed = log.disclosed.append
+        record_transaction = self.metrics.record_transaction
+        record_feedback = self.metrics.record_feedback
+        service_rng = self._rng_transactions
+        feedback_rng = self._rng_feedback
+        disclosure_draw = feedback_rng.random
+        sharing_level = self.config.sharing_level
+        anonymous = self.config.anonymous_feedback
+        ingest = None if self.reputation is None else self.reputation.record_feedback
+        observer = self._disclosure_observer
+        receives_feedback = ingest is not None or observer is not None
 
-        self._generate_feedback(consumer, provider, transaction, round_index)
+        def step(consumer: Peer, provider: Peer) -> None:
+            service = provider.behavior
+            provider_user = provider.user
+            if service.provides_service(provider_user, service_rng):
+                quality = service.serve_quality(provider_user, service_rng)
+            else:
+                quality = 0.0
+            succeeded = quality >= 0.5
+            provider.served_count += 1
+            consumer.record_received(succeeded)
+            record_transaction(succeeded, provider_user.is_honest)
 
-    def _generate_feedback(
-        self, consumer: Peer, provider: Peer, transaction: Transaction, round_index: int
-    ) -> None:
-        rng = self._rng_feedback
-        rating, truthful = consumer.behavior.rate_transaction(consumer.user, transaction, rng)
-        rater = None if self.config.anonymous_feedback else consumer.peer_id
-        feedback = Feedback(
-            transaction_id=transaction.transaction_id,
-            time=round_index,
-            subject=provider.peer_id,
-            rating=rating,
-            rater=rater,
-            truthful=truthful,
-        )
-        self._feedbacks.append(feedback)
+            rater = consumer.behavior
+            consumer_user = consumer.user
+            provider_id = provider.peer_id
+            rating, truthful = rater.rate_transaction(
+                consumer_user, provider_id, succeeded, feedback_rng
+            )
+            disclose_probability = rater.disclosure_probability(consumer_user, sharing_level)
+            disclosed = disclosure_draw() < disclose_probability
+            record_feedback(truthful, disclosed)
 
-        disclose_probability = consumer.behavior.disclosure_probability(
-            consumer.user, self.config.sharing_level
-        )
-        disclosed = rng.random() < disclose_probability
-        self.metrics.record_feedback(feedback, disclosed)
-        if not disclosed:
-            return
-        self._disclosed.append(feedback)
-        if self.reputation is not None:
-            self.reputation.record_feedback(feedback)
-        if self._disclosure_observer is not None:
-            self._disclosure_observer(feedback, consumer, provider)
+            append_round(round_index)
+            append_consumer(consumer.peer_id)
+            append_provider(provider_id)
+            append_quality(quality)
+            append_rating(rating)
+            append_truthful(truthful)
+            append_disclosed(disclosed)
+            if not (disclosed and receives_feedback):
+                return
+            feedback = Feedback(
+                transaction_id=len(log.rounds),
+                time=round_index,
+                subject=provider_id,
+                rating=rating,
+                rater=None if anonymous else consumer.peer_id,
+                truthful=truthful,
+            )
+            if ingest is not None:
+                ingest(feedback)
+            if observer is not None:
+                observer(feedback, consumer, provider)
+
+        return step
 
     def _apply_whitewashing(self) -> None:
         if self.reputation is None:
@@ -477,6 +587,7 @@ class InteractionSimulator:
         draws = self._streams.uniforms("activity", len(online))
         counts = self._interaction_counts(online, draws)
 
+        step = self._transaction_step(round_index)
         for consumer, n_interactions in zip(online, counts, strict=True):
             if not n_interactions:
                 continue
@@ -485,8 +596,7 @@ class InteractionSimulator:
                 continue
             scores = self._candidate_scores(consumer, candidates)
             for _ in range(n_interactions):
-                provider = self._select_from(candidates, scores)
-                self._execute_transaction(consumer, provider, round_index)
+                step(consumer, self._select_from(candidates, scores))
 
         if self.reputation is not None and hasattr(self.reputation, "refresh"):
             self._refresh_round_scores()
@@ -522,15 +632,16 @@ class InteractionSimulator:
         return self._next_round
 
     def result(self) -> SimulationResult:
-        """The collected result of the rounds executed so far."""
+        """The collected result of the rounds executed so far.
+
+        It holds a copy of the log, so rounds run later leave it unchanged.
+        """
         ground_truth = {peer.base_id: peer.user.honesty for peer in self.directory.peers()}
         return SimulationResult(
             config=self.config,
             directory=self.directory,
             graph=self.graph,
-            transactions=list(self._transactions),
-            feedbacks=list(self._feedbacks),
-            disclosed_feedbacks=list(self._disclosed),
+            log=self._log.copy(),
             metrics=self.metrics,
             ground_truth_honesty=ground_truth,
         )

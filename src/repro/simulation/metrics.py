@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro._util import mean
-from repro.simulation.transaction import Feedback, Transaction
 
 
 @dataclass
@@ -56,12 +55,10 @@ class RoundMetrics:
 
 
 class MetricsCollector:
-    """Accumulates :class:`RoundMetrics` and per-peer counters over a run."""
+    """Accumulates one :class:`RoundMetrics` per round over a run."""
 
     def __init__(self) -> None:
         self.rounds: list[RoundMetrics] = []
-        self._per_peer_provided: dict[str, int] = {}
-        self._per_peer_good_provided: dict[str, int] = {}
         self._current: RoundMetrics = RoundMetrics(round_index=0)
 
     def start_round(self, round_index: int, online_peers: int) -> None:
@@ -71,10 +68,8 @@ class MetricsCollector:
         self.rounds.append(self._current)
         return self._current
 
-    def record_transaction(self, transaction: Transaction, provider_honest: bool) -> None:
+    def record_transaction(self, succeeded: bool, provider_honest: bool) -> None:
         current = self._current
-        succeeded = transaction.succeeded
-        provider = transaction.provider
         current.transactions += 1
         if succeeded:
             current.successes += 1
@@ -82,18 +77,13 @@ class MetricsCollector:
             current.failures += 1
         if not provider_honest:
             current.malicious_provider_transactions += 1
-        self._per_peer_provided[provider] = self._per_peer_provided.get(provider, 0) + 1
-        if succeeded:
-            self._per_peer_good_provided[provider] = (
-                self._per_peer_good_provided.get(provider, 0) + 1
-            )
 
-    def record_feedback(self, feedback: Feedback, disclosed: bool) -> None:
+    def record_feedback(self, truthful: bool, disclosed: bool) -> None:
         current = self._current
         current.feedback_generated += 1
         if disclosed:
             current.feedback_disclosed += 1
-        if feedback.truthful:
+        if truthful:
             current.truthful_feedback += 1
 
     # -- run-level summaries ----------------------------------------------
@@ -129,12 +119,6 @@ class MetricsCollector:
         if generated == 0:
             return 0.0
         return sum(r.truthful_feedback for r in self.rounds) / generated
-
-    def provider_success_rate(self, peer_id: str) -> float:
-        provided = self._per_peer_provided.get(peer_id, 0)
-        if provided == 0:
-            return 0.0
-        return self._per_peer_good_provided.get(peer_id, 0) / provided
 
     def success_rate_series(self) -> list[float]:
         return [r.success_rate for r in self.rounds]

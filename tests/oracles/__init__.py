@@ -15,5 +15,6 @@ kernels to:
 * :mod:`tests.oracles.coupling` — the Section-3 coupling trajectories,
   equilibria and the Figure-1 sensitivity matrix;
 * :mod:`tests.oracles.simulation` — the simulator's per-round interaction
-  counts.
+  counts, and its object-per-transaction twin: a simulator that builds a
+  ``Transaction`` and a ``Feedback`` per transaction, eagerly.
 """

@@ -6,7 +6,8 @@ coupling parameterization, the kernels must compute the same numbers:
 raw scores within 1e-9, published (quantized) scores, coupling
 trajectories, interaction counts and whole simulated runs exactly equal.
 The blocked power iteration must return the bytes and the step count of
-the per-step loop it replaced.
+the per-step loop it replaced, and the simulator's columnar transaction log
+must hold the objects its object-per-transaction twin built.
 """
 
 from types import SimpleNamespace
@@ -258,3 +259,91 @@ def test_simulated_trajectories_match_oracle(
     assert run(InteractionSimulator, kernel_cls) == run(
         simulation_oracle.OracleSimulator, oracle_cls
     )
+
+
+class RecordingMechanism:
+    """Wraps a mechanism and keeps every report it receives, in order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.received = []
+
+    def record_feedback(self, feedback):
+        self.received.append(feedback)
+        self.inner.record_feedback(feedback)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    malicious=st.floats(0.0, 0.6),
+    traitors=st.floats(0.0, 1.0),
+    whitewashers=st.floats(0.0, 1.0),
+    selfish=st.floats(0.0, 1.0),
+    collusion=st.floats(0.0, 1.0),
+    sharing_level=st.floats(0.0, 1.0),
+    anonymous=st.booleans(),
+    pair_index=st.one_of(st.none(), st.integers(0, len(PAIRS) - 1)),
+    observed=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_columnar_log_matches_eager_objects(
+    seed,
+    malicious,
+    traitors,
+    whitewashers,
+    selfish,
+    collusion,
+    sharing_level,
+    anonymous,
+    pair_index,
+    observed,
+):
+    """The columnar step and the object-per-transaction twin run the same
+    transactions, and the reports a mechanism or an observer receives are
+    the result's disclosed feedback, in order."""
+
+    def run(simulator_cls):
+        graph = generate_social_network(
+            SocialNetworkSpec(n_users=16, malicious_fraction=malicious, seed=seed)
+        )
+        reputation = None
+        if pair_index is not None:
+            mechanism_cls, _, _, kwargs = PAIRS[pair_index]
+            reputation = RecordingMechanism(mechanism_cls(**kwargs))
+        seen = []
+        result = simulator_cls(
+            graph,
+            SimulationConfig(
+                rounds=6,
+                seed=seed,
+                sharing_level=sharing_level,
+                anonymous_feedback=anonymous,
+                traitor_fraction=traitors,
+                whitewasher_fraction=whitewashers,
+                selfish_fraction=selfish,
+                collusion_fraction=collusion,
+            ),
+            reputation=reputation,
+            disclosure_observer=(lambda feedback, *_: seen.append(feedback)) if observed else None,
+        ).run()
+        if reputation is not None:
+            assert reputation.received == result.disclosed_feedbacks
+        if observed:
+            assert seen == result.disclosed_feedbacks
+        return (
+            result.transactions,
+            result.feedbacks,
+            result.disclosed_feedbacks,
+            result.disclosure_rate,
+            result.metrics.rounds,
+            [
+                (p.peer_id, p.served_count, p.consumed_count, p.good_received, p.bad_received)
+                for p in result.directory.peers()
+            ],
+            None if reputation is None else reputation.refresh(),
+        )
+
+    assert run(InteractionSimulator) == run(simulation_oracle.EagerSimulator)

@@ -14,19 +14,7 @@ from repro.simulation.adversary import (
     WhitewasherBehavior,
     behavior_for_user,
 )
-from repro.simulation.transaction import Transaction, TransactionOutcome
 from repro.socialnet.user import User
-
-
-def make_transaction(provider="p", outcome=TransactionOutcome.SUCCESS):
-    return Transaction(
-        transaction_id=1,
-        time=0,
-        consumer="c",
-        provider=provider,
-        outcome=outcome,
-        quality=outcome.as_score,
-    )
 
 
 @pytest.fixture()
@@ -46,12 +34,10 @@ class TestHonestBehavior:
 
     def test_always_truthful(self, honest_user, rng):
         behavior = HonestBehavior()
-        for outcome in TransactionOutcome:
-            rating, truthful = behavior.rate_transaction(
-                honest_user, make_transaction(outcome=outcome), rng
-            )
+        for succeeded in (True, False):
+            rating, truthful = behavior.rate_transaction(honest_user, "p", succeeded, rng)
             assert truthful
-            assert rating == outcome.as_score
+            assert rating == (1.0 if succeeded else 0.0)
 
 
 class TestMaliciousBehavior:
@@ -61,7 +47,7 @@ class TestMaliciousBehavior:
 
     def test_mostly_lies(self, malicious_user, rng):
         behavior = MaliciousBehavior(lie_probability=1.0)
-        rating, truthful = behavior.rate_transaction(malicious_user, make_transaction(), rng)
+        rating, truthful = behavior.rate_transaction(malicious_user, "p", True, rng)
         assert rating == 0.0
         assert not truthful
 
@@ -105,20 +91,12 @@ class TestWhitewasherBehavior:
 class TestCollusiveBehavior:
     def test_inflates_ring_members(self, malicious_user, rng):
         behavior = CollusiveBehavior(ring={"ally"})
-        rating, _ = behavior.rate_transaction(
-            malicious_user,
-            make_transaction(provider="ally", outcome=TransactionOutcome.FAILURE),
-            rng,
-        )
+        rating, _ = behavior.rate_transaction(malicious_user, "ally", False, rng)
         assert rating == 1.0
 
     def test_deflates_outsiders(self, malicious_user, rng):
         behavior = CollusiveBehavior(ring={"ally"})
-        rating, _ = behavior.rate_transaction(
-            malicious_user,
-            make_transaction(provider="victim", outcome=TransactionOutcome.SUCCESS),
-            rng,
-        )
+        rating, _ = behavior.rate_transaction(malicious_user, "victim", True, rng)
         assert rating == 0.0
 
 

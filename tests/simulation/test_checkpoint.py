@@ -7,8 +7,14 @@ import stat
 import pytest
 
 from repro.errors import CheckpointError
+from repro.scenarios.runner import (
+    ScenarioCheckpoint,
+    ScenarioRunConfig,
+    resume_scenario,
+    run_scenario,
+)
 from repro.simulation.checkpoint import CHECKPOINT_MAGIC, read_checkpoint, write_checkpoint
-from repro.simulation.engine import InteractionSimulator, SimulationConfig
+from repro.simulation.engine import _NOT_PICKLED, InteractionSimulator, SimulationConfig
 from repro.simulation.rng import RandomStreams
 from repro.socialnet.generators import SocialNetworkSpec, generate_social_network
 
@@ -176,3 +182,61 @@ class TestSimulatorCheckpoint:
             resumed.run()
         resumed.reattach()
         assert resumed.run_until(10) == 10
+
+
+def blank_simulator():
+    return InteractionSimulator.__new__(InteractionSimulator)
+
+
+class PicklesAsSimulator:
+    """Pickles as an :class:`InteractionSimulator` whose state is ``state``."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __reduce__(self):
+        return (blank_simulator, (), self.state)
+
+
+class TestCheckpointLayout:
+    def test_checkpoint_with_object_lists_is_refused_on_load(self, tmp_path):
+        """A scenario checkpoint from before the columnar log carries the
+        transactions and feedback as three object lists and a counter; it
+        fails as it is read, not later in the run."""
+        path = str(tmp_path / "run.ckpt")
+        config = ScenarioRunConfig(
+            scenario="collusion-ring", mechanism="beta", n_users=16, rounds=6, seed=3
+        )
+        direct = run_scenario(config)
+        run_scenario(config, checkpoint_every=3, checkpoint_path=path)
+        _, checkpoint = read_checkpoint(path, expected_kind="scenario")
+        state = {
+            name: value
+            for name, value in vars(checkpoint.simulator).items()
+            if name not in _NOT_PICKLED
+        }
+
+        def write(simulator_state):
+            payload = ScenarioCheckpoint(
+                config=config, simulator=PicklesAsSimulator(simulator_state)
+            )
+            write_checkpoint(path, "scenario", payload, round_index=config.rounds)
+
+        # Control: the state as it is resumes.
+        write(state)
+        assert resume_scenario(path).simulation.feedbacks == direct.simulation.feedbacks
+
+        done = checkpoint.simulator.result()
+        parent_state = dict(state)
+        del parent_state["_log"]
+        parent_state.update(
+            _transactions=done.transactions,
+            _feedbacks=done.feedbacks,
+            _disclosed=done.disclosed_feedbacks,
+            _transaction_counter=len(done.transactions),
+        )
+        with pytest.raises(CheckpointError, match="predates the columnar transaction log"):
+            pickle.loads(pickle.dumps(PicklesAsSimulator(parent_state)))
+        write(parent_state)
+        with pytest.raises(CheckpointError, match="cannot unpickle checkpoint payload"):
+            resume_scenario(path)

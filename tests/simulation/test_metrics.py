@@ -3,24 +3,6 @@
 import pytest
 
 from repro.simulation.metrics import MetricsCollector, RoundMetrics
-from repro.simulation.transaction import Feedback, Transaction, TransactionOutcome
-
-
-def make_transaction(tid: int, outcome=TransactionOutcome.SUCCESS, provider="p"):
-    return Transaction(
-        transaction_id=tid,
-        time=0,
-        consumer="c",
-        provider=provider,
-        outcome=outcome,
-        quality=outcome.as_score,
-    )
-
-
-def make_feedback(tid: int, truthful=True):
-    return Feedback(
-        transaction_id=tid, time=0, subject="p", rating=1.0, rater="c", truthful=truthful
-    )
 
 
 class TestRoundMetrics:
@@ -52,17 +34,14 @@ class TestMetricsCollector:
     def build(self) -> MetricsCollector:
         collector = MetricsCollector()
         collector.start_round(0, online_peers=5)
-        collector.record_transaction(make_transaction(1), provider_honest=True)
-        collector.record_transaction(
-            make_transaction(2, TransactionOutcome.FAILURE, provider="bad"),
-            provider_honest=False,
-        )
-        collector.record_feedback(make_feedback(1), disclosed=True)
-        collector.record_feedback(make_feedback(2, truthful=False), disclosed=False)
+        collector.record_transaction(succeeded=True, provider_honest=True)
+        collector.record_transaction(succeeded=False, provider_honest=False)
+        collector.record_feedback(truthful=True, disclosed=True)
+        collector.record_feedback(truthful=False, disclosed=False)
         collector.end_round()
         collector.start_round(1, online_peers=5)
-        collector.record_transaction(make_transaction(3), provider_honest=True)
-        collector.record_feedback(make_feedback(3), disclosed=True)
+        collector.record_transaction(succeeded=True, provider_honest=True)
+        collector.record_feedback(truthful=True, disclosed=True)
         collector.end_round()
         return collector
 
@@ -79,12 +58,6 @@ class TestMetricsCollector:
         assert collector.overall_malicious_rate == pytest.approx(1 / 3)
         assert collector.overall_disclosure_rate == pytest.approx(2 / 3)
         assert collector.overall_honest_feedback_rate == pytest.approx(2 / 3)
-
-    def test_provider_success_rate(self):
-        collector = self.build()
-        assert collector.provider_success_rate("p") == 1.0
-        assert collector.provider_success_rate("bad") == 0.0
-        assert collector.provider_success_rate("unknown") == 0.0
 
     def test_series_and_tails(self):
         collector = self.build()
