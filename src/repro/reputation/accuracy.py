@@ -10,9 +10,8 @@ all, consistency with the reality".  The simulator knows the ground truth
 * :func:`mean_absolute_error` — distance between scores and honesty;
 * :func:`reputation_power` — the composite in ``[0, 1]`` used as the
   reputation facet input;
-* :func:`spearman_rank_correlation` / :func:`score_separation` — the
-  robustness-scenario measures: rank agreement with ground truth and the
-  good-vs-bad score gap attack campaigns try to collapse.
+* :func:`spearman_rank_correlation` — the robustness-scenario measure of
+  rank agreement with ground truth.
 """
 
 from __future__ import annotations
@@ -108,21 +107,6 @@ def spearman_rank_correlation(
     if score_variance == 0.0 or truth_variance == 0.0:
         return 0.0
     return covariance / (score_variance * truth_variance) ** 0.5
-
-
-def score_separation(scores: Mapping[str, float], ground_truth: Mapping[str, float]) -> float:
-    """Mean honest score minus mean dishonest score, in ``[-1, 1]``.
-
-    The single number an attack campaign tries to drive to zero (or below):
-    how far apart the mechanism holds the good and the bad population.
-    Returns 0.0 when either class has no scored peer.
-    """
-    aligned = _aligned(scores, ground_truth)
-    honest = [aligned[peer] for peer in aligned if ground_truth[peer] >= 0.5]
-    dishonest = [aligned[peer] for peer in aligned if ground_truth[peer] < 0.5]
-    if not honest or not dishonest:
-        return 0.0
-    return mean(honest) - mean(dishonest)
 
 
 def reputation_power(

@@ -28,7 +28,7 @@ from typing import cast
 
 from repro._util import mean
 from repro.errors import CheckpointError
-from repro.reputation.accuracy import score_separation, spearman_rank_correlation
+from repro.reputation.accuracy import spearman_rank_correlation
 from repro.simulation.engine import InteractionSimulator
 
 #: A peer never detected / never recovered within the run.
@@ -60,10 +60,18 @@ class ScenarioTrace:
     including freshly whitewashed identities — count at the mechanism's
     default score, so an identity reset shows up as the attacker mean
     snapping back toward the default.
+
+    A trace observes one run, whose users never change, so it builds the
+    ground-truth quality once, at its first round (after a checkpoint
+    restore, from the restored directory).
     """
 
     def __init__(self) -> None:
         self.observations: list[RoundObservation] = []
+        #: Ground-truth service quality per base id: competence delivered
+        #: at the honesty rate, the quantity a consistent mechanism should
+        #: rank.  Not checkpointed; rebuilt from the directory.
+        self._quality_truth: dict[str, float] | None = None
         #: (scores, quality truth) of the latest round, for the lazy final
         #: correlation; replaced wholesale every round, never mutated.
         self._final_inputs: tuple[dict[str, float], dict[str, float]] | None = None
@@ -77,28 +85,25 @@ class ScenarioTrace:
     ) -> None:
         reputation = simulator.reputation
         default = getattr(reputation, "default_score", 0.5) if reputation else 0.5
+        peers = simulator.directory.peers()
+        quality_truth = self._quality_truth
+        if quality_truth is None:
+            quality_truth = self._quality_truth = {
+                peer.base_id: peer.user.honesty * peer.user.competence for peer in peers
+            }
         current_scores: dict[str, float] = {}
-        honesty_truth: dict[str, float] = {}
-        quality_truth: dict[str, float] = {}
         honest_scores: list[float] = []
         attacker_scores: list[float] = []
-        for peer in simulator.directory.peers():
+        for peer in peers:
             score = scores.get(peer.peer_id, default)
             current_scores[peer.base_id] = score
-            honesty_truth[peer.base_id] = peer.user.honesty
-            # Ground-truth service quality: competence delivered at the
-            # honesty rate — the quantity a consistent mechanism should rank.
-            quality_truth[peer.base_id] = peer.user.honesty * peer.user.competence
             if peer.user.is_honest:
                 honest_scores.append(score)
             else:
                 attacker_scores.append(score)
         honest_mean = mean(honest_scores) if honest_scores else 0.0
         attacker_mean = mean(attacker_scores) if attacker_scores else 0.0
-        # score_separation classifies by honesty >= 0.5, the same split as
-        # User.is_honest, so it equals honest_mean - attacker_mean whenever
-        # both classes are populated.
-        separation = score_separation(current_scores, honesty_truth)
+        separation = honest_mean - attacker_mean if honest_scores and attacker_scores else 0.0
         self._final_inputs = (current_scores, quality_truth)
         last_round = simulator.metrics.rounds[-1]
         self.observations.append(
@@ -148,6 +153,7 @@ class ScenarioTrace:
         if not isinstance(observations, list):
             raise CheckpointError("malformed scenario-trace checkpoint state")
         self.observations = observations
+        self._quality_truth = None
         self._final_inputs = cast(
             "tuple[dict[str, float], dict[str, float]] | None", state.get("final_inputs")
         )

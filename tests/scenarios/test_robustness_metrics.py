@@ -1,9 +1,14 @@
 """Unit tests for the robustness metrics and the accuracy primitives."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.reputation.accuracy import score_separation, spearman_rank_correlation
-from repro.scenarios.metrics import NEVER, RoundObservation, evaluate_trace
+from repro.reputation.accuracy import spearman_rank_correlation
+from repro.scenarios.metrics import NEVER, RoundObservation, ScenarioTrace, evaluate_trace
+from repro.simulation.metrics import MetricsCollector
+from repro.simulation.peer import Peer, PeerDirectory
+from repro.socialnet.user import User
 
 
 def observation(round_index, separation, malicious_rate=0.2):
@@ -50,15 +55,41 @@ class TestSpearman:
         assert spearman_rank_correlation(scores, truth) == pytest.approx(1.0)
 
 
-class TestScoreSeparation:
-    def test_separates_classes(self):
-        scores = {"good": 0.8, "bad": 0.2}
-        truth = {"good": 0.9, "bad": 0.1}
-        assert score_separation(scores, truth) == pytest.approx(0.6)
+def observe_one_round(users, scores):
+    """The observation a trace records for one round over these users."""
+    metrics = MetricsCollector()
+    metrics.start_round(0, online_peers=len(users))
+    metrics.end_round()
+    simulator = SimpleNamespace(
+        reputation=None,
+        directory=PeerDirectory([Peer(user=user) for user in users]),
+        metrics=metrics,
+    )
+    trace = ScenarioTrace()
+    trace.on_round_end(simulator, 0, scores)
+    return trace.observations[0]
 
-    def test_empty_class_returns_zero(self):
-        assert score_separation({"good": 0.8}, {"good": 0.9}) == 0.0
-        assert score_separation({}, {}) == 0.0
+
+class TestScenarioTrace:
+    def test_separation_is_the_class_mean_gap(self):
+        users = [
+            User(user_id="good", honesty=0.9),
+            User(user_id="bad", honesty=0.1),
+            User(user_id="worse", honesty=0.2),
+        ]
+        observation = observe_one_round(users, {"good": 0.8, "bad": 0.2, "worse": 0.4})
+        assert observation.honest_mean == 0.8
+        assert observation.attacker_mean == pytest.approx(0.3)
+        assert observation.separation == observation.honest_mean - observation.attacker_mean
+
+    def test_empty_class_gives_zero_separation(self):
+        honest_only = observe_one_round([User(user_id="good", honesty=0.9)], {"good": 0.8})
+        assert honest_only.separation == 0.0
+        assert (honest_only.honest_mean, honest_only.attacker_mean) == (0.8, 0.0)
+        # A peer the mechanism has no score for counts at the default.
+        attackers_only = observe_one_round([User(user_id="bad", honesty=0.1)], {})
+        assert attackers_only.separation == 0.0
+        assert (attackers_only.honest_mean, attackers_only.attacker_mean) == (0.0, 0.5)
 
 
 class TestEvaluateTrace:
