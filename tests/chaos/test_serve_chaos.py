@@ -201,6 +201,7 @@ class TestSigkillMidWindow:
                     break
             assert died_at is not None, "the kill rule never fired"
         finally:
+            client.close()
             first.kill()
 
         acked = client.total_acked_events
@@ -208,15 +209,15 @@ class TestSigkillMidWindow:
 
         second = _Server(tmp_path, "after", "--wal", str(wal_path))
         try:
-            survivor = ResilientClient("127.0.0.1", second.port, client_id="survivor")
-            health = survivor.health()
-            # Zero acked events lost; the killed batch was never acked.
-            assert health["ingested"] == acked
-            # Finish the stream and compare byte-identically to a session
-            # that never crashed.
-            for start in range(died_at, len(trace), BATCH):
-                survivor.ingest(trace[start : start + BATCH])
-            served = survivor.raw_scores()
+            with ResilientClient("127.0.0.1", second.port, client_id="survivor") as survivor:
+                health = survivor.health()
+                # Zero acked events lost; the killed batch was never acked.
+                assert health["ingested"] == acked
+                # Finish the stream and compare byte-identically to a session
+                # that never crashed.
+                for start in range(died_at, len(trace), BATCH):
+                    survivor.ingest(trace[start : start + BATCH])
+                served = survivor.raw_scores()
         finally:
             second.kill()
 
