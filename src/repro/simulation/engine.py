@@ -160,13 +160,7 @@ class TransactionLog:
 
     def copy(self) -> TransactionLog:
         clone = TransactionLog()
-        clone.rounds = self.rounds[:]
-        clone.consumers = self.consumers[:]
-        clone.providers = self.providers[:]
-        clone.qualities = self.qualities[:]
-        clone.ratings = self.ratings[:]
-        clone.truthful = self.truthful[:]
-        clone.disclosed = self.disclosed[:]
+        clone.__dict__.update({name: column[:] for name, column in vars(self).items()})
         return clone
 
     def transaction(self, row: int) -> Transaction:
@@ -511,14 +505,7 @@ class InteractionSimulator:
             append_disclosed(disclosed)
             if not (disclosed and receives_feedback):
                 return
-            feedback = Feedback(
-                transaction_id=len(log.rounds),
-                time=round_index,
-                subject=provider_id,
-                rating=rating,
-                rater=None if anonymous else consumer.peer_id,
-                truthful=truthful,
-            )
+            feedback = log.feedback(len(log.rounds) - 1, anonymous=anonymous)
             if ingest is not None:
                 ingest(feedback)
             if observer is not None:
