@@ -227,16 +227,16 @@ class TestCheckpointLayout:
         assert resume_scenario(path).simulation.feedbacks == direct.simulation.feedbacks
 
         done = checkpoint.simulator.result()
-        parent_state = dict(state)
-        del parent_state["_log"]
-        parent_state.update(
+        old_layout = dict(state)
+        del old_layout["_log"]
+        old_layout.update(
             _transactions=done.transactions,
             _feedbacks=done.feedbacks,
             _disclosed=done.disclosed_feedbacks,
             _transaction_counter=len(done.transactions),
         )
         with pytest.raises(CheckpointError, match="predates the columnar transaction log"):
-            pickle.loads(pickle.dumps(PicklesAsSimulator(parent_state)))
-        write(parent_state)
+            pickle.loads(pickle.dumps(PicklesAsSimulator(old_layout)))
+        write(old_layout)
         with pytest.raises(CheckpointError, match="cannot unpickle checkpoint payload"):
             resume_scenario(path)
