@@ -25,8 +25,9 @@ payload whose pickled classes are gone or reshaped keeps its version: the
 file still verifies, because its digest is intact, but reading it raises
 :class:`~repro.errors.CheckpointError` ("cannot unpickle checkpoint
 payload").  A scenario checkpoint written before simulators pickled
-themselves fails that way; the committed version-1 service snapshots still
-restore.
+themselves fails that way, as does one whose simulator still holds its
+transactions as object lists; the committed version-1 service snapshots
+still restore.
 """
 
 from __future__ import annotations
