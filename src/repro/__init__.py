@@ -32,7 +32,7 @@ they require:
     figure and qualitative claim of the paper.
 ``repro.serving``
     The live layer: a :class:`~repro.serving.service.ReputationService`
-    session behind HTTP adapters (``repro-serve``), fed by streaming
+    session behind HTTP adapters (``repro serve``), fed by streaming
     feedback and durable through checkpoint snapshots.
 ``repro.api``
     The blessed public facade.  Client code (examples, benchmarks,

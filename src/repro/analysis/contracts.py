@@ -80,12 +80,10 @@ DEFAULT_CACHE_CONTRACTS: tuple[CacheContract, ...] = (
         module="repro/reputation/gathering.py",
         class_name="FeedbackStore",
         counters=("_version", "_epoch"),
-        cache_fields=(
-            "_columns",
-            "_columns_stale",
-            "_participants_state",
-            "_participants_sorted",
-        ),
+        cache_fields=("_participants_state", "_participants_sorted"),
+        # ``columns`` compacts rows whose eviction already bumped the epoch
+        # out of the log; ``__setstate__`` restores pickled counters.
+        exempt_methods=("__init__", "__post_init__", "__setstate__", "columns"),
     ),
     CacheContract(
         module="repro/reputation/gathering.py",

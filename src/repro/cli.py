@@ -14,10 +14,6 @@ seed.  A first argument that is not a subcommand is treated as ``run``
 input, so ``repro figure1 --full`` runs one experiment; a bare ``repro``
 prints the overview.
 
-The ``repro-serve`` and ``repro-scenario`` console scripts are deprecated
-spellings of ``repro serve`` and ``repro scenario``: each prints one
-notice on stderr and forwards here, with the same flags and output.
-
 Each subcommand imports its own stack when it runs, so ``repro serve``
 never loads the experiment, sweep or scenario code.
 """
@@ -433,24 +429,6 @@ def dispatch(argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     return dispatch(list(sys.argv[1:] if argv is None else argv))
-
-
-def _deprecated_script(command: str, argv: list[str] | None) -> int:
-    print(
-        f"repro-{command} is deprecated; use repro {command} (same flags, same output)",
-        file=sys.stderr,
-    )
-    return dispatch([command, *(sys.argv[1:] if argv is None else argv)])
-
-
-def serve_script(argv: list[str] | None = None) -> int:
-    """The deprecated ``repro-serve`` console script."""
-    return _deprecated_script("serve", argv)
-
-
-def scenario_script(argv: list[str] | None = None) -> int:
-    """The deprecated ``repro-scenario`` console script."""
-    return _deprecated_script("scenario", argv)
 
 
 if __name__ == "__main__":

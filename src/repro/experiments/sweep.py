@@ -49,7 +49,6 @@ import math
 import random
 import time
 import traceback
-import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -567,28 +566,6 @@ class SweepExecutor:
                 rebuilds += 1
                 if rebuilds > self.max_pool_rebuilds:
                     raise
-
-    def map_records(
-        self,
-        tasks: Sequence[SweepTask],
-        *,
-        on_record: RecordCallback | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> list[ExperimentRecord]:
-        """Execute tasks on the pool; return and stream records in task order.
-
-        Deprecated: use ``run_sweep(..., executor=..., on_record=...)``,
-        which returns the same records.  ``on_record`` (when given) is
-        invoked for every record as soon as the ordered prefix up to it has
-        completed.  Worker deaths are recovered as in :meth:`completions`.
-        """
-        warnings.warn(
-            "SweepExecutor.map_records is deprecated; use "
-            "run_sweep(..., executor=..., on_record=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _in_task_order(tasks, self.completions(tasks, retry), on_record)
 
     def shutdown(self) -> None:
         """Stop the worker processes (idempotent)."""

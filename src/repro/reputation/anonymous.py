@@ -21,6 +21,7 @@ import random
 
 from repro._util import require_unit_interval
 from repro.reputation.base import ReputationSystem
+from repro.reputation.gathering import FeedbackStore
 from repro.simulation.transaction import Feedback
 
 
@@ -37,8 +38,13 @@ class AnonymousFeedbackReputation(ReputationSystem):
         strip_identity: bool = True,
         seed: int = 0,
     ) -> None:
-        super().__init__(default_score=inner.default_score)
+        # Not ReputationSystem.__init__, which builds a store: the wrapper
+        # holds no evidence, so its ``store`` (hence ``evidence_count`` and
+        # ``known_peers``) is the inner mechanism's.
         self.inner = inner
+        self.default_score = inner.default_score
+        self._scores: dict[str, float] = {}
+        self._dirty = False
         #: Truth-retention parameter of randomized response: with probability
         #: ``epsilon`` the true rating is forwarded, otherwise a fair coin is
         #: reported.  ``epsilon=1`` disables perturbation.
@@ -47,6 +53,10 @@ class AnonymousFeedbackReputation(ReputationSystem):
         self._rng = random.Random(seed)
         self.perturbed_reports = 0
         self.anonymized_reports = 0
+
+    @property
+    def store(self) -> FeedbackStore:  # type: ignore[override]
+        return self.inner.store
 
     @property
     def information_requirement(self) -> float:  # type: ignore[override]
@@ -76,17 +86,13 @@ class AnonymousFeedbackReputation(ReputationSystem):
         )
 
     def record_feedback(self, feedback: Feedback) -> None:
-        transformed = self._transform_feedback(feedback)
-        self.store.add(transformed)
+        self.inner.record_feedback(self._transform_feedback(feedback))
         self._dirty = True
-        self.inner.record_feedback(transformed)
 
     def compute_scores(self) -> dict[str, float]:
-        return self.inner.compute_scores()
-
-    def refresh(self) -> dict[str, float]:
-        self.inner.refresh()
-        return super().refresh()
+        # The inner mechanism's published scores: clamping and the 1e-9
+        # rounding are idempotent, so publishing them again changes nothing.
+        return self.inner.refresh()
 
     def reset(self) -> None:
         super().reset()

@@ -20,7 +20,7 @@ class SimpleAverageReputation(ReputationSystem):
     only the feedback appended since the previous refresh, and a history
     rewrite (eviction, ``clear``) restarts the fold from the first report.
     The running sum left-folds ratings in exactly the order a rescan of the
-    subject's bucket would (per-subject append order), so the score is
+    subject's reports would (per-subject append order), so the score is
     *bitwise* identical to a per-subject mean over the whole store — no
     quantization needed to absorb it.
     """
@@ -44,17 +44,19 @@ class SimpleAverageReputation(ReputationSystem):
         position = self._agg_watermark[1]
         if position < len(columns):
             agg = self._agg
-            subjects = columns.subjects
+            ids = columns.id_for_code
+            subject_codes = columns.subject_codes
             ratings = columns.ratings
-            for index in range(position, len(subjects)):
-                entry = agg.get(subjects[index])
+            for index in range(position, len(subject_codes)):
+                subject = ids[subject_codes[index]]
+                entry = agg.get(subject)
                 if entry is None:
-                    agg[subjects[index]] = [ratings[index], 1]
+                    agg[subject] = [ratings[index], 1]
                 else:
                     entry[0] += ratings[index]
                     entry[1] += 1
-            self._agg_watermark = (epoch, len(subjects))
-            _profiling.add_work("folded.average", len(subjects) - position)
+            self._agg_watermark = (epoch, len(subject_codes))
+            _profiling.add_work("folded.average", len(subject_codes) - position)
         agg = self._agg
         return {
             subject: agg[subject][0] / agg[subject][1] for subject in self.store.subjects()

@@ -112,12 +112,8 @@ class ReputationSystem(abc.ABC):
 
     def record_feedback(self, feedback: Feedback) -> None:
         """Ingest one disclosed feedback report."""
-        self.store.add(self._transform_feedback(feedback))
+        self.store.add(feedback)
         self._dirty = True
-
-    def _transform_feedback(self, feedback: Feedback) -> Feedback:
-        """Hook for wrappers that blind or perturb incoming feedback."""
-        return feedback
 
     @property
     def evidence_count(self) -> int:

@@ -58,7 +58,8 @@ class BetaReputation(ReputationSystem):
     def _fold(self, start: int) -> None:
         columns = self.store.columns()
         agg = self._agg
-        subjects = columns.subjects
+        ids = columns.id_for_code
+        subject_codes = columns.subject_codes
         positives = columns.positives
         times = columns.times
         forgetting = self.forgetting
@@ -66,8 +67,8 @@ class BetaReputation(ReputationSystem):
         # fold fast path; forgetting arrives by assignment, not arithmetic
         exact = forgetting == 1.0
         prior = 1.0 if exact else 0.0
-        for index in range(start, len(subjects)):
-            subject = subjects[index]
+        for index in range(start, len(subject_codes)):
+            subject = ids[subject_codes[index]]
             time = times[index]
             entry = agg.get(subject)
             if entry is None:

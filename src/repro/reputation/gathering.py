@@ -10,8 +10,8 @@ difference is what the privacy facet measures.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
@@ -23,23 +23,21 @@ from repro.simulation.transaction import Feedback
 
 @dataclass
 class FeedbackColumns:
-    """The stored feedback in structure-of-arrays form.
+    """The store's report log: one row of parallel columns per report, in
+    arrival order, and the only record of a report (:meth:`feedback`
+    rebuilds it).
 
-    Parallel columns (one entry per report) that vectorized kernels turn
-    into NumPy arrays without touching one :class:`Feedback` object per
-    report — the per-object walk is exactly the overhead the array kernels
-    exist to avoid.  Numeric columns live in ``array.array``
-    buffers, which NumPy views zero-copy; peer identifiers are *interned*
-    into dense integer codes (``id_for_code`` maps a code back to the
-    string), so kernels can translate a whole column with one permutation
-    gather instead of one dict lookup per report.  Maintained incrementally
-    on :meth:`FeedbackStore.add` and rebuilt lazily after evictions.
+    Numeric columns live in ``array.array`` buffers, which NumPy views
+    zero-copy; peer identifiers are *interned* into dense integer codes
+    (``id_for_code`` maps a code back to the string), so kernels can
+    translate a whole column with one permutation gather instead of one
+    dict lookup per report.  A double holds every integer time up to 2**53.
     """
 
-    subjects: list[str] = field(default_factory=list)
-    raters: list[str | None] = field(default_factory=list)
+    transaction_ids: array = field(default_factory=lambda: array("q"))
     ratings: array = field(default_factory=lambda: array("d"))
     positives: array = field(default_factory=lambda: array("b"))
+    truthful: array = field(default_factory=lambda: array("b"))
     times: array = field(default_factory=lambda: array("d"))
     #: Interned peer codes; ``rater_codes`` holds -1 for anonymous reports.
     subject_codes: array = field(default_factory=lambda: array("q"))
@@ -56,27 +54,54 @@ class FeedbackColumns:
         return code
 
     def append(self, feedback: Feedback) -> None:
-        self.subjects.append(feedback.subject)
-        self.raters.append(feedback.rater)
+        self.transaction_ids.append(feedback.transaction_id)
         self.ratings.append(feedback.rating)
         self.positives.append(1 if feedback.positive else 0)
+        self.truthful.append(1 if feedback.truthful else 0)
         self.times.append(feedback.time)
         self.subject_codes.append(self._intern(feedback.subject))
         self.rater_codes.append(-1 if feedback.rater is None else self._intern(feedback.rater))
 
+    def feedback(self, row: int) -> Feedback:
+        """The report stored in ``row``, field by field as it was appended."""
+        rater = self.rater_codes[row]
+        return Feedback(
+            transaction_id=self.transaction_ids[row],
+            time=int(self.times[row]),
+            subject=self.id_for_code[self.subject_codes[row]],
+            rating=self.ratings[row],
+            rater=None if rater < 0 else self.id_for_code[rater],
+            truthful=bool(self.truthful[row]),
+        )
+
+    def take(self, rows: list[int]) -> FeedbackColumns:
+        """The given rows, in order, over the same interned codes."""
+        kept = FeedbackColumns(id_for_code=self.id_for_code, _code_for_id=self._code_for_id)
+        for name, column in vars(self).items():
+            if isinstance(column, array):
+                setattr(kept, name, array(column.typecode, [column[row] for row in rows]))
+        return kept
+
     def __len__(self) -> int:
-        return len(self.subjects)
+        return len(self.subject_codes)
 
 
 @dataclass
 class FeedbackStore:
-    """Append-only store of disclosed feedback, indexed by subject."""
+    """Append-only log of disclosed feedback (see :class:`FeedbackColumns`).
+
+    With ``max_per_subject`` set, a report past a subject's cap evicts that
+    subject's oldest report: :meth:`add` counts the eviction and bumps the
+    epoch, and the next :meth:`columns` compacts the log in arrival order
+    (evictions are the rare path).
+    """
 
     max_per_subject: int | None = None
-    _by_subject: dict[str, list[Feedback]] = field(default_factory=lambda: defaultdict(list))
-    _count: int = 0
     _columns: FeedbackColumns = field(default_factory=FeedbackColumns)
-    _columns_stale: bool = False
+    #: Reports held per subject, in first-seen order: :meth:`subjects`.
+    _per_subject: dict[str, int] = field(default_factory=dict)
+    #: Evictions not yet compacted: subject code -> oldest rows to drop.
+    _evicted: dict[int, int] = field(default_factory=dict)
     _version: int = 0
     _epoch: int = 0
     #: Incrementally maintained participant set: (epoch it is valid for,
@@ -84,16 +109,35 @@ class FeedbackStore:
     _participants_state: tuple[int, set[str]] | None = None
     _participants_sorted: list[str] | None = None
 
-    # The participant set is derived from the buckets, and a set pickles in
+    # The participant set is derived from the log, and a set pickles in
     # hash order: snapshots and checkpoints leave both fields out, so their
     # bytes do not depend on PYTHONHASHSEED, and the first read rebuilds them.
-    # Only declared fields are written: a store restored from an older
-    # snapshot may carry an index the store no longer keeps.
     def __getstate__(self) -> dict[str, object]:
         state = {item.name: getattr(self, item.name) for item in fields(self)}
         state["_participants_state"] = None
         state["_participants_sorted"] = None
         return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        buckets = state.get("_by_subject")
+        if buckets is None:
+            self.__dict__.update(state)
+            return
+        # Pickled while the store kept a Feedback list per subject: replay the
+        # lists in the order its columns() returned them, and keep its
+        # counters, so every fold watermark into the log stays valid.
+        if state["_columns_stale"]:
+            reports = [feedback for bucket in buckets.values() for feedback in bucket]
+        else:
+            cursors = {subject: iter(bucket) for subject, bucket in buckets.items()}
+            ids = state["_columns"].id_for_code
+            reports = [next(cursors[ids[code]]) for code in state["_columns"].subject_codes]
+        self.__init__(max_per_subject=state["max_per_subject"])
+        for feedback in reports:
+            self._columns.append(feedback)
+        self._per_subject = {subject: len(bucket) for subject, bucket in buckets.items()}
+        self._version = state["_version"]
+        self._epoch = state["_epoch"]
 
     @property
     def version(self) -> int:
@@ -115,16 +159,14 @@ class FeedbackStore:
         return self._epoch
 
     def add(self, feedback: Feedback) -> None:
-        bucket = self._by_subject[feedback.subject]
-        bucket.append(feedback)
-        if self.max_per_subject is not None and len(bucket) > self.max_per_subject:
-            bucket.pop(0)
-            # The incremental column log cannot cheaply delete; rebuild it on
-            # the next columnar access instead (evictions are the rare path).
-            self._columns_stale = True
+        self._columns.append(feedback)
+        held = self._per_subject.get(feedback.subject, 0) + 1
+        if self.max_per_subject is not None and held > self.max_per_subject:
+            held -= 1
+            code = self._columns.subject_codes[-1]
+            self._evicted[code] = self._evicted.get(code, 0) + 1
             self._epoch += 1
-        if not self._columns_stale:
-            self._columns.append(feedback)
+        self._per_subject[feedback.subject] = held
         state = self._participants_state
         if state is not None and state[0] == self._epoch:
             participants = state[1]
@@ -134,31 +176,30 @@ class FeedbackStore:
             if feedback.rater is not None and feedback.rater not in participants:
                 participants.add(feedback.rater)
                 self._participants_sorted = None
-        self._count += 1
         self._version += 1
 
     def columns(self) -> FeedbackColumns:
         """The stored feedback as parallel columns (see :class:`FeedbackColumns`).
 
-        Treat the result as read-only: it is the store's live cache.
+        Treat the result as read-only: it is the store's live log.
         """
-        if self._columns_stale:
-            rebuilt = FeedbackColumns()
-            for bucket in self._by_subject.values():
-                for feedback in bucket:
-                    rebuilt.append(feedback)
-            self._columns = rebuilt
-            self._columns_stale = False
+        if self._evicted:
+            pending = self._evicted
+            kept = []
+            for row, code in enumerate(self._columns.subject_codes):
+                if pending.get(code):
+                    pending[code] -= 1
+                else:
+                    kept.append(row)
+            self._columns = self._columns.take(kept)
+            self._evicted = {}
         return self._columns
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._columns) - sum(self._evicted.values())
 
     def subjects(self) -> list[str]:
-        return [subject for subject, items in self._by_subject.items() if items]
-
-    def about(self, subject: str) -> list[Feedback]:
-        return list(self._by_subject.get(subject, []))
+        return [subject for subject, held in self._per_subject.items() if held]
 
     def participants(self) -> set[str]:
         """All peer identifiers seen either as subject or as rater.
@@ -167,12 +208,11 @@ class FeedbackStore:
         only to rebuild its set, on the first read and after a history
         rewrite.
         """
-        ids: set[str] = set()
-        for subject, items in self._by_subject.items():
-            if items:
-                ids.add(subject)
-                ids.update(feedback.rater for feedback in items if feedback.rater is not None)
-        return ids
+        columns = self.columns()
+        ids = columns.id_for_code
+        participants = {ids[code] for code in columns.subject_codes}
+        participants.update(ids[code] for code in columns.rater_codes if code >= 0)
+        return participants
 
     def sorted_participants(self) -> list[str]:
         """Participants in sorted order, cached between refreshes.
@@ -181,7 +221,7 @@ class FeedbackStore:
         each report's subject/rater into the live set (invalidating the
         sorted view only when someone genuinely new appears), and a history
         rewrite (eviction, :meth:`clear`) bumps the epoch, which rebuilds
-        the set from the surviving buckets — so a rater whose only report
+        the set from the surviving reports — so a rater whose only report
         was evicted and who later returns is re-admitted correctly.  The
         O(n log n) sort per refresh becomes O(1) on the common no-new-peer
         round.  Treat the result as read-only.
@@ -195,10 +235,9 @@ class FeedbackStore:
         return self._participants_sorted
 
     def clear(self) -> None:
-        self._by_subject.clear()
-        self._count = 0
         self._columns = FeedbackColumns()
-        self._columns_stale = False
+        self._per_subject = {}
+        self._evicted = {}
         self._version += 1
         self._epoch += 1
 
@@ -376,15 +415,16 @@ class LocalTrustBuilder:
             raw = state[3]
             start = state[2]
             if start < total:
-                subjects = columns.subjects
-                raters = columns.raters
+                ids = columns.id_for_code
+                subject_codes = columns.subject_codes
+                rater_codes = columns.rater_codes
                 positives = columns.positives
                 for position in range(start, total):
-                    rater = raters[position]
-                    if rater is None:
+                    rater = rater_codes[position]
+                    if rater < 0:
                         continue
-                    row = positions[rater]
-                    column = positions[subjects[position]]
+                    row = positions[ids[rater]]
+                    column = positions[ids[subject_codes[position]]]
                     raw[row, column] += 1.0 if positives[position] else -1.0
                 _profiling.add_work("folded.dense_raw", total - start)
         else:

@@ -169,13 +169,12 @@ class TrustMeReputation(ReputationSystem):
         return max(replica_views, key=len)
 
     def compute_scores(self) -> dict[str, float]:
-        scores: dict[str, float] = {}
-        for subject in self.store.subjects():
-            ratings = self._query_replicas(subject)
-            if not ratings:
-                ratings = [feedback.rating for feedback in self.store.about(subject)]
-            scores[subject] = mean(ratings, default=self.default_score)
-        return scores
+        # Every accepted report reaches each of its subject's replicas, so
+        # the replicas hold every subject the store does.
+        return {
+            subject: mean(self._query_replicas(subject), default=self.default_score)
+            for subject in self.store.subjects()
+        }
 
     def reset(self) -> None:
         super().reset()

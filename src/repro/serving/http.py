@@ -3,7 +3,7 @@
 :func:`create_http_server` binds a stdlib ``ThreadingHTTPServer`` — a thin
 transport over the transport-agnostic session object.  Zero new
 dependencies, so tier-1 CI (and the serve-gate job) exercises the real
-network path on a bare container.  This is the adapter ``repro-serve``
+network path on a bare container.  This is the adapter ``repro serve``
 boots.
 
 The v1 API surface (documented in docs/API.md):
@@ -14,7 +14,7 @@ method     path                semantics
 ``POST``   ``/v1/feedback``    ingest one event object or ``{"events": [...]}``
 ``GET``    ``/v1/scores``      published scores at the current watermark
 ``GET``    ``/v1/peers/{id}``  one peer's score/rank summary
-``GET``    ``/v1/evidence``    audit slice of the append-only evidence log
+``GET``    ``/v1/evidence``    audit slice of the reports the mechanism holds
 ``POST``   ``/v1/snapshot``    persist the session (``{"path": ...}``)
 ``GET``    ``/v1/health``      state machine, counters, SLA latency summary
 =========  ==================  ===========================================

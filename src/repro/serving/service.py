@@ -1,9 +1,10 @@
 """The transport-agnostic reputation service session.
 
 :class:`ReputationService` stands the offline reputation engine up as a
-long-lived session: it owns one :class:`~repro.reputation.base.ReputationSystem`
-plus an append-only evidence log, accepts streaming feedback ingestion, and
-serves score/rank queries off the *current watermark* — the published
+long-lived session: it owns one :class:`~repro.reputation.base.ReputationSystem`,
+whose feedback store is the session's evidence log, accepts streaming
+feedback ingestion, and serves score/rank queries off the *current
+watermark* — the published
 :class:`~repro.reputation.base.ScoreView` of the last refresh.  Ingestion is
 batched into the PR-5 incremental-refresh path: every accepted event lands in
 the mechanism's evidence store immediately (an O(1) append the incremental
@@ -213,12 +214,13 @@ class ServiceSnapshot:
 
     The mechanism travels with its whole gathering state (feedback store,
     incremental pair-ledger folds, cached scores), so a restored service
-    continues the incremental-refresh path exactly where it stopped.
+    continues the incremental-refresh path exactly where it stopped.  Its
+    store's column log is the evidence (an older payload's ``evidence`` list
+    is ignored).
     """
 
     config: ServiceConfig
     system: ReputationSystem
-    evidence: list[Feedback]
     ingested: int
     watermark: int
     refreshes: int
@@ -232,7 +234,8 @@ def feedback_from_payload(payload: Mapping[str, object], *, sequence: int) -> Fe
     ``[0, 1]``).  Optional: ``rater`` (omit or ``null`` for anonymous
     reports), ``time`` and ``transaction_id`` (both default to the ingest
     sequence number, which preserves arrival order for forgetting-weighted
-    mechanisms).  Unknown fields are rejected — a silently dropped typo in
+    mechanisms; the store's log holds times within ±2**53 and signed 64-bit
+    ids exactly).  Unknown fields are rejected — a silently dropped typo in
     a feedback field would corrupt evidence without any error surfacing.
     """
     allowed = {"subject", "rating", "rater", "time", "transaction_id"}
@@ -249,11 +252,15 @@ def feedback_from_payload(payload: Mapping[str, object], *, sequence: int) -> Fe
     if rater is not None and not isinstance(rater, str):
         raise ConfigurationError("'rater' must be a string or null")
     time = payload.get("time", sequence)
-    if isinstance(time, bool) or not isinstance(time, int):
-        raise ConfigurationError("'time' must be an integer")
+    if isinstance(time, bool) or not isinstance(time, int) or abs(time) > 2**53:
+        raise ConfigurationError("'time' must be an integer within ±2**53")
     transaction_id = payload.get("transaction_id", sequence)
-    if isinstance(transaction_id, bool) or not isinstance(transaction_id, int):
-        raise ConfigurationError("'transaction_id' must be an integer")
+    if (
+        isinstance(transaction_id, bool)
+        or not isinstance(transaction_id, int)
+        or not -(2**63) <= transaction_id < 2**63
+    ):
+        raise ConfigurationError("'transaction_id' must be a signed 64-bit integer")
     return Feedback(
         transaction_id=transaction_id,
         time=time,
@@ -429,7 +436,6 @@ class ReputationService:
             default_score=config.default_score,
             max_evidence_per_subject=config.max_evidence_per_subject,
         )
-        self._evidence: list[Feedback] = []
         self._ingested = 0
         self._watermark = 0
         self._refreshes = 0
@@ -519,7 +525,6 @@ class ReputationService:
                 ) from error
         refreshed = False
         for feedback in batch:
-            self._evidence.append(feedback)
             self._system.record_feedback(feedback)
             self._ingested += 1
             if self._ingested % self.config.refresh_every == 0:
@@ -692,7 +697,6 @@ class ReputationService:
             payload = ServiceSnapshot(
                 config=self.config,
                 system=self._system,
-                evidence=self._evidence,
                 ingested=self._ingested,
                 watermark=self._watermark,
                 refreshes=self._refreshes,
@@ -706,7 +710,7 @@ class ReputationService:
                 "path": path,
                 "ingested": self._ingested,
                 "watermark": self._watermark,
-                "events": len(self._evidence),
+                "events": len(self._system.store),
             }
         if self._wal is not None:
             self._schedule_compaction()
@@ -726,7 +730,6 @@ class ReputationService:
             raise CheckpointError(f"{path}: payload is not a service snapshot")
         service = cls(payload.config)
         service._system = payload.system
-        service._evidence = payload.evidence
         service._ingested = payload.ingested
         service._watermark = payload.watermark
         service._refreshes = payload.refreshes
@@ -850,15 +853,18 @@ class ReputationService:
 
     @property
     def evidence_count(self) -> int:
-        """Events in the append-only evidence log."""
+        """Reports the mechanism holds (``len(evidence())``)."""
         with self._lock:
-            return len(self._evidence)
+            return len(self._system.store)
 
     def evidence(self, start: int = 0, limit: int | None = None) -> list[Feedback]:
-        """A slice of the append-only evidence log (audit/replay access)."""
+        """A slice of the reports the mechanism's store holds, in arrival
+        order: every acked one but those a ``max_evidence_per_subject`` cap
+        evicted and TrustMe reports refused for a mismatched certificate."""
         with self._lock:
+            columns = self._system.store.columns()
             end = None if limit is None else start + max(limit, 0)
-            return list(self._evidence[start:end])
+            return [columns.feedback(row) for row in range(len(columns))[start:end]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

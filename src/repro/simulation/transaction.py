@@ -22,11 +22,6 @@ class TransactionOutcome(enum.Enum):
     SUCCESS = "success"
     FAILURE = "failure"
 
-    @property
-    def as_score(self) -> float:
-        """Numeric value used by reputation mechanisms (1 good, 0 bad)."""
-        return 1.0 if self is TransactionOutcome.SUCCESS else 0.0
-
 
 @dataclass(frozen=True)
 class Transaction:

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import types
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +56,7 @@ class TestChecksumSidecars:
         digest = verify_file_checksum(path)
         assert digest == file_sha256(path)
         # sha256sum-compatible shape: "<digest>  <basename>".
-        sidecar_text = open(checksum_sidecar_path(path)).read()
+        sidecar_text = Path(checksum_sidecar_path(path)).read_text()
         assert sidecar_text == f"{digest}  records.json\n"
 
     def test_truncation_detected(self, tmp_path):
@@ -98,7 +99,7 @@ class TestChecksumSidecars:
     def test_failed_rewrite_leaves_the_previous_artifact(self, tmp_path, monkeypatch, writer):
         path = str(tmp_path / "records.out")
         writer(path, [make_record()], checksum=True)
-        before = open(path, "rb").read(), open(checksum_sidecar_path(path), "rb").read()
+        before = Path(path).read_bytes(), Path(checksum_sidecar_path(path)).read_bytes()
 
         def refuse(src, dst):
             raise OSError("simulated crash before the rename")
@@ -107,7 +108,7 @@ class TestChecksumSidecars:
         with pytest.raises(OSError, match="simulated crash"):
             writer(path, [make_record(status="error")], checksum=True)
         monkeypatch.undo()
-        after = open(path, "rb").read(), open(checksum_sidecar_path(path), "rb").read()
+        after = Path(path).read_bytes(), Path(checksum_sidecar_path(path)).read_bytes()
         assert after == before
         verify_file_checksum(path)
 

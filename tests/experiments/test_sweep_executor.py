@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.results import records_to_json
-from repro.experiments.sweep import SweepExecutor, SweepSpec, expand_tasks, run_sweep
+from repro.experiments.sweep import SweepExecutor, SweepSpec, run_sweep
 
 ANALYTIC_SPEC = dict(
     experiment="figure2-left",
@@ -69,16 +69,6 @@ class TestSweepExecutor:
         run_sweep(spec, jobs=1, on_record=inline.append)
         run_sweep(spec, jobs=2, on_record=parallel.append)
         assert inline == parallel
-
-    def test_map_records_is_deprecated_and_matches_run_sweep(self):
-        spec = SweepSpec(experiment="figure2-left", grids={"threshold": [0.3, 0.7]}, seed=7)
-        with SweepExecutor(2) as executor:
-            with pytest.warns(DeprecationWarning) as caught:
-                records = executor.map_records(expand_tasks(spec))
-        replacement = "run_sweep(..., executor=..., on_record=...)"
-        assert sum(replacement in str(warning.message) for warning in caught) == 1
-        assert [record.task_index for record in records] == [0, 1]
-        assert records == run_sweep(spec, jobs=2).records
 
 
 class TestRunCacheInSweeps:

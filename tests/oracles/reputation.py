@@ -14,6 +14,17 @@ from repro.reputation.beta import BetaReputation
 from repro.reputation.eigentrust import EigenTrust
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
 from repro.reputation.powertrust import PowerTrust, _quantized
+from repro.simulation.transaction import Feedback
+
+
+def reports_about(store: FeedbackStore, subject: str) -> list[Feedback]:
+    """The reports ``store`` holds about ``subject``, oldest first."""
+    columns = store.columns()
+    return [
+        columns.feedback(row)
+        for row, code in enumerate(columns.subject_codes)
+        if columns.id_for_code[code] == subject
+    ]
 
 
 def raw_local_trust(builder: LocalTrustBuilder) -> dict[str, dict[str, float]]:
@@ -150,7 +161,7 @@ def beta_scores(store: FeedbackStore, forgetting: float) -> dict[str, float]:
     """Beta-posterior expected values, one subject bucket at a time."""
     scores: dict[str, float] = {}
     for subject in store.subjects():
-        reports = store.about(subject)
+        reports = reports_about(store, subject)
         if not reports:
             continue
         latest = max(feedback.time for feedback in reports)
@@ -170,7 +181,7 @@ def average_scores(store: FeedbackStore, default_score: float) -> dict[str, floa
     """Mean rating per subject, one subject bucket at a time."""
     return {
         subject: mean(
-            [feedback.rating for feedback in store.about(subject)], default=default_score
+            [feedback.rating for feedback in reports_about(store, subject)], default=default_score
         )
         for subject in store.subjects()
     }

@@ -8,12 +8,13 @@ from repro.reputation.average import SimpleAverageReputation
 from repro.reputation.beta import BetaReputation
 from repro.reputation.eigentrust import EigenTrust
 from tests.conftest import make_feedback
+from tests.oracles.reputation import reports_about
 
 
 def test_strips_rater_identity():
     wrapper = AnonymousFeedbackReputation(SimpleAverageReputation(), seed=1)
     wrapper.record_feedback(make_feedback("bob", 1.0, rater="alice", transaction_id=1))
-    stored = wrapper.inner.store.about("bob")[0]
+    stored = reports_about(wrapper.inner.store, "bob")[0]
     assert stored.rater is None
     assert wrapper.anonymized_reports == 1
 
@@ -21,7 +22,7 @@ def test_strips_rater_identity():
 def test_identity_can_be_kept():
     wrapper = AnonymousFeedbackReputation(SimpleAverageReputation(), strip_identity=False, seed=1)
     wrapper.record_feedback(make_feedback("bob", 1.0, rater="alice", transaction_id=1))
-    assert wrapper.inner.store.about("bob")[0].rater == "alice"
+    assert reports_about(wrapper.inner.store, "bob")[0].rater == "alice"
     assert wrapper.anonymized_reports == 0
 
 
@@ -52,6 +53,22 @@ def test_scores_delegate_to_inner():
     wrapper = AnonymousFeedbackReputation(SimpleAverageReputation(), seed=4)
     wrapper.record_feedback(make_feedback("bob", 1.0, transaction_id=1))
     assert wrapper.scores() == wrapper.inner.scores()
+
+
+def test_reports_are_held_once_and_computed_once_per_refresh(monkeypatch):
+    inner = EigenTrust()
+    wrapper = AnonymousFeedbackReputation(inner, strip_identity=False, seed=6)
+    for index in range(12):
+        wrapper.record_feedback(
+            make_feedback(f"p{index % 3}", 1.0, rater=f"p{(index + 1) % 3}", transaction_id=index)
+        )
+    assert wrapper.store is inner.store
+    assert wrapper.evidence_count == 12
+    computes = []
+    compute = inner.compute_scores
+    monkeypatch.setattr(inner, "compute_scores", lambda: computes.append(1) or compute())
+    assert wrapper.refresh() == inner.scores()
+    assert len(computes) == 1
 
 
 def test_reset_clears_both_layers():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
 from tests.conftest import make_feedback
-from tests.oracles.reputation import normalized_local_trust, raw_local_trust
+from tests.oracles.reputation import normalized_local_trust, raw_local_trust, reports_about
 
 
 class TestFeedbackStore:
@@ -15,7 +15,7 @@ class TestFeedbackStore:
         assert len(store) == 2
         assert store.subjects() == ["bob"]
         assert store.participants() == {"alice", "bob", "carol"}
-        assert [feedback.rater for feedback in store.about("bob")] == ["alice", "carol"]
+        assert [feedback.rater for feedback in reports_about(store, "bob")] == ["alice", "carol"]
 
     def test_participants_include_both_sides(self):
         store = FeedbackStore()
@@ -26,14 +26,14 @@ class TestFeedbackStore:
         store = FeedbackStore()
         store.add(make_feedback("bob", 1.0, rater=None))
         assert store.participants() == {"bob"}
-        assert [feedback.is_anonymous for feedback in store.about("bob")] == [True]
+        assert [feedback.is_anonymous for feedback in reports_about(store, "bob")] == [True]
 
     def test_max_per_subject_evicts_oldest(self):
         store = FeedbackStore(max_per_subject=2)
         for index in range(4):
             store.add(make_feedback("bob", 1.0, rater=f"r{index}", transaction_id=index))
-        assert len(store.about("bob")) == 2
-        remaining_raters = {feedback.rater for feedback in store.about("bob")}
+        assert len(reports_about(store, "bob")) == 2
+        remaining_raters = {feedback.rater for feedback in reports_about(store, "bob")}
         assert remaining_raters == {"r2", "r3"}
         assert store.participants() == {"bob", "r2", "r3"}
 

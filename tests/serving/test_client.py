@@ -144,11 +144,10 @@ class TestCircuitBreaker:
 class TestRetryLoop:
     def test_backpressure_retries_then_succeeds(self, server, service):
         waits = []
-        client = make_client(server, sleeper=waits.append)
         plan = faults.FaultPlan(
             rules=(faults.FaultRule(site="http.admit", action="degrade", times=2),)
         )
-        with faults.active(plan):
+        with make_client(server, sleeper=waits.append) as client, faults.active(plan):
             receipt = client.ingest(EVENTS)
         assert receipt["accepted"] == 2
         assert client.backpressure_responses == 2
@@ -161,16 +160,16 @@ class TestRetryLoop:
 
     def test_persistent_read_only_exhausts_budget(self, server, service):
         service.enter_read_only("drill")
-        client = make_client(server, policy=ClientRetryPolicy(max_attempts=2))
-        with pytest.raises(RequestFailedError) as info:
-            client.ingest(EVENTS)
+        with make_client(server, policy=ClientRetryPolicy(max_attempts=2)) as client:
+            with pytest.raises(RequestFailedError) as info:
+                client.ingest(EVENTS)
         assert info.value.status == 503
         assert info.value.attempts == 2
         assert client.backpressure_responses == 2
 
     def test_non_retryable_status_returns_immediately(self, server):
-        client = make_client(server)
-        status, payload, _ = client.request("POST", "/v1/feedback", {"events": "nope"})
+        with make_client(server) as client:
+            status, payload, _ = client.request("POST", "/v1/feedback", {"events": "nope"})
         assert status == 400
         assert "must be a list" in payload["error"]
         assert client.retries == 0
@@ -178,17 +177,17 @@ class TestRetryLoop:
 
 class TestExactlyOnce:
     def test_auto_keys_increment(self, server, service):
-        client = make_client(server, client_id="c9")
-        client.ingest(EVENTS[:1])
-        client.ingest(EVENTS[1:])
+        with make_client(server, client_id="c9") as client:
+            client.ingest(EVENTS[:1])
+            client.ingest(EVENTS[1:])
         assert service.health()["ingested"] == 2
         assert [receipt["duplicate"] for receipt in client.acked] == [False, False]
         assert client.total_acked_events == 2
 
     def test_retried_batch_never_double_ingests(self, server, service):
-        client = make_client(server)
-        first = client.ingest(EVENTS, batch_key="once")
-        second = client.ingest(EVENTS, batch_key="once")
+        with make_client(server) as client:
+            first = client.ingest(EVENTS, batch_key="once")
+            second = client.ingest(EVENTS, batch_key="once")
         assert first["duplicate"] is False
         assert second["duplicate"] is True
         assert second["seq"] == first["seq"]
@@ -198,10 +197,10 @@ class TestExactlyOnce:
         assert client.total_acked_events == 4
 
     def test_helpers_roundtrip(self, server):
-        client = make_client(server)
-        client.ingest(EVENTS)
-        scores = client.scores()
-        assert scores["watermark"] == 2
-        assert client.raw_scores().endswith(b"\n")
-        assert client.peer("alice")["known"] is True
-        assert client.health()["status"] == "ok"
+        with make_client(server) as client:
+            client.ingest(EVENTS)
+            scores = client.scores()
+            assert scores["watermark"] == 2
+            assert client.raw_scores().endswith(b"\n")
+            assert client.peer("alice")["known"] is True
+            assert client.health()["status"] == "ok"

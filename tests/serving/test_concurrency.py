@@ -57,10 +57,11 @@ class TestThreadedIngest:
         # The WAL holds every acked batch, contiguous, in ack order.
         wal_path = str(tmp_path / "serve.wal")
         assert verify_wal(wal_path) == (N_WRITERS * BATCHES_PER_WRITER, 0)
-        _, entries, truncated = WriteAheadLog.open(
+        reopened, entries, truncated = WriteAheadLog.open(
             wal_path,
             config_sha256=config_digest(service.config.wal_identity()),
         )
+        reopened.close()
         assert truncated == 0
         assert [entry.seq for entry in entries] == list(range(0, total, BATCH))
         # Ack ordering == WAL ordering: the seq each client was acked with

@@ -227,10 +227,10 @@ class TestSubprocess:
             # Distinct client ids per phase: idempotency keys survive the
             # crash via the WAL, so a fresh client reusing "loadgen-0"
             # would be (correctly) deduplicated instead of ingesting.
-            client = ResilientClient("127.0.0.1", first.port, client_id="phase-1")
-            ingest_events(
-                "127.0.0.1", first.port, trace[:half], batch_size=16, client=client
-            )
+            with ResilientClient("127.0.0.1", first.port, client_id="phase-1") as client:
+                ingest_events(
+                    "127.0.0.1", first.port, trace[:half], batch_size=16, client=client
+                )
         finally:
             first.kill()  # SIGKILL: only the WAL carries the acked events
 
@@ -242,10 +242,10 @@ class TestSubprocess:
             assert status == 200
             assert health["ingested"] == half  # every acked event survived
             assert health["wal"]["path"] == str(wal_path)
-            client = ResilientClient("127.0.0.1", second.port, client_id="phase-2")
-            ingest_events(
-                "127.0.0.1", second.port, trace[half:], batch_size=16, client=client
-            )
+            with ResilientClient("127.0.0.1", second.port, client_id="phase-2") as client:
+                ingest_events(
+                    "127.0.0.1", second.port, trace[half:], batch_size=16, client=client
+                )
             served = scores_body("127.0.0.1", second.port)
         finally:
             second.kill()

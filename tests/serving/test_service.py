@@ -1,9 +1,13 @@
 """Unit tests for the transport-agnostic :class:`ReputationService` session."""
 
+import pickletools
+
 import pytest
 
 from repro.errors import CheckpointError, ConfigurationError
 from repro.reputation.base import ScoreView
+from repro.reputation.registry import REPUTATION_FACTORIES
+from repro.serving.loadgen import build_trace
 from repro.serving.service import (
     IngestReceipt,
     PeerSummary,
@@ -11,6 +15,7 @@ from repro.serving.service import (
     ServiceConfig,
     feedback_from_payload,
 )
+from repro.simulation.checkpoint import verify_checkpoint
 from repro.simulation.transaction import Feedback
 
 
@@ -165,6 +170,32 @@ class TestEvidenceLog:
         assert service.evidence(start=2, limit=2) == events[2:4]
         assert service.evidence(limit=0) == []
 
+    def test_capped_evidence_is_the_retained_reports_in_arrival_order(self):
+        service = ReputationService(max_evidence_per_subject=2, refresh_every=3)
+        events = [
+            _event(subject, float(index % 2), rater=f"r{index}", time=index, transaction_id=index)
+            for index, subject in enumerate("aabbabcab")
+        ]
+        service.ingest_many(events)
+        retained = [events[index] for index in (4, 5, 6, 7, 8)]
+        assert service.evidence() == retained
+        assert service.evidence_count == len(service.evidence()) == 5
+        assert service.evidence(start=3) == retained[3:]
+
+    @pytest.mark.parametrize("mechanism", sorted(REPUTATION_FACTORIES))
+    def test_pickled_session_holds_no_feedback_objects(self, mechanism, tmp_path):
+        service = ReputationService(mechanism=mechanism)
+        service.ingest_many(build_trace("collusion-ring", n_users=40, rounds=70, seed=1)[:1000])
+        assert service.evidence_count == 1000
+        path = str(tmp_path / "session.ckpt")
+        service.snapshot(path)
+        _, blob = verify_checkpoint(path)
+        # A pickle names a class's module as a string before it loads the
+        # class, so a payload without the string holds no Feedback.
+        strings = {arg for _, arg, _ in pickletools.genops(blob) if isinstance(arg, str)}
+        assert "repro.reputation.gathering" in strings
+        assert "repro.simulation.transaction" not in strings
+
 
 class TestSnapshotRestore:
     def test_round_trip_preserves_counters_and_scores(self, tmp_path):
@@ -222,6 +253,8 @@ class TestFeedbackFromPayload:
             ({"subject": "a", "rating": 0.5, "time": "now"}, "time"),
             ({"subject": "a", "rating": 0.5, "transaction_id": 1.5}, "transaction_id"),
             ({"subject": "a", "rating": 0.5, "typo_field": 1}, "unknown feedback fields"),
+            ({"subject": "a", "rating": 0.5, "time": 2**53 + 1}, "time"),
+            ({"subject": "a", "rating": 0.5, "transaction_id": 2**63}, "transaction_id"),
         ],
     )
     def test_invalid_payloads_rejected(self, payload, match):

@@ -218,7 +218,8 @@ class TestCompaction:
         # Appends keep working on the rewritten handle.
         wal.append([event(6)], seq=6)
         wal.close()
-        _, entries, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG)
+        reopened, entries, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG)
+        reopened.close()
         assert [entry.seq for entry in entries] == [4, 6]
 
     def test_straddling_batch_is_kept(self, tmp_path):

@@ -3,6 +3,7 @@
 import os
 import pickle
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -67,9 +68,9 @@ class TestCheckpointFileFormat:
     def test_unknown_version_raises(self, tmp_path):
         path = str(tmp_path / "state.ckpt")
         write_checkpoint(path, "probe", [1], round_index=0)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         bumped = raw.replace(b'"version": 1', b'"version": 99', 1)
-        open(path, "wb").write(bumped)
+        Path(path).write_bytes(bumped)
         with pytest.raises(CheckpointError, match="version"):
             read_checkpoint(str(path))
 
@@ -82,17 +83,17 @@ class TestCheckpointFileFormat:
     def test_truncation_detected(self, tmp_path):
         path = str(tmp_path / "state.ckpt")
         write_checkpoint(path, "probe", list(range(100)), round_index=0)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-7])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-7])
         with pytest.raises(CheckpointError, match="truncated"):
             read_checkpoint(path)
 
     def test_bit_flip_detected(self, tmp_path):
         path = str(tmp_path / "state.ckpt")
         write_checkpoint(path, "probe", list(range(100)), round_index=0)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[-10] ^= 0x01
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="SHA-256"):
             read_checkpoint(path)
 

@@ -103,6 +103,7 @@ def test_whitewash_identity_reset_keeps_feedback_history_attributable():
     from repro.scenarios.runner import reputation_for_graph
     from repro.simulation.engine import InteractionSimulator, SimulationConfig
     from repro.socialnet.generators import SocialNetworkSpec, generate_social_network
+    from tests.oracles.reputation import reports_about
 
     graph = generate_social_network(SocialNetworkSpec(n_users=14, malicious_fraction=0.3, seed=6))
     campaign = AttackCampaign(
@@ -126,14 +127,14 @@ def test_whitewash_identity_reset_keeps_feedback_history_attributable():
     assert washed and all(peer.identity_generation >= 1 for peer in washed)
     store = reputation.store
     # At least part of the group accumulated pre-wash evidence to preserve.
-    assert any(store.about(peer.base_id) for peer in washed)
+    assert any(reports_about(store, peer.base_id) for peer in washed)
     for peer in washed:
         old_id = peer.base_id  # generation-0 identity == the base id
         # Evidence recorded before the wash stays under the old identity...
-        old_evidence = store.about(old_id)
+        old_evidence = reports_about(store, old_id)
         assert all(f.subject == old_id for f in old_evidence)
         # ...and never migrates to the fresh identity.
-        for feedback in store.about(peer.peer_id):
+        for feedback in reports_about(store, peer.peer_id):
             assert feedback.subject == peer.peer_id
         # The directory still resolves both identities to the same peer, so
         # simulator-side attribution survives the reset.
@@ -141,7 +142,7 @@ def test_whitewash_identity_reset_keeps_feedback_history_attributable():
         assert simulator.directory.get(peer.peer_id) is peer
         # The reputation system treats the fresh identity as a stranger when
         # it has no post-wash evidence about it.
-        if not store.about(peer.peer_id):
+        if not reports_about(store, peer.peer_id):
             assert reputation.score(peer.peer_id) == reputation.default_score
 
 

@@ -6,12 +6,6 @@ from repro.errors import ConfigurationError
 from repro.simulation.transaction import Feedback, Transaction, TransactionOutcome
 
 
-class TestTransactionOutcome:
-    def test_scores(self):
-        assert TransactionOutcome.SUCCESS.as_score == 1.0
-        assert TransactionOutcome.FAILURE.as_score == 0.0
-
-
 class TestTransaction:
     def test_succeeded_property(self):
         transaction = Transaction(

@@ -76,23 +76,6 @@ class TestDispatch:
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("usage: repro scenario ")
 
-    @pytest.mark.parametrize("command", ["scenario", "serve"])
-    def test_deprecated_script_prints_one_notice_and_forwards(self, command, capsys):
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        assert f'repro-{command} = "repro.cli:{command}_script"' in pyproject.read_text()
-        script = getattr(cli, f"{command}_script")
-        with pytest.raises(SystemExit) as excinfo:
-            script(["--help"])
-        assert excinfo.value.code == 0
-        captured = capsys.readouterr()
-        assert captured.err == (
-            f"repro-{command} is deprecated; use repro {command} (same flags, same output)\n"
-        )
-        assert captured.out.startswith(f"usage: repro {command} ")
-        with pytest.raises(SystemExit):
-            cli.main([command, "--help"])
-        assert capsys.readouterr().err == ""
-
 
 class TestLegacyShimEquivalence:
     """A bare invocation prints the overview; the removed shim ran everything."""
