@@ -1,6 +1,4 @@
-"""The ``repro`` command line: dispatch, usage lines and deprecated scripts."""
-
-from pathlib import Path
+"""The ``repro`` command line: dispatch and usage lines."""
 
 import pytest
 
