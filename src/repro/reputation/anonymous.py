@@ -38,9 +38,8 @@ class AnonymousFeedbackReputation(ReputationSystem):
         strip_identity: bool = True,
         seed: int = 0,
     ) -> None:
-        # Not ReputationSystem.__init__, which builds a store: the wrapper
-        # holds no evidence, so its ``store`` (hence ``evidence_count`` and
-        # ``known_peers``) is the inner mechanism's.
+        # Not ReputationSystem.__init__, which builds a store: the wrapper's
+        # ``store`` (so ``evidence_count``, ``known_peers``) is the inner one.
         self.inner = inner
         self.default_score = inner.default_score
         self._scores: dict[str, float] = {}

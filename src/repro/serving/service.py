@@ -214,9 +214,8 @@ class ServiceSnapshot:
 
     The mechanism travels with its whole gathering state (feedback store,
     incremental pair-ledger folds, cached scores), so a restored service
-    continues the incremental-refresh path exactly where it stopped.  Its
-    store's column log is the evidence (an older payload's ``evidence`` list
-    is ignored).
+    continues the incremental-refresh path exactly where it stopped.  The
+    store is the evidence; an older payload's ``evidence`` list is ignored.
     """
 
     config: ServiceConfig
@@ -864,7 +863,9 @@ class ReputationService:
         with self._lock:
             columns = self._system.store.columns()
             end = None if limit is None else start + max(limit, 0)
-            return [columns.feedback(row) for row in range(len(columns))[start:end]]
+            rows = range(len(columns))[start:end]
+        # Rows counted under the lock never change: ingest appends, compaction rebinds.
+        return [columns.feedback(row) for row in rows]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

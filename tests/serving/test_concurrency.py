@@ -122,6 +122,27 @@ class TestReadersUnderLoad:
             assert seen == sorted(seen)
         service.close()
 
+    def test_evidence_read_mid_ingest_is_a_prefix_of_the_log(self):
+        # evidence() builds its reports outside the session lock, from rows
+        # it counted under it: ingest must never change those rows.
+        service = ReputationService(refresh_every=8)
+        stop = threading.Event()
+        reads = []
+
+        def writer():
+            for base in range(0, 1200, BATCH):
+                service.ingest_many([event(base + i, f"peer-{base % 7}") for i in range(BATCH)])
+            stop.set()
+
+        def reader():
+            while not stop.is_set():
+                reads.append(service.evidence())
+
+        run_threads([writer, reader])
+        final = service.evidence()
+        assert len(final) == 1200 and reads
+        assert all(read == final[: len(read)] for read in reads)
+
 
 class TestSnapshotUnderLoad:
     def test_snapshot_mid_traffic_recovers_identically(self, tmp_path):
