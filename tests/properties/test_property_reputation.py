@@ -3,7 +3,8 @@
 Invariants every mechanism must satisfy regardless of the feedback stream:
 scores stay in [0, 1], known peers are exactly the store participants that
 were rated, rankings are consistent with scores, and unanimous feedback is
-scored on the right side of 0.5.
+scored on the right side of 0.5.  The feedback store holds each subject's
+newest reports in arrival order, whatever its cap.
 """
 
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.reputation.average import SimpleAverageReputation
 from repro.reputation.beta import BetaReputation
 from repro.reputation.eigentrust import EigenTrust
+from repro.reputation.gathering import FeedbackStore
 from repro.reputation.powertrust import PowerTrust
 from repro.reputation.trustme import TrustMeReputation
 from repro.simulation.transaction import Feedback
@@ -108,3 +110,34 @@ def test_refresh_is_idempotent_without_new_evidence(batch):
     first = system.refresh()
     second = system.refresh()
     assert first == second
+
+
+@given(
+    batch=feedback_batches(),
+    cap=st.sampled_from([None, 0, 1, 2]),
+    reads=st.sets(st.integers(min_value=0, max_value=39)),
+)
+@settings(max_examples=60, deadline=None)
+def test_store_holds_each_subjects_newest_reports_in_arrival_order(batch, cap, reads):
+    store = FeedbackStore(max_per_subject=cap)
+    for index, feedback in enumerate(batch):
+        store.add(feedback)
+        if index in reads:
+            store.columns()  # compacts whatever was evicted so far
+    totals = {}
+    for feedback in batch:
+        totals[feedback.subject] = totals.get(feedback.subject, 0) + 1
+    seen = {}
+    expected = []
+    for feedback in batch:
+        seen[feedback.subject] = seen.get(feedback.subject, 0) + 1
+        if cap is None or totals[feedback.subject] - seen[feedback.subject] < cap:
+            expected.append(feedback)
+    columns = store.columns()
+    assert [columns.feedback(row) for row in range(len(columns))] == expected
+    assert len(store) == len(expected)
+    held = {feedback.subject for feedback in expected}
+    first_seen = dict.fromkeys(feedback.subject for feedback in batch)
+    assert store.subjects() == [subject for subject in first_seen if subject in held]
+    held_raters = {feedback.rater for feedback in expected} - {None}
+    assert store.participants() == set(store.subjects()) | held_raters
