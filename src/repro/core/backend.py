@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro import _profiling
 from repro.errors import ConfigurationError
@@ -110,9 +111,13 @@ class PeerIndex:
             count=len(ids),
         )
 
-    def vector_to_dict(self, values: Iterable[float]) -> dict[str, float]:
-        """Zip a dense vector back into an id-keyed mapping (array order)."""
-        return {peer: float(value) for peer, value in zip(self.ids, values, strict=True)}
+    def vector_to_dict(self, values: ArrayLike) -> dict[str, float]:
+        """Zip a dense vector back into an id-keyed mapping (array order).
+
+        ``tolist`` converts every entry to a Python float in one call,
+        instead of one ``float()`` per NumPy scalar.
+        """
+        return dict(zip(self.ids, np.asarray(values, dtype=float).tolist(), strict=True))
 
     def dict_to_vector(self, mapping: Mapping[str, float], *, default: float = 0.0) -> np.ndarray:
         return np.array([mapping.get(peer, default) for peer in self.ids], dtype=float)
@@ -227,17 +232,32 @@ def _dense_step(matrix: ArrayLike, restart: np.ndarray, restart_weight: float) -
 
 
 def _sparse_step(matrix: TrustMatrix, restart: np.ndarray, restart_weight: float) -> _Step:
-    """A CSR step: matvec, dangling redistribution, damping."""
-    dangling = np.asarray(matrix.sum(axis=1)).ravel() <= 0.0
+    """A CSR step: matvec, dangling redistribution, damping.
+
+    The matvec calls ``csr_matvec``, the kernel ``transposed @ trust``
+    dispatches to, into a buffer zeroed each step, and every other
+    operation writes into a preallocated temporary; ``take`` gathers the
+    dangling entries ``trust[dangling]`` would, in the same order, and
+    ``np.add.reduce`` sums them as ``ndarray.sum`` does.  So a step computes
+    the same bits as the operator form without its per-call dispatch.
+    """
+    dangling_rows = np.flatnonzero(np.asarray(matrix.sum(axis=1)).ravel() <= 0.0)
     transposed = matrix.T.tocsr()
-    any_dangling = bool(dangling.any())
+    n = restart.size
+    indptr, indices, data = transposed.indptr, transposed.indices, transposed.data
     damping = 1.0 - restart_weight
     restart_mass = restart_weight * restart
+    updated = np.empty(n)
+    gathered = np.empty(dangling_rows.size)
+    spread = np.empty(n)
 
     def step(trust: np.ndarray, out: np.ndarray) -> None:
-        updated = transposed @ trust
-        if any_dangling:
-            updated += float(trust[dangling].sum()) * restart
+        updated.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, trust, updated)
+        if dangling_rows.size:
+            trust.take(dangling_rows, out=gathered)
+            np.multiply(float(np.add.reduce(gathered)), restart, spread)
+            np.add(updated, spread, updated)
         np.multiply(damping, updated, out)
         np.add(out, restart_mass, out)
 

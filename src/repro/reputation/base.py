@@ -71,10 +71,14 @@ class ScoreView(dict[str, float]):
     def ranking(self) -> list[str]:
         """Peer identifiers ordered from most to least reputable.
 
-        Ties break lexicographically on the peer id, mirroring
-        :meth:`ReputationSystem.ranking`, so rankings are deterministic.
+        Ties break lexicographically on the peer id, so rankings are
+        deterministic.  Two stable sorts, by id and then by descending
+        score, give the ``(-score, id)`` order without building a key
+        tuple per peer.
         """
-        return sorted(self, key=lambda peer: (-self[peer], peer))
+        ranked = sorted(self)
+        ranked.sort(key=self.__getitem__, reverse=True)
+        return ranked
 
     def top(self, n: int) -> list[tuple[str, float]]:
         """The ``n`` most reputable ``(peer_id, score)`` pairs."""
@@ -156,9 +160,9 @@ class ReputationSystem(abc.ABC):
         return ScoreView(self._scores, default_score=self.default_score)
 
     def ranking(self) -> list[str]:
-        """Peer identifiers ordered from most to least reputable."""
-        current = self.scores()
-        return sorted(current, key=lambda peer: (-current[peer], peer))
+        """Peer identifiers ordered from most to least reputable
+        (:meth:`ScoreView.ranking`)."""
+        return self.scores().ranking()
 
     def known_peers(self) -> list[str]:
         return list(self.store.sorted_participants())

@@ -242,6 +242,35 @@ class FeedbackStore:
         self._epoch += 1
 
 
+def _pair_ledger(columns: FeedbackColumns) -> tuple[array, array, array, dict[int, int]]:
+    """The pair ledger of every report in ``columns``, built at once:
+    ``(raters, subjects, sums, slots)`` as :class:`LocalTrustBuilder` keeps
+    them.
+
+    The empty-ledger case of :meth:`LocalTrustBuilder._fold` (a builder's
+    first read, the first after a restore, every one after an eviction), in
+    array operations: ``np.unique`` finds the distinct ``rater << 32 |
+    subject`` keys, sorting them by first index gives first-seen order, and
+    ``bincount`` sums each pair's ``±1`` deltas, which is exact in any
+    order.  So the ledger and the slot map equal what the fold's loop
+    builds one report at a time.
+    """
+    raters = np.array(columns.rater_codes, dtype=np.int64)
+    named = raters >= 0
+    keys = raters[named] << 32 | np.array(columns.subject_codes, dtype=np.int64)[named]
+    deltas = np.where(np.array(columns.positives, dtype=bool)[named], 1.0, -1.0)
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    sums = np.bincount(inverse.ravel(), weights=deltas, minlength=distinct.size)[order]
+    distinct = distinct[order]
+    return (
+        array("q", (distinct >> 32).tobytes()),
+        array("q", (distinct & 0xFFFFFFFF).tobytes()),
+        array("d", sums.tobytes()),
+        dict(zip(distinct.tolist(), range(distinct.size))),
+    )
+
+
 class LocalTrustBuilder:
     """Build pairwise *local trust* values from stored feedback.
 
@@ -306,7 +335,16 @@ class LocalTrustBuilder:
             self._pair_watermark = (epoch, 0)
         start = self._pair_watermark[1]
         total = len(columns)
-        if start < total:
+        if start == 0 < total:
+            (
+                self._pair_raters,
+                self._pair_subjects,
+                self._pair_sums,
+                self._pair_slots,
+            ) = _pair_ledger(columns)
+            self._pair_watermark = (epoch, total)
+            _profiling.add_work("folded.pair_ledger", total)
+        elif start < total:
             slots = self._pair_slots
             pair_raters = self._pair_raters
             pair_subjects = self._pair_subjects

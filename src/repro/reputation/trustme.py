@@ -149,9 +149,25 @@ class TrustMeReputation(ReputationSystem):
                 self.rejected_reports += 1
                 return
         super().record_feedback(feedback)
+        # Under ``max_evidence_per_subject`` the store keeps each subject's
+        # newest reports, and every replica keeps the same ratings.
+        cap = self.store.max_per_subject
         for agent in self.trust_holding_agents(feedback.subject):
             storage = self._tha_storage.setdefault(agent, {})
-            storage.setdefault(feedback.subject, []).append(feedback.rating)
+            ratings = storage.setdefault(feedback.subject, [])
+            ratings.append(feedback.rating)
+            if cap is not None and len(ratings) > cap:
+                del ratings[: len(ratings) - cap]
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # Sessions pickled before the replicas followed the store's cap kept
+        # every rating; hold them to the newest ``cap`` as the store does.
+        self.__dict__.update(state)
+        cap = self.store.max_per_subject
+        if cap is not None:
+            for storage in self._tha_storage.values():
+                for ratings in storage.values():
+                    del ratings[: max(len(ratings) - cap, 0)]
 
     # -- scoring ---------------------------------------------------------------
 

@@ -140,6 +140,11 @@ def _parse_start(value: str) -> int:
     return start
 
 
+def _json_body(payload: dict[str, object]) -> bytes:
+    """A response body: the payload's sorted-keys JSON and a newline."""
+    return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+
+
 def _scores_payload(service: ReputationService, limit: int | None) -> dict[str, object]:
     """The ``/v1/scores`` response body, built from one consistent read."""
     view = service.scores()
@@ -157,6 +162,18 @@ def _scores_payload(service: ReputationService, limit: int | None) -> dict[str, 
         "scores": scores,
         "ranking": ranking,
     }
+
+
+def _scores_response_body(service: ReputationService, limit: int | None) -> bytes:
+    """The bytes ``GET /v1/scores`` sends: ``_json_body(_scores_payload(...))``.
+
+    A full read takes the document :meth:`ReputationService.scores_json`
+    splices around the members it encodes once per publish; a ``limit``
+    read encodes its own, much smaller, payload.
+    """
+    if limit is None:
+        return service.scores_json() + b"\n"
+    return _json_body(_scores_payload(service, limit))
 
 
 def _evidence_payload(
@@ -267,7 +284,11 @@ class ReputationRequestHandler(BaseHTTPRequestHandler):
         payload: dict[str, object],
         headers: dict[str, str] | None = None,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+        self._send_body(status, _json_body(payload), headers)
+
+    def _send_body(
+        self, status: int, body: bytes, headers: dict[str, str] | None = None
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -346,7 +367,7 @@ class ReputationRequestHandler(BaseHTTPRequestHandler):
             limit: int | None = None
             if "limit" in query:
                 limit = _parse_limit(query["limit"][0])
-            self._send_json(200, _scores_payload(service, limit))
+            self._send_body(200, _scores_response_body(service, limit))
         elif url.path == "/v1/evidence":
             query = parse_qs(url.query)
             start = _parse_start(query["start"][0]) if "start" in query else 0

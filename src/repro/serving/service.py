@@ -43,6 +43,7 @@ Latency accounting is strictly observational (see :mod:`repro.serving.sla`).
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -176,6 +177,22 @@ class PeerSummary:
     watermark: int
 
 
+@dataclass
+class _Publication:
+    """What one refresh published, swapped in as one reference.
+
+    ``members`` is the encoded ``"ranking": [...], "scores": {...}`` part
+    of the full ``/v1/scores`` body.  The first
+    :meth:`ReputationService.scores_json` read of this publication fills
+    it, and every later read of it reuses it; the next publish starts a
+    new publication, so the members never outlive their scores.
+    """
+
+    scores: ScoreView
+    ranking: list[str]
+    members: bytes | None = None
+
+
 class PublishedScores(ScoreView):
     """The published scores together with the watermark they were read at.
 
@@ -192,20 +209,19 @@ class PublishedScores(ScoreView):
 
     def __init__(
         self,
-        scores: dict[str, float],
+        publication: _Publication,
         *,
         default_score: float,
-        ranking: list[str],
         watermark: int,
         pending: int,
     ) -> None:
-        super().__init__(scores, default_score=default_score)
-        self._ranking = ranking
+        super().__init__(publication.scores, default_score=default_score)
+        self._publication = publication
         self.watermark = watermark
         self.pending = pending
 
     def ranking(self) -> list[str]:
-        return list(self._ranking)
+        return list(self._publication.ranking)
 
 
 @dataclass
@@ -438,9 +454,13 @@ class ReputationService:
         self._ingested = 0
         self._watermark = 0
         self._refreshes = 0
-        self._published = ScoreView(default_score=config.default_score)
-        self._ranking: list[str] = []
+        self._publication = _Publication(ScoreView(default_score=config.default_score), [])
         self._lock = threading.RLock()
+        #: Guards the scores-body counters and the filling of a
+        #: publication's ``members`` (see :meth:`scores_json`).
+        self._body_lock = threading.Lock()
+        self._bodies_encoded = 0
+        self._bodies_served = 0
         self._clock = OperationClock(SERVICE_OPERATIONS, window=config.latency_window)
         self._wal = wal
         self._snapshotted = 0
@@ -552,8 +572,8 @@ class ReputationService:
     def _publish(self) -> None:
         """Refresh the mechanism and publish the new score watermark."""
         with self._clock.timed("refresh"):
-            self._published = self._system.refresh()
-            self._ranking = self._published.ranking()
+            published = self._system.refresh()
+            self._publication = _Publication(published, published.ranking())
             self._watermark = self._ingested
             self._refreshes += 1
 
@@ -561,7 +581,7 @@ class ReputationService:
         """Force a refresh now (flushes any pending events) and publish."""
         with self._lock:
             self._publish()
-            return self._published
+            return self._publication.scores
 
     # -- overload / health -------------------------------------------------
 
@@ -609,30 +629,62 @@ class ReputationService:
     def scores(self) -> PublishedScores:
         """The published scores at the current watermark (no refresh)."""
         with self._lock, self._clock.timed("query"):
-            # Publishing replaces _ranking rather than mutating it, so the
-            # view may share the list.
+            # Publishing replaces the publication rather than mutating it,
+            # so the view may share it.
             return PublishedScores(
-                self._published,
+                self._publication,
                 default_score=self.config.default_score,
-                ranking=self._ranking,
                 watermark=self._watermark,
                 pending=self._ingested - self._watermark,
             )
 
+    def scores_json(self) -> bytes:
+        """The full ``GET /v1/scores`` document at the current watermark.
+
+        The bytes are ``json.dumps(payload, sort_keys=True)`` of the payload
+        ``{"default_score", "pending", "ranking", "scores", "watermark"}``
+        read from one :meth:`scores` view, so all of it belongs to one
+        watermark.  The ``ranking`` and ``scores`` members are encoded once
+        per publish, by the first read that asks, and kept with the
+        publication; each read splices ``default_score`` and ``pending`` in
+        before them and ``watermark`` after, which is where sorted keys put
+        them.  :meth:`health` counts the encodes and the reads.
+        """
+        view = self.scores()
+        publication = view._publication
+        with self._body_lock:
+            members = publication.members
+            if members is None:
+                encoded = json.dumps(
+                    {"ranking": publication.ranking, "scores": publication.scores},
+                    sort_keys=True,
+                )
+                members = publication.members = encoded[1:-1].encode("utf-8")
+                self._bodies_encoded += 1
+            self._bodies_served += 1
+        default = json.dumps(view.default_score).encode("utf-8")
+        return b'{"default_score": %s, "pending": %d, %s, "watermark": %d}' % (
+            default,
+            view.pending,
+            members,
+            view.watermark,
+        )
+
     def ranking(self, limit: int | None = None) -> list[str]:
         """Peer ids from most to least reputable at the current watermark."""
         with self._lock, self._clock.timed("query"):
-            ranking = self._ranking
+            ranking = self._publication.ranking
             return list(ranking if limit is None else ranking[: max(limit, 0)])
 
     def peer(self, peer_id: str) -> PeerSummary:
         """One peer's served score and rank at the current watermark."""
         with self._lock, self._clock.timed("query"):
-            known = peer_id in self._published
-            rank = self._ranking.index(peer_id) + 1 if known else None
+            published = self._publication.scores
+            known = peer_id in published
+            rank = self._publication.ranking.index(peer_id) + 1 if known else None
             return PeerSummary(
                 peer_id=peer_id,
-                score=self._published.score_of(peer_id),
+                score=published.score_of(peer_id),
                 rank=rank,
                 known=known,
                 watermark=self._watermark,
@@ -661,6 +713,8 @@ class ReputationService:
                     "events": wal.event_count,
                     "path": wal.path,
                 }
+            with self._body_lock:
+                bodies = {"encoded": self._bodies_encoded, "served": self._bodies_served}
             return {
                 "status": self._state_locked(),
                 "mechanism": self.config.mechanism,
@@ -668,13 +722,14 @@ class ReputationService:
                 "watermark": self._watermark,
                 "pending": self._ingested - self._watermark,
                 "refreshes": self._refreshes,
-                "known_peers": len(self._published),
+                "known_peers": len(self._publication.scores),
                 "refresh_every": self.config.refresh_every,
                 "latency": self._clock.summary(),
                 "admission": self._gate.summary(),
                 "rate_limited": self._limiter.limited_total,
                 "read_only_reason": self._read_only_reason,
                 "dedup_keys": len(self._dedup),
+                "scores_bodies": bodies,
                 "wal": wal_summary,
             }
 
@@ -699,7 +754,7 @@ class ReputationService:
                 ingested=self._ingested,
                 watermark=self._watermark,
                 refreshes=self._refreshes,
-                published=dict(self._published),
+                published=dict(self._publication.scores),
             )
             write_checkpoint(
                 path, SERVICE_CHECKPOINT_KIND, payload, round_index=self._watermark
@@ -732,10 +787,8 @@ class ReputationService:
         service._ingested = payload.ingested
         service._watermark = payload.watermark
         service._refreshes = payload.refreshes
-        service._published = ScoreView(
-            payload.published, default_score=payload.config.default_score
-        )
-        service._ranking = service._published.ranking()
+        published = ScoreView(payload.published, default_score=payload.config.default_score)
+        service._publication = _Publication(published, published.ranking())
         service._snapshotted = payload.ingested
         return service
 

@@ -45,6 +45,7 @@ path must survive; ``tests/chaos`` and the CI chaos-gate drill both.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import warnings
 from collections.abc import Mapping, Sequence
@@ -134,6 +135,15 @@ class WalEntry:
     def end(self) -> int:
         """Total events ingested *after* this batch (``seq + len(events)``)."""
         return self.seq + len(self.events)
+
+
+def _sealed_line(body: bytes) -> bytes:
+    """A batch line from its body's sorted-keys JSON: ``sha256`` sorts after
+    every body key, so the digest goes in before the closing brace, and the
+    line is the bytes ``durable.encode`` gives the body with its digest,
+    from one encode instead of two."""
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return body[:-1] + b', "sha256": "' + digest + b'"}\n'
 
 
 def _parse_entry_line(line: bytes) -> WalEntry | None:
@@ -270,9 +280,7 @@ class WriteAheadLog:
         """
         wire = [feedback_to_wire(event) for event in events]
         body = {"events": wire, "key": key, "n": len(wire), "seq": seq}
-        line = dict(body)
-        line["sha256"] = durable.digest(body)
-        encoded = durable.encode(line) + b"\n"
+        encoded = _sealed_line(durable.encode(body))
         action = faults.fire("wal.append", seq=seq, n=len(wire))
         if action == "corrupt":
             encoded = faults.corrupt_bytes(encoded)

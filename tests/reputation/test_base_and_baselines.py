@@ -1,8 +1,11 @@
 """Unit tests for the ReputationSystem base class and the two baselines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.reputation.average import SimpleAverageReputation
+from repro.reputation.base import ScoreView
 from repro.reputation.beta import BetaReputation
 from repro.errors import ConfigurationError
 from tests.conftest import make_feedback
@@ -26,6 +29,23 @@ class TestBaseBehaviour:
         system.record_feedback(make_feedback("carol", 0.0, transaction_id=2))
         system.record_feedback(make_feedback("dave", 1.0, transaction_id=3))
         assert system.ranking() == ["bob", "dave", "carol"]
+
+    def test_ranking_ties_and_negative_zero_break_on_the_peer_id(self):
+        view = ScoreView({"b": 0.5, "e": 1.0, "c": -0.0, "a": 0.5, "aa": 0.0, "d": -0.0})
+        assert view.ranking() == ["e", "a", "b", "aa", "c", "d"]
+        assert view.top(3) == [("e", 1.0), ("a", 0.5), ("b", 0.5)]
+
+    @given(
+        scores=st.dictionaries(
+            st.text(max_size=3),
+            st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(allow_nan=False)),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ranking_is_the_descending_score_then_id_order(self, scores):
+        view = ScoreView(scores)
+        assert view.ranking() == sorted(scores, key=lambda peer: (-scores[peer], peer))
 
     def test_known_peers_includes_raters(self):
         system = SimpleAverageReputation()

@@ -12,12 +12,15 @@ rescan twin's scores byte for byte.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import _profiling
 from repro.core import backend
 from repro.reputation.average import SimpleAverageReputation
 from repro.reputation.beta import BetaReputation
 from repro.reputation.eigentrust import EigenTrust
+from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
 from repro.reputation.powertrust import PowerTrust
 from repro.simulation.transaction import Feedback
 from tests.oracles import rescan
@@ -106,3 +109,45 @@ def test_evidence_fold_refresh_never_rescans_the_report_log(live, twin, site):
             published = incremental.refresh()
         assert timer.work == {site: PER_BATCH}
         assert list(published.items()) == list(cold.refresh().items())
+
+
+def _ledger(builder):
+    return (
+        builder._pair_raters.tobytes(),
+        builder._pair_subjects.tobytes(),
+        builder._pair_sums.tobytes(),
+        list(builder._pair_slots.items()),
+    )
+
+
+@given(
+    reports=st.lists(
+        st.tuples(st.integers(-1, 6), st.integers(0, 6), st.booleans()), min_size=1, max_size=80
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_ledger_folded_at_once_equals_the_one_folded_report_by_report(reports):
+    """An empty ledger folds every stored report in array operations (the
+    first read, the first after a restore or an eviction); the result, slot
+    map and count included, must be the ledger that later reads build one
+    appended report at a time."""
+    store = FeedbackStore()
+    stepwise = LocalTrustBuilder(store)
+    with _profiling.profiled() as timer:
+        for index, (rater, subject, positive) in enumerate(reports):
+            store.add(
+                Feedback(
+                    transaction_id=index,
+                    time=index,
+                    subject=f"p{subject}",
+                    rating=1.0 if positive else 0.0,
+                    rater=None if rater < 0 else f"p{rater}",
+                )
+            )
+            stepwise._fold()
+    assert timer.work == {"folded.pair_ledger": len(reports)}
+    at_once = LocalTrustBuilder(store)
+    with _profiling.profiled() as timer:
+        at_once._fold()
+    assert timer.work == {"folded.pair_ledger": len(reports)}
+    assert _ledger(at_once) == _ledger(stepwise)

@@ -1,6 +1,8 @@
 """Unit tests for the TrustMe-like certificate-gated reputation protocol."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.reputation.trustme import TransactionCertificate, TrustMeReputation
@@ -93,3 +95,42 @@ class TestTrustMeReputation:
         system = TrustMeReputation()
         system.record_feedback(make_feedback("bob", 1.0, rater=None, transaction_id=5))
         assert system.evidence_count == 1
+
+
+class TestEvidenceCap:
+    def test_replicas_keep_the_reports_the_store_keeps(self):
+        system = TrustMeReputation(max_evidence_per_subject=2)
+        for index, rating in enumerate([0.0] * 8 + [1.0] * 2):
+            system.record_feedback(
+                make_feedback("bob", rating, rater=f"r{index}", transaction_id=index)
+            )
+        replicas = [
+            len(system._tha_storage[agent]["bob"])
+            for agent in system.trust_holding_agents("bob")
+        ]
+        assert len(system.store) == 2
+        assert replicas == [2, 2, 2]
+        assert system.refresh() == {"bob": 1.0}
+
+    @given(
+        reports=st.lists(
+            st.tuples(st.sampled_from(["bob", "carol", "dave"]), st.sampled_from([0.0, 0.5, 1.0])),
+            max_size=40,
+        ),
+        cap=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_capped_score_is_the_mean_of_the_held_reports(self, reports, cap):
+        system = TrustMeReputation(max_evidence_per_subject=cap)
+        for index, (subject, rating) in enumerate(reports):
+            system.record_feedback(
+                make_feedback(subject, rating, rater=f"r{index}", transaction_id=index)
+            )
+        columns = system.store.columns()
+        held: dict[str, list[float]] = {}
+        for row in range(len(columns)):
+            report = columns.feedback(row)
+            held.setdefault(report.subject, []).append(report.rating)
+        assert system.refresh() == {
+            subject: round(sum(ratings) / len(ratings), 9) for subject, ratings in held.items()
+        }

@@ -1,6 +1,8 @@
 """Thread-safety of the service session: no torn reads, ordered acks."""
 
+import json
 import threading
+import time
 
 from repro.serving.service import ReputationService, ServiceConfig
 from repro.serving.wal import WriteAheadLog, config_digest, verify_wal
@@ -142,6 +144,59 @@ class TestReadersUnderLoad:
         final = service.evidence()
         assert len(final) == 1200 and reads
         assert all(read == final[: len(read)] for read in reads)
+
+    def test_full_bodies_carry_the_scores_published_at_their_watermark(self):
+        """Full ``/v1/scores`` reads race an ingest across refresh
+        boundaries: each body's members must be the ones published at its
+        own watermark, never a previous publication's."""
+        events = [
+            {
+                "subject": f"peer-{i % 11}",
+                "rating": (i * 7 % 10) / 9,
+                "rater": f"peer-{i * 3 % 13}",
+                "time": i,
+                "transaction_id": i,
+            }
+            for i in range(600)
+        ]
+        batches = [events[start : start + BATCH] for start in range(0, len(events), BATCH)]
+        control = ReputationService(refresh_every=8)
+        published = {0: ({}, [])}
+        for batch in batches:
+            control.ingest_many(batch)
+            view = control.scores()
+            published[view.watermark] = (dict(view), view.ranking())
+        assert len(published) == 1 + len(events) // 8
+
+        service = ReputationService(refresh_every=8)
+        bodies = [service.scores_json()]  # the first publication's members are filled
+        stop = threading.Event()
+
+        def writer():
+            # After each batch, let a read in before the next one.
+            for batch in batches:
+                service.ingest_many(batch)
+                seen = len(bodies)
+                deadline = time.monotonic() + 5.0
+                while len(bodies) == seen and time.monotonic() < deadline:
+                    time.sleep(0)
+            stop.set()
+
+        def reader():
+            while not stop.is_set():
+                bodies.append(service.scores_json())
+
+        run_threads([writer, reader, reader])
+        bodies.append(service.scores_json())
+        watermarks = set()
+        for raw in bodies:
+            body = json.loads(raw)
+            assert json.dumps(body, sort_keys=True).encode("utf-8") == raw
+            assert body["pending"] >= 0
+            assert body["watermark"] + body["pending"] <= len(events)
+            assert (body["scores"], body["ranking"]) == published[body["watermark"]]
+            watermarks.add(body["watermark"])
+        assert len(watermarks) > 10
 
 
 class TestSnapshotUnderLoad:

@@ -1,6 +1,7 @@
 """Unit tests for the transport-agnostic :class:`ReputationService` session."""
 
 import pickletools
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +215,24 @@ class TestSnapshotRestore:
         assert restored.pending == service.pending
         assert restored.evidence() == service.evidence()
         assert restored.scores() == service.scores()
+
+    def test_capped_trustme_snapshot_with_full_replicas_restores_to_the_held_reports(self):
+        """``data/trustme-collusion-ring-cap2.ckpt`` was written while TrustMe's
+        replicas kept every rating under ``max_evidence_per_subject=2``: split
+        at event 59 of ``build_trace("collusion-ring", n_users=16, rounds=16,
+        seed=5)`` with ``refresh_every=8``.  Restored, it publishes what a
+        session whose replicas held the cap all along publishes."""
+        path = Path(__file__).resolve().parent / "data" / "trustme-collusion-ring-cap2.ckpt"
+        restored = ReputationService.restore(str(path))
+        trace = build_trace("collusion-ring", n_users=16, rounds=16, seed=5)
+        split = restored.health()["ingested"]
+        uninterrupted = ReputationService(restored.config)
+        uninterrupted.ingest_many(trace[:split])
+        for events in ([], trace[split:]):
+            for session in (restored, uninterrupted):
+                session.ingest_many(events)
+                session.refresh()
+            assert restored.scores_json() == uninterrupted.scores_json()
 
     def test_restore_rejects_wrong_kind(self, tmp_path):
         from repro.simulation.checkpoint import write_checkpoint

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 import repro.faults as faults
+from repro import durable
 from repro.errors import ConfigurationError, IntegrityError
 from repro.serving.service import ReputationService, ServiceConfig
 from repro.serving.wal import (
@@ -49,6 +50,35 @@ def fresh_wal(path, *sizes, keys=None):
         key = None if keys is None else keys[index]
         wal.append(events, seq=seq, key=key)
     return wal
+
+
+class TestLineBytes:
+    @pytest.mark.parametrize(
+        "key", [None, "c1-0", 'say "hi"', "back\\slash", "naïve-ключ-☃", "tab\tnew\nline"]
+    )
+    def test_line_is_the_sorted_keys_encoding_with_its_digest(self, tmp_path, key):
+        """One encode spliced with its digest gives the bytes of encoding
+        the body, hashing it and encoding it again with ``sha256``."""
+        events = [
+            Feedback(transaction_id=7, time=3, subject='q"uote', rating=0.25, rater="b\\s"),
+            Feedback(
+                transaction_id=8, time=4, subject="zoë-日本", rating=1.0, rater=None, truthful=False
+            ),
+        ]
+        path = tmp_path / "serve.wal"
+        wal, _, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG, fsync=False)
+        with wal:
+            wal.append(events, seq=5, key=key)
+        wire = [feedback_to_wire(feedback) for feedback in events]
+        body = {"events": wire, "key": key, "n": 2, "seq": 5}
+        expected = durable.encode({**body, "sha256": durable.digest(body)}) + b"\n"
+        assert path.read_bytes().split(b"\n", 1)[1] == expected
+        reopened, entries, truncated = WriteAheadLog.open(str(path), config_sha256=CONFIG)
+        reopened.close()
+        assert truncated == 0
+        assert [(entry.seq, entry.key, entry.events) for entry in entries] == [
+            (5, key, tuple(events))
+        ]
 
 
 class TestWireFormat:

@@ -11,8 +11,9 @@ SHA-256 of
 * ``experiment/<name>`` — each registered experiment's quick structured
   output, serialized as sorted-key JSON;
 * ``service/<mechanism>`` — the final ``/v1/scores`` body of a live service
-  fed a pinned collusion-ring trace.  Computing it also checks that the same
-  service snapshotted and restored halfway publishes the same body;
+  fed a pinned collusion-ring trace, as the request handler builds it.
+  Computing it also checks that the same service snapshotted and restored
+  halfway publishes the same body;
 * ``sparse/<scenario>/<mechanism>`` — scenario runs at 140 peers, where
   EigenTrust and PowerTrust build local trust on the sparse branch: the
   record and the final published scores.
@@ -45,7 +46,7 @@ from repro.scenarios.schema.library import (
     scenario_record_json,
     template_record_json,
 )
-from repro.serving.http import _scores_payload
+from repro.serving.http import _scores_response_body
 from repro.serving.loadgen import build_trace
 from repro.serving.service import ReputationService
 
@@ -99,9 +100,10 @@ def _feed(service: ReputationService, events: list[dict[str, object]]) -> None:
 
 
 def _scores_body(service: ReputationService) -> bytes:
-    """What ``GET /v1/scores`` sends once every event is published."""
+    """What ``GET /v1/scores`` sends once every event is published, built
+    by the request handler's own body path."""
     service.refresh()
-    return json.dumps(_scores_payload(service, None), sort_keys=True).encode("utf-8") + b"\n"
+    return _scores_response_body(service, None)
 
 
 def service_body(mechanism: str, events: list[dict[str, object]]) -> bytes:
