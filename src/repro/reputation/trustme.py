@@ -156,8 +156,8 @@ class TrustMeReputation(ReputationSystem):
             storage = self._tha_storage.setdefault(agent, {})
             ratings = storage.setdefault(feedback.subject, [])
             ratings.append(feedback.rating)
-            if cap is not None and len(ratings) > cap:
-                del ratings[: len(ratings) - cap]
+            if cap is not None:
+                del ratings[: max(len(ratings) - cap, 0)]
 
     def __setstate__(self, state: dict[str, object]) -> None:
         # Sessions pickled before the replicas followed the store's cap kept
