@@ -1,6 +1,7 @@
 """Thread-safety of the service session: no torn reads, ordered acks."""
 
 import json
+import sys
 import threading
 import time
 
@@ -186,7 +187,12 @@ class TestReadersUnderLoad:
             while not stop.is_set():
                 bodies.append(service.scores_json())
 
-        run_threads([writer, reader, reader])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside scores_json too
+        try:
+            run_threads([writer, reader, reader])
+        finally:
+            sys.setswitchinterval(interval)
         bodies.append(service.scores_json())
         watermarks = set()
         for raw in bodies:
