@@ -99,6 +99,14 @@ DEFAULT_CACHE_CONTRACTS: tuple[CacheContract, ...] = (
         source_counters=("_store.epoch",),
     ),
     CacheContract(
+        module="repro/reputation/base.py",
+        class_name="SubjectFold",
+        cache_fields=("_agg", "_agg_watermark"),
+        source_counters=("store.epoch",),
+        # ``__setstate__`` starts the fold over, as ``__init__`` does.
+        exempt_methods=("__init__", "__setstate__"),
+    ),
+    CacheContract(
         module="repro/socialnet/graph.py",
         class_name="SocialGraph",
         counters=("_version",),

@@ -131,23 +131,19 @@ def local_trust_matrix(
     rater_positions: ArrayLike,
     subject_positions: ArrayLike,
     deltas: ArrayLike,
-) -> TrustMatrix:
-    """Row-normalized local trust ``C`` from pairwise feedback deltas.
+) -> sparse.csr_matrix:
+    """Row-normalized local trust ``C`` as CSR, from pairwise feedback
+    deltas.
 
-    Mirrors :meth:`LocalTrustBuilder.normalized_local_trust`: raw pairwise
-    totals are clipped at zero, then each row is normalized to sum to one;
-    rows without positive evidence stay all-zero (dangling) and are handled
-    by :func:`power_iteration`'s restart redistribution.
-
-    Returns a CSR matrix when the population is large (the trust graph is
-    a few percent dense at realistic peer counts, so sparse storage keeps
-    both the build and every matrix-vector product O(nnz)); below
-    :data:`DENSE_TRUST_THRESHOLD` peers a dense array via
-    :func:`dense_local_trust_matrix`, where the fixed CSR dispatch overhead
-    would dominate.  Same values either way.
+    Raw pairwise totals are clipped at zero, then each row is normalized
+    to sum to one; rows without positive evidence stay all-zero (dangling)
+    and are handled by :func:`power_iteration`'s restart redistribution.
+    The trust graph is a few percent dense at realistic peer counts, so
+    sparse storage keeps both the build and every matrix-vector product
+    O(nnz).  :meth:`~repro.reputation.gathering.LocalTrustBuilder.matrix`
+    builds ``C`` here from :data:`DENSE_TRUST_THRESHOLD` peers up, and
+    dense with :func:`normalize_dense_raw` below it.
     """
-    if n < DENSE_TRUST_THRESHOLD:
-        return dense_local_trust_matrix(n, rater_positions, subject_positions, deltas)
     rater_positions = np.asarray(rater_positions, dtype=np.intp)
     subject_positions = np.asarray(subject_positions, dtype=np.intp)
     deltas = np.asarray(deltas, dtype=float)
@@ -162,42 +158,16 @@ def local_trust_matrix(
     return raw
 
 
-def dense_local_trust_matrix(
-    n: int,
-    rater_positions: ArrayLike,
-    subject_positions: ArrayLike,
-    deltas: ArrayLike,
-) -> np.ndarray:
-    """The dense branch of :func:`local_trust_matrix`.
+def normalize_dense_raw(raw: np.ndarray) -> np.ndarray:
+    """Clip-at-zero and row-normalize a dense signed pairwise-total matrix
+    into a new array, leaving ``raw`` untouched (it may be a cached raw
+    matrix).
 
-    The scatter-add goes through ``bincount`` on flattened ``(rater,
-    subject)`` positions, which is far faster than ``np.add.at``.
+    The tail of every dense local-trust build, so the builder's cached raw
+    matrix and the per-report scatter of the rescan oracle
+    (``tests/oracles/rescan.py``) produce bitwise-identical ``C``.
     """
-    rater_positions = np.asarray(rater_positions, dtype=np.intp)
-    if rater_positions.size:
-        subject_positions = np.asarray(subject_positions, dtype=np.intp)
-        flat = rater_positions * n + subject_positions
-        raw = np.bincount(
-            flat, weights=np.asarray(deltas, dtype=float), minlength=n * n
-        ).reshape(n, n)
-    else:
-        raw = np.zeros((n, n), dtype=float)
-    return normalize_dense_raw(raw, copy=False)
-
-
-def normalize_dense_raw(raw: np.ndarray, *, copy: bool = True) -> np.ndarray:
-    """Clip-at-zero and row-normalize a dense signed pairwise-total matrix.
-
-    The shared tail of every dense local-trust build — per-report scatter,
-    pair-ledger scatter, or the incrementally maintained raw matrix — so
-    all of them produce bitwise-identical ``C``.  ``copy=True`` leaves the
-    input untouched (required for cached raw matrices).
-    """
-    if copy:
-        clipped = np.maximum(raw, 0.0)
-    else:
-        clipped = raw
-        np.maximum(clipped, 0.0, out=clipped)
+    clipped = np.maximum(raw, 0.0)
     row_sums = clipped.sum(axis=1)
     nonzero = row_sums > 0.0
     clipped[nonzero] /= row_sums[nonzero, None]
@@ -502,7 +472,6 @@ __all__ = [
     "coupling_equilibria",
     "coupling_run",
     "coupling_step",
-    "dense_local_trust_matrix",
     "interaction_counts",
     "local_trust_matrix",
     "minmax_rescale",

@@ -10,7 +10,8 @@ implements that architecture and the concrete mechanisms the paper cites:
 * :class:`~repro.reputation.powertrust.PowerTrust` — Zhou & Hwang's
   power-node based aggregation over a trust overlay;
 * :class:`~repro.reputation.trustme.TrustMeReputation` — a TrustMe-like
-  protocol where anonymous trust-holding agents store certified reports;
+  protocol: a transaction-certificate gate in front of the simple
+  average's fold;
 * :class:`~repro.reputation.beta.BetaReputation` and
   :class:`~repro.reputation.average.SimpleAverageReputation` — baselines;
 * :class:`~repro.reputation.anonymous.AnonymousFeedbackReputation` — a

@@ -17,14 +17,19 @@ how much personally-linkable information it needs to operate (rater
 identities, full transaction history, ...).  The privacy facet uses this to
 translate a mechanism choice into an exposure level — the paper's core
 reputation/privacy antagonism.
+
+The mechanisms that score a subject from its own reports alone (Beta,
+simple average, TrustMe) share one scoring block, :class:`SubjectFold`:
+an incremental per-subject fold.
 """
 
 from __future__ import annotations
 
 import abc
 
+from repro import _profiling
 from repro._util import clamp
-from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
+from repro.reputation.gathering import FeedbackColumns, FeedbackStore, LocalTrustBuilder
 from repro.simulation.transaction import Feedback
 
 #: Published scores are rounded to this many decimals.  Rationale: the
@@ -177,3 +182,81 @@ class ReputationSystem(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} evidence={self.evidence_count}>"
+
+
+class SubjectFold(ReputationSystem):
+    """A mechanism that scores each subject from a running aggregate of the
+    subject's held reports, left-folded in arrival order.
+
+    A subclass supplies the per-report step (:meth:`_update`) and the score
+    of an aggregate (:meth:`_score`).  Refresh is incremental: it folds only
+    the reports appended since the previous one, from an ``(epoch,
+    position)`` watermark into the store's column log, and a history
+    rewrite (eviction, ``clear``) restarts the fold from the first report.
+    Each fold call counts its reports as ``folded.<name>``.
+
+    The aggregates are derived from the store, so snapshots and checkpoints
+    leave them out: the first refresh after a restore refolds the stored
+    reports in arrival order with the same steps, which gives the same
+    bits.  A pickle written while the aggregates were kept restores the
+    same way.
+    """
+
+    #: State that pickles leave out and unpickling drops.
+    _NOT_PICKLED: frozenset[str] = frozenset({"_agg", "_agg_watermark"})
+
+    def __init__(
+        self,
+        *,
+        default_score: float = 0.5,
+        max_evidence_per_subject: int | None = None,
+    ) -> None:
+        super().__init__(
+            default_score=default_score,
+            max_evidence_per_subject=max_evidence_per_subject,
+        )
+        #: subject -> running aggregate (see :meth:`_update`).
+        self._agg: dict[str, list[float]] = {}
+        #: ``(epoch, position)`` of the column log folded so far.
+        self._agg_watermark: tuple[int, int] = (-1, 0)
+
+    def __getstate__(self) -> dict[str, object]:
+        dropped = self._NOT_PICKLED
+        return {name: value for name, value in self.__dict__.items() if name not in dropped}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(
+            (name, value) for name, value in state.items() if name not in self._NOT_PICKLED
+        )
+        self._agg = {}
+        self._agg_watermark = (-1, 0)
+
+    @abc.abstractmethod
+    def _update(self, entry: list[float] | None, columns: FeedbackColumns, row: int) -> list[float]:
+        """Fold report ``row`` into its subject's aggregate ``entry`` (``None``
+        before the subject's first held report) and return the aggregate."""
+
+    @abc.abstractmethod
+    def _score(self, entry: list[float]) -> float:
+        """The score of a subject whose aggregate is ``entry``."""
+
+    def compute_scores(self) -> dict[str, float]:
+        columns = self.store.columns()
+        epoch = self.store.epoch
+        if self._agg_watermark[0] != epoch:
+            self._agg = {}
+            self._agg_watermark = (epoch, 0)
+        agg = self._agg
+        position = self._agg_watermark[1]
+        total = len(columns)
+        if position < total:
+            ids = columns.id_for_code
+            subject_codes = columns.subject_codes
+            update = self._update
+            for row in range(position, total):
+                subject = ids[subject_codes[row]]
+                agg[subject] = update(agg.get(subject), columns, row)
+            self._agg_watermark = (epoch, total)
+            _profiling.add_work(f"folded.{self.name}", total - position)
+        score = self._score
+        return {subject: score(agg[subject]) for subject in self.store.subjects()}

@@ -10,27 +10,26 @@ requirement is low.
 
 from __future__ import annotations
 
-
-from repro import _profiling
 from repro._util import require_unit_interval
-from repro.reputation.base import ReputationSystem
+from repro.reputation.base import SubjectFold
+from repro.reputation.gathering import FeedbackColumns
 
 
-class BetaReputation(ReputationSystem):
+class BetaReputation(SubjectFold):
     """Beta-posterior expected value with exponential forgetting.
 
-    Refresh is incremental: a per-subject running ``(α-mass, β-mass,
-    latest time)`` folds in only newly appended reports, from an ``(epoch,
-    position)`` watermark into the store's column log; a history rewrite
-    (eviction, ``clear``) restarts the fold from the first report.  Without
-    forgetting (``forgetting=1.0``, the default) every report weighs exactly
-    1.0 and the running masses are integer counts, so the scores are
-    *bitwise* identical to a rescan of the whole store (the rescan twin in
-    ``tests/oracles``).  With forgetting, a report newer than the subject's
-    previous ``latest`` rescales the accumulated mass by
-    ``forgetting**(new - old)`` — algebraically equal to the rescan's sum but
-    re-associated, so the two agree only to float round-off (~1e-13); the
-    1e-9 publication grid of :meth:`ReputationSystem.refresh` absorbs that.
+    A subject's aggregate is its running ``(α-mass, β-mass, latest time)``
+    (see :class:`~repro.reputation.base.SubjectFold` for the incremental
+    refresh).  A report newer than the subject's previous ``latest``
+    rescales the accumulated mass by ``forgetting**(new - old)``:
+    algebraically equal to a rescan's sum of ``forgetting**(latest - t)``
+    but re-associated, so the two agree only to float round-off (~1e-13),
+    which the 1e-9 publication grid of
+    :meth:`~repro.reputation.base.ReputationSystem.refresh` absorbs.
+    Without forgetting (``forgetting=1.0``, the default) every weight and
+    scale is exactly 1.0 and the masses are integer counts, so the scores
+    are *bitwise* identical to a rescan of the whole store (the rescan twin
+    in ``tests/oracles``).
     """
 
     name = "beta"
@@ -48,60 +47,25 @@ class BetaReputation(ReputationSystem):
             max_evidence_per_subject=max_evidence_per_subject,
         )
         self.forgetting = require_unit_interval(forgetting, "forgetting")
-        #: subject -> [α mass, β mass, latest report time].  When
-        #: ``forgetting == 1.0`` the masses *include* the +1 prior so the
-        #: fold order matches the rescan loop addition for addition; otherwise
-        #: the prior is added at score time (it must not be rescaled).
-        self._agg: dict[str, list[float]] = {}
-        self._agg_watermark: tuple[int, int] = (-1, 0)
 
-    def _fold(self, start: int) -> None:
-        columns = self.store.columns()
-        agg = self._agg
-        ids = columns.id_for_code
-        subject_codes = columns.subject_codes
-        positives = columns.positives
-        times = columns.times
-        forgetting = self.forgetting
-        # repro-lint: ignore[R5] config sentinel selecting the bitwise
-        # fold fast path; forgetting arrives by assignment, not arithmetic
-        exact = forgetting == 1.0
-        prior = 1.0 if exact else 0.0
-        for index in range(start, len(subject_codes)):
-            subject = ids[subject_codes[index]]
-            time = times[index]
-            entry = agg.get(subject)
-            if entry is None:
-                entry = agg[subject] = [prior, prior, time]
-            elif time > entry[2]:
-                if not exact:
-                    scale = forgetting ** (time - entry[2])
-                    entry[0] *= scale
-                    entry[1] *= scale
-                entry[2] = time
-            weight = 1.0 if exact else forgetting ** (entry[2] - time)
-            if positives[index]:
-                entry[0] += weight
-            else:
-                entry[1] += weight
+    def _update(self, entry: list[float] | None, columns: FeedbackColumns, row: int) -> list[float]:
+        time = columns.times[row]
+        if entry is None:
+            entry = [0.0, 0.0, time]
+        elif time > entry[2]:
+            scale = self.forgetting ** (time - entry[2])
+            entry[0] *= scale
+            entry[1] *= scale
+            entry[2] = time
+        # The prior is added at score time: it must not be rescaled.
+        weight = self.forgetting ** (entry[2] - time)
+        if columns.positives[row]:
+            entry[0] += weight
+        else:
+            entry[1] += weight
+        return entry
 
-    def compute_scores(self) -> dict[str, float]:
-        epoch = self.store.epoch
-        if self._agg_watermark[0] != epoch:
-            self._agg = {}
-            self._agg_watermark = (epoch, 0)
-        position = self._agg_watermark[1]
-        total = len(self.store.columns())
-        if position < total:
-            self._fold(position)
-            self._agg_watermark = (epoch, total)
-            _profiling.add_work("folded.beta", total - position)
-        # repro-lint: ignore[R5] config sentinel (see _fold): exact check
-        prior = 0.0 if self.forgetting == 1.0 else 1.0
-        scores: dict[str, float] = {}
-        for subject in self.store.subjects():
-            entry = self._agg[subject]
-            alpha = prior + entry[0]
-            beta = prior + entry[1]
-            scores[subject] = alpha / (alpha + beta)
-        return scores
+    def _score(self, entry: list[float]) -> float:
+        alpha = 1.0 + entry[0]
+        beta = 1.0 + entry[1]
+        return alpha / (alpha + beta)

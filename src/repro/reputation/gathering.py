@@ -399,22 +399,6 @@ class LocalTrustBuilder:
         positive = sums > 0.0
         return backend.local_trust_matrix(n, rows[positive], cols[positive], sums[positive])
 
-    def pair_totals(self) -> dict[str, dict[str, float]]:
-        """Signed pairwise totals ``{rater: {subject: positives - negatives}}``.
-
-        A fresh read view of the ledger, in first-seen order.  Unclipped
-        (rows may carry zero or negative entries); pairs stay present once
-        rated, which is exactly the edge set of PowerTrust's trust overlay.
-        """
-        ids = self._fold().id_for_code
-        totals: dict[str, dict[str, float]] = {}
-        for rater, subject, value in zip(self._pair_raters, self._pair_subjects, self._pair_sums):
-            row = totals.get(ids[rater])
-            if row is None:
-                row = totals[ids[rater]] = {}
-            row[ids[subject]] = value
-        return totals
-
     def raters_per_subject(self) -> dict[str, int]:
         """How many distinct raters assessed each rated peer (ledger pairs
         per subject code)."""

@@ -7,6 +7,8 @@ from repro import _profiling
 from repro.core import backend as bk
 from repro.core.coupling import STATE_VARIABLES, CouplingDynamics, CouplingState
 from repro.errors import ConfigurationError
+from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
+from repro.simulation.transaction import Feedback
 from tests.oracles import coupling as coupling_oracle
 from tests.oracles import rescan
 
@@ -59,7 +61,9 @@ class TestLocalTrustMatrix:
     def test_small_populations_use_dense_storage(self):
         # Below the threshold the builder returns a plain array: CSR
         # dispatch overhead dominates tiny matvecs.
-        small = bk.local_trust_matrix(3, [0], [1], [1.0])
+        store = FeedbackStore()
+        store.add(Feedback(transaction_id=0, time=0, subject="b", rating=1.0, rater="a"))
+        small = LocalTrustBuilder(store).matrix(bk.PeerIndex(["a", "b", "c"]))
         assert isinstance(small, numpy.ndarray)
 
     def test_large_populations_use_sparse_storage(self):
@@ -71,7 +75,7 @@ class TestLocalTrustMatrix:
         raters = [0, 1, 1, 2, 0]
         subjects = [1, 0, 2, 0, 2]
         deltas = [1.0, 2.0, -1.0, 1.0, 3.0]
-        dense = bk.dense_local_trust_matrix(3, raters, subjects, deltas)
+        dense = rescan.dense_local_trust_matrix(3, raters, subjects, deltas)
         built = _as_dense(bk.local_trust_matrix(3, raters, subjects, deltas))
         assert numpy.allclose(dense, built)
 

@@ -28,10 +28,21 @@ def reports_about(store: FeedbackStore, subject: str) -> list[Feedback]:
 
 
 def raw_local_trust(builder: LocalTrustBuilder) -> dict[str, dict[str, float]]:
-    """``{rater: {subject: max(0, positives - negatives)}}``."""
+    """``{rater: {subject: max(0, positives - negatives)}}``, summed over
+    every identified report the builder's store holds, pairs in first-seen
+    order."""
+    columns = builder._store.columns()
+    ids = columns.id_for_code
+    totals: dict[str, dict[str, float]] = {}
+    for row, rater in enumerate(columns.rater_codes):
+        if rater < 0:
+            continue
+        pairs = totals.setdefault(ids[rater], {})
+        subject = ids[columns.subject_codes[row]]
+        pairs[subject] = pairs.get(subject, 0.0) + (1.0 if columns.positives[row] else -1.0)
     return {
-        rater: {subject: max(0.0, value) for subject, value in row.items()}
-        for rater, row in builder.pair_totals().items()
+        rater: {subject: max(0.0, value) for subject, value in pairs.items()}
+        for rater, pairs in totals.items()
     }
 
 

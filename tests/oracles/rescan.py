@@ -64,10 +64,27 @@ def beta_scores(
     return alpha / (alpha + beta)
 
 
+def dense_local_trust_matrix(n: int, rater_positions, subject_positions, deltas) -> np.ndarray:
+    """Row-normalized local trust ``C`` as a dense array, scattered from
+    every report's delta: the dense twin of
+    :func:`repro.core.backend.local_trust_matrix`.
+
+    The scatter-add goes through ``bincount`` on flattened ``(rater,
+    subject)`` positions; the sums are integers, exact in any order.
+    """
+    raters = np.asarray(rater_positions, dtype=np.intp)
+    subjects = np.asarray(subject_positions, dtype=np.intp)
+    deltas = np.asarray(deltas, dtype=float)
+    raw = np.bincount(raters * n + subjects, weights=deltas, minlength=n * n)
+    return backend.normalize_dense_raw(raw.reshape(n, n))
+
+
 def local_trust_matrix_from_columns(
     columns: FeedbackColumns, index: PeerIndex
 ) -> backend.TrustMatrix:
-    """Local trust ``C`` from one pass over every report.
+    """Local trust ``C`` from one pass over every report, dense below
+    ``DENSE_TRUST_THRESHOLD`` peers and CSR from there up, as
+    :meth:`LocalTrustBuilder.matrix` builds it.
 
     Anonymous reports (rater code -1) and peers outside ``index`` are
     dropped, exactly as the pair ledger ignores them.
@@ -79,9 +96,12 @@ def local_trust_matrix_from_columns(
     subject_positions = perm[np.asarray(columns.subject_codes, dtype=np.intp)[identified]]
     known = (rater_positions >= 0) & (subject_positions >= 0)
     deltas = np.where(np.asarray(columns.positives, dtype=bool)[identified][known], 1.0, -1.0)
-    return backend.local_trust_matrix(
-        len(index), rater_positions[known], subject_positions[known], deltas
+    build = (
+        dense_local_trust_matrix
+        if len(index) < backend.DENSE_TRUST_THRESHOLD
+        else backend.local_trust_matrix
     )
+    return build(len(index), rater_positions[known], subject_positions[known], deltas)
 
 
 def stepwise_power_iteration(

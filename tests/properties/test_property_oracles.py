@@ -167,7 +167,8 @@ def power_iteration_cases(draw):
     # Peers outside the rating set, or with only negative totals, dangle.
     raters = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])))
     n_reports = draw(st.integers(0, 4 * n)) if raters.size else 0
-    matrix = backend.local_trust_matrix(
+    build = rescan.dense_local_trust_matrix if n < threshold else backend.local_trust_matrix
+    matrix = build(
         n,
         rng.choice(raters, n_reports) if n_reports else [],
         rng.integers(0, n, n_reports),

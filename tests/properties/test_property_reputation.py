@@ -4,8 +4,13 @@ Invariants every mechanism must satisfy regardless of the feedback stream:
 scores stay in [0, 1], known peers are exactly the store participants that
 were rated, rankings are consistent with scores, and unanimous feedback is
 scored on the right side of 0.5.  The feedback store holds each subject's
-newest reports in arrival order, whatever its cap.
+newest reports in arrival order, whatever its cap.  A per-subject fold
+pickles without its aggregates and, unpickled, publishes what it would have.
 """
+
+import json
+import pickle
+import pickletools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,3 +146,52 @@ def test_store_holds_each_subjects_newest_reports_in_arrival_order(batch, cap, r
     assert store.subjects() == [subject for subject in first_seen if subject in held]
     held_raters = {feedback.rater for feedback in expected} - {None}
     assert store.participants() == set(store.subjects()) | held_raters
+
+
+#: The per-subject folds, with the constructor keywords each is drawn with.
+FOLDS = [
+    (BetaReputation, {"forgetting": 1.0}),
+    (BetaReputation, {"forgetting": 0.9}),
+    (SimpleAverageReputation, {}),
+    (TrustMeReputation, {}),
+]
+
+
+def _pickled_names(blob: bytes) -> set[str]:
+    """Every string a pickle names: attribute names, modules, classes."""
+    return {arg for _, arg, _ in pickletools.genops(blob) if isinstance(arg, str)}
+
+
+@given(
+    fold=st.sampled_from(FOLDS),
+    cap=st.sampled_from([None, 2]),
+    reports=st.lists(
+        st.tuples(
+            st.sampled_from(SUBJECTS),
+            st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+            st.integers(min_value=0, max_value=20),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    split=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=80, deadline=None)
+def test_an_unpickled_fold_publishes_what_it_would_have(fold, cap, reports, split):
+    """Pickle a fold at a drawn report and feed it the rest: at every
+    refresh it publishes the bytes a fold that was never pickled does, and
+    its pickle holds no aggregate (the first refresh refolds the store)."""
+    mechanism, kwargs = fold
+    kept = mechanism(max_evidence_per_subject=cap, **kwargs)
+    restored = mechanism(max_evidence_per_subject=cap, **kwargs)
+    for index, (subject, rating, time) in enumerate(reports):
+        if index == min(split, len(reports) - 1):
+            blob = pickle.dumps(restored)
+            assert not {"_agg", "_agg_watermark"} & _pickled_names(blob)
+            restored = pickle.loads(blob)
+        feedback = Feedback(
+            transaction_id=index, time=time, subject=subject, rating=rating, rater="r0"
+        )
+        kept.record_feedback(feedback)
+        restored.record_feedback(feedback)
+        assert json.dumps(restored.refresh()) == json.dumps(kept.refresh())

@@ -1,12 +1,12 @@
 """Refreshes fold only what was appended, at serving scale.
 
 From ``DENSE_TRUST_THRESHOLD`` peers up, EigenTrust and PowerTrust build
-``C`` from the builder's incrementally folded pair ledger; Beta and the
-simple average fold their per-subject masses.  A refresh must never
-restart a fold from the first report: the work counters of
+``C`` from the builder's incrementally folded pair ledger; Beta, the
+simple average and TrustMe fold their per-subject aggregates.  A refresh
+must never restart a fold from the first report: the work counters of
 :func:`repro._profiling.profiled` show each refresh folding exactly the
-reports appended since the previous one.  What it publishes must equal the
-rescan twin's scores byte for byte.
+reports appended since the previous one.  What it publishes must equal
+the rescan twin's scores byte for byte.
 """
 
 import random
@@ -22,6 +22,7 @@ from repro.reputation.beta import BetaReputation
 from repro.reputation.eigentrust import EigenTrust
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
 from repro.reputation.powertrust import PowerTrust
+from repro.reputation.trustme import TrustMeReputation
 from repro.simulation.transaction import Feedback
 from tests.oracles import rescan
 
@@ -95,8 +96,11 @@ def test_serving_scale_refresh_never_rescans_the_report_log(live, twin, site):
             "folded.beta",
         ),
         (SimpleAverageReputation, rescan.RescanAverage, "folded.average"),
+        # TrustMe's certificate gate admits every report here, and its
+        # score is the average's.
+        (TrustMeReputation, rescan.RescanAverage, "folded.trustme"),
     ],
-    ids=["beta", "average"],
+    ids=["beta", "average", "trustme"],
 )
 def test_evidence_fold_refresh_never_rescans_the_report_log(live, twin, site):
     incremental = live()

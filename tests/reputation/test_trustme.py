@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.reputation.trustme import TransactionCertificate, TrustMeReputation
 from tests.conftest import make_feedback
 
@@ -25,10 +24,6 @@ class TestTransactionCertificate:
 
 
 class TestTrustMeReputation:
-    def test_rejects_bad_replication(self):
-        with pytest.raises(ConfigurationError):
-            TrustMeReputation(replication=0)
-
     def test_auto_certified_reports_are_accepted(self):
         system = TrustMeReputation()
         system.record_feedback(make_feedback("bob", 1.0, rater="alice", transaction_id=1))
@@ -66,14 +61,6 @@ class TestTrustMeReputation:
         system.record_feedback(make_feedback("bob", 1.0, rater="eve", transaction_id=99))
         assert system.evidence_count == 1
 
-    def test_trust_holding_agents_are_deterministic_and_replicated(self):
-        system = TrustMeReputation(replication=3)
-        agents = system.trust_holding_agents("bob")
-        assert len(agents) == 3
-        assert len(set(agents)) == 3
-        assert agents == system.trust_holding_agents("bob")
-        assert agents != system.trust_holding_agents("carol")
-
     def test_scores_average_certified_reports(self):
         system = TrustMeReputation()
         ratings = [1.0, 1.0, 0.0, 1.0]
@@ -98,20 +85,6 @@ class TestTrustMeReputation:
 
 
 class TestEvidenceCap:
-    def test_replicas_keep_the_reports_the_store_keeps(self):
-        system = TrustMeReputation(max_evidence_per_subject=2)
-        for index, rating in enumerate([0.0] * 8 + [1.0] * 2):
-            system.record_feedback(
-                make_feedback("bob", rating, rater=f"r{index}", transaction_id=index)
-            )
-        replicas = [
-            len(system._tha_storage[agent]["bob"])
-            for agent in system.trust_holding_agents("bob")
-        ]
-        assert len(system.store) == 2
-        assert replicas == [2, 2, 2]
-        assert system.refresh() == {"bob": 1.0}
-
     @given(
         reports=st.lists(
             st.tuples(st.sampled_from(["bob", "carol", "dave"]), st.sampled_from([0.0, 0.5, 1.0])),

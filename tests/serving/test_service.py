@@ -234,6 +234,19 @@ class TestSnapshotRestore:
                 session.refresh()
             assert restored.scores_json() == uninterrupted.scores_json()
 
+    def test_restored_trustme_snapshot_pickles_without_replicas_or_folds(self, tmp_path):
+        """Restored, the snapshot with replica lists drops them: its next
+        snapshot names no replica, ``replication`` or fold aggregate, like
+        one from a session that never kept them."""
+        path = Path(__file__).resolve().parent / "data" / "trustme-collusion-ring-cap2.ckpt"
+        restored = ReputationService.restore(str(path))
+        again = str(tmp_path / "again.ckpt")
+        restored.snapshot(again)
+        _, blob = verify_checkpoint(again)
+        strings = {arg for _, arg, _ in pickletools.genops(blob) if isinstance(arg, str)}
+        assert "_certificates" in strings
+        assert not {"_tha_storage", "replication", "_agg", "_agg_watermark"} & strings
+
     def test_restore_rejects_wrong_kind(self, tmp_path):
         from repro.simulation.checkpoint import write_checkpoint
 
