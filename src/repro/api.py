@@ -122,7 +122,7 @@ from repro.serving.service import (
 from repro.serving.wal import TornTailWarning, WriteAheadLog, verify_wal
 from repro.simulation.churn import ChurnModel
 from repro.simulation.engine import InteractionSimulator, SimulationConfig, SimulationResult
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 from repro.socialnet.generators import (
     SocialNetworkSpec,
     clear_network_cache,
@@ -198,6 +198,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "Feedback",
+    "FeedbackBatch",
     "BetaReputation",
     "EigenTrust",
     "PowerTrust",

@@ -18,11 +18,12 @@ antagonism of Figure 2.  The ablation experiment E-A2 quantifies it.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro._util import require_unit_interval
 from repro.reputation.base import ReputationSystem
 from repro.reputation.gathering import FeedbackStore
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import FeedbackBatch
 
 
 class AnonymousFeedbackReputation(ReputationSystem):
@@ -63,29 +64,24 @@ class AnonymousFeedbackReputation(ReputationSystem):
         reduction = 0.5 if self.strip_identity else 0.2
         return max(0.05, self.inner.information_requirement * (1.0 - reduction) * self.epsilon)
 
-    def _transform_feedback(self, feedback: Feedback) -> Feedback:
-        rating = feedback.rating
-        truthful = feedback.truthful
-        if self._rng.random() > self.epsilon:
-            # Randomized response: report a fair coin instead of the truth.
-            rating = 1.0 if self._rng.random() < 0.5 else 0.0
-            truthful = truthful and rating == feedback.rating
-            self.perturbed_reports += 1
-        rater: str | None = feedback.rater
-        if self.strip_identity and rater is not None:
-            rater = None
-            self.anonymized_reports += 1
-        return Feedback(
-            transaction_id=feedback.transaction_id,
-            time=feedback.time,
-            subject=feedback.subject,
-            rating=rating,
-            rater=rater,
-            truthful=truthful,
+    def record_batch(self, batch: FeedbackBatch) -> None:
+        """Forward the reports, each transformed in row order."""
+        ratings = list(batch.ratings)
+        truthful = list(batch.truthful)
+        draw = self._rng.random
+        for row, rating in enumerate(batch.ratings):
+            if draw() > self.epsilon:
+                # Randomized response: report a fair coin instead of the truth.
+                ratings[row] = 1.0 if draw() < 0.5 else 0.0
+                truthful[row] = truthful[row] and ratings[row] == rating
+                self.perturbed_reports += 1
+        raters = batch.raters
+        if self.strip_identity:
+            self.anonymized_reports += len(raters) - raters.count(None)
+            raters = [None] * len(raters)
+        self.inner.record_batch(
+            replace(batch, ratings=ratings, raters=raters, truthful=truthful)
         )
-
-    def record_feedback(self, feedback: Feedback) -> None:
-        self.inner.record_feedback(self._transform_feedback(feedback))
         self._dirty = True
 
     def compute_scores(self) -> dict[str, float]:

@@ -3,7 +3,8 @@
 A reputation system is decomposed, following Marti & Garcia-Molina, into
 
 * *information gathering* — delegated to
-  :class:`~repro.reputation.gathering.FeedbackStore`;
+  :class:`~repro.reputation.gathering.FeedbackStore`, which
+  :meth:`ReputationSystem.record_batch` feeds column batches;
 * *scoring and ranking* — the :meth:`ReputationSystem.compute_scores` hook
   each mechanism implements;
 * *response* — the simulator's provider selection
@@ -30,7 +31,7 @@ import abc
 from repro import _profiling
 from repro._util import clamp
 from repro.reputation.gathering import FeedbackColumns, FeedbackStore, LocalTrustBuilder
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 
 #: Published scores are rounded to this many decimals.  Rationale: the
 #: array kernels, the incremental folds and the loop references under
@@ -119,10 +120,16 @@ class ReputationSystem(abc.ABC):
 
     # -- information gathering -------------------------------------------
 
+    def record_batch(self, batch: FeedbackBatch) -> None:
+        """Ingest disclosed feedback reports, in row order: the one ingest
+        path of every mechanism."""
+        if len(batch):
+            self.store.extend(batch)
+            self._dirty = True
+
     def record_feedback(self, feedback: Feedback) -> None:
-        """Ingest one disclosed feedback report."""
-        self.store.add(feedback)
-        self._dirty = True
+        """Ingest one disclosed feedback report (a one-row :meth:`record_batch`)."""
+        self.record_batch(FeedbackBatch.of((feedback,)))
 
     @property
     def evidence_count(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from repro import _profiling
 from repro.core import backend
 from repro.core.backend import PeerIndex
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 
 
 @dataclass
@@ -45,22 +46,29 @@ class FeedbackColumns:
     id_for_code: list[str] = field(default_factory=list)
     _code_for_id: dict[str, int] = field(default_factory=dict)
 
-    def _intern(self, peer_id: str) -> int:
-        code = self._code_for_id.get(peer_id)
-        if code is None:
-            code = len(self.id_for_code)
-            self._code_for_id[peer_id] = code
-            self.id_for_code.append(peer_id)
-        return code
-
-    def append(self, feedback: Feedback) -> None:
-        self.transaction_ids.append(feedback.transaction_id)
-        self.ratings.append(feedback.rating)
-        self.positives.append(1 if feedback.positive else 0)
-        self.truthful.append(1 if feedback.truthful else 0)
-        self.times.append(feedback.time)
-        self.subject_codes.append(self._intern(feedback.subject))
-        self.rater_codes.append(-1 if feedback.rater is None else self._intern(feedback.rater))
+    def extend(self, batch: FeedbackBatch) -> None:
+        """Append a batch's rows.  A batch that names new ids first interns
+        each of them once, in the order its reports name them (each row's
+        subject, then its rater)."""
+        codes = self._code_for_id
+        try:
+            subject_codes = [codes[subject] for subject in batch.subjects]
+            rater_codes = [-1 if rater is None else codes[rater] for rater in batch.raters]
+        except KeyError:
+            ids = self.id_for_code
+            for peer in chain.from_iterable(zip(batch.subjects, batch.raters, strict=True)):
+                if peer is not None and peer not in codes:
+                    codes[peer] = len(ids)
+                    ids.append(peer)
+            self.extend(batch)
+            return
+        self.transaction_ids.fromlist(batch.transaction_ids)
+        self.ratings.fromlist(batch.ratings)
+        self.positives.fromlist([rating >= 0.5 for rating in batch.ratings])
+        self.truthful.fromlist(batch.truthful)
+        self.times.fromlist(batch.times)
+        self.subject_codes.fromlist(subject_codes)
+        self.rater_codes.fromlist(rater_codes)
 
     def feedback(self, row: int) -> Feedback:
         """The report stored in ``row``, field by field as it was appended."""
@@ -90,8 +98,9 @@ class FeedbackColumns:
 class FeedbackStore:
     """Append-only log of disclosed feedback (see :class:`FeedbackColumns`).
 
-    With ``max_per_subject`` set, a report past a subject's cap evicts that
-    subject's oldest report: :meth:`add` counts the eviction and bumps the
+    Reports arrive in column batches (:meth:`extend`).  With
+    ``max_per_subject`` set, a report past a subject's cap evicts that
+    subject's oldest report: :meth:`extend` counts the eviction and bumps the
     epoch, and the next :meth:`columns` compacts the log in arrival order
     (evictions are the rare path).
     """
@@ -133,8 +142,7 @@ class FeedbackStore:
             ids = state["_columns"].id_for_code
             reports = [next(cursors[ids[code]]) for code in state["_columns"].subject_codes]
         self.__init__(max_per_subject=state["max_per_subject"])
-        for feedback in reports:
-            self._columns.append(feedback)
+        self._columns.extend(FeedbackBatch.of(reports))
         self._per_subject = {subject: len(bucket) for subject, bucket in buckets.items()}
         self._version = state["_version"]
         self._epoch = state["_epoch"]
@@ -158,25 +166,43 @@ class FeedbackStore:
         """
         return self._epoch
 
-    def add(self, feedback: Feedback) -> None:
-        self._columns.append(feedback)
-        held = self._per_subject.get(feedback.subject, 0) + 1
-        if self.max_per_subject is not None and held > self.max_per_subject:
-            held -= 1
-            code = self._columns.subject_codes[-1]
-            self._evicted[code] = self._evicted.get(code, 0) + 1
-            self._epoch += 1
-        self._per_subject[feedback.subject] = held
+    def extend(self, batch: FeedbackBatch) -> None:
+        """Append a batch's reports in row order.
+
+        The cap applies row by row, and the counters move as if each report
+        came alone: the version by one per report, the epoch by one per
+        eviction.
+        """
+        first = len(self._columns)
+        self._columns.extend(batch)
+        per_subject = self._per_subject
+        evictions = 0
+        if self.max_per_subject is None:
+            for subject in batch.subjects:
+                per_subject[subject] = per_subject.get(subject, 0) + 1
+        else:
+            cap = self.max_per_subject
+            codes = self._columns.subject_codes
+            for row, subject in enumerate(batch.subjects, first):
+                held = per_subject.get(subject, 0) + 1
+                if held > cap:
+                    held -= 1
+                    code = codes[row]
+                    self._evicted[code] = self._evicted.get(code, 0) + 1
+                    evictions += 1
+                per_subject[subject] = held
         state = self._participants_state
-        if state is not None and state[0] == self._epoch:
+        if state is not None and state[0] == self._epoch and not evictions:
+            # An eviction makes the set stale instead: the next read rebuilds it.
             participants = state[1]
-            if feedback.subject not in participants:
-                participants.add(feedback.subject)
+            known = len(participants)
+            participants.update(batch.subjects)
+            participants.update(batch.raters)
+            participants.discard(None)
+            if len(participants) != known:
                 self._participants_sorted = None
-            if feedback.rater is not None and feedback.rater not in participants:
-                participants.add(feedback.rater)
-                self._participants_sorted = None
-        self._version += 1
+        self._epoch += evictions
+        self._version += len(batch)
 
     def columns(self) -> FeedbackColumns:
         """The stored feedback as parallel columns (see :class:`FeedbackColumns`).
@@ -217,7 +243,7 @@ class FeedbackStore:
     def sorted_participants(self) -> list[str]:
         """Participants in sorted order, cached between refreshes.
 
-        The participant set is maintained incrementally: :meth:`add` folds
+        The participant set is maintained incrementally: :meth:`extend` folds
         each report's subject/rater into the live set (invalidating the
         sorted view only when someone genuinely new appears), and a history
         rewrite (eviction, :meth:`clear`) bumps the epoch, which rebuilds

@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.reputation.average import SimpleAverageReputation
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import FeedbackBatch
 
 
 @dataclass(frozen=True)
@@ -105,30 +105,32 @@ class TrustMeReputation(SimpleAverageReputation):
         self._certificates[transaction_id] = certificate
         return certificate
 
-    def _certificate_valid(self, feedback: Feedback) -> bool:
-        certificate = self._certificates.get(feedback.transaction_id)
+    def _admits(self, transaction_id: int, subject: str, rater: str | None) -> bool:
+        """Whether a report passes the certificate gate (issuing its
+        certificate first under ``auto_certify``)."""
+        certificate = self._certificates.get(transaction_id)
         if certificate is None:
+            if not self.auto_certify:
+                return False
+            certificate = self.issue_certificate(
+                transaction_id, rater if rater is not None else "anonymous", subject
+            )
+        if certificate.provider != subject:
             return False
-        if certificate.provider != feedback.subject:
-            return False
-        if feedback.rater is not None and certificate.consumer != feedback.rater:
+        if rater is not None and certificate.consumer != rater:
             return False
         return certificate.verify(self.secret)
 
-    def record_feedback(self, feedback: Feedback) -> None:
+    def record_batch(self, batch: FeedbackBatch) -> None:
         if self.require_certificates:
-            if feedback.transaction_id not in self._certificates and self.auto_certify:
-                self.issue_certificate(
-                    feedback.transaction_id,
-                    feedback.rater if feedback.rater is not None else "anonymous",
-                    feedback.subject,
-                )
-            if not self._certificate_valid(feedback):
-                # Reports without a matching certificate were either forged or
-                # the certificate exchange was skipped; TrustMe drops them.
-                self.rejected_reports += 1
-                return
-        super().record_feedback(feedback)
+            reports = zip(batch.transaction_ids, batch.subjects, batch.raters, strict=True)
+            admitted = [row for row, report in enumerate(reports) if self._admits(*report)]
+            # Reports without a matching certificate were either forged or
+            # the certificate exchange was skipped; TrustMe drops them.
+            self.rejected_reports += len(batch) - len(admitted)
+            if len(admitted) < len(batch):
+                batch = batch.take(admitted)
+        super().record_batch(batch)
 
     def reset(self) -> None:
         super().reset()

@@ -62,7 +62,6 @@ from urllib.parse import ParseResult, parse_qs, urlparse
 
 from repro.errors import ConfigurationError, OverloadError, ReadOnlyError, ReproError
 from repro.serving.service import ReputationService
-from repro.serving.wal import feedback_to_wire
 
 #: Cap on request bodies (16 MiB): a runaway client should get a 400, not
 #: an out-of-memory server.
@@ -185,7 +184,7 @@ def _evidence_payload(
         "start": start,
         "count": len(events),
         "total": service.evidence_count,
-        "events": [feedback_to_wire(event) for event in events],
+        "events": [asdict(event) for event in events],
     }
 
 

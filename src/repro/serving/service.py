@@ -5,12 +5,13 @@ long-lived session: it owns one :class:`~repro.reputation.base.ReputationSystem`
 whose feedback store is the session's evidence log, accepts streaming
 feedback ingestion, and serves score/rank queries off the *current
 watermark* — the published
-:class:`~repro.reputation.base.ScoreView` of the last refresh.  Ingestion is
-batched into the PR-5 incremental-refresh path: every accepted event lands in
-the mechanism's evidence store immediately (an O(1) append the incremental
-pair-ledger folds later), and scores are re-published once per
-``refresh_every`` events instead of per event, so queries between refreshes
-are dictionary lookups.
+:class:`~repro.reputation.base.ScoreView` of the last refresh.  An ingest
+call validates its events into one column batch
+(:class:`~repro.simulation.transaction.FeedbackBatch`), which the WAL line
+is encoded from and the mechanism's store appends (``record_batch``) as soon
+as it is logged; the incremental refresh folds only the appended rows.
+Scores are re-published once per ``refresh_every`` events instead of per
+event, so queries between refreshes are dictionary lookups.
 
 Restart safety layers two mechanisms.  :meth:`snapshot` writes a versioned,
 SHA-256-checksummed checkpoint file (kind ``"service"``, which
@@ -51,6 +52,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro import faults
+from repro._util import require_unit_interval
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -64,7 +66,7 @@ from repro.reputation.registry import REPUTATION_FACTORIES, make_reputation_syst
 from repro.serving.sla import OperationClock, clock as sla_clock
 from repro.serving.wal import WalEntry, WriteAheadLog, config_digest
 from repro.simulation.checkpoint import read_checkpoint, write_checkpoint
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 
 #: Checkpoint ``kind`` tag for service snapshots.
 SERVICE_CHECKPOINT_KIND = "service"
@@ -228,10 +230,11 @@ class PublishedScores(ScoreView):
 class ServiceSnapshot:
     """Checkpoint payload of a paused service session.
 
-    The mechanism travels with its whole gathering state (feedback store,
-    incremental pair-ledger folds, cached scores), so a restored service
-    continues the incremental-refresh path exactly where it stopped.  The
-    store is the evidence; an older payload's ``evidence`` list is ignored.
+    The mechanism travels with its feedback store, its counters and its
+    cached scores, and with nothing derived from the store: its pair ledger
+    and per-subject aggregates are refolded from the store by the first
+    refresh after a restore, which gives the same bits.  The store is the
+    evidence; an older payload's ``evidence`` list is ignored.
     """
 
     config: ServiceConfig
@@ -242,47 +245,86 @@ class ServiceSnapshot:
     published: dict[str, float] = field(default_factory=dict)
 
 
-def feedback_from_payload(payload: Mapping[str, object], *, sequence: int) -> Feedback:
-    """Build a :class:`Feedback` from a client JSON object.
+#: The fields a client may send in one feedback event.
+_PAYLOAD_FIELDS = frozenset({"subject", "rating", "rater", "time", "transaction_id"})
 
-    Required fields: ``subject`` (peer id) and ``rating`` (number in
-    ``[0, 1]``).  Optional: ``rater`` (omit or ``null`` for anonymous
-    reports), ``time`` and ``transaction_id`` (both default to the ingest
-    sequence number, which preserves arrival order for forgetting-weighted
-    mechanisms; the store's log holds times within ±2**53 and signed 64-bit
-    ids exactly).  Unknown fields are rejected — a silently dropped typo in
-    a feedback field would corrupt evidence without any error surfacing.
+
+def feedback_batch(
+    events: Iterable[Feedback | Mapping[str, object]], *, sequence: int
+) -> FeedbackBatch:
+    """Validate feedback events into one batch, in order.
+
+    An event is a :class:`Feedback` or a client JSON object.  Required
+    fields: ``subject`` (peer id) and ``rating`` (number in ``[0, 1]``;
+    -0.0 is taken as 0.0).  Optional: ``rater`` (omit or ``null`` for
+    anonymous reports), ``time`` and ``transaction_id`` (both default to
+    the event's ingest sequence number, ``sequence`` plus its position,
+    which preserves arrival order for forgetting-weighted mechanisms; the
+    store's log holds times within ±2**53 and signed 64-bit ids exactly).
+    Unknown fields are rejected — a silently dropped typo in a feedback
+    field would corrupt evidence without any error surfacing.  The first
+    invalid event raises :class:`~repro.errors.ConfigurationError`.
     """
-    allowed = {"subject", "rating", "rater", "time", "transaction_id"}
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown feedback fields: {unknown}")
-    subject = payload.get("subject")
-    if not isinstance(subject, str) or not subject:
-        raise ConfigurationError("feedback needs a non-empty string 'subject'")
-    rating = payload.get("rating")
-    if isinstance(rating, bool) or not isinstance(rating, (int, float)):
-        raise ConfigurationError("feedback needs a numeric 'rating' in [0, 1]")
-    rater = payload.get("rater")
-    if rater is not None and not isinstance(rater, str):
-        raise ConfigurationError("'rater' must be a string or null")
-    time = payload.get("time", sequence)
-    if isinstance(time, bool) or not isinstance(time, int) or abs(time) > 2**53:
-        raise ConfigurationError("'time' must be an integer within ±2**53")
-    transaction_id = payload.get("transaction_id", sequence)
-    if (
-        isinstance(transaction_id, bool)
-        or not isinstance(transaction_id, int)
-        or not -(2**63) <= transaction_id < 2**63
-    ):
-        raise ConfigurationError("'transaction_id' must be a signed 64-bit integer")
-    return Feedback(
-        transaction_id=transaction_id,
-        time=time,
-        subject=subject,
-        rating=float(rating),
-        rater=rater,
+    transaction_ids: list[int] = []
+    times: list[int] = []
+    subjects: list[str] = []
+    ratings: list[float] = []
+    raters: list[str | None] = []
+    truthful: list[bool] = []
+    for position, event in enumerate(events, sequence):
+        if isinstance(event, Feedback):
+            transaction_ids.append(event.transaction_id)
+            times.append(event.time)
+            subjects.append(event.subject)
+            ratings.append(event.rating)
+            raters.append(event.rater)
+            truthful.append(event.truthful)
+            continue
+        unknown = sorted(set(event) - _PAYLOAD_FIELDS)
+        if unknown:
+            raise ConfigurationError(f"unknown feedback fields: {unknown}")
+        subject = event.get("subject")
+        if not isinstance(subject, str) or not subject:
+            raise ConfigurationError("feedback needs a non-empty string 'subject'")
+        rating = event.get("rating")
+        if isinstance(rating, bool) or not isinstance(rating, (int, float)):
+            raise ConfigurationError("feedback needs a numeric 'rating' in [0, 1]")
+        rater = event.get("rater")
+        if rater is not None and not isinstance(rater, str):
+            raise ConfigurationError("'rater' must be a string or null")
+        time = event.get("time", position)
+        if isinstance(time, bool) or not isinstance(time, int) or abs(time) > 2**53:
+            raise ConfigurationError("'time' must be an integer within ±2**53")
+        transaction_id = event.get("transaction_id", position)
+        if (
+            isinstance(transaction_id, bool)
+            or not isinstance(transaction_id, int)
+            or not -(2**63) <= transaction_id < 2**63
+        ):
+            raise ConfigurationError("'transaction_id' must be a signed 64-bit integer")
+        rating = float(rating)
+        if not 0.0 <= rating <= 1.0:
+            require_unit_interval(rating, "rating")
+        transaction_ids.append(transaction_id)
+        times.append(time)
+        subjects.append(subject)
+        ratings.append(rating or 0.0)  # -0.0 is 0.0
+        raters.append(rater)
+        truthful.append(True)
+    return FeedbackBatch(
+        transaction_ids=transaction_ids,
+        times=times,
+        subjects=subjects,
+        ratings=ratings,
+        raters=raters,
+        truthful=truthful,
     )
+
+
+def feedback_from_payload(payload: Mapping[str, object], *, sequence: int) -> Feedback:
+    """Validate one client JSON object into a :class:`Feedback` (see
+    :func:`feedback_batch`)."""
+    return feedback_batch((payload,), sequence=sequence).feedback(0)
 
 
 class AdmissionGate:
@@ -516,20 +558,18 @@ class ReputationService:
                 cached = self._dedup.get(idempotency_key)
                 if cached is not None:
                     return replace(cached, duplicate=True)
-            batch: list[Feedback] = []
-            for offset, event in enumerate(events):
-                if isinstance(event, Feedback):
-                    batch.append(event)
-                else:
-                    batch.append(
-                        feedback_from_payload(event, sequence=self._ingested + offset)
-                    )
+            batch = feedback_batch(events, sequence=self._ingested)
             return self._ingest_batch(batch, key=idempotency_key, write_wal=True)
 
     def _ingest_batch(
-        self, batch: list[Feedback], *, key: str | None, write_wal: bool
+        self, batch: FeedbackBatch, *, key: str | None, write_wal: bool
     ) -> IngestReceipt:
-        """Log, fold and ack one validated batch (caller holds the lock)."""
+        """Log, fold and ack one validated batch (caller holds the lock).
+
+        The mechanism receives the batch cut at every ``refresh_every``
+        boundary, and each boundary publishes, so the watermarks are those
+        of ingesting the events one by one.
+        """
         seq = self._ingested
         if write_wal and self._wal is not None:
             try:
@@ -543,10 +583,17 @@ class ReputationService:
                     retry_after=self.config.retry_after,
                 ) from error
         refreshed = False
-        for feedback in batch:
-            self._system.record_feedback(feedback)
-            self._ingested += 1
-            if self._ingested % self.config.refresh_every == 0:
+        every = self.config.refresh_every
+        total = len(batch)
+        start = 0
+        while start < total:
+            stop = min(total, start + every - self._ingested % every)
+            self._system.record_batch(
+                batch if stop - start == total else batch.take(range(start, stop))
+            )
+            self._ingested += stop - start
+            start = stop
+            if self._ingested % every == 0:
                 self._publish()
                 refreshed = True
         receipt = IngestReceipt(
@@ -843,7 +890,7 @@ class ReputationService:
                         f"with the recovered session at {service._ingested} "
                         "ingested events — acked evidence missing"
                     )
-                service._ingest_batch(list(entry.events), key=entry.key, write_wal=False)
+                service._ingest_batch(entry.events, key=entry.key, write_wal=False)
                 replayed += 1
             service._wal = wal
             service._snapshotted = covered

@@ -48,13 +48,14 @@ from __future__ import annotations
 import hashlib
 import threading
 import warnings
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import IO
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import IO, Any
 
 from repro import durable, faults
 from repro.errors import IntegrityError
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import FeedbackBatch
 
 WAL_MAGIC = "repro-serve-wal"
 WAL_VERSION = 1
@@ -70,8 +71,12 @@ _FORMAT = durable.LogFormat(
     ),
 )
 
-#: Wire fields of one feedback event inside a WAL line (sorted).
-_FEEDBACK_FIELDS = ("rater", "rating", "subject", "time", "transaction_id", "truthful")
+#: One feedback event inside a WAL line: the sorted-keys JSON object of its
+#: six fields, as ``durable.encode`` writes it.
+_EVENT = (
+    '{"rater": %s, "rating": %r, "subject": %s, '
+    '"time": %r, "transaction_id": %r, "truthful": %s}'
+)
 
 
 class TornTailWarning(UserWarning):
@@ -94,31 +99,57 @@ def config_digest(identity: Mapping[str, object]) -> str:
     return durable.digest(identity)
 
 
-def feedback_to_wire(feedback: Feedback) -> dict[str, object]:
-    """One feedback event as a plain JSON object (all fields, explicit)."""
-    return {
-        "rater": feedback.rater,
-        "rating": feedback.rating,
-        "subject": feedback.subject,
-        "time": feedback.time,
-        "transaction_id": feedback.transaction_id,
-        "truthful": feedback.truthful,
-    }
+def _encode_batch(batch: FeedbackBatch, *, seq: int, key: str | None) -> bytes:
+    """The sorted-keys JSON of a batch line's body (``events``, ``key``,
+    ``n``, ``seq``), written from the batch's columns: the bytes
+    ``durable.encode`` gives the same body with one dict per event."""
+    events = ", ".join(
+        [
+            _EVENT
+            % (
+                "null" if rater is None else _json_string(rater),
+                rating,
+                _json_string(subject),
+                time,
+                transaction_id,
+                "true" if truthful else "false",
+            )
+            for rater, rating, subject, time, transaction_id, truthful in zip(
+                batch.raters,
+                batch.ratings,
+                batch.subjects,
+                batch.times,
+                batch.transaction_ids,
+                batch.truthful,
+                strict=True,
+            )
+        ]
+    )
+    return b'{"events": [%s], "key": %s, "n": %d, "seq": %d}' % (
+        events.encode("ascii"),
+        b"null" if key is None else _json_string(key).encode("ascii"),
+        len(batch),
+        seq,
+    )
 
 
-def feedback_from_wire(payload: Mapping[str, object]) -> Feedback:
-    """Rebuild a :class:`Feedback` from its WAL wire form."""
+def _decode_events(events: list[Any]) -> FeedbackBatch | None:
+    """A batch line's events as a batch; ``None`` when one is malformed.
+    A rating of -0.0 is read as 0.0."""
     try:
-        return Feedback(
-            transaction_id=payload["transaction_id"],  # type: ignore[arg-type]
-            time=payload["time"],  # type: ignore[arg-type]
-            subject=payload["subject"],  # type: ignore[arg-type]
-            rating=payload["rating"],  # type: ignore[arg-type]
-            rater=payload["rater"],  # type: ignore[arg-type]
-            truthful=payload["truthful"],  # type: ignore[arg-type]
+        batch = FeedbackBatch(
+            transaction_ids=[event["transaction_id"] for event in events],
+            times=[event["time"] for event in events],
+            subjects=[event["subject"] for event in events],
+            ratings=[event["rating"] or 0.0 for event in events],
+            raters=[event["rater"] for event in events],
+            truthful=[event["truthful"] for event in events],
         )
-    except (KeyError, TypeError) as error:
-        raise IntegrityError(f"malformed WAL feedback payload: {error}") from error
+        if not all(0.0 <= rating <= 1.0 for rating in batch.ratings):
+            return None
+    except (KeyError, TypeError):
+        return None
+    return batch
 
 
 @dataclass(frozen=True)
@@ -129,7 +160,7 @@ class WalEntry:
     seq: int
     #: The client idempotency key the batch was acked under (if any).
     key: str | None
-    events: tuple[Feedback, ...]
+    events: FeedbackBatch
 
     @property
     def end(self) -> int:
@@ -165,9 +196,8 @@ def _parse_entry_line(line: bytes) -> WalEntry | None:
     body = {"events": events, "key": key, "n": n, "seq": seq}
     if digest != durable.digest(body):
         return None
-    try:
-        decoded = tuple(feedback_from_wire(event) for event in events)
-    except IntegrityError:
+    decoded = _decode_events(events)
+    if decoded is None:
         return None
     return WalEntry(seq=seq, key=key, events=decoded)
 
@@ -269,25 +299,21 @@ class WriteAheadLog:
         )
         return wal, entries, tail_lines
 
-    def append(
-        self, events: Sequence[Feedback], *, seq: int, key: str | None = None
-    ) -> None:
+    def append(self, batch: FeedbackBatch, *, seq: int, key: str | None = None) -> None:
         """Durably log one acked ingest batch *before* the service acks it.
 
         The ``wal.append`` fault site can corrupt the encoded line or kill
         the process mid-write — exercising exactly the torn tails the
         recovery path must survive.
         """
-        wire = [feedback_to_wire(event) for event in events]
-        body = {"events": wire, "key": key, "n": len(wire), "seq": seq}
-        encoded = _sealed_line(durable.encode(body))
-        action = faults.fire("wal.append", seq=seq, n=len(wire))
+        encoded = _sealed_line(_encode_batch(batch, seq=seq, key=key))
+        action = faults.fire("wal.append", seq=seq, n=len(batch))
         if action == "corrupt":
             encoded = faults.corrupt_bytes(encoded)
         with self._lock:
             durable.append(self._handle, encoded, fsync=self._fsync)
             self._entries += 1
-            self._events += len(wire)
+            self._events += len(batch)
 
     def compact(self, upto_seq: int) -> int:
         """Atomically drop every batch a snapshot already covers.

@@ -13,10 +13,11 @@ ledger accounts for — this is the concrete coupling knob between the paper's
 reputation and privacy facets.
 
 The run keeps its transactions as columns (:class:`TransactionLog`), one row
-per transaction.  A :class:`~repro.simulation.transaction.Feedback` object is
-built per transaction only when a disclosed report goes to the mechanism or
-the disclosure observer; :class:`SimulationResult` builds its object lists on
-first read.
+per transaction.  The mechanism receives each round's disclosed rows as one
+:class:`~repro.simulation.transaction.FeedbackBatch` before the round-end
+refresh; a :class:`~repro.simulation.transaction.Feedback` object is built
+only for the disclosure observer, and :class:`SimulationResult` builds its
+object lists on first read.
 
 A paused simulator pickles itself: its ``__dict__`` is the checkpoint
 payload, minus the configuration the resuming caller supplies again
@@ -30,6 +31,7 @@ from array import array
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 from functools import cached_property
+from itertools import compress
 from typing import Protocol
 
 from repro import _profiling
@@ -45,15 +47,29 @@ from repro.simulation.churn import ChurnModel
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.peer import Peer, PeerDirectory
 from repro.simulation.rng import RandomStreams
-from repro.simulation.transaction import Feedback, Transaction, TransactionOutcome
+from repro.simulation.transaction import (
+    Feedback,
+    FeedbackBatch,
+    Transaction,
+    TransactionOutcome,
+)
 from repro.socialnet.graph import SocialGraph
 
 
 class ReputationProtocol(Protocol):
-    """What the simulator needs from a reputation mechanism."""
+    """What the simulator needs from a reputation mechanism.
 
-    def record_feedback(self, feedback: Feedback) -> None:
-        """Ingest one disclosed feedback report."""
+    Each round's disclosed reports reach ``record_batch`` as one batch
+    before the round ends, and before each disclosure-observer call, so an
+    observer that reads the mechanism sees every report disclosed so far.
+    Selection reads the scores published at the start of the round: those
+    of ``refresh()`` when the mechanism has one (every
+    :class:`~repro.reputation.base.ReputationSystem` does), else of
+    ``scores()``.
+    """
+
+    def record_batch(self, batch: FeedbackBatch) -> None:
+        """Ingest disclosed feedback reports, in row order."""
 
     def score(self, peer_id: str) -> float:
         """Current reputation score of a peer in ``[0, 1]``."""
@@ -184,6 +200,24 @@ class TransactionLog:
             truthful=bool(self.truthful[row]),
         )
 
+    def batch(self, start: int, end: int, *, anonymous: bool) -> FeedbackBatch:
+        """The disclosed reports of rows ``start`` to ``end``, as
+        :meth:`feedback` gives them, in one batch."""
+        disclosed = self.disclosed[start:end]
+
+        def held(column: Sequence[object]) -> list:
+            return list(compress(column[start:end], disclosed))
+
+        subjects = held(self.providers)
+        return FeedbackBatch(
+            transaction_ids=list(compress(range(start + 1, end + 1), disclosed)),
+            times=held(self.rounds),
+            subjects=subjects,
+            ratings=held(self.ratings),
+            raters=[None] * len(subjects) if anonymous else held(self.consumers),
+            truthful=held(self.truthful),
+        )
+
 
 @dataclass
 class SimulationResult:
@@ -229,9 +263,12 @@ class SimulationResult:
 
 
 #: Attributes a pickled simulator leaves out: configuration the resuming
-#: caller passes again (:meth:`InteractionSimulator.reattach`) and caches
-#: that refill with the same values.
-_NOT_PICKLED = frozenset({"_hooks", "_disclosure_observer", "_neighbor_peers_cache"})
+#: caller passes again (:meth:`InteractionSimulator.reattach`), caches
+#: that refill with the same values and the hand-over mark, which is the
+#: log's length between rounds.
+_NOT_PICKLED = frozenset(
+    {"_hooks", "_disclosure_observer", "_neighbor_peers_cache", "_handed_over"}
+)
 
 
 class InteractionSimulator:
@@ -266,6 +303,9 @@ class InteractionSimulator:
         self.directory = self._build_directory()
         self.metrics = MetricsCollector()
         self._log = TransactionLog()
+        #: Log rows whose disclosed reports the mechanism has received; the
+        #: rows past it are held for the next :meth:`_hand_over`.
+        self._handed_over = 0
         #: First round the next :meth:`run_until` segment will execute.
         self._next_round = 0
         # Stateful churn models (PhasedChurnModel) rewind here so a config
@@ -310,6 +350,7 @@ class InteractionSimulator:
         self._hooks = ()
         self._disclosure_observer = None
         self._neighbor_peers_cache = {}
+        self._handed_over = len(self._log)
 
     def reattach(
         self,
@@ -452,8 +493,10 @@ class InteractionSimulator:
         step draws the provider's ``provides_service`` and ``serve_quality``
         from the "transactions" stream, then the consumer's
         ``rate_transaction`` and one disclosure uniform from the "feedback"
-        stream.  A disclosed report becomes a :class:`Feedback` only when
-        the mechanism or the disclosure observer receives it.
+        stream.  A disclosed report stays a row of the log until
+        :meth:`_hand_over`; it becomes a :class:`Feedback` only for the
+        disclosure observer, which may read the mechanism, so the held rows
+        are handed over before each observer call.
         """
         log = self._log
         append_round = log.rounds.append
@@ -470,9 +513,8 @@ class InteractionSimulator:
         disclosure_draw = feedback_rng.random
         sharing_level = self.config.sharing_level
         anonymous = self.config.anonymous_feedback
-        ingest = None if self.reputation is None else self.reputation.record_feedback
         observer = self._disclosure_observer
-        receives_feedback = ingest is not None or observer is not None
+        hand_over = self._hand_over
 
         def step(consumer: Peer, provider: Peer) -> None:
             service = provider.behavior
@@ -503,15 +545,21 @@ class InteractionSimulator:
             append_rating(rating)
             append_truthful(truthful)
             append_disclosed(disclosed)
-            if not (disclosed and receives_feedback):
-                return
-            feedback = log.feedback(len(log.rounds) - 1, anonymous=anonymous)
-            if ingest is not None:
-                ingest(feedback)
-            if observer is not None:
-                observer(feedback, consumer, provider)
+            if disclosed and observer is not None:
+                hand_over()
+                observer(log.feedback(len(log.rounds) - 1, anonymous=anonymous), consumer, provider)
 
         return step
+
+    def _hand_over(self) -> None:
+        """Hand the disclosed reports of the log rows held since the last
+        hand-over to the mechanism, as one batch in row order."""
+        start = self._handed_over
+        end = self._handed_over = len(self._log)
+        if self.reputation is not None and 1 in self._log.disclosed[start:end]:
+            self.reputation.record_batch(
+                self._log.batch(start, end, anonymous=self.config.anonymous_feedback)
+            )
 
     def _apply_whitewashing(self) -> None:
         if self.reputation is None:
@@ -585,6 +633,7 @@ class InteractionSimulator:
             for _ in range(n_interactions):
                 step(consumer, self._select_from(candidates, scores))
 
+        self._hand_over()
         if self.reputation is not None and hasattr(self.reputation, "refresh"):
             self._refresh_round_scores()
         self._apply_whitewashing()

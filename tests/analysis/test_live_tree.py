@@ -39,6 +39,21 @@ def test_default_config_references_real_modules() -> None:
         assert (REPO_ROOT / "src" / module).is_file(), module
 
 
+def test_r3_checks_the_store_write_path(tmp_path: Path) -> None:
+    """``FeedbackStore.extend`` is the store's one write path: without its
+    counter bumps, R3 flags it."""
+    source = (REPO_ROOT / "src" / "repro" / "reputation" / "gathering.py").read_text()
+    bumps = "        self._epoch += evictions\n        self._version += len(batch)\n"
+    assert source.count(bumps) == 1
+    module = tmp_path / "repro" / "reputation" / "gathering.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(source.replace(bumps, ""))
+    result = run_lint([tmp_path / "repro"], default_config(), root=tmp_path)
+    assert [(finding.rule, finding.message.split(" ")[0]) for finding in result.active] == [
+        ("R3", "FeedbackStore.extend")
+    ]
+
+
 def test_every_live_suppression_carries_a_justification() -> None:
     """``ignore[RULE]`` alone is not enough: say *why* it is safe."""
     pattern = re.compile(r"repro-lint:\s*ignore\[[^\]]+\]\s*(\S.*)?$")

@@ -8,7 +8,7 @@ from repro.core import backend as bk
 from repro.core.coupling import STATE_VARIABLES, CouplingDynamics, CouplingState
 from repro.errors import ConfigurationError
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 from tests.oracles import coupling as coupling_oracle
 from tests.oracles import rescan
 
@@ -62,7 +62,11 @@ class TestLocalTrustMatrix:
         # Below the threshold the builder returns a plain array: CSR
         # dispatch overhead dominates tiny matvecs.
         store = FeedbackStore()
-        store.add(Feedback(transaction_id=0, time=0, subject="b", rating=1.0, rater="a"))
+        store.extend(
+            FeedbackBatch.of(
+                [Feedback(transaction_id=0, time=0, subject="b", rating=1.0, rater="a")]
+            )
+        )
         small = LocalTrustBuilder(store).matrix(bk.PeerIndex(["a", "b", "c"]))
         assert isinstance(small, numpy.ndarray)
 

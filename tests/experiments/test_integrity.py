@@ -33,7 +33,7 @@ from repro.serving.loadgen import request_json
 from repro.serving.service import ReputationService
 from repro.serving.wal import WriteAheadLog
 from repro.simulation.checkpoint import read_checkpoint, write_checkpoint
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 
 
 def make_record(status="ok", failure=None):
@@ -228,7 +228,7 @@ class TestVerifyRecordsDispatch:
         wal, _, _ = WriteAheadLog.open(str(path), config_sha256="c")
         for seq in range(2):
             event = Feedback(transaction_id=seq, time=seq, subject="a", rating=1.0, rater="r")
-            wal.append([event], seq=seq)
+            wal.append(FeedbackBatch.of([event]), seq=seq)
         wal.close()
         path.write_bytes(path.read_bytes()[:-1])
         assert main(["verify-records", str(path)]) == 0

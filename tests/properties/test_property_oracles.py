@@ -262,6 +262,19 @@ def test_simulated_trajectories_match_oracle(
     )
 
 
+class RoundEndScores:
+    """A round hook that keeps the scores published at each round's end."""
+
+    def __init__(self):
+        self.published = []
+
+    def on_round_start(self, simulator, round_index):
+        pass
+
+    def on_round_end(self, simulator, round_index, scores):
+        self.published.append(dict(scores))
+
+
 class RecordingMechanism:
     """Wraps a mechanism and keeps every report it receives, in order."""
 
@@ -272,6 +285,10 @@ class RecordingMechanism:
     def record_feedback(self, feedback):
         self.received.append(feedback)
         self.inner.record_feedback(feedback)
+
+    def record_batch(self, batch):
+        self.received.extend(batch.feedbacks())
+        self.inner.record_batch(batch)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -304,7 +321,11 @@ def test_columnar_log_matches_eager_objects(
 ):
     """The columnar step and the object-per-transaction twin run the same
     transactions, and the reports a mechanism or an observer receives are
-    the result's disclosed feedback, in order."""
+    the result's disclosed feedback, in order.  The twin hands each report
+    to the mechanism alone; the engine hands over each round's reports as
+    one batch, but before each observer call, so an observer that reads
+    the mechanism mid-round sees every report disclosed so far and the
+    scores the twin's observer sees."""
 
     def run(simulator_cls):
         graph = generate_social_network(
@@ -315,6 +336,13 @@ def test_columnar_log_matches_eager_objects(
             mechanism_cls, _, _, kwargs = PAIRS[pair_index]
             reputation = RecordingMechanism(mechanism_cls(**kwargs))
         seen = []
+        reads = []
+        round_ends = RoundEndScores()
+
+        def observe(feedback, *_):
+            seen.append(feedback)
+            if reputation is not None:
+                reads.append((len(reputation.received), reputation.score(feedback.subject)))
         result = simulator_cls(
             graph,
             SimulationConfig(
@@ -328,13 +356,17 @@ def test_columnar_log_matches_eager_objects(
                 collusion_fraction=collusion,
             ),
             reputation=reputation,
-            disclosure_observer=(lambda feedback, *_: seen.append(feedback)) if observed else None,
+            disclosure_observer=observe if observed else None,
+            hooks=[round_ends],
         ).run()
         if reputation is not None:
             assert reputation.received == result.disclosed_feedbacks
         if observed:
             assert seen == result.disclosed_feedbacks
+            assert [received for received, _ in reads] == list(range(1, len(reads) + 1))
         return (
+            reads,
+            round_ends.published,
             result.transactions,
             result.feedbacks,
             result.disclosed_feedbacks,

@@ -11,6 +11,7 @@ pickles without its aggregates and, unpickled, publishes what it would have.
 import json
 import pickle
 import pickletools
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from repro.reputation.eigentrust import EigenTrust
 from repro.reputation.gathering import FeedbackStore
 from repro.reputation.powertrust import PowerTrust
 from repro.reputation.trustme import TrustMeReputation
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 
 SUBJECTS = ["s0", "s1", "s2", "s3"]
 RATERS = ["r0", "r1", "r2"]
@@ -117,6 +118,21 @@ def test_refresh_is_idempotent_without_new_evidence(batch):
     assert first == second
 
 
+def _newest_per_subject(reports, cap):
+    """The capped-store model: each subject's newest ``cap`` reports (all
+    of them uncapped), in arrival order."""
+    totals = {}
+    for feedback in reports:
+        totals[feedback.subject] = totals.get(feedback.subject, 0) + 1
+    seen = {}
+    kept = []
+    for feedback in reports:
+        seen[feedback.subject] = seen.get(feedback.subject, 0) + 1
+        if cap is None or totals[feedback.subject] - seen[feedback.subject] < cap:
+            kept.append(feedback)
+    return kept
+
+
 @given(
     batch=feedback_batches(),
     cap=st.sampled_from([None, 0, 1, 2]),
@@ -126,18 +142,10 @@ def test_refresh_is_idempotent_without_new_evidence(batch):
 def test_store_holds_each_subjects_newest_reports_in_arrival_order(batch, cap, reads):
     store = FeedbackStore(max_per_subject=cap)
     for index, feedback in enumerate(batch):
-        store.add(feedback)
+        store.extend(FeedbackBatch.of([feedback]))
         if index in reads:
             store.columns()  # compacts whatever was evicted so far
-    totals = {}
-    for feedback in batch:
-        totals[feedback.subject] = totals.get(feedback.subject, 0) + 1
-    seen = {}
-    expected = []
-    for feedback in batch:
-        seen[feedback.subject] = seen.get(feedback.subject, 0) + 1
-        if cap is None or totals[feedback.subject] - seen[feedback.subject] < cap:
-            expected.append(feedback)
+    expected = _newest_per_subject(batch, cap)
     columns = store.columns()
     assert [columns.feedback(row) for row in range(len(columns))] == expected
     assert len(store) == len(expected)
@@ -146,6 +154,49 @@ def test_store_holds_each_subjects_newest_reports_in_arrival_order(batch, cap, r
     assert store.subjects() == [subject for subject in first_seen if subject in held]
     held_raters = {feedback.rater for feedback in expected} - {None}
     assert store.participants() == set(store.subjects()) | held_raters
+
+
+@given(
+    batch=feedback_batches(),
+    cap=st.sampled_from([None, 1, 2, 4]),
+    cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=6),
+    reads=st.sets(st.integers(min_value=0, max_value=40)),
+)
+@settings(max_examples=80, deadline=None)
+def test_extend_equals_appending_row_by_row(batch, cap, cuts, reads):
+    """A store fed the reports in drawn batches holds what a store fed them
+    one row at a time holds (the same column bytes and interned ids,
+    subjects, participants, length, version and epoch), and both hold the
+    capped-store model's reports, whenever the participants are read."""
+    bounds = sorted({0, len(batch), *(min(cut, len(batch)) for cut in cuts)})
+    batched = FeedbackStore(max_per_subject=cap)
+    for start, end in zip(bounds, bounds[1:], strict=False):
+        batched.extend(FeedbackBatch.of(batch[start:end]))
+        if end in reads:
+            batched.sorted_participants()
+    by_row = FeedbackStore(max_per_subject=cap)
+    for index, feedback in enumerate(batch, 1):
+        by_row.extend(FeedbackBatch.of([feedback]))
+        if index in reads:
+            by_row.sorted_participants()
+
+    assert (batched.version, batched.epoch, len(batched)) == (
+        by_row.version,
+        by_row.epoch,
+        len(by_row),
+    )
+    assert batched.version == len(batch)
+    assert batched.subjects() == by_row.subjects()
+    assert batched.sorted_participants() == by_row.sorted_participants()
+    assert batched.sorted_participants() == sorted(batched.participants())
+    left, right = batched.columns(), by_row.columns()
+    assert left.id_for_code == right.id_for_code
+    for name, column in vars(left).items():
+        if isinstance(column, array):
+            assert column.tobytes() == getattr(right, name).tobytes(), name
+    expected = _newest_per_subject(batch, cap)
+    assert [left.feedback(row) for row in range(len(left))] == expected
+    assert len(batched) == len(expected)
 
 
 #: The per-subject folds, with the constructor keywords each is drawn with.

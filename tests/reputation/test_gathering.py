@@ -3,6 +3,7 @@
 import pytest
 
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
+from repro.simulation.transaction import FeedbackBatch
 from tests.conftest import make_feedback
 from tests.oracles.reputation import normalized_local_trust, raw_local_trust, reports_about
 
@@ -10,8 +11,8 @@ from tests.oracles.reputation import normalized_local_trust, raw_local_trust, re
 class TestFeedbackStore:
     def test_add_and_query(self):
         store = FeedbackStore()
-        store.add(make_feedback("bob", 1.0, rater="alice", transaction_id=1))
-        store.add(make_feedback("bob", 0.0, rater="carol", transaction_id=2))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 1.0, rater="alice", transaction_id=1)]))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 0.0, rater="carol", transaction_id=2)]))
         assert len(store) == 2
         assert store.subjects() == ["bob"]
         assert store.participants() == {"alice", "bob", "carol"}
@@ -19,19 +20,20 @@ class TestFeedbackStore:
 
     def test_participants_include_both_sides(self):
         store = FeedbackStore()
-        store.add(make_feedback("bob", 1.0, rater="alice"))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 1.0, rater="alice")]))
         assert store.participants() == {"alice", "bob"}
 
     def test_anonymous_feedback_has_no_rater_index(self):
         store = FeedbackStore()
-        store.add(make_feedback("bob", 1.0, rater=None))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 1.0, rater=None)]))
         assert store.participants() == {"bob"}
         assert [feedback.is_anonymous for feedback in reports_about(store, "bob")] == [True]
 
     def test_max_per_subject_evicts_oldest(self):
         store = FeedbackStore(max_per_subject=2)
         for index in range(4):
-            store.add(make_feedback("bob", 1.0, rater=f"r{index}", transaction_id=index))
+            report = make_feedback("bob", 1.0, rater=f"r{index}", transaction_id=index)
+            store.extend(FeedbackBatch.of([report]))
         assert len(reports_about(store, "bob")) == 2
         remaining_raters = {feedback.rater for feedback in reports_about(store, "bob")}
         assert remaining_raters == {"r2", "r3"}
@@ -39,16 +41,18 @@ class TestFeedbackStore:
 
     def test_clear(self):
         store = FeedbackStore()
-        store.add(make_feedback("bob", 1.0))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 1.0)]))
         store.clear()
         assert len(store) == 0
         assert store.subjects() == []
 
     def test_sorted_participants_tracks_additions_and_clear(self):
         store = FeedbackStore()
-        store.add(make_feedback("bob", 1.0, rater="alice", transaction_id=1))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 1.0, rater="alice", transaction_id=1)]))
         assert store.sorted_participants() == ["alice", "bob"]
-        store.add(make_feedback("dave", 1.0, rater="carol", transaction_id=2))
+        store.extend(
+            FeedbackBatch.of([make_feedback("dave", 1.0, rater="carol", transaction_id=2)])
+        )
         assert store.sorted_participants() == ["alice", "bob", "carol", "dave"]
         store.clear()
         assert store.sorted_participants() == []
@@ -58,11 +62,12 @@ class TestFeedbackStore:
         # from the participant set); when R rates again *without* causing
         # another eviction, the cached sorted view must re-admit R.
         store = FeedbackStore(max_per_subject=2)
-        store.add(make_feedback("s1", 1.0, rater="R", transaction_id=1))
+        store.extend(FeedbackBatch.of([make_feedback("s1", 1.0, rater="R", transaction_id=1)]))
         for index in range(2, 4):
-            store.add(make_feedback("s1", 1.0, rater=f"x{index}", transaction_id=index))
+            report = make_feedback("s1", 1.0, rater=f"x{index}", transaction_id=index)
+            store.extend(FeedbackBatch.of([report]))
         assert store.sorted_participants() == ["s1", "x2", "x3"]  # R evicted
-        store.add(make_feedback("s2", 1.0, rater="R", transaction_id=4))
+        store.extend(FeedbackBatch.of([make_feedback("s2", 1.0, rater="R", transaction_id=4)]))
         assert "R" in store.sorted_participants()
         assert store.sorted_participants() == sorted(store.participants())
 
@@ -71,11 +76,13 @@ class TestLocalTrustBuilder:
     def build_store(self) -> FeedbackStore:
         store = FeedbackStore()
         # alice rates bob positively twice and carol negatively once.
-        store.add(make_feedback("bob", 1.0, rater="alice", transaction_id=1))
-        store.add(make_feedback("bob", 1.0, rater="alice", transaction_id=2))
-        store.add(make_feedback("carol", 0.0, rater="alice", transaction_id=3))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 1.0, rater="alice", transaction_id=1)]))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 1.0, rater="alice", transaction_id=2)]))
+        store.extend(
+            FeedbackBatch.of([make_feedback("carol", 0.0, rater="alice", transaction_id=3)])
+        )
         # carol rates bob negatively.
-        store.add(make_feedback("bob", 0.0, rater="carol", transaction_id=4))
+        store.extend(FeedbackBatch.of([make_feedback("bob", 0.0, rater="carol", transaction_id=4)]))
         return store
 
     def test_raw_local_trust_clips_at_zero(self):

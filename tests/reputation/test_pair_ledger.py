@@ -23,7 +23,7 @@ from repro.reputation.eigentrust import EigenTrust
 from repro.reputation.gathering import FeedbackStore, LocalTrustBuilder
 from repro.reputation.powertrust import PowerTrust
 from repro.reputation.trustme import TrustMeReputation
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 from tests.oracles import rescan
 
 N_PEERS = 140
@@ -139,7 +139,7 @@ def test_ledger_folded_at_once_equals_the_one_folded_report_by_report(reports):
     stepwise = LocalTrustBuilder(store)
     with _profiling.profiled() as timer:
         for index, (rater, subject, positive) in enumerate(reports):
-            store.add(
+            store.extend(FeedbackBatch.of([
                 Feedback(
                     transaction_id=index,
                     time=index,
@@ -147,7 +147,7 @@ def test_ledger_folded_at_once_equals_the_one_folded_report_by_report(reports):
                     rating=1.0 if positive else 0.0,
                     rater=None if rater < 0 else f"p{rater}",
                 )
-            )
+            ]))
             stepwise._fold()
     assert timer.work == {"folded.pair_ledger": len(reports)}
     at_once = LocalTrustBuilder(store)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.reputation.gathering import FeedbackStore
 from repro.reputation.overlay import TrustOverlayNetwork
+from repro.simulation.transaction import FeedbackBatch
 from repro.reputation.powertrust import PowerTrust
 from tests.conftest import make_feedback
 
@@ -23,7 +24,7 @@ def populate(system_or_store, tid_start: int = 0) -> int:
                 if hasattr(system_or_store, "record_feedback"):
                     system_or_store.record_feedback(feedback)
                 else:
-                    system_or_store.add(feedback)
+                    system_or_store.extend(FeedbackBatch.of([feedback]))
     return tid
 
 
@@ -96,7 +97,11 @@ class TestCentralityMemo:
         populate(store)
         overlay = TrustOverlayNetwork(store)
         before = overlay.in_degree_centrality()
-        store.add(make_feedback(subject="newcomer", rater="a", rating=1.0, transaction_id=999))
+        store.extend(
+            FeedbackBatch.of(
+                [make_feedback(subject="newcomer", rater="a", rating=1.0, transaction_id=999)]
+            )
+        )
         after = overlay.in_degree_centrality()
         assert "newcomer" in after and "newcomer" not in before
 
@@ -113,7 +118,11 @@ class TestCentralityMemo:
         for _ in range(count_before // 2):
             for subject in ("fresh1", "fresh2"):
                 tid += 1
-                store.add(make_feedback(subject=subject, rater="z", rating=1.0, transaction_id=tid))
+                store.extend(
+                    FeedbackBatch.of(
+                        [make_feedback(subject=subject, rater="z", rating=1.0, transaction_id=tid)]
+                    )
+                )
         fresh = overlay.in_degree_centrality()
         assert fresh is not stale
         assert set(fresh) == {"fresh1", "fresh2", "z"}

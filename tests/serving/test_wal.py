@@ -13,11 +13,9 @@ from repro.serving.wal import (
     TornTailWarning,
     WriteAheadLog,
     config_digest,
-    feedback_from_wire,
-    feedback_to_wire,
     verify_wal,
 )
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 
 CONFIG = config_digest({"mechanism": "beta", "refresh_every": 4})
 OTHER_CONFIG = config_digest({"mechanism": "average", "refresh_every": 4})
@@ -31,6 +29,18 @@ def event(index, subject="alice", rating=1.0):
         rating=rating,
         rater="client",
     )
+
+
+def wire(feedback):
+    """One event as the WAL writes it: a dict of its six fields."""
+    return {
+        "rater": feedback.rater,
+        "rating": feedback.rating,
+        "subject": feedback.subject,
+        "time": feedback.time,
+        "transaction_id": feedback.transaction_id,
+        "truthful": feedback.truthful,
+    }
 
 
 def batches(*sizes):
@@ -48,7 +58,7 @@ def fresh_wal(path, *sizes, keys=None):
     assert entries == [] and truncated == 0
     for index, (seq, events) in enumerate(batches(*sizes)):
         key = None if keys is None else keys[index]
-        wal.append(events, seq=seq, key=key)
+        wal.append(FeedbackBatch.of(events), seq=seq, key=key)
     return wal
 
 
@@ -68,31 +78,44 @@ class TestLineBytes:
         path = tmp_path / "serve.wal"
         wal, _, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG, fsync=False)
         with wal:
-            wal.append(events, seq=5, key=key)
-        wire = [feedback_to_wire(feedback) for feedback in events]
-        body = {"events": wire, "key": key, "n": 2, "seq": 5}
+            wal.append(FeedbackBatch.of(events), seq=5, key=key)
+        body = {"events": [wire(feedback) for feedback in events], "key": key, "n": 2, "seq": 5}
         expected = durable.encode({**body, "sha256": durable.digest(body)}) + b"\n"
         assert path.read_bytes().split(b"\n", 1)[1] == expected
         reopened, entries, truncated = WriteAheadLog.open(str(path), config_sha256=CONFIG)
         reopened.close()
         assert truncated == 0
-        assert [(entry.seq, entry.key, entry.events) for entry in entries] == [
-            (5, key, tuple(events))
+        assert [(entry.seq, entry.key, entry.events.feedbacks()) for entry in entries] == [
+            (5, key, events)
         ]
 
 
 class TestWireFormat:
-    def test_feedback_roundtrip(self):
+    def test_feedback_roundtrip(self, tmp_path):
         original = Feedback(
             transaction_id=7, time=3, subject="bob", rating=0.25, rater="c", truthful=False
         )
-        assert feedback_from_wire(feedback_to_wire(original)) == original
+        path = tmp_path / "serve.wal"
+        wal, _, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG, fsync=False)
+        with wal:
+            wal.append(FeedbackBatch.of([original]), seq=0)
+        reopened, entries, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG)
+        reopened.close()
+        assert entries[0].events.feedbacks() == [original]
 
-    def test_missing_field_is_integrity_error(self):
-        wire = feedback_to_wire(event(0))
-        del wire["subject"]
-        with pytest.raises(IntegrityError, match="malformed WAL feedback"):
-            feedback_from_wire(wire)
+    def test_missing_field_is_integrity_error(self, tmp_path):
+        """An event without a field is damage even under a valid digest:
+        below an acked batch, it fails the log."""
+        path = tmp_path / "serve.wal"
+        fresh_wal(path, 1, 1, 1).close()
+        lines = path.read_bytes()[:-1].split(b"\n")
+        body = json.loads(lines[2])
+        del body["sha256"]
+        del body["events"][0]["subject"]
+        lines[2] = durable.encode({**body, "sha256": durable.digest(body)})
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(IntegrityError, match="damaged interior line"):
+            verify_wal(str(path))
 
     def test_config_digest_is_order_insensitive(self):
         a = config_digest({"mechanism": "beta", "refresh_every": 4})
@@ -116,7 +139,7 @@ class TestRoundTrip:
             (2, None, 3),
             (5, "c", 1),
         ]
-        assert entries[0].events[0] == event(0)
+        assert entries[0].events.feedback(0) == event(0)
         assert entries[-1].end == 6
         assert reopened.entry_count == 3
         reopened.close()
@@ -205,8 +228,8 @@ class TestDamagePolicy:
     def test_sequence_gap_hard_fails(self, tmp_path):
         path = tmp_path / "serve.wal"
         wal, _, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG)
-        wal.append([event(0)], seq=0)
-        wal.append([event(5)], seq=5)  # a batch went missing
+        wal.append(FeedbackBatch.of([event(0)]), seq=0)
+        wal.append(FeedbackBatch.of([event(5)]), seq=5)  # a batch went missing
         wal.close()
         with pytest.raises(IntegrityError, match="sequence gap"):
             verify_wal(str(path))
@@ -226,8 +249,8 @@ class TestDamagePolicy:
         )
         wal, _, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG)
         with faults.active(plan):
-            wal.append([event(0), event(1)], seq=0)
-            wal.append([event(2)], seq=2)  # this line lands corrupted
+            wal.append(FeedbackBatch.of([event(0), event(1)]), seq=0)
+            wal.append(FeedbackBatch.of([event(2)]), seq=2)  # this line lands corrupted
         wal.close()
 
         assert verify_wal(str(path)) == (1, 1)
@@ -246,7 +269,7 @@ class TestCompaction:
         assert wal.entry_count == 1
         assert wal.event_count == 2
         # Appends keep working on the rewritten handle.
-        wal.append([event(6)], seq=6)
+        wal.append(FeedbackBatch.of([event(6)]), seq=6)
         wal.close()
         reopened, entries, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG)
         reopened.close()

@@ -126,6 +126,32 @@ class TestReputationIntegration:
         assert len(seen) == len(result.disclosed_feedbacks)
 
 
+    def test_each_round_reaches_the_mechanism_as_one_batch(self, small_graph):
+        """A mechanism with only ``record_batch`` and ``score`` (no
+        ``refresh``) receives every round's disclosed reports in one batch
+        at the round's end."""
+
+        class Counting:
+            def __init__(self):
+                self.batches = []
+
+            def record_batch(self, batch):
+                self.batches.append(batch.feedbacks())
+
+            def score(self, peer_id):
+                return 0.5
+
+        reputation = Counting()
+        config = SimulationConfig(rounds=4, sharing_level=0.7, seed=4)
+        simulator = InteractionSimulator(small_graph, config, reputation=reputation)
+        for rounds in range(1, 5):
+            simulator.run_until(rounds)
+            disclosed = simulator.result().disclosed_feedbacks
+            assert [report for batch in reputation.batches for report in batch] == disclosed
+            assert len(reputation.batches) == rounds
+            assert {report.time for report in reputation.batches[-1]} == {rounds - 1}
+
+
 class TestAdversaries:
     def test_whitewashers_change_identity(self, adversarial_graph):
         config = SimulationConfig(rounds=25, whitewasher_fraction=1.0, seed=6)

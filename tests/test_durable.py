@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError, IntegrityError
 from repro.experiments.journal import SweepJournal
 from repro.experiments.results import ExperimentRecord
 from repro.serving.wal import WriteAheadLog
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 
 FORMAT = durable.LogFormat(
     name="repro-test-log",
@@ -131,7 +131,12 @@ class TestFsyncs:
         wal, _, _ = WriteAheadLog.open(str(tmp_path / "serve.wal"), config_sha256="c")
         journal, _, _ = SweepJournal.open(str(tmp_path / "sweep.jnl"), {"seed": 1})
         calls = self._count(monkeypatch)
-        wal.append([Feedback(transaction_id=0, time=0, subject="a", rating=1.0, rater="r")], seq=0)
+        wal.append(
+            FeedbackBatch.of(
+                [Feedback(transaction_id=0, time=0, subject="a", rating=1.0, rater="r")]
+            ),
+            seq=0,
+        )
         assert len(calls) == 1
         record = ExperimentRecord(
             experiment="figure1", task_index=0, params={}, seed=None, status="ok"

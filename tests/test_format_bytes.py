@@ -9,7 +9,7 @@ from repro.experiments.journal import SweepJournal
 from repro.experiments.results import ExperimentRecord
 from repro.serving.wal import WriteAheadLog, config_digest
 from repro.simulation.checkpoint import read_checkpoint, write_checkpoint
-from repro.simulation.transaction import Feedback
+from repro.simulation.transaction import Feedback, FeedbackBatch
 
 #: A journal of one record, as version 1 writes it.
 JOURNAL_V1 = (
@@ -65,16 +65,23 @@ def write_wal(path):
     config = config_digest({"mechanism": "beta", "refresh_every": 4})
     wal, _, _ = WriteAheadLog.open(str(path), config_sha256=config)
     wal.append(
-        [
-            Feedback(transaction_id=0, time=0, subject="alice", rating=1.0, rater="c1"),
-            Feedback(
-                transaction_id=1, time=0, subject="bob", rating=0.25, rater=None, truthful=False
-            ),
-        ],
+        FeedbackBatch.of(
+            [
+                Feedback(transaction_id=0, time=0, subject="alice", rating=1.0, rater="c1"),
+                Feedback(
+                    transaction_id=1, time=0, subject="bob", rating=0.25, rater=None, truthful=False
+                ),
+            ]
+        ),
         seq=0,
         key="c1-0",
     )
-    wal.append([Feedback(transaction_id=2, time=1, subject="alice", rating=0.0, rater="c2")], seq=2)
+    wal.append(
+        FeedbackBatch.of(
+            [Feedback(transaction_id=2, time=1, subject="alice", rating=0.0, rater="c2")]
+        ),
+        seq=2,
+    )
     wal.close()
 
 
