@@ -45,6 +45,7 @@ Latency accounting is strictly observational (see :mod:`repro.serving.sla`).
 from __future__ import annotations
 
 import json
+import operator
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -273,12 +274,14 @@ def feedback_batch(
     truthful: list[bool] = []
     for position, event in enumerate(events, sequence):
         if isinstance(event, Feedback):
-            transaction_ids.append(event.transaction_id)
-            times.append(event.time)
+            # Exact types, as a JSON event gives them: a NumPy scalar or an
+            # int subclass would otherwise reach the WAL and the store.
+            transaction_ids.append(operator.index(event.transaction_id))
+            times.append(operator.index(event.time))
             subjects.append(event.subject)
-            ratings.append(event.rating)
+            ratings.append(float(event.rating))
             raters.append(event.rater)
-            truthful.append(event.truthful)
+            truthful.append(bool(event.truthful))
             continue
         unknown = sorted(set(event) - _PAYLOAD_FIELDS)
         if unknown:

@@ -50,7 +50,6 @@ import threading
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import IO, Any
 
 from repro import durable, faults
@@ -70,14 +69,6 @@ _FORMAT = durable.LogFormat(
         "(mechanism/refresh/default-score changed since it was written?)"
     ),
 )
-
-#: One feedback event inside a WAL line: the sorted-keys JSON object of its
-#: six fields, as ``durable.encode`` writes it.
-_EVENT = (
-    '{"rater": %s, "rating": %r, "subject": %s, '
-    '"time": %r, "transaction_id": %r, "truthful": %s}'
-)
-
 
 class TornTailWarning(UserWarning):
     """A WAL's torn/corrupt tail was truncated during recovery.
@@ -99,57 +90,24 @@ def config_digest(identity: Mapping[str, object]) -> str:
     return durable.digest(identity)
 
 
-def _encode_batch(batch: FeedbackBatch, *, seq: int, key: str | None) -> bytes:
-    """The sorted-keys JSON of a batch line's body (``events``, ``key``,
-    ``n``, ``seq``), written from the batch's columns: the bytes
-    ``durable.encode`` gives the same body with one dict per event."""
-    events = ", ".join(
-        [
-            _EVENT
-            % (
-                "null" if rater is None else _json_string(rater),
-                rating,
-                _json_string(subject),
-                time,
-                transaction_id,
-                "true" if truthful else "false",
-            )
-            for rater, rating, subject, time, transaction_id, truthful in zip(
-                batch.raters,
-                batch.ratings,
-                batch.subjects,
-                batch.times,
-                batch.transaction_ids,
-                batch.truthful,
-                strict=True,
-            )
-        ]
-    )
-    return b'{"events": [%s], "key": %s, "n": %d, "seq": %d}' % (
-        events.encode("ascii"),
-        b"null" if key is None else _json_string(key).encode("ascii"),
-        len(batch),
-        seq,
-    )
-
-
 def _decode_events(events: list[Any]) -> FeedbackBatch | None:
-    """A batch line's events as a batch; ``None`` when one is malformed.
-    A rating of -0.0 is read as 0.0."""
+    """A batch line's events as a batch; ``None`` when one is malformed: a
+    field is missing or a rating is not a number in [0, 1].  A rating of
+    -0.0 is read as 0.0."""
     try:
-        batch = FeedbackBatch(
+        ratings = [event["rating"] for event in events]
+        if not all(type(rating) in (int, float) and 0.0 <= rating <= 1.0 for rating in ratings):
+            return None
+        return FeedbackBatch(
             transaction_ids=[event["transaction_id"] for event in events],
             times=[event["time"] for event in events],
             subjects=[event["subject"] for event in events],
-            ratings=[event["rating"] or 0.0 for event in events],
+            ratings=[float(rating) or 0.0 for rating in ratings],
             raters=[event["rater"] for event in events],
             truthful=[event["truthful"] for event in events],
         )
-        if not all(0.0 <= rating <= 1.0 for rating in batch.ratings):
-            return None
     except (KeyError, TypeError):
         return None
-    return batch
 
 
 @dataclass(frozen=True)
@@ -306,7 +264,27 @@ class WriteAheadLog:
         the process mid-write — exercising exactly the torn tails the
         recovery path must survive.
         """
-        encoded = _sealed_line(_encode_batch(batch, seq=seq, key=key))
+        events = [
+            {
+                "rater": rater,
+                "rating": rating,
+                "subject": subject,
+                "time": time,
+                "transaction_id": transaction_id,
+                "truthful": truthful,
+            }
+            for transaction_id, time, subject, rating, rater, truthful in zip(
+                batch.transaction_ids,
+                batch.times,
+                batch.subjects,
+                batch.ratings,
+                batch.raters,
+                batch.truthful,
+                strict=True,
+            )
+        ]
+        body = {"events": events, "key": key, "n": len(events), "seq": seq}
+        encoded = _sealed_line(durable.encode(body))
         action = faults.fire("wal.append", seq=seq, n=len(batch))
         if action == "corrupt":
             encoded = faults.corrupt_bytes(encoded)

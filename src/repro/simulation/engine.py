@@ -60,8 +60,9 @@ class ReputationProtocol(Protocol):
     """What the simulator needs from a reputation mechanism.
 
     Each round's disclosed reports reach ``record_batch`` as one batch
-    before the round ends, and before each disclosure-observer call, so an
-    observer that reads the mechanism sees every report disclosed so far.
+    before the round ends.  With a disclosure observer, each report goes
+    over alone before the observer receives it, so an observer that reads
+    the mechanism sees every report disclosed so far.
     Selection reads the scores published at the start of the round: those
     of ``refresh()`` when the mechanism has one (every
     :class:`~repro.reputation.base.ReputationSystem` does), else of
@@ -495,8 +496,9 @@ class InteractionSimulator:
         ``rate_transaction`` and one disclosure uniform from the "feedback"
         stream.  A disclosed report stays a row of the log until
         :meth:`_hand_over`; it becomes a :class:`Feedback` only for the
-        disclosure observer, which may read the mechanism, so the held rows
-        are handed over before each observer call.
+        disclosure observer, which may read the mechanism, so with an
+        observer each disclosed report goes to the mechanism before the
+        observer call that receives it.
         """
         log = self._log
         append_round = log.rounds.append
@@ -514,7 +516,7 @@ class InteractionSimulator:
         sharing_level = self.config.sharing_level
         anonymous = self.config.anonymous_feedback
         observer = self._disclosure_observer
-        hand_over = self._hand_over
+        ingest = None if self.reputation is None else self.reputation.record_batch
 
         def step(consumer: Peer, provider: Peer) -> None:
             service = provider.behavior
@@ -546,8 +548,24 @@ class InteractionSimulator:
             append_truthful(truthful)
             append_disclosed(disclosed)
             if disclosed and observer is not None:
-                hand_over()
-                observer(log.feedback(len(log.rounds) - 1, anonymous=anonymous), consumer, provider)
+                # Every earlier disclosed row went over at its own observer
+                # call, so this report is the only one held: it goes over
+                # alone, built from the observer's Feedback, not gathered.
+                held = len(log.rounds)
+                feedback = log.feedback(held - 1, anonymous=anonymous)
+                self._handed_over = held
+                if ingest is not None:
+                    ingest(
+                        FeedbackBatch(
+                            [feedback.transaction_id],
+                            [feedback.time],
+                            [feedback.subject],
+                            [feedback.rating],
+                            [feedback.rater],
+                            [feedback.truthful],
+                        )
+                    )
+                observer(feedback, consumer, provider)
 
         return step
 

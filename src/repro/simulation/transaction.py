@@ -132,10 +132,6 @@ class FeedbackBatch:
             truthful=bool(self.truthful[row]),
         )
 
-    def feedbacks(self) -> list[Feedback]:
-        """Every report, in row order."""
-        return [self.feedback(row) for row in range(len(self))]
-
     def take(self, rows: Iterable[int]) -> FeedbackBatch:
         """The given rows, in the given order."""
         rows = list(rows)

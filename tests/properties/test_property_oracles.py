@@ -287,7 +287,7 @@ class RecordingMechanism:
         self.inner.record_feedback(feedback)
 
     def record_batch(self, batch):
-        self.received.extend(batch.feedbacks())
+        self.received.extend(batch.feedback(row) for row in range(len(batch)))
         self.inner.record_batch(batch)
 
     def __getattr__(self, name):

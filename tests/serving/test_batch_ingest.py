@@ -2,10 +2,12 @@
 column batch, logs the batch as one WAL line and hands it to the mechanism
 cut at every refresh boundary."""
 
+import enum
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import durable
@@ -13,10 +15,16 @@ from repro.errors import ConfigurationError
 from repro.serving.loadgen import build_trace
 from repro.serving.service import ReputationService, ServiceConfig
 from repro.serving.wal import WriteAheadLog, config_digest
+from repro.simulation.transaction import Feedback
 
 DATA = Path(__file__).resolve().parent / "data"
 
 GOOD = {"subject": "alice", "rating": 1.0, "rater": "bob"}
+
+
+class Round(enum.IntEnum):
+    FIRST = 1
+    SECOND = 2
 
 
 def _wal_service(tmp_path, **config):
@@ -156,6 +164,48 @@ class TestWalLineBytes:
             }
         )
         assert b'"rating": 1.0' in lines[2] and b'"rating": 0.0' in lines[2]
+
+    def test_numpy_and_int_subclass_fields_round_trip(self, tmp_path):
+        """A ``Feedback`` holding NumPy scalars or an ``IntEnum`` is logged
+        with plain JSON numbers, and the WAL replays it to the same body."""
+        service = _wal_service(tmp_path, mechanism="average", refresh_every=1)
+        reports = [
+            Feedback(
+                transaction_id=np.int64(7),
+                time=Round.SECOND,
+                subject="alice",
+                rating=np.float64(0.5),
+                rater="bob",
+                truthful=np.bool_(True),
+            ),
+            Feedback(
+                transaction_id=Round.SECOND,
+                time=np.int64(3),
+                subject="bob",
+                rating=np.float64(1.0),
+                rater=None,
+            ),
+        ]
+        try:
+            service.ingest_many(reports)
+            body = service.scores_json()
+        finally:
+            service.close()
+        line = Path(tmp_path / "serve.wal").read_bytes().split(b"\n")[1] + b"\n"
+        assert line == _sealed(
+            {
+                "events": [_wire(7, 2, "alice", 0.5, "bob"), _wire(2, 3, "bob", 1.0, None)],
+                "key": None,
+                "n": 2,
+                "seq": 0,
+            }
+        )
+        recovered = _wal_service(tmp_path, mechanism="average", refresh_every=1)
+        try:
+            assert recovered.scores_json() == body
+            assert [type(report.time) for report in recovered.evidence()] == [int, int]
+        finally:
+            recovered.close()
 
     def test_empty_batch_is_one_empty_line(self, tmp_path):
         service = _wal_service(tmp_path)

@@ -85,9 +85,8 @@ class TestLineBytes:
         reopened, entries, truncated = WriteAheadLog.open(str(path), config_sha256=CONFIG)
         reopened.close()
         assert truncated == 0
-        assert [(entry.seq, entry.key, entry.events.feedbacks()) for entry in entries] == [
-            (5, key, events)
-        ]
+        assert [(entry.seq, entry.key, len(entry.events)) for entry in entries] == [(5, key, 2)]
+        assert [entries[0].events.feedback(row) for row in range(2)] == events
 
 
 class TestWireFormat:
@@ -101,21 +100,49 @@ class TestWireFormat:
             wal.append(FeedbackBatch.of([original]), seq=0)
         reopened, entries, _ = WriteAheadLog.open(str(path), config_sha256=CONFIG)
         reopened.close()
-        assert entries[0].events.feedbacks() == [original]
+        assert entries[0].events.feedback(0) == original
 
     def test_missing_field_is_integrity_error(self, tmp_path):
-        """An event without a field is damage even under a valid digest:
-        below an acked batch, it fails the log."""
+        """An event without a field, or whose rating is not a number in
+        [0, 1], is damage even under a valid digest: below an acked batch,
+        it fails the log."""
         path = tmp_path / "serve.wal"
         fresh_wal(path, 1, 1, 1).close()
+        intact = path.read_bytes()
+        damages = [
+            lambda event: event.pop("subject"),
+            lambda event: event.update(rating=None),
+            lambda event: event.update(rating=False),
+            lambda event: event.update(rating=True),
+            lambda event: event.update(rating="1.0"),
+            lambda event: event.update(rating=1.5),
+        ]
+        for damage in damages:
+            lines = intact[:-1].split(b"\n")
+            body = json.loads(lines[2])
+            del body["sha256"]
+            damage(body["events"][0])
+            lines[2] = durable.encode({**body, "sha256": durable.digest(body)})
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            with pytest.raises(IntegrityError, match="damaged interior line"):
+                verify_wal(str(path))
+
+    def test_int_rating_replays_as_float(self, tmp_path):
+        """A digest-valid event with an int rating (``0`` or ``1``) is intact
+        and replays as the float, as the store holds it."""
+        path = tmp_path / "serve.wal"
+        fresh_wal(path, 1).close()
         lines = path.read_bytes()[:-1].split(b"\n")
-        body = json.loads(lines[2])
+        body = json.loads(lines[1])
         del body["sha256"]
-        del body["events"][0]["subject"]
-        lines[2] = durable.encode({**body, "sha256": durable.digest(body)})
+        body["events"][0]["rating"] = 1
+        lines[1] = durable.encode({**body, "sha256": durable.digest(body)})
         path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(IntegrityError, match="damaged interior line"):
-            verify_wal(str(path))
+        reopened, entries, truncated = WriteAheadLog.open(str(path), config_sha256=CONFIG)
+        reopened.close()
+        assert truncated == 0
+        assert entries[0].events.ratings == [1.0]
+        assert type(entries[0].events.ratings[0]) is float
 
     def test_config_digest_is_order_insensitive(self):
         a = config_digest({"mechanism": "beta", "refresh_every": 4})

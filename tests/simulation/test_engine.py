@@ -136,7 +136,7 @@ class TestReputationIntegration:
                 self.batches = []
 
             def record_batch(self, batch):
-                self.batches.append(batch.feedbacks())
+                self.batches.append([batch.feedback(row) for row in range(len(batch))])
 
             def score(self, peer_id):
                 return 0.5
