@@ -21,10 +21,17 @@ durability contract:
   response got lost) returns the original receipt with
   ``duplicate: true`` instead of double-ingesting.
 * **One kept-alive connection**: every request reuses one HTTP/1.1
-  connection.  A transport error drops it and the next attempt
-  reconnects; a connection the server closed while it sat idle (its idle
-  timeout, a restart) is replaced before use, silently — that costs no
-  retry, no backoff and no breaker failure.
+  connection, a socket with a buffered reader.  A request leaves in one
+  send; the response's head is read by :mod:`repro.serving.wire` (the
+  reader the server uses) and its body by ``Content-Length``.  A
+  response that cannot be delimited that way (no status line, no
+  ``Content-Length``, any ``Transfer-Encoding``, an end of stream inside
+  the body) fails the attempt like a transport error, so no truncated
+  body is ever returned.  A transport error drops the connection and the
+  next attempt reconnects; a ``Connection: close`` response closes it
+  after its body; a connection the server closed while it sat idle (its
+  idle timeout, a restart) is replaced before use, silently — that costs
+  no retry, no backoff and no breaker failure.
 
 The client records every acked receipt (:attr:`ResilientClient.acked`), so
 crash drills can check that *every event the client saw acknowledged* is
@@ -36,15 +43,17 @@ client, so the serve benchmarks exercise the real retry path.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import random
+import re
 import socket
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import BinaryIO
 
 from repro.errors import CircuitOpenError, ConfigurationError, RequestFailedError
+from repro.serving import wire
 from repro.serving.sla import clock as sla_clock
 
 #: HTTP statuses the client treats as transient backpressure, not failure.
@@ -158,6 +167,66 @@ def _peer_closed(sock: socket.socket) -> bool:
     return True
 
 
+#: What a request line's path may not hold: whitespace or a control character.
+_UNSAFE_PATH = re.compile(r"[\x00-\x20\x7f]")
+
+#: A header name: an RFC 7230 token.
+_HEADER_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+#: What a header value may not hold: a control character other than tab.
+_UNSAFE_VALUE = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+
+
+def _encode_request(
+    method: str, path: str, host: str, headers: dict[str, str], body: bytes
+) -> bytes:
+    """One request's bytes: its head, with ``Host`` and ``Content-Length``, then ``body``.
+
+    A path or header that would break the head's framing raises
+    :class:`~repro.errors.ConfigurationError` before anything is sent.
+    """
+    if not path.isascii() or _UNSAFE_PATH.search(path):
+        raise ConfigurationError(f"request path must be ASCII without spaces: {path!r}")
+    lines = [f"{method} {path} HTTP/1.1", f"Host: {host}"]
+    for name, value in headers.items():
+        if not _HEADER_NAME.fullmatch(name) or _UNSAFE_VALUE.search(value):
+            raise ConfigurationError(f"invalid request header {name!r}: {value!r}")
+        lines.append(f"{name}: {value}")
+    if body or method != "GET":
+        lines.append(f"Content-Length: {len(body)}")
+    lines.append("\r\n")
+    return "\r\n".join(lines).encode("latin-1") + body
+
+
+def _read_response(rfile: BinaryIO) -> tuple[int, bytes, bool]:
+    """One response off a connection: ``(status, body, closes)``.
+
+    ``closes`` is whether the server closes the connection after it.  A
+    response that cannot be delimited raises :class:`ConnectionError`, so
+    the attempt fails like a broken connection and its body is never used.
+    """
+    try:
+        line = wire.read_line(rfile)
+        if not line:
+            raise ConnectionError("the server closed the connection before responding")
+        parts = line.split(None, 2)
+        status = int(parts[1]) if len(parts) > 1 and parts[1].isdigit() else 0
+        if not parts[0].startswith(b"HTTP/") or not 100 <= status <= 999:
+            raise ConnectionError(f"bad status line {line!r}")
+        headers = wire.read_fields(rfile)
+    except wire.HeadError as error:
+        raise ConnectionError(f"unreadable response head: {error}") from error
+    if "Transfer-Encoding" in headers:
+        raise ConnectionError("response uses Transfer-Encoding; only Content-Length is read")
+    length = headers.get("Content-Length")
+    if length is None or not (length.isascii() and length.isdigit()):
+        raise ConnectionError(f"response has no valid Content-Length: {length!r}")
+    body = rfile.read(int(length))
+    if len(body) < int(length):
+        raise ConnectionError(f"response body ended after {len(body)} of {length} bytes")
+    return status, body, "close" in headers.get("Connection", "").lower()
+
+
 class ResilientClient:
     """The retrying, circuit-breaking, exactly-once v1 API client.
 
@@ -191,12 +260,18 @@ class ResilientClient:
         self.retries = 0
         #: 429/503 responses absorbed over the client's lifetime.
         self.backpressure_responses = 0
-        # Connects lazily on the first request, and again after close().
-        self._connection = http.client.HTTPConnection(host, port, timeout=self.policy.timeout)
+        self._host_header = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+        # The socket and its buffered reader; opened by the first request,
+        # and again after close().
+        self._connection: tuple[socket.socket, BinaryIO] | None = None
 
     def close(self) -> None:
         """Close the kept-alive connection."""
-        self._connection.close()
+        if self._connection is not None:
+            sock, rfile = self._connection
+            self._connection = None
+            rfile.close()
+            sock.close()
 
     def __enter__(self) -> ResilientClient:
         return self
@@ -209,28 +284,34 @@ class ResilientClient:
     def _once(
         self, method: str, path: str, body: object, headers: dict[str, str]
     ) -> tuple[int, object, bytes]:
-        connection = self._connection
-        if connection.sock is not None and _peer_closed(connection.sock):
-            connection.close()
-        encoded = None
+        if self._connection is not None and _peer_closed(self._connection[0]):
+            self.close()
+        encoded = b""
         sent_headers = dict(headers)
         if body is not None:
             encoded = json.dumps(body, sort_keys=True).encode("utf-8")
             sent_headers["Content-Type"] = "application/json"
+        request = _encode_request(method, path, self._host_header, sent_headers, encoded)
         try:
-            connection.request(method, path, body=encoded, headers=sent_headers)
-            response = connection.getresponse()
-            raw = response.read()
+            if self._connection is None:
+                sock = socket.create_connection((self.host, self.port), self.policy.timeout)
+                self._connection = (sock, sock.makefile("rb"))
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock, rfile = self._connection
+            sock.sendall(request)
+            status, raw, closes = _read_response(rfile)
         except BaseException:
             # The exchange broke off mid-request, so the connection's state
             # is unknown: drop it, and the next attempt reconnects.
-            connection.close()
+            self.close()
             raise
+        if closes:
+            self.close()
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else None
         except (UnicodeDecodeError, json.JSONDecodeError):
             payload = None
-        return response.status, payload, raw
+        return status, payload, raw
 
     def _backoff(self, attempt: int, floor: float) -> float:
         """The jittered wait before retry number ``attempt`` (1-based)."""

@@ -41,7 +41,11 @@ Every response is JSON with sorted keys, so two servers serving the same
 session state answer byte-identically — the serve-gate's restart check
 compares raw response bodies.
 
-Connections are HTTP/1.1 keep-alive.  Every declared request body is read
+Connections are HTTP/1.1 keep-alive.  A request's header lines are read by
+:func:`repro.serving.wire.read_fields`, not by the stdlib's email parser:
+a header line that is obs-folded, has no colon or has whitespace in its
+name gets a ``400`` and the connection closes, and a head over the
+stdlib's limits gets a ``431``.  Every declared request body is read
 before routing, so whatever a route does with it the next request on the
 connection starts where the body ends; a body whose length is unknown or
 too large gets a ``400`` and the connection closes.  Each response leaves
@@ -57,10 +61,12 @@ import socket
 import threading
 from collections.abc import Callable
 from dataclasses import asdict
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import ParseResult, parse_qs, urlparse
 
 from repro.errors import ConfigurationError, OverloadError, ReadOnlyError, ReproError
+from repro.serving import wire
 from repro.serving.service import ReputationService
 
 #: Cap on request bodies (16 MiB): a runaway client should get a 400, not
@@ -137,6 +143,22 @@ def _parse_start(value: str) -> int:
     if start < 0:
         raise ConfigurationError("start must be non-negative")
     return start
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``HTTP/<major>.<minor>`` as two integers, or ``None`` when malformed.
+
+    The stdlib's reading (RFC 2145 §3.1): one dot, each part at most ten
+    ASCII digits, leading zeros ignored.
+    """
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
 
 
 def _json_body(payload: dict[str, object]) -> bytes:
@@ -260,11 +282,71 @@ class ReputationRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     server: ReputationHTTPServer
+    #: The request's header fields, read by :func:`wire.read_fields`.
+    headers: wire.Headers  # type: ignore[assignment]
     #: The stdlib's response head, which ``send_header`` appends to.
     _headers_buffer: list[bytes]
 
     def log_message(self, format: str, *args: object) -> None:
         """Per-request stderr logging is off; latency lives in /v1/health."""
+
+    def parse_request(self) -> bool:
+        """Read the request line the stdlib's way and the head through :mod:`wire`.
+
+        The request-line statuses are the stdlib's: 400 for bad syntax or
+        version, 505 from HTTP/2.0 up, and a two-word line is an HTTP/0.9
+        ``GET``.  So are the ``Connection`` and ``Expect: 100-continue``
+        rules, for this handler's HTTP/1.1.  A head :mod:`wire` cannot read
+        gets its 400 or 431, which closes the connection.
+        """
+        self.command = None  # type: ignore[assignment]  # until the line parses
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                return False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({version[5:]})"
+                )
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # The stdlib's guard against an open redirect through a '//' path.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = wire.read_fields(self.rfile)
+        except wire.HeadError as error:
+            self.send_error(error.status, error.reason, error.detail)
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def setup(self) -> None:
         super().setup()

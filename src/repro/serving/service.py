@@ -305,7 +305,10 @@ def feedback_batch(
             or not -(2**63) <= transaction_id < 2**63
         ):
             raise ConfigurationError("'transaction_id' must be a signed 64-bit integer")
-        rating = float(rating)
+        try:
+            rating = float(rating)
+        except OverflowError:  # an integer beyond the double range
+            raise ConfigurationError("feedback needs a numeric 'rating' in [0, 1]") from None
         if not 0.0 <= rating <= 1.0:
             require_unit_interval(rating, "rating")
         transaction_ids.append(transaction_id)

@@ -3,8 +3,10 @@ column batch, logs the batch as one WAL line and hands it to the mechanism
 cut at every refresh boundary."""
 
 import enum
+import http.client
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from repro import durable
 from repro.errors import ConfigurationError
+from repro.serving.http import create_http_server
 from repro.serving.loadgen import build_trace
 from repro.serving.service import ReputationService, ServiceConfig
 from repro.serving.wal import WriteAheadLog, config_digest
@@ -96,6 +99,8 @@ class TestRejectedBatch:
         [
             ({"subject": "alice", "rating": 1.5}, "rating must be in [0, 1], got 1.5"),
             ({"subject": "alice", "rating": float("nan")}, "rating must be in [0, 1], got nan"),
+            ({"subject": "alice", "rating": float("inf")}, "rating must be in [0, 1], got inf"),
+            ({"subject": "alice", "rating": 10**400}, "feedback needs a numeric 'rating' in [0, 1]"),
             ({"subject": "alice", "rating": "high"}, "feedback needs a numeric 'rating' in [0, 1]"),
             ({"subject": "", "rating": 0.5}, "feedback needs a non-empty string 'subject'"),
             ({"subject": "a", "rating": 0.5, "rater": 3}, "'rater' must be a string or null"),
@@ -128,6 +133,43 @@ class TestRejectedBatch:
                 assert after[counter] == health[counter], counter
             assert service.scores_json() == body
         finally:
+            service.close()
+
+
+    @pytest.mark.parametrize(
+        "rating, message",
+        [
+            (b"1" + b"0" * 400, "feedback needs a numeric 'rating' in [0, 1]"),
+            (b"1e400", "rating must be in [0, 1], got inf"),
+        ],
+    )
+    def test_rating_beyond_the_double_range_is_a_400_over_http(self, tmp_path, rating, message):
+        service = _wal_service(tmp_path, mechanism="beta", refresh_every=2)
+        server = create_http_server(service, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            service.ingest_many([GOOD, GOOD, GOOD], idempotency_key="first")
+            wal_bytes = Path(service.wal.path).read_bytes()
+            health = service.health()
+            body = service.scores_json()
+            connection.request(
+                "POST", "/v1/feedback", body=b'{"subject": "alice", "rating": ' + rating + b"}"
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read()) == {"error": message, "status": 400}
+            assert Path(service.wal.path).read_bytes() == wal_bytes
+            after = service.health()
+            for counter in ("ingested", "watermark", "pending", "refreshes", "dedup_keys", "wal"):
+                assert after[counter] == health[counter], counter
+            assert service.scores_json() == body
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
             service.close()
 
 

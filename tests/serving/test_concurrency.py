@@ -130,16 +130,21 @@ class TestReadersUnderLoad:
         # it counted under it: ingest must never change those rows.
         service = ReputationService(refresh_every=8)
         stop = threading.Event()
+        first_read = threading.Event()
         reads = []
 
         def writer():
             for base in range(0, 1200, BATCH):
                 service.ingest_many([event(base + i, f"peer-{base % 7}") for i in range(BATCH)])
+                if base == 0:
+                    # At least one read must return before the ingest ends.
+                    first_read.wait(timeout=60)
             stop.set()
 
         def reader():
             while not stop.is_set():
                 reads.append(service.evidence())
+                first_read.set()
 
         run_threads([writer, reader])
         final = service.evidence()
