@@ -71,9 +71,6 @@ class Headers:
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name.lower() in self._fields
 
-    def __repr__(self) -> str:
-        return f"Headers({self._fields!r})"
-
 
 def read_line(rfile: BinaryIO) -> bytes:
     """One head line, with its line ending; ``b""`` at end of stream."""
