@@ -12,14 +12,21 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro import _profiling
-from repro.core import backend
-from repro.core.backend import PeerIndex
 from repro.simulation.transaction import Feedback, FeedbackBatch
+
+# Only the pair ledger's array readers (``_pair_ledger`` and the
+# ``LocalTrustBuilder`` methods that build matrices) use NumPy and the
+# kernels, and only EigenTrust, PowerTrust and the overlay call them: the
+# readers import both where they run, so a process that stores feedback
+# for a per-subject fold (Beta, average, TrustMe) never loads NumPy or SciPy.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.core import backend
+    from repro.core.backend import PeerIndex
 
 
 @dataclass
@@ -281,6 +288,8 @@ def _pair_ledger(columns: FeedbackColumns) -> tuple[array, array, array, dict[in
     order.  So the ledger and the slot map equal what the fold's loop
     builds one report at a time.
     """
+    import numpy as np
+
     raters = np.array(columns.rater_codes, dtype=np.int64)
     named = raters >= 0
     keys = raters[named] << 32 | np.array(columns.subject_codes, dtype=np.int64)[named]
@@ -400,6 +409,8 @@ class LocalTrustBuilder:
     def _pair_positions(self, index: PeerIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The folded ledger in ``index`` positions: ``(rows, columns, sums)``
         of every pair whose rater and subject are both in ``index``."""
+        import numpy as np
+
         perm = index.permutation(self._fold().id_for_code)
         rows = perm[np.asarray(self._pair_raters, dtype=np.intp)]
         cols = perm[np.asarray(self._pair_subjects, dtype=np.intp)]
@@ -418,6 +429,8 @@ class LocalTrustBuilder:
         as CSR from the ledger's positive totals — one permutation over
         the id universe and O(distinct pairs) of array work per refresh.
         """
+        from repro.core import backend
+
         n = len(index)
         if n < backend.DENSE_TRUST_THRESHOLD:
             return backend.normalize_dense_raw(self.dense_raw_totals(index))
@@ -428,6 +441,8 @@ class LocalTrustBuilder:
     def raters_per_subject(self) -> dict[str, int]:
         """How many distinct raters assessed each rated peer (ledger pairs
         per subject code)."""
+        import numpy as np
+
         ids = self._fold().id_for_code
         counts = np.bincount(
             np.asarray(self._pair_subjects, dtype=np.intp), minlength=len(ids)
@@ -447,6 +462,8 @@ class LocalTrustBuilder:
         Callers must treat the returned array as read-only (take a
         clipped/normalized copy).
         """
+        import numpy as np
+
         columns = self._store.columns()
         epoch = self._store.epoch
         total = len(columns)

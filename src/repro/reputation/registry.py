@@ -3,23 +3,59 @@
 The experiment harness, the scenario runner, the live service and the CLI
 all pick a mechanism by its registry name; this module is the one place
 that maps those names to constructors.
+
+Each factory imports its mechanism's module when it first builds one, so
+a process loads only the mechanisms it runs: a Beta, average or TrustMe
+server never imports the NumPy and SciPy kernels of EigenTrust and
+PowerTrust.
 """
 
-from repro.reputation.average import SimpleAverageReputation
+from __future__ import annotations
+
+from collections.abc import Callable
+from typing import Any
+
 from repro.reputation.base import ReputationSystem
-from repro.reputation.beta import BetaReputation
-from repro.reputation.eigentrust import EigenTrust
-from repro.reputation.powertrust import PowerTrust
-from repro.reputation.trustme import TrustMeReputation
+
+
+def _average(**kwargs: Any) -> ReputationSystem:
+    from repro.reputation.average import SimpleAverageReputation
+
+    return SimpleAverageReputation(**kwargs)
+
+
+def _beta(**kwargs: Any) -> ReputationSystem:
+    from repro.reputation.beta import BetaReputation
+
+    return BetaReputation(**kwargs)
+
+
+def _eigentrust(**kwargs: Any) -> ReputationSystem:
+    from repro.reputation.eigentrust import EigenTrust
+
+    return EigenTrust(**kwargs)
+
+
+def _powertrust(**kwargs: Any) -> ReputationSystem:
+    from repro.reputation.powertrust import PowerTrust
+
+    return PowerTrust(**kwargs)
+
+
+def _trustme(**kwargs: Any) -> ReputationSystem:
+    from repro.reputation.trustme import TrustMeReputation
+
+    return TrustMeReputation(**kwargs)
+
 
 #: Factory registry mapping mechanism names to constructors, used by the
 #: experiment harness and the CLI to select a mechanism by name.
-REPUTATION_FACTORIES = {
-    "average": SimpleAverageReputation,
-    "beta": BetaReputation,
-    "eigentrust": EigenTrust,
-    "powertrust": PowerTrust,
-    "trustme": TrustMeReputation,
+REPUTATION_FACTORIES: dict[str, Callable[..., ReputationSystem]] = {
+    "average": _average,
+    "beta": _beta,
+    "eigentrust": _eigentrust,
+    "powertrust": _powertrust,
+    "trustme": _trustme,
 }
 
 

@@ -21,12 +21,36 @@ from repro.serving.http import ReputationHTTPServer, create_http_server
 from repro.serving.service import ReputationService, ServiceConfig
 
 
+#: The ``repro serve`` flags that set a :class:`ServiceConfig` field, by
+#: field.  They have no parser default: a boot builds its config from the
+#: flags given, so the dataclass's field defaults are the only copy.
+CONFIG_FLAGS = {
+    "mechanism": "--mechanism",
+    "refresh_every": "--refresh-every",
+    "default_score": "--default-score",
+    "max_pending_requests": "--max-pending",
+    "client_rate": "--client-rate",
+    "client_burst": "--client-burst",
+    "dedup_window": "--dedup-window",
+    "retry_after": "--retry-after",
+}
+
+
 def build_serve_parser() -> argparse.ArgumentParser:
     """The ``repro serve`` argument surface."""
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve live reputation scores over HTTP (stdlib adapter).",
     )
+    defaults = ServiceConfig()
+
+    def config_flag(field: str, kind: type, help_text: str) -> None:
+        default = getattr(defaults, field)
+        shown = "" if default is None else f" (default: {default})"
+        parser.add_argument(
+            CONFIG_FLAGS[field], dest=field, type=kind, default=None, help=help_text + shown
+        )
+
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
     parser.add_argument(
         "--port",
@@ -39,23 +63,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the bound port to this file once listening (subprocess coordination)",
     )
-    parser.add_argument(
-        "--mechanism",
-        default="beta",
-        help="reputation mechanism backing the service (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--refresh-every",
-        type=int,
-        default=64,
-        help="publish refreshed scores every N ingested events (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--default-score",
-        type=float,
-        default=0.5,
-        help="score reported for peers with no evidence (default: %(default)s)",
-    )
+    config_flag("mechanism", str, "reputation mechanism backing the service")
+    config_flag("refresh_every", int, "publish refreshed scores every N ingested events")
+    config_flag("default_score", float, "score reported for peers with no evidence")
     parser.add_argument(
         "--snapshot",
         default=None,
@@ -66,7 +76,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--restore",
         default=None,
         metavar="PATH",
-        help="resume the session from this checkpoint instead of starting empty",
+        help=(
+            "resume the session from this checkpoint instead of starting empty; "
+            "the checkpoint's settings apply, and a --mechanism, --refresh-every "
+            "or --default-score that differs from them is refused"
+        ),
     )
     parser.add_argument(
         "--wal",
@@ -83,73 +97,48 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the per-append fsync (faster, loses the power-failure guarantee)",
     )
-    parser.add_argument(
-        "--max-pending",
-        type=int,
-        default=64,
-        help="admitted ingest requests before shedding with 429 (default: %(default)s)",
+    config_flag("max_pending_requests", int, "admitted ingest requests before shedding with 429")
+    config_flag(
+        "client_rate", float, "per-client sustained requests/second (token bucket); omit to disable"
     )
-    parser.add_argument(
-        "--client-rate",
-        type=float,
-        default=None,
-        help="per-client sustained requests/second (token bucket); omit to disable",
-    )
-    parser.add_argument(
-        "--client-burst",
-        type=int,
-        default=8,
-        help="per-client token-bucket burst size (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--dedup-window",
-        type=int,
-        default=1024,
-        help="acked idempotency keys remembered for retry dedup (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--retry-after",
-        type=float,
-        default=0.1,
-        help="Retry-After hint (seconds) on 429/503 responses (default: %(default)s)",
-    )
+    config_flag("client_burst", int, "per-client token-bucket burst size")
+    config_flag("dedup_window", int, "acked idempotency keys remembered for retry dedup")
+    config_flag("retry_after", float, "Retry-After hint (seconds) on 429/503 responses")
     return parser
 
 
 def build_service(args: argparse.Namespace) -> ReputationService:
     """Construct (restore / recover) the service session an invocation asked for."""
-    if args.restore is not None:
-        # A restore resumes the *checkpointed* session verbatim; mechanism
-        # flags that contradict it would silently fork the score history.
+    flags = vars(args)
+    given = {field: flags[field] for field in CONFIG_FLAGS if flags[field] is not None}
+    if args.restore is None:
+        config = ServiceConfig(**given)  # type: ignore[arg-type]
         if args.wal is not None:
-            service = ReputationService.recover(
-                wal_path=args.wal,
-                snapshot_path=args.restore,
-                wal_fsync=not args.no_wal_fsync,
+            return ReputationService.recover(
+                wal_path=args.wal, config=config, wal_fsync=not args.no_wal_fsync
             )
-        else:
-            service = ReputationService.restore(args.restore)
-        if args.mechanism != service.config.mechanism and args.mechanism != "beta":
-            raise SystemExit(
-                f"--mechanism {args.mechanism!r} conflicts with the checkpoint's "
-                f"{service.config.mechanism!r}; drop the flag when restoring"
-            )
-        return service
-    config = ServiceConfig(
-        mechanism=args.mechanism,
-        refresh_every=args.refresh_every,
-        default_score=args.default_score,
-        max_pending_requests=args.max_pending,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        dedup_window=args.dedup_window,
-        retry_after=args.retry_after,
-    )
+        return ReputationService(config)
+    # A restore resumes the *checkpointed* session verbatim.  A flag for a
+    # score setting (one the WAL pins) that contradicts it would silently
+    # fork the score history; the overload flags are ignored.
     if args.wal is not None:
-        return ReputationService.recover(
-            wal_path=args.wal, config=config, wal_fsync=not args.no_wal_fsync
+        service = ReputationService.recover(
+            wal_path=args.wal,
+            snapshot_path=args.restore,
+            wal_fsync=not args.no_wal_fsync,
         )
-    return ReputationService(config)
+    else:
+        service = ReputationService.restore(args.restore)
+    pinned = service.config.wal_identity()
+    conflicts = [
+        f"{CONFIG_FLAGS[field]} {value!r} conflicts with the checkpoint's {pinned[field]!r}"
+        for field, value in given.items()
+        if field in pinned and value != pinned[field]
+    ]
+    if conflicts:
+        service.close()
+        raise SystemExit("; ".join(conflicts) + "; drop the flag when restoring")
+    return service
 
 
 def serve(

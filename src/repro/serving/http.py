@@ -124,7 +124,9 @@ def _decode_body(raw: bytes) -> object:
         raise ConfigurationError(f"request body exceeds {MAX_BODY_BYTES} bytes")
     try:
         return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad syntax and an integer literal past
+        # Python's digit limit; RecursionError, nesting too deep to parse.
         raise ConfigurationError(f"request body is not valid JSON: {error}") from error
 
 

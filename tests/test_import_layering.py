@@ -164,12 +164,18 @@ def test_the_serve_path_loads_no_simulator():
     assert _under(loaded, *SIMULATOR_STACK) == []
 
 
-#: One durable session per mechanism, as `repro serve --wal` runs it:
-#: recover, ingest, snapshot, ingest, then recover from the snapshot plus the
-#: WAL and read the scores.  The finder at the head of ``sys.meta_path`` sees
-#: every module the first time it loads, so nothing escapes by being
-#: unloaded again.
-_SESSION = """
+#: The mechanisms that score a subject from its own reports (``SubjectFold``)
+#: and those that run the NumPy and SciPy kernels.
+FOLD_ONLY = ("average", "beta", "trustme")
+ARRAY_MECHANISMS = ("eigentrust", "powertrust")
+
+#: What a fold-only serving process never loads.
+ARRAY_STACK = ("numpy", "scipy", "repro.core.backend")
+
+#: The head of a recorded session: the finder at the head of
+#: ``sys.meta_path`` sees every module the first time it loads, so nothing
+#: escapes by being unloaded again.
+_RECORDER = """
 import os
 import sys
 
@@ -184,39 +190,111 @@ class Recorder:
 
 sys.meta_path.insert(0, Recorder())
 import repro.cli, repro.serving.cli
-from repro.reputation.registry import REPUTATION_FACTORIES
 from repro.serving.service import ReputationService, ServiceConfig
 
+
+def loaded():
+    return " ".join(sorted(seen | set(sys.modules)))
+
+
+def read_everything(service):
+    assert service.scores_json()
+    service.peer("s1")
+    service.health()
+    assert service.evidence()
+"""
+
+#: One durable session of one mechanism, as `repro serve --wal` runs it:
+#: recover, ingest, snapshot, ingest, then recover from the snapshot plus
+#: the WAL and read every route.  Prints the modules loaded once the service
+#: is built (before its first ingest), then those loaded by the end.
+_SESSION = _RECORDER + """
+mechanism, directory = sys.argv[1:]
 events = [
     {"subject": f"s{i % 5}", "rating": (i % 4) / 3, "rater": f"r{i % 6}"} for i in range(96)
 ]
-for mechanism in sorted(REPUTATION_FACTORIES):
-    wal = os.path.join(sys.argv[1], mechanism + ".wal")
-    snapshot = os.path.join(sys.argv[1], mechanism + ".ckpt")
-    config = ServiceConfig(mechanism=mechanism, refresh_every=8)
-    service = ReputationService.recover(wal_path=wal, config=config, wal_fsync=False)
-    service.ingest_many(events[:48])
-    service.snapshot(snapshot)
-    service.ingest_many(events[48:])
-    service.close()
-    restored = ReputationService.recover(wal_path=wal, snapshot_path=snapshot, wal_fsync=False)
-    assert restored.health()["ingested"] == len(events), mechanism
-    assert restored.scores(), mechanism
-    restored.close()
-print(" ".join(sorted(REPUTATION_FACTORIES)))
-print("\\n".join(sorted(seen | set(sys.modules))))
+wal = os.path.join(directory, mechanism + ".wal")
+snapshot = os.path.join(directory, mechanism + ".ckpt")
+config = ServiceConfig(mechanism=mechanism, refresh_every=8)
+service = ReputationService.recover(wal_path=wal, config=config, wal_fsync=False)
+print(loaded())
+service.ingest_many(events[:48])
+service.snapshot(snapshot)
+service.ingest_many(events[48:])
+service.close()
+restored = ReputationService.recover(wal_path=wal, snapshot_path=snapshot, wal_fsync=False)
+assert restored.health()["ingested"] == len(events), mechanism
+read_everything(restored)
+restored.close()
+print(loaded())
 """
 
 
-def test_a_whole_service_session_never_loads_the_simulator(tmp_path):
-    result = subprocess.run(
-        [sys.executable, "-c", _SESSION, str(tmp_path)],
+def _run(script, *args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
+    ).stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def sessions(tmp_path_factory):
+    """Per mechanism, the modules loaded once its service is built and over
+    its whole session, each in a fresh interpreter."""
+    from repro.reputation.registry import REPUTATION_FACTORIES
+
+    recorded = {}
+    for mechanism in sorted(REPUTATION_FACTORIES):
+        built, whole = _run(_SESSION, mechanism, tmp_path_factory.mktemp(mechanism))
+        recorded[mechanism] = (set(built.split()), set(whole.split()))
+    return recorded
+
+
+def test_a_whole_service_session_never_loads_the_simulator(sessions):
+    assert sorted(sessions) == sorted(FOLD_ONLY + ARRAY_MECHANISMS)
+    for mechanism, (_, loaded) in sessions.items():
+        assert "repro.serving.service" in loaded, mechanism
+        assert _under(loaded, *SIMULATOR_STACK) == [], mechanism
+
+
+@pytest.mark.parametrize("mechanism", FOLD_ONLY)
+def test_a_fold_only_session_never_loads_numpy_or_scipy(sessions, mechanism):
+    _, loaded = sessions[mechanism]
+    assert _under(loaded, *ARRAY_STACK) == []
+
+
+@pytest.mark.parametrize("mechanism", ARRAY_MECHANISMS)
+def test_an_array_mechanism_loads_its_kernels_before_its_first_ingest(sessions, mechanism):
+    built, _ = sessions[mechanism]
+    assert {"numpy", "scipy.sparse", "repro.core.backend"} <= built
+
+
+#: Restore each committed fold-only service fixture, read every route,
+#: ingest, read again and snapshot.
+_FIXTURES = _RECORDER + """
+directory, *paths = sys.argv[1:]
+for path in paths:
+    service = ReputationService.restore(path)
+    assert os.path.basename(path).startswith(service.config.mechanism + "-"), path
+    read_everything(service)
+    service.ingest_many([{"subject": "s1", "rating": 0.75, "rater": "r2"}] * 3)
+    read_everything(service)
+    service.snapshot(os.path.join(directory, os.path.basename(path)))
+    service.close()
+print(loaded())
+"""
+
+SERVICE_FIXTURES = Path(__file__).resolve().parent / "serving" / "data"
+
+
+def test_restoring_the_fold_only_fixtures_loads_no_numpy_or_scipy(tmp_path):
+    fixtures = sorted(
+        path for path in SERVICE_FIXTURES.glob("*.ckpt") if path.name.startswith(FOLD_ONLY)
     )
-    mechanisms, *loaded = result.stdout.splitlines()
-    assert mechanisms.split() == ["average", "beta", "eigentrust", "powertrust", "trustme"]
-    assert "repro.serving.service" in loaded
-    assert _under(loaded, *SIMULATOR_STACK) == []
+    assert len(fixtures) >= 4
+    (loaded,) = _run(_FIXTURES, tmp_path, *fixtures)
+    assert "repro.serving.service" in loaded.split()
+    assert _under(loaded.split(), *ARRAY_STACK) == []
