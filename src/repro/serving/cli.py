@@ -112,32 +112,23 @@ def build_service(args: argparse.Namespace) -> ReputationService:
     flags = vars(args)
     given = {field: flags[field] for field in CONFIG_FLAGS if flags[field] is not None}
     if args.restore is None:
-        config = ServiceConfig(**given)  # type: ignore[arg-type]
-        if args.wal is not None:
-            return ReputationService.recover(
-                wal_path=args.wal, config=config, wal_fsync=not args.no_wal_fsync
-            )
-        return ReputationService(config)
-    # A restore resumes the *checkpointed* session verbatim.  A flag for a
-    # score setting (one the WAL pins) that contradicts it would silently
-    # fork the score history; the overload flags are ignored.
-    if args.wal is not None:
-        service = ReputationService.recover(
-            wal_path=args.wal,
-            snapshot_path=args.restore,
-            wal_fsync=not args.no_wal_fsync,
-        )
+        service = ReputationService(ServiceConfig(**given))  # type: ignore[arg-type]
     else:
+        # A restore resumes the *checkpointed* session verbatim.  A flag for
+        # a score setting (one the WAL pins) that contradicts it would
+        # silently fork the score history, so it is refused before the WAL
+        # is opened; the overload flags are ignored.
         service = ReputationService.restore(args.restore)
-    pinned = service.config.wal_identity()
-    conflicts = [
-        f"{CONFIG_FLAGS[field]} {value!r} conflicts with the checkpoint's {pinned[field]!r}"
-        for field, value in given.items()
-        if field in pinned and value != pinned[field]
-    ]
-    if conflicts:
-        service.close()
-        raise SystemExit("; ".join(conflicts) + "; drop the flag when restoring")
+        pinned = service.config.wal_identity()
+        conflicts = [
+            f"{CONFIG_FLAGS[field]} {value!r} conflicts with the checkpoint's {pinned[field]!r}"
+            for field, value in given.items()
+            if field in pinned and value != pinned[field]
+        ]
+        if conflicts:
+            raise SystemExit("; ".join(conflicts) + "; drop the flag when restoring")
+    if args.wal is not None:
+        service.attach_wal(args.wal, fsync=not args.no_wal_fsync)
     return service
 
 

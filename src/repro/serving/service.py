@@ -857,13 +857,9 @@ class ReputationService:
         """Boot a durable session: latest snapshot + WAL replay.
 
         Restores ``snapshot_path`` when given (it must exist and match
-        ``config`` if both are supplied), replays every intact WAL batch
-        past the snapshot's ingested count, re-registers their idempotency
-        keys (so a client retrying across the crash still never
-        double-ingests), attaches the WAL for subsequent ingests, and
-        compacts away the batches the snapshot already covers.  The result
-        is byte-identical to a session that never went down — every acked
-        event survives; only unacked (torn-tail) batches are lost, and
+        ``config`` if both are supplied), then :meth:`attach_wal`.  The
+        result is byte-identical to a session that never went down — every
+        acked event survives; only unacked (torn-tail) batches are lost, and
         those the resilient client re-sends.
         """
         if snapshot_path is not None:
@@ -874,35 +870,47 @@ class ReputationService:
                 )
         else:
             service = cls(config)
+        service.attach_wal(wal_path, fsync=wal_fsync)
+        return service
+
+    def attach_wal(self, wal_path: str, *, fsync: bool = True) -> None:
+        """Replay the WAL past this session, then log every later ingest to it.
+
+        Opens (or creates) the log for this session's config, replays every
+        intact batch past the ingested count, re-registers the idempotency
+        keys of the batches already covered (so a client retrying across
+        the crash still never double-ingests), attaches the log and
+        compacts away the covered batches.  Nothing touches the log file
+        before this call, so a caller can vet a restored session first.
+        """
+        if self._wal is not None:
+            raise ConfigurationError("a WAL is already attached to this session")
         wal, entries, _ = WriteAheadLog.open(
             wal_path,
-            config_sha256=config_digest(service.config.wal_identity()),
-            fsync=wal_fsync,
+            config_sha256=config_digest(self.config.wal_identity()),
+            fsync=fsync,
         )
-        with service._lock:
-            covered = service._ingested
-            replayed = 0
+        with self._lock:
+            covered = self._ingested
             for entry in entries:
                 if entry.end <= covered:
                     if entry.key is not None:
-                        service._remember(
+                        self._remember(
                             entry.key,
-                            _replayed_receipt(entry, service.config.refresh_every),
+                            _replayed_receipt(entry, self.config.refresh_every),
                         )
                     continue
-                if entry.seq != service._ingested:
+                if entry.seq != self._ingested:
                     raise IntegrityError(
                         f"{wal_path}: WAL batch seq={entry.seq} does not line up "
-                        f"with the recovered session at {service._ingested} "
+                        f"with the recovered session at {self._ingested} "
                         "ingested events — acked evidence missing"
                     )
-                service._ingest_batch(entry.events, key=entry.key, write_wal=False)
-                replayed += 1
-            service._wal = wal
-            service._snapshotted = covered
+                self._ingest_batch(entry.events, key=entry.key, write_wal=False)
+            self._wal = wal
+            self._snapshotted = covered
         if covered > 0:
             wal.compact(covered)
-        return service
 
     # -- WAL maintenance ---------------------------------------------------
 

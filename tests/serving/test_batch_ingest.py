@@ -92,6 +92,24 @@ class TestNegativeZero:
             service.close()
 
 
+#: Bodies ``json.loads`` refuses for a reason other than syntax: an integer
+#: past Python's digit limit (a plain ValueError) and nesting deeper than
+#: the parser recurses (RecursionError).
+NOT_JSON = {
+    "long-integer": b'{"subject": "alice", "rating": ' + b"1" * 5000 + b"}",
+    "deep-nesting": b'{"events": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+
+
+def _not_json(body):
+    """The 400 text for a body ``json.loads`` refuses."""
+    try:
+        json.loads(body)
+    except (ValueError, RecursionError) as error:
+        return f"request body is not valid JSON: {error}"
+    raise AssertionError("the body parses")
+
+
 class TestRejectedBatch:
     @pytest.mark.parametrize("position", [0, 1, 3])
     @pytest.mark.parametrize(
@@ -137,15 +155,33 @@ class TestRejectedBatch:
 
 
     @pytest.mark.parametrize(
-        "rating, message",
+        "route, body, message",
         [
-            (b"1" + b"0" * 400, "feedback needs a numeric 'rating' in [0, 1]"),
-            (b"1e400", "rating must be in [0, 1], got inf"),
+            pytest.param(
+                "/v1/feedback",
+                b'{"subject": "alice", "rating": 1' + b"0" * 400 + b"}",
+                "feedback needs a numeric 'rating' in [0, 1]",
+                id="integer-rating-past-the-double-range",
+            ),
+            pytest.param(
+                "/v1/feedback",
+                b'{"subject": "alice", "rating": 1e400}',
+                "rating must be in [0, 1], got inf",
+                id="float-rating-past-the-double-range",
+            ),
+            *(
+                pytest.param(route, body, _not_json(body), id=f"{kind}-{route.rsplit('/', 1)[1]}")
+                for kind, body in NOT_JSON.items()
+                for route in ("/v1/feedback", "/v1/snapshot")
+            ),
         ],
     )
-    def test_rating_beyond_the_double_range_is_a_400_over_http(self, tmp_path, rating, message):
+    def test_an_unusable_body_is_a_400_that_changes_nothing(self, tmp_path, route, body, message):
         service = _wal_service(tmp_path, mechanism="beta", refresh_every=2)
-        server = create_http_server(service, host="127.0.0.1", port=0)
+        snapshot = tmp_path / "serve.ckpt"
+        server = create_http_server(
+            service, host="127.0.0.1", port=0, snapshot_path=str(snapshot)
+        )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
@@ -153,10 +189,9 @@ class TestRejectedBatch:
             service.ingest_many([GOOD, GOOD, GOOD], idempotency_key="first")
             wal_bytes = Path(service.wal.path).read_bytes()
             health = service.health()
-            body = service.scores_json()
-            connection.request(
-                "POST", "/v1/feedback", body=b'{"subject": "alice", "rating": ' + rating + b"}"
-            )
+            scores = service.scores_json()
+            connection.request("POST", route, body=body)
+            sock = connection.sock
             response = connection.getresponse()
             assert response.status == 400
             assert json.loads(response.read()) == {"error": message, "status": 400}
@@ -164,7 +199,12 @@ class TestRejectedBatch:
             after = service.health()
             for counter in ("ingested", "watermark", "pending", "refreshes", "dedup_keys", "wal"):
                 assert after[counter] == health[counter], counter
-            assert service.scores_json() == body
+            assert service.scores_json() == scores
+            assert not snapshot.exists()
+            connection.request("GET", "/v1/scores")
+            response = connection.getresponse()
+            assert (response.status, response.read()) == (200, scores + b"\n")
+            assert connection.sock is sock  # answered on the same connection
         finally:
             connection.close()
             server.shutdown()

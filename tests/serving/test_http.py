@@ -9,7 +9,7 @@ import pytest
 import repro.faults as faults
 from repro.reputation.base import ScoreView
 from repro.serving.http import _scores_payload, create_http_server
-from repro.serving.service import ReputationService, ServiceConfig
+from repro.serving.service import ReputationService
 
 
 @pytest.fixture()
@@ -317,64 +317,6 @@ class TestMalformedPayloads:
             assert "Content-Length" in json.loads(response.read())["error"]
         finally:
             connection.close()
-
-
-#: Bodies ``json.loads`` refuses for a reason other than syntax: an integer
-#: past Python's digit limit (a plain ValueError) and nesting deeper than
-#: the parser recurses (RecursionError).
-UNPARSABLE = {
-    "long-integer": b'{"subject": "a", "rating": ' + b"1" * 5000 + b"}",
-    "deep-nesting": b'{"events": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
-}
-
-#: The health fields that count what a session holds.
-COUNTERS = ("ingested", "watermark", "pending", "refreshes", "known_peers", "dedup_keys", "wal")
-
-
-class TestUnparsableBodies:
-    """However ``json.loads`` fails, the answer is a 400 that changes nothing
-    and keeps the connection."""
-
-    @pytest.mark.parametrize("route", ["/v1/feedback", "/v1/snapshot"])
-    @pytest.mark.parametrize("kind", sorted(UNPARSABLE))
-    def test_is_400_and_changes_nothing(self, tmp_path, route, kind):
-        wal = tmp_path / "serve.wal"
-        snapshot = tmp_path / "serve.ckpt"
-        service = ReputationService.recover(
-            wal_path=str(wal), config=ServiceConfig(refresh_every=2), wal_fsync=False
-        )
-        server = create_http_server(
-            service, host="127.0.0.1", port=0, snapshot_path=str(snapshot)
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
-        try:
-            assert request(server, "POST", "/v1/feedback", {"events": EVENTS})[0] == 200
-            wal_bytes = wal.read_bytes()
-            counters = {name: service.health()[name] for name in COUNTERS}
-            scores = request(server, "GET", "/v1/scores")[2]
-
-            connection.request("POST", route, body=UNPARSABLE[kind])
-            sock = connection.sock
-            response = connection.getresponse()
-            body = json.loads(response.read())
-            assert response.status == 400
-            assert body["error"].startswith("request body is not valid JSON: ")
-
-            connection.request("GET", "/v1/scores")
-            response = connection.getresponse()
-            assert (response.status, response.read()) == (200, scores)
-            assert connection.sock is sock  # answered on the same connection
-            assert wal.read_bytes() == wal_bytes
-            assert {name: service.health()[name] for name in COUNTERS} == counters
-            assert not snapshot.exists()
-        finally:
-            connection.close()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-            service.close()
 
 
 class TestIdempotency:

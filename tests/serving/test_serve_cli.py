@@ -74,10 +74,14 @@ SCORE_FLAGS = {
 }
 
 
+#: The events the checkpoint holds.
+CHECKPOINTED_EVENTS = [{"subject": f"s{i % 3}", "rating": i / 10} for i in range(10)]
+
+
 @pytest.fixture()
 def checkpoint(tmp_path):
     service = ReputationService(CHECKPOINTED)
-    service.ingest_many([{"subject": f"s{i % 3}", "rating": i / 10} for i in range(10)])
+    service.ingest_many(CHECKPOINTED_EVENTS)
     path = tmp_path / "session.ckpt"
     service.snapshot(str(path))
     return str(path)
@@ -115,6 +119,23 @@ class TestRestore:
         argv = [*restore_argv, "--mechanism", "beta", "--refresh-every", "64"]
         with pytest.raises(SystemExit, match="--mechanism 'beta'.*--refresh-every 64"):
             _boot(*argv)
+
+    def test_a_refused_restore_leaves_the_wal_as_it_was(self, checkpoint, tmp_path):
+        absent = tmp_path / "absent.wal"
+        with pytest.raises(SystemExit):
+            _boot("--restore", checkpoint, "--wal", str(absent), "--refresh-every", "64")
+        assert not absent.exists()
+        # A log holding the checkpoint's batch and one past it: recovering
+        # would replay the second and compact the first away.
+        wal = tmp_path / "serve.wal"
+        service = ReputationService.recover(wal_path=str(wal), config=CHECKPOINTED, wal_fsync=False)
+        service.ingest_many(CHECKPOINTED_EVENTS)
+        service.ingest_many([{"subject": "s1", "rating": 0.5}] * 3)
+        service.close()
+        logged = wal.read_bytes()
+        with pytest.raises(SystemExit):
+            _boot("--restore", checkpoint, "--wal", str(wal), "--mechanism", "beta")
+        assert wal.read_bytes() == logged
 
     def test_an_eigentrust_checkpoint_refuses_the_beta_flag(self, tmp_path):
         service = ReputationService(ServiceConfig(mechanism="eigentrust", refresh_every=4))

@@ -372,6 +372,17 @@ class TestNewlineRule:
         recovered.close()
 
 
+class TestAttach:
+    def test_a_second_wal_is_refused_and_left_unopened(self, tmp_path):
+        service = ReputationService.recover(wal_path=str(tmp_path / "serve.wal"), wal_fsync=False)
+        try:
+            with pytest.raises(ConfigurationError, match="already attached"):
+                service.attach_wal(str(tmp_path / "other.wal"))
+        finally:
+            service.close()
+        assert not (tmp_path / "other.wal").exists()
+
+
 class TestHeaderCheck:
     def test_unsupported_version_is_refused_by_open_and_verify(self, tmp_path):
         path = tmp_path / "serve.wal"

@@ -176,6 +176,7 @@ ARRAY_STACK = ("numpy", "scipy", "repro.core.backend")
 #: ``sys.meta_path`` sees every module the first time it loads, so nothing
 #: escapes by being unloaded again.
 _RECORDER = """
+import json
 import os
 import sys
 
@@ -198,7 +199,8 @@ def loaded():
 
 
 def read_everything(service):
-    assert service.scores_json()
+    assert service.scores()
+    assert json.loads(service.scores_json())["scores"]
     service.peer("s1")
     service.health()
     assert service.evidence()
@@ -224,6 +226,7 @@ service.ingest_many(events[48:])
 service.close()
 restored = ReputationService.recover(wal_path=wal, snapshot_path=snapshot, wal_fsync=False)
 assert restored.health()["ingested"] == len(events), mechanism
+assert restored.watermark == len(events), mechanism  # the replay refreshed
 read_everything(restored)
 restored.close()
 print(loaded())
@@ -273,7 +276,7 @@ def test_an_array_mechanism_loads_its_kernels_before_its_first_ingest(sessions, 
 
 
 #: Restore each committed fold-only service fixture, read every route,
-#: ingest, read again and snapshot.
+#: ingest, refresh, read again and snapshot.
 _FIXTURES = _RECORDER + """
 directory, *paths = sys.argv[1:]
 for path in paths:
@@ -281,6 +284,7 @@ for path in paths:
     assert os.path.basename(path).startswith(service.config.mechanism + "-"), path
     read_everything(service)
     service.ingest_many([{"subject": "s1", "rating": 0.75, "rater": "r2"}] * 3)
+    assert service.refresh()
     read_everything(service)
     service.snapshot(os.path.join(directory, os.path.basename(path)))
     service.close()
