@@ -3,8 +3,9 @@
 ``tests/golden/digests.json`` pins the SHA-256 of every shipped template's
 small-tier record per mechanism, every experiment's quick structured
 output, a live service's final ``/v1/scores`` body per mechanism (checked
-against a session snapshotted and restored halfway) and four scenario runs
-on the sparse local-trust branch.  ``tools/golden_digests.py`` regenerates
+against a session snapshotted and restored halfway), four scenario runs
+on the sparse local-trust branch and the generated graph of every network
+preset plus one Erdős–Rényi specification.  ``tools/golden_digests.py`` regenerates
 the file; a digest changes only in a change whose CHANGES.md names the key
 and the reason.
 """

@@ -16,7 +16,12 @@ SHA-256 of
   halfway publishes the same body;
 * ``sparse/<scenario>/<mechanism>`` — scenario runs at 140 peers, where
   EigenTrust and PowerTrust build local trust on the sparse branch: the
-  record and the final published scores.
+  record and the final published scores;
+* ``network/<preset>`` and ``network/erdos_renyi`` — the generated social
+  graph of each network preset and of one Erdős–Rényi specification: its
+  user order, each user's neighbour list with tie strengths, and every
+  user's attributes.  The other cells build only Barabási–Albert graphs,
+  so these are the only ones that pin the other three topologies.
 
 ``tests/test_golden_digests.py`` recomputes the corpus and names every key
 that drifted.  A digest may change only in a change whose CHANGES.md line
@@ -49,6 +54,9 @@ from repro.scenarios.schema.library import (
 from repro.serving.http import _scores_response_body
 from repro.serving.loadgen import build_trace
 from repro.serving.service import ReputationService
+from repro.socialnet.generators import SocialNetworkSpec, generate_social_network
+from repro.socialnet.graph import SocialGraph
+from repro.socialnet.presets import NETWORK_PRESETS, preset_spec
 
 DIGESTS_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "digests.json"
 
@@ -66,6 +74,11 @@ SERVICE_BATCH = 8
 SPARSE_SCENARIOS = ("collusion-ring", "whitewash-wave")
 SPARSE_MECHANISMS = ("eigentrust", "powertrust")
 SPARSE_SIZE = dict(n_users=140, rounds=40, seed=0)
+
+#: The seed every network preset cell is generated with, and the one
+#: Erdős–Rényi specification (no preset uses that topology).
+NETWORK_SEED = 0
+ERDOS_RENYI_SPEC = SocialNetworkSpec(n_users=50, topology="erdos_renyi", mean_degree=5.0, seed=3)
 
 
 def _sha256(text: str | bytes) -> str:
@@ -150,10 +163,53 @@ def sparse_cells() -> Iterator[tuple[str, Callable[[], str]]]:
             yield f"sparse/{scenario}/{mechanism}", cell
 
 
+def network_json(graph: SocialGraph) -> str:
+    """A graph as JSON, in its own orders: users in insertion order, each
+    with its attributes and its neighbours (with tie strengths) in
+    adjacency order."""
+    users = [
+        {
+            "id": user.user_id,
+            "honesty": user.honesty,
+            "competence": user.competence,
+            "activity": user.activity,
+            "privacy_concern": user.privacy_concern,
+            "community": user.community,
+            "profile": [
+                [attribute.name, attribute.value, int(attribute.sensitivity)]
+                for attribute in user.profile
+            ],
+            "neighbors": [
+                [neighbor, graph.tie_strength(user.user_id, neighbor)]
+                for neighbor in graph.neighbors(user.user_id)
+            ],
+        }
+        for user in graph.users()
+    ]
+    return json.dumps(users)
+
+
+def network_cells() -> Iterator[tuple[str, Callable[[], str]]]:
+    specs = {name: preset_spec(name, seed=NETWORK_SEED) for name in sorted(NETWORK_PRESETS)}
+    specs["erdos_renyi"] = ERDOS_RENYI_SPEC
+    for name, spec in specs.items():
+        yield (
+            f"network/{name}",
+            lambda spec=spec: network_json(generate_social_network(spec)),
+        )
+
+
 def compute_digests() -> dict[str, str]:
     """Every corpus key mapped to its SHA-256, computed afresh."""
     digests: dict[str, str] = {}
-    for cells in (template_cells(), experiment_cells(), service_cells(), sparse_cells()):
+    families = (
+        template_cells(),
+        experiment_cells(),
+        service_cells(),
+        sparse_cells(),
+        network_cells(),
+    )
+    for cells in families:
         for key, compute in cells:
             digests[key] = _sha256(compute())
     return dict(sorted(digests.items()))
