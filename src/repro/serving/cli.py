@@ -17,6 +17,7 @@ import signal
 import threading
 from types import FrameType
 
+from repro.errors import ConfigurationError
 from repro.serving.http import ReputationHTTPServer, create_http_server
 from repro.serving.service import ReputationService, ServiceConfig
 
@@ -107,12 +108,24 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_service(args: argparse.Namespace) -> ReputationService:
-    """Construct (restore / recover) the service session an invocation asked for."""
+def _given(args: argparse.Namespace) -> dict[str, object]:
+    """The :class:`ServiceConfig` fields the flags given set."""
     flags = vars(args)
-    given = {field: flags[field] for field in CONFIG_FLAGS if flags[field] is not None}
+    return {field: flags[field] for field in CONFIG_FLAGS if flags[field] is not None}
+
+
+def config_from_flags(args: argparse.Namespace) -> ServiceConfig:
+    """The :class:`ServiceConfig` the flags given build.  Raises
+    :class:`~repro.errors.ConfigurationError` for an invalid value, so a bad
+    flag is refused before any checkpoint or WAL is opened."""
+    return ServiceConfig(**_given(args))  # type: ignore[arg-type]
+
+
+def build_service(args: argparse.Namespace, config: ServiceConfig) -> ReputationService:
+    """Construct (restore / recover) the service session an invocation asked
+    for; ``config`` is :func:`config_from_flags` of ``args``."""
     if args.restore is None:
-        service = ReputationService(ServiceConfig(**given))  # type: ignore[arg-type]
+        service = ReputationService(config)
     else:
         # A restore resumes the *checkpointed* session verbatim.  A flag for
         # a score setting (one the WAL pins) that contradicts it would
@@ -122,7 +135,7 @@ def build_service(args: argparse.Namespace) -> ReputationService:
         pinned = service.config.wal_identity()
         conflicts = [
             f"{CONFIG_FLAGS[field]} {value!r} conflicts with the checkpoint's {pinned[field]!r}"
-            for field, value in given.items()
+            for field, value in _given(args).items()
             if field in pinned and value != pinned[field]
         ]
         if conflicts:
@@ -161,8 +174,13 @@ def serve(
 
 
 def main(argv: list[str]) -> int:
-    args = build_serve_parser().parse_args(argv)
-    service = build_service(args)
+    parser = build_serve_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_flags(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+    service = build_service(args, config)
     server = create_http_server(
         service, host=args.host, port=args.port, snapshot_path=args.snapshot
     )

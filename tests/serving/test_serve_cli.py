@@ -1,14 +1,23 @@
-"""``repro serve``'s flags: the config a boot builds, and what a restore refuses."""
+"""``repro serve``'s flags: the config a boot builds, what a restore refuses,
+and the usage error an invalid value gets."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.serving.cli import build_serve_parser, build_service
+from repro.serving.cli import build_serve_parser, build_service, config_from_flags
 from repro.serving.service import ReputationService, ServiceConfig
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _boot(*argv):
     """The service an invocation with ``argv`` builds (the caller closes it)."""
-    return build_service(build_serve_parser().parse_args(list(argv)))
+    args = build_serve_parser().parse_args(list(argv))
+    return build_service(args, config_from_flags(args))
 
 
 def _config_of(*argv):
@@ -148,3 +157,30 @@ class TestRestore:
     def test_transport_flags_keep_the_checkpoint_config(self, restore_argv):
         config = _config_of(*restore_argv, "--max-pending", "3", "--retry-after", "2")
         assert config == CHECKPOINTED
+
+
+#: Per invalid flag value: the message ``ServiceConfig`` refuses it with.
+INVALID_FLAGS = {
+    ("--refresh-every", "0"): "refresh_every must be at least 1",
+    ("--mechanism", "nope"): "unknown mechanism 'nope'",
+    ("--dedup-window", "-1"): "dedup_window must be non-negative",
+    ("--max-pending", "0"): "max_pending_requests must be at least 1",
+}
+
+
+@pytest.mark.parametrize("flag, value", sorted(INVALID_FLAGS))
+def test_an_invalid_flag_is_a_usage_error_before_any_file_opens(tmp_path, flag, value):
+    wal = tmp_path / "serve.wal"
+    refused = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--wal", str(wal), flag, value],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert refused.returncode == 2
+    assert refused.stderr.startswith("usage: repro serve")
+    assert INVALID_FLAGS[flag, value] in refused.stderr
+    assert "Traceback" not in refused.stderr
+    assert refused.stdout == ""
+    assert not wal.exists()
