@@ -8,7 +8,9 @@ Watts–Strogatz, stochastic block model) and populates them with
 :class:`~repro.socialnet.user.User` objects whose behavioural parameters
 (honesty, competence, activity, privacy concern) are drawn from the
 specification, including an explicit malicious fraction for the adversarial
-experiments.
+experiments.  The topologies come from :mod:`repro.socialnet.topology`, a
+port of networkx's generators that yields the same graphs for the same
+seed.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro import _profiling
 from repro._util import require_positive, require_unit_interval
 from repro.errors import ConfigurationError
+from repro.socialnet import topology
 from repro.socialnet.graph import SocialGraph
 from repro.socialnet.user import User, standard_profile
 
@@ -84,51 +85,48 @@ class SocialNetworkSpec:
             raise ConfigurationError("privacy_concern_range must be (low, high)")
 
 
-def _build_topology(spec: SocialNetworkSpec) -> nx.Graph:
-    """Build the bare networkx topology for the specification."""
+def _build_topology(spec: SocialNetworkSpec) -> tuple[topology.Adjacency, dict[int, int] | None]:
+    """The bare topology for the specification, and each node's block
+    when the model is the stochastic block model."""
     n = spec.n_users
     if spec.topology == "erdos_renyi":
         p = min(1.0, spec.mean_degree / max(1, n - 1))
-        graph = nx.gnp_random_graph(n, p, seed=spec.seed)
-    elif spec.topology == "barabasi_albert":
+        return topology.gnp_random_graph(n, p, spec.seed), None
+    if spec.topology == "barabasi_albert":
         m = max(1, min(n - 1, int(round(spec.mean_degree / 2.0))))
-        graph = nx.barabasi_albert_graph(n, m, seed=spec.seed)
-    elif spec.topology == "watts_strogatz":
+        return topology.barabasi_albert_graph(n, m, spec.seed), None
+    if spec.topology == "watts_strogatz":
         k = max(2, int(round(spec.mean_degree)))
         if k % 2 == 1:
             k += 1
         k = min(k, n - 1 if (n - 1) % 2 == 0 else n - 2)
         k = max(2, k)
-        graph = nx.watts_strogatz_graph(n, k, spec.rewiring_probability, seed=spec.seed)
-    else:  # sbm
-        sizes = [n // spec.n_communities] * spec.n_communities
-        sizes[0] += n - sum(sizes)
-        p_in = min(1.0, spec.mean_degree / max(1, (n / spec.n_communities)))
-        probs = [
-            [
-                p_in if i == j else spec.inter_community_probability
-                for j in range(spec.n_communities)
-            ]
-            for i in range(spec.n_communities)
-        ]
-        graph = nx.stochastic_block_model(sizes, probs, seed=spec.seed)
-    return graph
+        return topology.watts_strogatz_graph(n, k, spec.rewiring_probability, spec.seed), None
+    # sbm
+    sizes = [n // spec.n_communities] * spec.n_communities
+    sizes[0] += n - sum(sizes)
+    p_in = min(1.0, spec.mean_degree / max(1, (n / spec.n_communities)))
+    probs = [
+        [p_in if i == j else spec.inter_community_probability for j in range(spec.n_communities)]
+        for i in range(spec.n_communities)
+    ]
+    return topology.stochastic_block_model(sizes, probs, spec.seed)
 
 
-def _ensure_connected(graph: nx.Graph, rng: random.Random) -> None:
+def _ensure_connected(graph: topology.Adjacency, rng: random.Random) -> None:
     """Connect stray components by adding one random bridge edge per component.
 
     Experiments assume reachability (reputation propagation, social distance);
     a handful of bridge edges does not change the topology's character.
     """
-    components = list(nx.connected_components(graph))
+    components = list(topology.connected_components(graph))
     if len(components) <= 1:
         return
     anchor = list(components[0])
     for component in components[1:]:
         a = rng.choice(anchor)
         b = rng.choice(list(component))
-        graph.add_edge(a, b)
+        topology.add_edge(graph, a, b)
         anchor.extend(component)
 
 
@@ -175,16 +173,12 @@ def generate_social_network(spec: SocialNetworkSpec) -> SocialGraph:
     """Generate a connected :class:`SocialGraph` matching the specification."""
     _profiling.add_work("networks_generated", 1)
     rng = random.Random(spec.seed)
-    graph = _build_topology(spec)
+    graph, communities = _build_topology(spec)
     _ensure_connected(graph, rng)
 
-    communities: dict[int, int] | None = None
-    if spec.topology == "sbm":
-        communities = {node: data.get("block", 0) for node, data in graph.nodes(data=True)}
-
-    users = populate_users(list(graph.nodes()), spec, rng, communities)
+    users = populate_users(list(graph), spec, rng, communities)
     social = SocialGraph(users)
-    for a, b in graph.edges():
+    for a, b in topology.edges(graph):
         social.add_relationship(f"u{a}", f"u{b}", strength=rng.uniform(0.3, 1.0))
     return social
 

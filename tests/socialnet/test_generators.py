@@ -102,7 +102,10 @@ class TestDeterminismAndMix:
             )
         )
         label = {user.user_id: user.community for user in graph.users()}
-        nx_graph = graph.to_networkx()
+        ids = graph.user_ids()
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(ids)
+        nx_graph.add_edges_from((a, b) for a in ids for b in graph.neighbors(a))
         edges = list(nx_graph.edges())
         intra = sum(1 for a, b in edges if label[a] == label[b])
         assert intra / len(edges) > 0.6

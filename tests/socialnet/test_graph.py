@@ -98,18 +98,36 @@ class TestStatistics:
         assert set(triangle.largest_component()) == {"a", "b", "c"}
 
 
-class TestSubgraphAndExport:
-    def test_to_networkx_is_a_copy(self, triangle):
-        nx_graph = triangle.to_networkx()
-        nx_graph.remove_node("a")
-        assert "a" in triangle
+class TestAdjacencyOrder:
+    """``networkx.Graph``'s ordering semantics, which the engine reads through
+    :meth:`SocialGraph.neighbors` and :meth:`SocialGraph.user_ids`."""
 
-    def test_subgraph_keeps_edges_and_strengths(self, triangle):
-        sub = triangle.subgraph(["a", "b"])
-        assert len(sub) == 2
-        assert sub.are_connected("a", "b")
-        assert sub.tie_strength("a", "b") == 0.5
+    def test_readding_a_user_keeps_its_place_and_its_ties(self, triangle):
+        triangle.add_user(make_user("a", honesty=0.2))
+        assert triangle.user_ids() == ["a", "b", "c"]
+        assert triangle.neighbors("a") == ["b"]
+        assert triangle.user("a").honesty == 0.2
 
-    def test_subgraph_unknown_user_rejected(self, triangle):
-        with pytest.raises(UnknownPeerError):
-            triangle.subgraph(["a", "zz"])
+    def test_readding_a_tie_keeps_its_place_and_takes_the_new_strength(self, triangle):
+        triangle.add_relationship("c", "a", strength=0.25)
+        triangle.add_relationship("b", "a", strength=0.75)
+        assert triangle.neighbors("a") == ["b", "c"]
+        assert triangle.neighbors("b") == ["a", "c"]
+        assert triangle.tie_strength("b", "a") == 0.75
+
+    def test_removing_a_user_removes_it_from_each_neighbour(self, triangle):
+        version = triangle.version
+        triangle.remove_user("b")
+        assert triangle.neighbors("a") == []
+        assert triangle.neighbors("c") == []
+        assert triangle.version > version
+        triangle.add_user(make_user("b"))
+        assert triangle.user_ids() == ["a", "c", "b"]
+        assert triangle.neighbors("b") == []
+
+    def test_largest_component_lists_users_in_user_order(self, triangle):
+        triangle.add_user(make_user("d"))
+        triangle.add_user(make_user("e"))
+        triangle.add_relationship("e", "d")
+        triangle.add_relationship("c", "a")
+        assert triangle.largest_component() == ["a", "b", "c"]

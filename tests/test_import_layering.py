@@ -172,10 +172,10 @@ ARRAY_MECHANISMS = ("eigentrust", "powertrust")
 #: What a fold-only serving process never loads.
 ARRAY_STACK = ("numpy", "scipy", "repro.core.backend")
 
-#: The head of a recorded session: the finder at the head of
-#: ``sys.meta_path`` sees every module the first time it loads, so nothing
-#: escapes by being unloaded again.
-_RECORDER = """
+#: The head of a recorded run: the finder at the head of ``sys.meta_path``
+#: sees every module the first time it loads, so nothing escapes by being
+#: unloaded again.
+_FINDER = """
 import json
 import os
 import sys
@@ -190,12 +190,16 @@ class Recorder:
 
 
 sys.meta_path.insert(0, Recorder())
-import repro.cli, repro.serving.cli
-from repro.serving.service import ReputationService, ServiceConfig
 
 
 def loaded():
     return " ".join(sorted(seen | set(sys.modules)))
+"""
+
+#: The head of a recorded service session.
+_RECORDER = _FINDER + """
+import repro.cli, repro.serving.cli
+from repro.serving.service import ReputationService, ServiceConfig
 
 
 def read_everything(service):
@@ -302,3 +306,29 @@ def test_restoring_the_fold_only_fixtures_loads_no_numpy_or_scipy(tmp_path):
     (loaded,) = _run(_FIXTURES, tmp_path, *fixtures)
     assert "repro.serving.service" in loaded.split()
     assert _under(loaded.split(), *ARRAY_STACK) == []
+
+
+#: The simulator without networkx: one network per preset, then a small
+#: robustness campaign run inline, as a sweep's worker runs its tasks.
+_SIMULATION = _FINDER + """
+import repro.api as api
+from repro.socialnet.presets import NETWORK_PRESETS
+
+for name in sorted(NETWORK_PRESETS):
+    graph = api.generate_social_network(api.preset_spec(name, seed=1))
+    assert graph.is_connected() and graph.number_of_edges(), name
+spec = api.SweepSpec(
+    experiment="robustness",
+    grids={"scenario": ["baseline", "whitewash-wave"], "n_users": [20], "rounds": [6]},
+    quick_base=False,
+)
+result = api.run_sweep(spec, jobs=1)
+assert len(result.records) == 2 and result.n_errors == 0
+print(loaded())
+"""
+
+
+def test_the_simulator_never_loads_networkx():
+    (loaded,) = _run(_SIMULATION)
+    assert "repro.experiments.robustness" in loaded.split()
+    assert _under(loaded.split(), "networkx") == []
