@@ -206,7 +206,7 @@ class SocialGraph:
             coefficients.append(
                 0 if twice_triangles == 0 else twice_triangles / (degree * (degree - 1))
             )
-        return float(sum(coefficients) / len(coefficients))
+        return sum(coefficients) / len(coefficients)
 
     def honest_fraction(self) -> float:
         """Fraction of users that are predominantly honest."""

@@ -146,11 +146,11 @@ def watts_strogatz_graph(n: int, k: int, p: float, seed: int) -> Adjacency:
     adj = _empty_graph(nodes)
     for j in range(1, k // 2 + 1):
         targets = nodes[j:] + nodes[0:j]
-        for u, v in zip(nodes, targets):
+        for u, v in zip(nodes, targets, strict=True):
             add_edge(adj, u, v)
     for j in range(1, k // 2 + 1):
         targets = nodes[j:] + nodes[0:j]
-        for u, v in zip(nodes, targets):
+        for u, v in zip(nodes, targets, strict=True):
             if rng.random() < p:
                 w = rng.choice(nodes)
                 # No self-loops or multiple edges.

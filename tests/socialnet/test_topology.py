@@ -108,7 +108,8 @@ def test_the_block_model_draws_once_more_per_diagonal_block_below_one():
     for p_empty, offset in ((0.5, 2), (1.0, 0)):
         p = [[p_empty, 0.0, 0.0], [0.0, p_empty, 0.0], [0.0, 0.0, 0.5]]
         graph, _ = topology.stochastic_block_model([0, 0, 4], p, seed=3)
-        expected = [pair for pair, r in zip(pairs, stream[offset:]) if r < 0.5]
+        drawn = stream[offset : offset + len(pairs)]
+        expected = [pair for pair, r in zip(pairs, drawn, strict=True) if r < 0.5]
         assert list(topology.edges(graph)) == expected
 
 
