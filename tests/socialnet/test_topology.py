@@ -11,7 +11,6 @@ diagonal block); with another release installed they skip, and the
 statistics under any release.
 """
 
-import math
 import random
 
 import networkx as nx
@@ -165,11 +164,3 @@ def test_social_graph_keeps_networkx_orders_and_statistics(script):
         for b in ids:
             assert graph.social_distance(a, b) == lengths[a].get(b)
 
-
-def test_clustering_sums_in_user_order_like_networkx():
-    """A triangle with a pendant: 1, 1, 1/3, 0 summed in user order."""
-    graph = SocialGraph([User(user_id=name) for name in "abcd"])
-    for a, b in (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")):
-        graph.add_relationship(a, b)
-    assert graph.clustering_coefficient() == (1 + 1 + 1 / 3 + 0) / 4
-    assert math.isclose(graph.clustering_coefficient(), 7 / 12)
